@@ -138,18 +138,13 @@ std::vector<ConnInput> build_inputs(const ScenarioSpec& spec) {
 }
 
 // The pre-encoded backend response (static-content model): encoding is
-// the backend's work, identical in both modes, so it happens once here.
+// the backend's work, identical in both modes, so it happens once here,
+// through the same encoder the sim data plane uses.
 netsim::IoChain build_response(uint64_t body_bytes) {
   sim::Request req;
   req.id = 7;
   req.bytes = body_bytes;
-  std::string body;
-  sim::DataPlane::synth_response_body(req, &body);
-  http::Response resp;
-  resp.set_status(200);
-  resp.add_header("Server", "hermes-lb");
-  resp.set_body(std::move(body));
-  return http::ConnState::encode(resp);
+  return sim::DataPlane::encode_response(req);
 }
 
 struct ModeRun {

@@ -1,5 +1,6 @@
 #include "http/conn_state.h"
 
+#include <algorithm>
 #include <cstdlib>
 #include <string>
 
@@ -38,7 +39,7 @@ void ConnState::on_client_data(std::string_view flat) {
 
 void ConnState::pump() {
   while (!in_q_.empty() && !parser_.failed() && !saw_close_ &&
-         ready_.size() < cfg_.max_pipeline) {
+         ready_len_ < cfg_.max_pipeline) {
     netsim::IoSlice& front = in_q_.front();
     const std::string_view view =
         front.view().substr(in_q_off_, front.len - in_q_off_);
@@ -67,7 +68,7 @@ void ConnState::pump() {
       Request r = parser_.take();
       saw_close_ = !r.keep_alive();
       ++stats_.requests;
-      ready_.push_back(Ready{std::move(r), std::move(cur_wire_)});
+      push_ready(Ready{std::move(r), std::move(cur_wire_)});
       cur_wire_ = netsim::IoChain{};
       continue;
     }
@@ -75,10 +76,30 @@ void ConnState::pump() {
   }
 }
 
+void ConnState::push_ready(Ready r) {
+  if (ready_len_ < ready_.size()) {
+    ready_[(ready_head_ + ready_len_) % ready_.size()] = std::move(r);
+  } else {
+    // Every slot is live: unroll the ring so the new slot goes at the
+    // back, growing geometrically but never past max_pipeline slots.
+    std::rotate(ready_.begin(),
+                ready_.begin() + static_cast<std::ptrdiff_t>(ready_head_),
+                ready_.end());
+    ready_head_ = 0;
+    if (ready_.size() == ready_.capacity()) {
+      ready_.reserve(std::min<size_t>(
+          std::max<size_t>(1, 2 * ready_.size()), cfg_.max_pipeline));
+    }
+    ready_.push_back(std::move(r));
+  }
+  ++ready_len_;
+}
+
 std::optional<ConnState::Ready> ConnState::pop_ready() {
-  if (ready_.empty()) return std::nullopt;
-  Ready out = std::move(ready_.front());
-  ready_.pop_front();
+  if (ready_len_ == 0) return std::nullopt;
+  std::optional<Ready> out{std::move(ready_[ready_head_])};
+  ready_head_ = (ready_head_ + 1) % ready_.size();
+  --ready_len_;
   pump();  // backpressure may have paused parsing
   return out;
 }

@@ -19,6 +19,7 @@
 #include <deque>
 #include <optional>
 #include <string_view>
+#include <vector>
 
 #include "http/parser.h"
 #include "http/response.h"
@@ -69,8 +70,10 @@ class ConnState {
   // (models the NIC→userspace admission copy; identical in both modes).
   void on_client_data(std::string_view flat);
 
-  bool has_ready() const { return !ready_.empty(); }
+  bool has_ready() const { return ready_len_ > 0; }
   std::optional<Ready> pop_ready();
+  // Slots the ready queue has allocated; never more than max_pipeline.
+  size_t ready_capacity() const { return ready_.capacity(); }
 
   // LB→client chain for one encoded response: references `encoded` in
   // zero-copy mode, deep-copies it in the oracle.
@@ -92,13 +95,20 @@ class ConnState {
 
  private:
   void pump();
+  void push_ready(Ready r);
 
   Config cfg_;
   RequestParser parser_;
   std::deque<netsim::IoSlice> in_q_;  // retained, not-yet-parsed bytes
   size_t in_q_off_ = 0;               // parse offset into in_q_.front()
   netsim::IoChain cur_wire_;          // bytes of the in-progress request
-  std::deque<Ready> ready_;
+  // Parsed requests awaiting pop_ready(): a ring over reused slots
+  // [ready_head_, ready_head_ + ready_len_) mod ready_.size(). It grows
+  // only when every slot is live, and pump() stops at max_pipeline live
+  // requests, so a stream that never fully drains stays bounded.
+  std::vector<Ready> ready_;
+  size_t ready_head_ = 0;
+  size_t ready_len_ = 0;
   Stats stats_;
   bool saw_close_ = false;
 };

@@ -1,20 +1,62 @@
 #include "sim/data_plane.h"
 
-#include "http/response.h"
+#include <array>
+#include <charconv>
+#include <string_view>
+
 #include "util/check.h"
 
 namespace hermes::sim {
 
 namespace {
 
+// Decimal digits of v into buf; returns the count.
+size_t format_u64(uint64_t v, char (&buf)[20]) {
+  return static_cast<size_t>(std::to_chars(buf, buf + 20, v).ptr - buf);
+}
+
 void append_u64(std::string* out, uint64_t v) {
   char buf[20];
-  int n = 0;
-  do {
-    buf[n++] = static_cast<char>('0' + v % 10);
-    v /= 10;
-  } while (v > 0);
-  while (n > 0) out->push_back(buf[--n]);
+  out->append(buf, format_u64(v, buf));
+}
+
+// Bodies are the 26-periodic pattern first + (phase + i) % 26. Each
+// alphabet is rendered once, 26 bytes longer than a run, so a run of up
+// to kPatternChunk bytes can start at any phase.
+constexpr uint64_t kAlphabet = 26;
+using Pattern = std::array<char, kAlphabet + DataPlane::kPatternChunk>;
+
+constexpr Pattern render(char first) {
+  Pattern p{};
+  for (size_t i = 0; i < p.size(); ++i) {
+    p[i] = static_cast<char>(first + i % kAlphabet);
+  }
+  return p;
+}
+
+constexpr Pattern kRequestPattern = render('a');
+constexpr Pattern kResponsePattern = render('A');
+
+// Calls emit(data, len) over the runs that spell n pattern bytes starting
+// at `phase`.
+template <typename Emit>
+void for_each_run(const Pattern& pattern, uint64_t phase, uint64_t n,
+                  Emit&& emit) {
+  uint64_t at = phase % kAlphabet;
+  while (n > 0) {
+    const uint64_t take =
+        n < DataPlane::kPatternChunk ? n : DataPlane::kPatternChunk;
+    emit(pattern.data() + at, static_cast<uint32_t>(take));
+    at = (at + take) % kAlphabet;
+    n -= take;
+  }
+}
+
+void append_pattern(const Pattern& pattern, uint64_t phase, uint64_t n,
+                    std::string* out) {
+  out->reserve(out->size() + n);
+  for_each_run(pattern, phase, n,
+               [out](const char* p, uint32_t len) { out->append(p, len); });
 }
 
 }  // namespace
@@ -38,18 +80,33 @@ void DataPlane::synth_request_wire(const Request& req, bool last_on_conn,
   out->append("Content-Length: ");
   append_u64(out, body_len);
   out->append("\r\n\r\n");
-  for (uint64_t i = 0; i < body_len; ++i) {
-    out->push_back(static_cast<char>('a' + (req.id + i) % 26));
-  }
+  append_pattern(kRequestPattern, req.id, body_len, out);
 }
 
 void DataPlane::synth_response_body(const Request& req, std::string* out) {
   out->clear();
-  const uint64_t body_len = req.bytes;  // echo-sized deterministic payload
-  out->reserve(body_len);
-  for (uint64_t i = 0; i < body_len; ++i) {
-    out->push_back(static_cast<char>('A' + (req.id * 7 + i) % 26));
-  }
+  // Echo-sized deterministic payload.
+  append_pattern(kResponsePattern, req.id * 7, req.bytes, out);
+}
+
+netsim::IoChain DataPlane::encode_response(const Request& req) {
+  static constexpr std::string_view kHead =
+      "HTTP/1.1 200 OK\r\nServer: hermes-lb\r\nContent-Length: ";
+  static constexpr std::string_view kEnd = "\r\n\r\n";
+  char digits[20];
+  const size_t nd = format_u64(req.bytes, digits);
+  const uint64_t total = kHead.size() + nd + kEnd.size() + req.bytes;
+  HERMES_CHECK_MSG(total <= UINT32_MAX, "response exceeds one segment");
+
+  netsim::SegRef seg = netsim::IoSegment::alloc(static_cast<uint32_t>(total));
+  seg->append(kHead.data(), static_cast<uint32_t>(kHead.size()));
+  seg->append(digits, static_cast<uint32_t>(nd));
+  seg->append(kEnd.data(), static_cast<uint32_t>(kEnd.size()));
+  for_each_run(kResponsePattern, req.id * 7, req.bytes,
+               [&seg](const char* p, uint32_t len) { seg->append(p, len); });
+  netsim::IoChain out;
+  out.append_ref(seg, 0, seg->size());
+  return out;
 }
 
 DataPlane::DataPlane(const Config& cfg, uint32_t num_workers,
@@ -146,19 +203,23 @@ SimTime DataPlane::on_request(WorkerId w, const Request& req,
 
 void DataPlane::on_response(WorkerId w, const Request& req, SimTime now) {
   if (w >= num_workers_) w = 0;
+  // A connection reset mid-flight has no client left to answer, but its
+  // backend still replied: the backend connection returns to the pool
+  // either way.
   auto cit = conns_.find(req.conn);
-  if (cit == conns_.end()) return;  // closed mid-flight
-  ConnCtx& c = cit->second;
+  if (cit != conns_.end()) egress_response(w, req, cit->second);
 
-  http::Response resp;
-  resp.set_status(200);
-  resp.add_header("Server", "hermes-lb");
-  std::string body;
-  synth_response_body(req, &body);
-  resp.set_body(std::move(body));
+  auto pit = pending_.find(req.id);
+  if (pit != pending_.end()) {
+    pool_.release(w, pit->second.backend, pit->second.pooled_id, now);
+    pending_.erase(pit);
+  }
+  totals_.pool_evictions = pool_.stats().evictions;
+  sync_pool_stats(w);
+}
 
-  const netsim::IoChain encoded = http::ConnState::encode(resp);
-  const netsim::IoChain out = c.cs.egress(encoded);
+void DataPlane::egress_response(WorkerId w, const Request& req, ConnCtx& c) {
+  const netsim::IoChain out = c.cs.egress(encode_response(req));
   totals_.client_stream_hash = out.fnv1a(totals_.client_stream_hash);
   totals_.bytes_out += out.size();
   ++totals_.responses_returned;
@@ -175,15 +236,6 @@ void DataPlane::on_response(WorkerId w, const Request& req, SimTime now) {
       m.http_bytes_copied->add(w, static_cast<int64_t>(out.size()));
     }
   }
-
-  // Return the backend connection to the pool.
-  auto pit = pending_.find(req.id);
-  if (pit != pending_.end()) {
-    pool_.release(w, pit->second.backend, pit->second.pooled_id, now);
-    pending_.erase(pit);
-  }
-  totals_.pool_evictions = pool_.stats().evictions;
-  sync_pool_stats(w);
 }
 
 void DataPlane::on_conn_close(netsim::ConnId id) {

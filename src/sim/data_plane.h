@@ -8,12 +8,18 @@
 // chain to a backend picked round-robin — reusing a pooled backend
 // connection when one is warm, else charging the handshake cost into the
 // request's service time. The response path encodes a deterministic
-// backend reply and egresses it to the client through the same
-// zero-copy-or-oracle machinery.
+// backend reply into one segment of exactly its wire size and egresses it
+// to the client through the same zero-copy-or-oracle machinery.
+//
+// Synthesis is cheap by construction: request and response bodies are
+// 26-periodic letter patterns, appended as memcpy runs out of one static
+// pre-rendered alphabet per direction, never byte by byte.
 //
 // Both modes (HERMES_ZEROCOPY=1 zero-copy / =0 copy oracle) must produce
 // bit-identical backend and client byte streams; the data plane chains
 // an FNV-1a hash over each direction so benches and tests can assert it.
+// The hashes are the oracle for synthesis too: a byte change in the
+// pattern rendering moves them off their pinned values.
 //
 // Disabled by default (Config::enabled=false): every pre-existing bench
 // and test runs byte-identically with the data plane compiled in.
@@ -89,12 +95,22 @@ class DataPlane {
   const Config& config() const { return cfg_; }
   const core::BackendConnectionPool& pool() const { return pool_; }
   size_t live_conn_states() const { return conns_.size(); }
+  // Requests forwarded whose backend connection is not yet back in the
+  // pool. Zero once every in-flight request has completed.
+  size_t pending_requests() const { return pending_.size(); }
+
+  // Bodies are appended in runs of at most this many bytes.
+  static constexpr uint32_t kPatternChunk = 4096;
 
   // Builds the deterministic wire form for a request / its response —
   // shared with bench/proxy_path so micro and sim legs agree.
   static void synth_request_wire(const Request& req, bool last_on_conn,
                                  std::string* out);
   static void synth_response_body(const Request& req, std::string* out);
+  // The backend's reply to `req` (200, Server: hermes-lb, Content-Length,
+  // synth_response_body) in one segment of exactly its wire size. Byte-
+  // identical to http::ConnState::encode of the equivalent http::Response.
+  static netsim::IoChain encode_response(const Request& req);
 
  private:
   struct ConnCtx {
@@ -107,6 +123,7 @@ class DataPlane {
   };
 
   ConnCtx& ctx(netsim::ConnId id);
+  void egress_response(WorkerId w, const Request& req, ConnCtx& c);
   void sync_pool_stats(WorkerId w);
 
   Config cfg_;

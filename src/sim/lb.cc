@@ -451,6 +451,10 @@ void LbDevice::on_request_done(Worker& w, const Request& req) {
       probe_latency_.record(latency);
       if (latency > SimTime::millis(200)) ++delayed_probes_;
       if (probe_done_) probe_done_(req.conn, latency);
+    } else if (dp_) {
+      // Reset while in flight (degradation, close_fraction): nobody to
+      // answer, but the request's backend connection must still return.
+      dp_->on_response(w.id(), req, eq_.now());
     }
     return;
   }

@@ -1,14 +1,52 @@
 // The L7 byte-level data plane inside the LB simulation: zero-copy vs
-// copy-oracle differential (bit-identical streams), backend connection
-// pool reuse across keep-alive requests, rate-limited admission, and
-// fleet-level aggregation.
+// copy-oracle differential (bit-identical streams) pinned to golden
+// hashes, wire synthesis against per-byte reference formulas, backend
+// connection pool reuse across keep-alive requests and resets,
+// rate-limited admission, and fleet-level aggregation.
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "http/conn_state.h"
+#include "http/response.h"
 #include "sim/fleet.h"
 #include "sim/lb.h"
 
 namespace hermes::sim {
 namespace {
+
+// Per-byte reference formulas for the synthesized wire, kept apart from
+// the pattern-rendering implementation they check.
+std::string ref_request_head(const Request& req, bool last_on_conn) {
+  std::string s = "POST /t" + std::to_string(req.tenant) + "/r" +
+                  std::to_string(req.id) + " HTTP/1.1\r\nHost: tenant-" +
+                  std::to_string(req.tenant) +
+                  ".svc.hermes\r\nUser-Agent: hermes-client\r\n"
+                  "X-Request-Id: " +
+                  std::to_string(req.id) + "\r\n";
+  if (last_on_conn) s += "Connection: close\r\n";
+  return s;
+}
+
+std::string ref_request_wire(const Request& req, bool last_on_conn,
+                             uint64_t* body_len) {
+  std::string s = ref_request_head(req, last_on_conn);
+  const size_t overhead = s.size() + 40;
+  *body_len = req.bytes > overhead ? req.bytes - overhead : 0;
+  s += "Content-Length: " + std::to_string(*body_len) + "\r\n\r\n";
+  for (uint64_t i = 0; i < *body_len; ++i) {
+    s.push_back(static_cast<char>('a' + (req.id + i) % 26));
+  }
+  return s;
+}
+
+std::string ref_response_body(const Request& req) {
+  std::string s;
+  for (uint64_t i = 0; i < req.bytes; ++i) {
+    s.push_back(static_cast<char>('A' + (req.id * 7 + i) % 26));
+  }
+  return s;
+}
 
 LbDevice::Config dp_config(bool zero_copy, uint64_t seed = 1) {
   LbDevice::Config cfg;
@@ -85,6 +123,91 @@ TEST(DataPlaneTest, ZeroCopyAndOracleStreamsAreBitIdentical) {
   EXPECT_EQ(b.bytes_zero_copied, 0u);
   EXPECT_GT(b.bytes_copied, 0u);
   EXPECT_EQ(a.bytes_zero_copied, b.bytes_copied);
+}
+
+TEST(DataPlaneTest, StreamsMatchGoldenHashesInBothModes) {
+  // The two modes share one synthesizer, so comparing them with each
+  // other cannot see a byte change in synthesis; these pinned values can.
+  for (const bool zero_copy : {true, false}) {
+    SCOPED_TRACE(zero_copy ? "zero-copy" : "copy oracle");
+    LbDevice lb(dp_config(zero_copy));
+    run_keepalive_mix(lb);
+    const DataPlane::Totals& t = lb.data_plane()->totals();
+    EXPECT_EQ(t.bytes_in, 87424u);
+    EXPECT_EQ(t.bytes_out, 97152u);
+    EXPECT_EQ(t.backend_stream_hash, 0x08d97e21b7b90e4bull);
+    EXPECT_EQ(t.client_stream_hash, 0x6e61f7f187e92139ull);
+  }
+}
+
+TEST(DataPlaneTest, SynthesisMatchesPerByteReference) {
+  constexpr uint64_t kChunk = DataPlane::kPatternChunk;
+  const uint64_t lengths[] = {0,      1,          25,     26,
+                              27,     kChunk - 1, kChunk, kChunk + 1,
+                              3 * kChunk + 5};
+  std::string wire, body;
+  for (const uint64_t len : lengths) {
+    // ids 26k + p hit every request phase p = id % 26, and (7 is a unit
+    // mod 26) every response phase 7·id % 26.
+    for (uint64_t phase = 0; phase < 26; ++phase) {
+      for (const bool last : {false, true}) {
+        SCOPED_TRACE(::testing::Message() << "len " << len << " phase "
+                                          << phase << " last " << last);
+        Request req;
+        req.id = 26 * 1000 + phase;
+        req.tenant = static_cast<TenantId>(phase % 4);
+        const uint64_t overhead = ref_request_head(req, last).size() + 40;
+        req.bytes = len == 0 ? 0 : overhead + len;
+        uint64_t ref_len = 0;
+        const std::string ref_wire = ref_request_wire(req, last, &ref_len);
+        ASSERT_EQ(ref_len, len);
+        DataPlane::synth_request_wire(req, last, &wire);
+        ASSERT_EQ(wire, ref_wire);
+
+        req.bytes = len;
+        const std::string ref_body = ref_response_body(req);
+        DataPlane::synth_response_body(req, &body);
+        ASSERT_EQ(body, ref_body);
+
+        http::Response resp;
+        resp.set_status(200).add_header("Server", "hermes-lb");
+        resp.set_body(ref_body);
+        const netsim::IoChain encoded = DataPlane::encode_response(req);
+        ASSERT_EQ(encoded.num_slices(), 1u);
+        ASSERT_EQ(encoded.slices()[0].seg->capacity(), encoded.size());
+        ASSERT_EQ(encoded.to_string(), resp.serialize());
+        ASSERT_EQ(encoded.fnv1a(), http::ConnState::encode(resp).fnv1a());
+      }
+    }
+  }
+}
+
+TEST(DataPlaneTest, ResetMidFlightReturnsBackendConnections) {
+  // close_fraction resets connections while some of their requests are
+  // still being served. Those requests complete with no client to answer,
+  // but each one's backend connection must still leave pending and go
+  // back to the pool.
+  LbDevice lb(dp_config(/*zero_copy=*/true));
+  LbDevice::ConnPlan plan;
+  plan.remaining = 8;
+  plan.cost_us = DistSpec::constant(300);
+  plan.gap_us = DistSpec::constant(200);
+  plan.bytes = DistSpec::constant(700);
+  for (int i = 0; i < 64; ++i) {
+    plan.tenant = static_cast<TenantId>(i % 4);
+    lb.open_connection(plan.tenant, plan);
+  }
+  uint64_t closed = 0;
+  lb.eq().schedule_at(SimTime::millis(2),
+                      [&lb, &closed] { closed = lb.close_fraction(0.5); });
+  lb.eq().run_until(SimTime::seconds(2));
+
+  const DataPlane& dp = *lb.data_plane();
+  ASSERT_GT(closed, 0u);
+  EXPECT_EQ(dp.live_conn_states(), 0u);
+  EXPECT_EQ(dp.pending_requests(), 0u);
+  EXPECT_EQ(dp.totals().requests_forwarded, lb.totals().requests_completed);
+  EXPECT_LT(dp.totals().responses_returned, dp.totals().requests_forwarded);
 }
 
 TEST(DataPlaneTest, PerByteCostScalesServiceTimeWithBodySize) {

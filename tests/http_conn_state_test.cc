@@ -107,6 +107,35 @@ TEST(ConnState, MaxPipelineBackpressure) {
   EXPECT_EQ(popped, 5);
 }
 
+TEST(ConnState, ReadyQueueStaysBoundedOnAPipelineThatNeverDrains) {
+  // A long pipelined stream whose ready queue never empties: every step
+  // delivers 1-3 requests and pops 1-3, but always leaves one behind.
+  // The queue must reuse its slots (FIFO order intact across wraps)
+  // instead of growing with the stream. Up to four requests are
+  // outstanding, so backpressure at max_pipeline engages as well.
+  ConnState::Config cc;
+  cc.max_pipeline = 3;
+  ConnState cs(cc);
+  int delivered = 0;
+  int popped = 0;
+  for (int step = 0; step < 3000; ++step) {
+    for (int k = 0; k <= step % 3; ++k) {
+      const std::string req = simple_get(delivered++);
+      cs.on_client_data(std::string_view{req});
+    }
+    for (int k = 0; k <= (step + 1) % 3 && delivered - popped > 1; ++k) {
+      auto r = cs.pop_ready();
+      ASSERT_TRUE(r.has_value());
+      ASSERT_EQ(r->request.path, "/item/" + std::to_string(popped));
+      ++popped;
+    }
+    ASSERT_TRUE(cs.has_ready());
+    ASSERT_LE(cs.ready_capacity(), cc.max_pipeline);
+  }
+  EXPECT_GT(popped, 5000);
+  EXPECT_FALSE(cs.failed());
+}
+
 TEST(ConnState, BodyBytesTravelInWireChainNotRequestBody) {
   ConnState cs;  // capture_body off by default
   const std::string wire =
