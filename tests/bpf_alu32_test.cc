@@ -11,6 +11,10 @@ namespace {
 
 struct Alu32Case {
   Op op;
+  // gtest lists a param it cannot print as its raw bytes, and those bytes
+  // become part of the CTest name. Spell out the padding after `op` as
+  // zeros, so the name does not carry stack garbage that changes per build.
+  uint8_t zero_pad[7] = {};
   const char* name;
   uint64_t (*eval)(uint64_t, uint64_t);
 };
@@ -49,36 +53,59 @@ TEST_P(Alu32Sweep, MatchesHostSemantics) {
 INSTANTIATE_TEST_SUITE_P(
     AllOps, Alu32Sweep,
     ::testing::Values(
-        Alu32Case{Op::Add32Reg, "add32",
-                  [](uint64_t x, uint64_t y) -> uint64_t { return lo(x + y); }},
-        Alu32Case{Op::Sub32Reg, "sub32",
-                  [](uint64_t x, uint64_t y) -> uint64_t { return lo(x - y); }},
-        Alu32Case{Op::Mul32Reg, "mul32",
-                  [](uint64_t x, uint64_t y) -> uint64_t { return lo(x * y); }},
-        Alu32Case{Op::Div32Reg, "div32",
-                  [](uint64_t x, uint64_t y) -> uint64_t {
+        Alu32Case{.op = Op::Add32Reg,
+                  .name = "add32",
+                  .eval = [](uint64_t x, uint64_t y) -> uint64_t {
+                    return lo(x + y);
+                  }},
+        Alu32Case{.op = Op::Sub32Reg,
+                  .name = "sub32",
+                  .eval = [](uint64_t x, uint64_t y) -> uint64_t {
+                    return lo(x - y);
+                  }},
+        Alu32Case{.op = Op::Mul32Reg,
+                  .name = "mul32",
+                  .eval = [](uint64_t x, uint64_t y) -> uint64_t {
+                    return lo(x * y);
+                  }},
+        Alu32Case{.op = Op::Div32Reg,
+                  .name = "div32",
+                  .eval = [](uint64_t x, uint64_t y) -> uint64_t {
                     return lo(y) ? lo(x) / lo(y) : 0;
                   }},
-        Alu32Case{Op::Mod32Reg, "mod32",
-                  [](uint64_t x, uint64_t y) -> uint64_t {
+        Alu32Case{.op = Op::Mod32Reg,
+                  .name = "mod32",
+                  .eval = [](uint64_t x, uint64_t y) -> uint64_t {
                     return lo(y) ? lo(x) % lo(y) : lo(x);
                   }},
-        Alu32Case{Op::And32Reg, "and32",
-                  [](uint64_t x, uint64_t y) -> uint64_t { return lo(x & y); }},
-        Alu32Case{Op::Or32Reg, "or32",
-                  [](uint64_t x, uint64_t y) -> uint64_t { return lo(x | y); }},
-        Alu32Case{Op::Xor32Reg, "xor32",
-                  [](uint64_t x, uint64_t y) -> uint64_t { return lo(x ^ y); }},
-        Alu32Case{Op::Lsh32Reg, "lsh32",
-                  [](uint64_t x, uint64_t y) -> uint64_t {
+        Alu32Case{.op = Op::And32Reg,
+                  .name = "and32",
+                  .eval = [](uint64_t x, uint64_t y) -> uint64_t {
+                    return lo(x & y);
+                  }},
+        Alu32Case{.op = Op::Or32Reg,
+                  .name = "or32",
+                  .eval = [](uint64_t x, uint64_t y) -> uint64_t {
+                    return lo(x | y);
+                  }},
+        Alu32Case{.op = Op::Xor32Reg,
+                  .name = "xor32",
+                  .eval = [](uint64_t x, uint64_t y) -> uint64_t {
+                    return lo(x ^ y);
+                  }},
+        Alu32Case{.op = Op::Lsh32Reg,
+                  .name = "lsh32",
+                  .eval = [](uint64_t x, uint64_t y) -> uint64_t {
                     return lo(lo(x) << (y & 31));
                   }},
-        Alu32Case{Op::Rsh32Reg, "rsh32",
-                  [](uint64_t x, uint64_t y) -> uint64_t {
+        Alu32Case{.op = Op::Rsh32Reg,
+                  .name = "rsh32",
+                  .eval = [](uint64_t x, uint64_t y) -> uint64_t {
                     return lo(x) >> (y & 31);
                   }},
-        Alu32Case{Op::Arsh32Reg, "arsh32",
-                  [](uint64_t x, uint64_t y) -> uint64_t {
+        Alu32Case{.op = Op::Arsh32Reg,
+                  .name = "arsh32",
+                  .eval = [](uint64_t x, uint64_t y) -> uint64_t {
                     return static_cast<uint32_t>(
                         static_cast<int32_t>(lo(x)) >> (y & 31));
                   }}),

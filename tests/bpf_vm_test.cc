@@ -356,6 +356,10 @@ TEST_F(VmTest, MapUpdateHelperWritesArray) {
 // the host CPU's semantics.
 struct AluCase {
   Op op;
+  // gtest lists a param it cannot print as its raw bytes, and those bytes
+  // become part of the CTest name. Spell out the padding after `op` as
+  // zeros, so the name does not carry stack garbage that changes per build.
+  uint8_t zero_pad[7] = {};
   const char* name;
   uint64_t (*eval)(uint64_t, uint64_t);
 };
@@ -389,22 +393,39 @@ TEST_P(VmAluSweep, MatchesHostSemantics) {
 INSTANTIATE_TEST_SUITE_P(
     AllOps, VmAluSweep,
     ::testing::Values(
-        AluCase{Op::AddReg, "add", [](uint64_t x, uint64_t y) { return x + y; }},
-        AluCase{Op::SubReg, "sub", [](uint64_t x, uint64_t y) { return x - y; }},
-        AluCase{Op::MulReg, "mul", [](uint64_t x, uint64_t y) { return x * y; }},
-        AluCase{Op::DivReg, "div",
-                [](uint64_t x, uint64_t y) { return y ? x / y : 0; }},
-        AluCase{Op::ModReg, "mod",
-                [](uint64_t x, uint64_t y) { return y ? x % y : x; }},
-        AluCase{Op::AndReg, "and", [](uint64_t x, uint64_t y) { return x & y; }},
-        AluCase{Op::OrReg, "or", [](uint64_t x, uint64_t y) { return x | y; }},
-        AluCase{Op::XorReg, "xor", [](uint64_t x, uint64_t y) { return x ^ y; }},
-        AluCase{Op::LshReg, "lsh",
-                [](uint64_t x, uint64_t y) { return x << (y & 63); }},
-        AluCase{Op::RshReg, "rsh",
-                [](uint64_t x, uint64_t y) { return x >> (y & 63); }},
-        AluCase{Op::ArshReg, "arsh",
-                [](uint64_t x, uint64_t y) {
+        AluCase{.op = Op::AddReg,
+                .name = "add",
+                .eval = [](uint64_t x, uint64_t y) { return x + y; }},
+        AluCase{.op = Op::SubReg,
+                .name = "sub",
+                .eval = [](uint64_t x, uint64_t y) { return x - y; }},
+        AluCase{.op = Op::MulReg,
+                .name = "mul",
+                .eval = [](uint64_t x, uint64_t y) { return x * y; }},
+        AluCase{.op = Op::DivReg,
+                .name = "div",
+                .eval = [](uint64_t x, uint64_t y) { return y ? x / y : 0; }},
+        AluCase{.op = Op::ModReg,
+                .name = "mod",
+                .eval = [](uint64_t x, uint64_t y) { return y ? x % y : x; }},
+        AluCase{.op = Op::AndReg,
+                .name = "and",
+                .eval = [](uint64_t x, uint64_t y) { return x & y; }},
+        AluCase{.op = Op::OrReg,
+                .name = "or",
+                .eval = [](uint64_t x, uint64_t y) { return x | y; }},
+        AluCase{.op = Op::XorReg,
+                .name = "xor",
+                .eval = [](uint64_t x, uint64_t y) { return x ^ y; }},
+        AluCase{.op = Op::LshReg,
+                .name = "lsh",
+                .eval = [](uint64_t x, uint64_t y) { return x << (y & 63); }},
+        AluCase{.op = Op::RshReg,
+                .name = "rsh",
+                .eval = [](uint64_t x, uint64_t y) { return x >> (y & 63); }},
+        AluCase{.op = Op::ArshReg,
+                .name = "arsh",
+                .eval = [](uint64_t x, uint64_t y) {
                   return static_cast<uint64_t>(static_cast<int64_t>(x) >>
                                                (y & 63));
                 }}),
