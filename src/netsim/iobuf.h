@@ -18,6 +18,7 @@
 // write frontier; bytes that any other slice can see are immutable.
 #pragma once
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -51,6 +52,121 @@ inline IoBufStats& iobuf_stats() {
   static IoBufStats s;
   return s;
 }
+
+// Streaming 64-bit digest: the xxHash64 construction. Four independent
+// multiply-rotate lanes consume 32-byte stripes; a <=31-byte carry lets a
+// stripe span update() calls (slice boundaries). finish() folds in the
+// carried tail and the total length, then avalanches. The value depends
+// only on (seed, bytes), never on how the bytes were split.
+class StreamDigest {
+ public:
+  explicit StreamDigest(uint64_t seed = 0)
+      : seed_(seed), v_{seed + kP1 + kP2, seed + kP2, seed, seed - kP1} {}
+
+  void update(const char* p, size_t n) {
+    if (n == 0) return;
+    total_ += n;
+    if (carry_len_ + n < kStripe) {
+      std::memcpy(carry_ + carry_len_, p, n);
+      carry_len_ += static_cast<uint32_t>(n);
+      return;
+    }
+    if (carry_len_ > 0) {
+      const size_t take = kStripe - carry_len_;
+      std::memcpy(carry_ + carry_len_, p, take);
+      p += take;
+      n -= take;
+      carry_len_ = 0;
+      stripes(carry_, kStripe);
+    }
+    const size_t body = n & ~(kStripe - 1);
+    stripes(p, body);
+    carry_len_ = static_cast<uint32_t>(n - body);
+    std::memcpy(carry_, p + body, carry_len_);
+  }
+  void update(std::string_view s) { update(s.data(), s.size()); }
+
+  uint64_t finish() const {
+    uint64_t h;
+    if (total_ >= kStripe) {
+      h = std::rotl(v_[0], 1) + std::rotl(v_[1], 7) + std::rotl(v_[2], 12) +
+          std::rotl(v_[3], 18);
+      for (const uint64_t v : v_) h = (h ^ round(0, v)) * kP1 + kP4;
+    } else {
+      h = seed_ + kP5;
+    }
+    h += total_;
+    const char* p = carry_;
+    uint32_t n = carry_len_;
+    for (; n >= 8; p += 8, n -= 8) {
+      h = std::rotl(h ^ round(0, load64(p)), 27) * kP1 + kP4;
+    }
+    if (n >= 4) {
+      h = std::rotl(h ^ (load32(p) * kP1), 23) * kP2 + kP3;
+      p += 4;
+      n -= 4;
+    }
+    for (; n > 0; ++p, --n) {
+      h = std::rotl(h ^ (static_cast<unsigned char>(*p) * kP5), 11) * kP1;
+    }
+    h ^= h >> 33;
+    h *= kP2;
+    h ^= h >> 29;
+    h *= kP3;
+    h ^= h >> 32;
+    return h;
+  }
+
+ private:
+  static constexpr size_t kStripe = 32;
+  static constexpr uint64_t kP1 = 0x9E3779B185EBCA87ULL;
+  static constexpr uint64_t kP2 = 0xC2B2AE3D27D4EB4FULL;
+  static constexpr uint64_t kP3 = 0x165667B19E3779F9ULL;
+  static constexpr uint64_t kP4 = 0x85EBCA77C2B2AE63ULL;
+  static constexpr uint64_t kP5 = 0x27D4EB2F165667C5ULL;
+
+  static uint64_t round(uint64_t acc, uint64_t word) {
+    return std::rotl(acc + word * kP2, 31) * kP1;
+  }
+  // Little-endian loads, so the digest is the same on every host.
+  static uint64_t load64(const char* p) {
+    uint64_t v;
+    std::memcpy(&v, p, sizeof v);
+    if constexpr (std::endian::native == std::endian::big) {
+      v = __builtin_bswap64(v);
+    }
+    return v;
+  }
+  static uint64_t load32(const char* p) {
+    uint32_t v;
+    std::memcpy(&v, p, sizeof v);
+    if constexpr (std::endian::native == std::endian::big) {
+      v = __builtin_bswap32(v);
+    }
+    return v;
+  }
+
+  // Consumes n bytes (a multiple of kStripe) with the lanes in registers.
+  void stripes(const char* p, size_t n) {
+    uint64_t v0 = v_[0], v1 = v_[1], v2 = v_[2], v3 = v_[3];
+    for (const char* const end = p + n; p != end; p += kStripe) {
+      v0 = round(v0, load64(p));
+      v1 = round(v1, load64(p + 8));
+      v2 = round(v2, load64(p + 16));
+      v3 = round(v3, load64(p + 24));
+    }
+    v_[0] = v0;
+    v_[1] = v1;
+    v_[2] = v2;
+    v_[3] = v3;
+  }
+
+  uint64_t seed_;
+  uint64_t v_[4];
+  uint64_t total_ = 0;
+  uint32_t carry_len_ = 0;
+  char carry_[kStripe];
+};
 
 class SegRef;
 
@@ -294,6 +410,14 @@ class IoChain {
     return out;
   }
 
+  // StreamDigest over all bytes in order; the differential-oracle
+  // checksum. Equal to digest_bytes() of the flattened chain.
+  uint64_t digest(uint64_t seed = 0) const {
+    StreamDigest d(seed);
+    for (const IoSlice& s : slices_) d.update(s.seg->data() + s.off, s.len);
+    return d.finish();
+  }
+
   static constexpr uint64_t kFnvOffset = 1469598103934665603ULL;
 
   // Streaming FNV-1a over all bytes; the differential-oracle checksum.
@@ -324,6 +448,12 @@ class IoChain {
   std::vector<IoSlice> slices_;
   size_t size_ = 0;
 };
+
+inline uint64_t digest_bytes(std::string_view s, uint64_t seed = 0) {
+  StreamDigest d(seed);
+  d.update(s);
+  return d.finish();
+}
 
 inline uint64_t fnv1a_bytes(std::string_view s,
                             uint64_t h = IoChain::kFnvOffset) {

@@ -72,10 +72,15 @@ class DataPlane {
     uint64_t pool_expiries = 0;
     uint64_t pool_evictions = 0;
     uint64_t parse_errors = 0;
-    // Chained FNV-1a over every byte forwarded toward backends /
-    // clients, in completion order. Equal across modes or bust.
-    uint64_t backend_stream_hash = netsim::IoChain::kFnvOffset;
-    uint64_t client_stream_hash = netsim::IoChain::kFnvOffset;
+    // Chained IoChain::digest over every byte forwarded toward backends /
+    // clients, in completion order. Equal across modes or bust. The seed
+    // is the fields' historical starting value, so a run with the data
+    // plane off keeps the totals (and perfbench sim_digest) it always had.
+    static constexpr uint64_t kStreamSeed = 1469598103934665603ULL;
+    uint64_t backend_stream_hash = kStreamSeed;
+    uint64_t client_stream_hash = kStreamSeed;
+    uint64_t backend_stream_fnv = netsim::IoChain::kFnvOffset;
+    uint64_t client_stream_fnv = netsim::IoChain::kFnvOffset;
   };
 
   DataPlane(const Config& cfg, uint32_t num_workers, obs::Observability* obs);

@@ -5,7 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <random>
+#include <set>
 #include <string>
+#include <vector>
 
 namespace hermes::netsim {
 namespace {
@@ -119,6 +123,117 @@ TEST(IoChain, FnvMatchesFlatHash) {
     c.append_ref(seg, 0, n);
   }
   EXPECT_EQ(c.fnv1a(), fnv1a_bytes(flat));
+}
+
+// `len` bytes that vary at every position (no 26- or 32-periodic runs).
+std::string varied(size_t len) {
+  std::string s(len, '\0');
+  for (size_t i = 0; i < len; ++i) s[i] = static_cast<char>(i * 131 + 7);
+  return s;
+}
+
+// Appends `piece` by reference from a fresh segment, at a nonzero offset
+// so slices never start at their segment's first byte.
+void append_piece(IoChain& c, std::string_view piece) {
+  SegRef seg = IoSegment::alloc(static_cast<uint32_t>(piece.size()) + 3);
+  seg->append("pad", 3);
+  seg->append(piece.data(), static_cast<uint32_t>(piece.size()));
+  c.append_ref(seg, 3, static_cast<uint32_t>(piece.size()));
+}
+
+TEST(Digest, MatchesXxHash64KnownAnswers) {
+  // Published XXH64 values (seed 0): the tail-only path and, at 39
+  // bytes, the four lanes plus a 7-byte tail.
+  EXPECT_EQ(digest_bytes(""), 0xef46db3751d8e999ull);
+  EXPECT_EQ(digest_bytes("a"), 0xd24ec4f1a98c6e5bull);
+  EXPECT_EQ(digest_bytes("abc"), 0x44bc2cf5ad770999ull);
+  EXPECT_EQ(digest_bytes("Nobody inspects the spammish repetition"),
+            0xfbcea83c8a378bf1ull);
+}
+
+TEST(Digest, ChainEqualsFlatAtEveryTwoWaySplit) {
+  for (size_t len = 0; len <= 130; ++len) {
+    const std::string flat = varied(len);
+    const uint64_t want = digest_bytes(flat, 5);
+    for (size_t cut = 0; cut <= len; ++cut) {
+      SCOPED_TRACE(::testing::Message() << "len " << len << " cut " << cut);
+      const std::string_view v(flat);
+      IoChain by_ref;
+      append_piece(by_ref, v.substr(0, cut));
+      append_piece(by_ref, v.substr(cut));
+      ASSERT_EQ(by_ref.num_slices(), (cut > 0) + (cut < len));
+      ASSERT_EQ(by_ref.digest(5), want);
+
+      IoChain by_copy;
+      by_copy.append_copy(v.substr(0, cut));
+      by_copy.append_copy(v.substr(cut));
+      ASSERT_EQ(by_copy.digest(5), want);
+    }
+  }
+}
+
+TEST(Digest, ChainEqualsFlatAtRandomKWaySplits) {
+  std::mt19937_64 rng(13);
+  for (int trial = 0; trial < 500; ++trial) {
+    const size_t len = rng() % 600;
+    const std::string flat = varied(len);
+    std::vector<size_t> cuts{0, len};
+    for (size_t k = rng() % 12; k > 0; --k) cuts.push_back(rng() % (len + 1));
+    std::sort(cuts.begin(), cuts.end());
+    IoChain c;
+    for (size_t i = 0; i + 1 < cuts.size(); ++i) {
+      append_piece(c, std::string_view(flat).substr(cuts[i],
+                                                    cuts[i + 1] - cuts[i]));
+    }
+    ASSERT_EQ(c.size(), len);
+    ASSERT_EQ(c.digest(trial), digest_bytes(flat, trial))
+        << "trial " << trial << " len " << len;
+  }
+}
+
+TEST(Digest, EverySingleByteChangeMovesIt) {
+  const std::string base = varied(97);
+  std::set<uint64_t> seen{digest_bytes(base)};
+  for (size_t i = 0; i < base.size(); ++i) {
+    for (const int flip : {0x01, 0x80}) {
+      std::string s = base;
+      s[i] = static_cast<char>(s[i] ^ flip);
+      EXPECT_TRUE(seen.insert(digest_bytes(s)).second)
+          << "byte " << i << " flip " << flip;
+    }
+  }
+}
+
+TEST(Digest, SwappingTwoWordsMovesIt) {
+  // Sixteen distinct 8-byte words: four 32-byte stripes.
+  const std::string base = varied(128);
+  const uint64_t want = digest_bytes(base);
+  int within = 0, across = 0;
+  for (size_t i = 0; i < 16; ++i) {
+    for (size_t j = i + 1; j < 16; ++j) {
+      std::string s = base;
+      std::swap_ranges(s.begin() + 8 * i, s.begin() + 8 * i + 8,
+                       s.begin() + 8 * j);
+      ASSERT_NE(s, base);
+      EXPECT_NE(digest_bytes(s), want) << "words " << i << ", " << j;
+      ++(i / 4 == j / 4 ? within : across);
+    }
+  }
+  EXPECT_EQ(within, 24);
+  EXPECT_EQ(across, 96);
+}
+
+TEST(Digest, TrailingZeroMovesItThroughTheLengthFold) {
+  for (const size_t len : {0, 1, 7, 8, 31, 32, 33, 64}) {
+    const std::string s = varied(len);
+    EXPECT_NE(digest_bytes(s + '\0'), digest_bytes(s)) << "len " << len;
+  }
+}
+
+TEST(Digest, ChainingIsOrderSensitive) {
+  const std::string a = "GET /a HTTP/1.1\r\n\r\n";
+  const std::string b = "GET /b HTTP/1.1\r\n\r\n";
+  EXPECT_NE(digest_bytes(b, digest_bytes(a)), digest_bytes(a, digest_bytes(b)));
 }
 
 TEST(IoChain, StatsAccounting) {
