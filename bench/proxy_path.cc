@@ -8,10 +8,11 @@
 // the backend response chain are pre-generated OUTSIDE the timed region
 // (they model the NIC and the backend, not the proxy); the timed loop is
 // parse + forward + egress only. An untimed verification pass first runs
-// both modes and chains an FNV-1a hash over every forwarded byte in both
+// both modes and chains IoChain::digest over every forwarded byte in both
 // directions: the streams must be bit-identical between zero-copy and the
 // copy oracle, and the keep-alive zero-copy path must beat the oracle by
 // >= 2x wall-clock — both enforced with a hard exit(1), not just gated.
+// digest_kib_cost_ns reports what that oracle costs per KiB (ungated).
 //
 // Wall-clock metrics carry the _cost_ns / .speedup suffixes (reported,
 // never gated — bench/bench_gate_check.cc). Gated deterministic metrics:
@@ -151,8 +152,8 @@ struct ModeRun {
   uint64_t requests = 0;
   uint64_t fwd_copied = 0;      // proxy-path memcpy bytes
   uint64_t fwd_referenced = 0;  // proxy-path referenced bytes
-  uint64_t wire_hash = netsim::IoChain::kFnvOffset;
-  uint64_t egress_hash = netsim::IoChain::kFnvOffset;
+  uint64_t wire_hash = 0;
+  uint64_t egress_hash = 0;
 };
 
 // One full pass over the scenario in one mode. `verify` chains hashes
@@ -172,11 +173,11 @@ ModeRun run_pass(const std::vector<ConnInput>& inputs,
       }
       while (auto r = cs.pop_ready()) {
         if (verify) {
-          out.wire_hash = r->wire.fnv1a(out.wire_hash);
+          out.wire_hash = r->wire.digest(out.wire_hash);
         }
         const netsim::IoChain ee = cs.egress(response);
         if (verify) {
-          out.egress_hash = ee.fnv1a(out.egress_hash);
+          out.egress_hash = ee.digest(out.egress_hash);
         }
         ++popped;
       }
@@ -219,6 +220,26 @@ CellResultPx run_cell(const std::vector<ConnInput>& inputs,
   res.ns_per_req = best / reqs * 1e9;
   res.allocs_per_req = static_cast<double>(best_allocs) / reqs;
   return res;
+}
+
+// Best-pass ns to digest 1 KiB: the stream oracle's own cost, over the
+// admitted slices of every connection in `inputs` chained end to end.
+double digest_kib_cost_ns(const std::vector<ConnInput>& inputs) {
+  netsim::IoChain chain;
+  for (const ConnInput& in : inputs) {
+    for (const auto& delivery : in.deliveries) {
+      for (const netsim::IoSlice& s : delivery) chain.append_ref(s);
+    }
+  }
+  uint64_t h = 0;
+  double best = 1e300;
+  for (int rep = 0; rep < 5; ++rep) {
+    const double t0 = cpu_seconds();
+    h = chain.digest(h);
+    best = std::min(best, cpu_seconds() - t0);
+  }
+  HERMES_CHECK(h != 0);  // keeps the timed digests live
+  return best * 1e9 / (static_cast<double>(chain.size()) / 1024.0);
 }
 
 // ---- Part B: the data plane inside the LB simulation ---------------------
@@ -295,6 +316,7 @@ int main(int argc, char** argv) {
       {Scenario::Pipelined, 128, 16, 16384},
   };
   const netsim::IoChain response = build_response(16384);
+  double digest_kib_ns = 0;
 
   std::printf("%-10s %14s %14s %9s %16s %14s\n", "scenario", "zc ns/req",
               "oracle ns/req", "speedup", "oracle B/req cpy", "zc allocs/req");
@@ -339,6 +361,7 @@ int main(int argc, char** argv) {
     json.metric(p + ".stream_match", streams_match ? 1.0 : 0.0);
 
     if (spec.kind == Scenario::KeepAlive) {
+      digest_kib_ns = digest_kib_cost_ns(inputs);
       const bool alloc_drop =
           zc.allocs_per_req < oracle.allocs_per_req;
       json.metric(p + ".zc_allocs_per_req", zc.allocs_per_req);
@@ -360,6 +383,10 @@ int main(int argc, char** argv) {
       }
     }
   }
+
+  std::printf("stream digest: %.1f ns/KiB over the keep-alive slices\n",
+              digest_kib_ns);
+  json.metric("digest_kib_cost_ns", digest_kib_ns);
 
   // ---- Part B: sim leg ---------------------------------------------------
   subheader("sim leg: LbDevice keep-alive mix, both modes");

@@ -5,7 +5,7 @@
 // to those segments (splice-style), so the proxy path itself performs
 // zero memcpy. A copying mode is retained by the callers (ConnState /
 // DataPlane) as the differential oracle: both modes must produce
-// bit-identical byte streams, which IoChain::fnv1a() checks cheaply.
+// bit-identical byte streams, which IoChain::digest() checks cheaply.
 //
 // Concurrency: the simulator is single-threaded by design (workers are
 // simulated actors inside one event loop), so refcounts are plain
@@ -84,7 +84,6 @@ class StreamDigest {
     carry_len_ = static_cast<uint32_t>(n - body);
     std::memcpy(carry_, p + body, carry_len_);
   }
-  void update(std::string_view s) { update(s.data(), s.size()); }
 
   uint64_t finish() const {
     uint64_t h;
@@ -322,8 +321,11 @@ class IoChain {
 
   void append_ref(const IoSlice& s) { append_ref(s.seg, s.off, s.len); }
 
+  // Indexes over a slice count taken up front, so appending a chain to
+  // itself sees only the original slices and survives slices_ growing.
   void append_ref(const IoChain& other) {
-    for (const IoSlice& s : other.slices_) append_ref(s);
+    const size_t n = other.slices_.size();
+    for (size_t i = 0; i < n; ++i) append_ref(other.slices_[i]);
   }
 
   // Copying append: memcpy into this chain's writable tail, allocating
@@ -361,7 +363,8 @@ class IoChain {
     if (by_ref) {
       append_ref(other);
     } else {
-      for (const IoSlice& s : other.slices()) append_copy(s.view());
+      const size_t n = other.slices_.size();
+      for (size_t i = 0; i < n; ++i) append_copy(other.slices_[i].view());
     }
   }
 
@@ -418,20 +421,6 @@ class IoChain {
     return d.finish();
   }
 
-  static constexpr uint64_t kFnvOffset = 1469598103934665603ULL;
-
-  // Streaming FNV-1a over all bytes; the differential-oracle checksum.
-  uint64_t fnv1a(uint64_t h = kFnvOffset) const {
-    for (const IoSlice& s : slices_) {
-      const char* p = s.seg->data() + s.off;
-      for (uint32_t i = 0; i < s.len; ++i) {
-        h ^= static_cast<unsigned char>(p[i]);
-        h *= 1099511628211ULL;
-      }
-    }
-    return h;
-  }
-
  private:
   // The tail segment is writable only while this chain's tail slice is
   // the sole reference to it and ends at its write frontier.
@@ -451,17 +440,8 @@ class IoChain {
 
 inline uint64_t digest_bytes(std::string_view s, uint64_t seed = 0) {
   StreamDigest d(seed);
-  d.update(s);
+  d.update(s.data(), s.size());
   return d.finish();
-}
-
-inline uint64_t fnv1a_bytes(std::string_view s,
-                            uint64_t h = IoChain::kFnvOffset) {
-  for (const char c : s) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ULL;
-  }
-  return h;
 }
 
 }  // namespace hermes::netsim

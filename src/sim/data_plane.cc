@@ -168,7 +168,6 @@ SimTime DataPlane::on_request(WorkerId w, const Request& req,
   const size_t wire_bytes = ready->wire.size();
   totals_.backend_stream_hash =
       ready->wire.digest(totals_.backend_stream_hash);
-  totals_.backend_stream_fnv = ready->wire.fnv1a(totals_.backend_stream_fnv);
   ++totals_.requests_forwarded;
   if (cfg_.zero_copy) {
     totals_.bytes_zero_copied += wire_bytes;
@@ -222,7 +221,6 @@ void DataPlane::on_response(WorkerId w, const Request& req, SimTime now) {
 void DataPlane::egress_response(WorkerId w, const Request& req, ConnCtx& c) {
   const netsim::IoChain out = c.cs.egress(encode_response(req));
   totals_.client_stream_hash = out.digest(totals_.client_stream_hash);
-  totals_.client_stream_fnv = out.fnv1a(totals_.client_stream_fnv);
   totals_.bytes_out += out.size();
   ++totals_.responses_returned;
   if (cfg_.zero_copy) {
