@@ -38,9 +38,10 @@ void ConnState::on_client_data(std::string_view flat) {
 }
 
 void ConnState::pump() {
-  while (!in_q_.empty() && !parser_.failed() && !saw_close_ &&
+  size_t done = 0;  // slices fully consumed by this call
+  while (done < in_q_.size() && !parser_.failed() && !saw_close_ &&
          ready_len_ < cfg_.max_pipeline) {
-    netsim::IoSlice& front = in_q_.front();
+    netsim::IoSlice& front = in_q_[done];
     const std::string_view view =
         front.view().substr(in_q_off_, front.len - in_q_off_);
     // In zero-copy mode the fed bytes are retained (the wire chain below
@@ -59,7 +60,7 @@ void ConnState::pump() {
       }
       in_q_off_ += consumed;
       if (in_q_off_ == front.len) {
-        in_q_.pop_front();
+        ++done;
         in_q_off_ = 0;
       }
     }
@@ -74,6 +75,8 @@ void ConnState::pump() {
     }
     if (consumed == 0) break;  // need more data (or backpressured)
   }
+  in_q_.erase(in_q_.begin(),
+              in_q_.begin() + static_cast<std::ptrdiff_t>(done));
 }
 
 void ConnState::push_ready(Ready r) {

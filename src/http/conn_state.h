@@ -16,7 +16,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <optional>
 #include <string_view>
 #include <vector>
@@ -99,8 +98,10 @@ class ConnState {
 
   Config cfg_;
   RequestParser parser_;
-  std::deque<netsim::IoSlice> in_q_;  // retained, not-yet-parsed bytes
-  size_t in_q_off_ = 0;               // parse offset into in_q_.front()
+  // Retained, not-yet-parsed bytes. pump() erases the consumed prefix
+  // once per call, so the queue holds only unconsumed slices.
+  std::vector<netsim::IoSlice> in_q_;
+  size_t in_q_off_ = 0;  // parse offset into in_q_.front()
   netsim::IoChain cur_wire_;          // bytes of the in-progress request
   // Parsed requests awaiting pop_ready(): a ring over reused slots
   // [ready_head_, ready_head_ + ready_len_) mod ready_.size(). It grows

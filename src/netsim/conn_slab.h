@@ -27,7 +27,19 @@
 
 namespace hermes::netsim {
 
+// A connection's id is its slab handle: (generation << 32) | (slot + 1).
+// 0 means "no connection"; the first ids a fresh slab hands out are 1, 2,
+// 3, ..., and an id stays unique until its slot's 32-bit generation wraps.
+// Side tables keyed by id index rows by slot (ConnTable, conn_table.h).
 using ConnId = uint64_t;
+
+inline constexpr ConnId conn_id_of(uint32_t slot, uint32_t gen) {
+  return (uint64_t{gen} << 32) | (uint64_t{slot} + 1);
+}
+// The slot an id names; 0 (no connection) maps past every real slot.
+inline constexpr uint32_t slot_of(ConnId id) {
+  return static_cast<uint32_t>(id) - 1;
+}
 
 enum class ConnState : uint8_t {
   Queued,       // handshake done, waiting in an accept queue
@@ -83,7 +95,6 @@ class ConnSlab {
   // One arena chunk: every connection field as a parallel column. Chunks
   // are heap-allocated once and never moved or freed until the slab dies.
   struct Chunk {
-    ConnId id[kChunkSlots];
     FourTuple tuple[kChunkSlots];
     SimTime created_at[kChunkSlots];
     WorkerId owner[kChunkSlots];
@@ -99,8 +110,8 @@ class ConnSlab {
 
   // Allocate a row (reusing the most recently freed slot first) and
   // initialize it Queued/unowned. O(1); grows by one chunk when full.
-  Connection create(ConnId id, const FourTuple& tuple, PortId port,
-                    TenantId tenant, SimTime now) {
+  Connection create(const FourTuple& tuple, PortId port, TenantId tenant,
+                    SimTime now) {
     uint32_t slot;
     if (!free_.empty()) {
       slot = free_.back();
@@ -114,7 +125,6 @@ class ConnSlab {
     }
     Chunk& ch = *chunks_[slot >> kChunkBits];
     const uint32_t off = slot & (kChunkSlots - 1);
-    ch.id[off] = id;
     ch.tuple[off] = tuple;
     ch.created_at[off] = now;
     ch.owner[off] = kInvalidWorker;
@@ -182,7 +192,7 @@ inline bool Connection::valid() const {
 
 inline ConnId Connection::id() const {
   HERMES_DCHECK(valid());
-  return slab_->chunk_of(slot_).id[ConnSlab::off_of(slot_)];
+  return conn_id_of(slot_, gen_);
 }
 inline const FourTuple& Connection::tuple() const {
   HERMES_DCHECK(valid());

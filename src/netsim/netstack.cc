@@ -117,13 +117,13 @@ Connection NetStack::admit(const FourTuple& tuple, PortId port,
     ++stats_.drops;
     if (obs_ != nullptr) {
       obs_->metrics.accept_dropped->inc(shard);
-      obs_->traces.write(shard, obs::TraceType::Drop, now, port,
-                         next_conn_id_, sock->accept_queue().size());
+      obs_->traces.write(shard, obs::TraceType::Drop, now, port, 0,
+                         sock->accept_queue().size());
     }
     return Connection{};
   }
 
-  const Connection c = conns_.create(next_conn_id_++, tuple, port, tenant, now);
+  const Connection c = conns_.create(tuple, port, tenant, now);
   HERMES_CHECK(sock->accept_queue().push(c));
   ++stats_.connections;
   if (obs_ != nullptr) {

@@ -149,7 +149,6 @@ class NetStack {
   std::unordered_map<PortId, PortEntry> ports_;
   std::vector<PortId> port_order_;
   ConnSlab conns_;
-  ConnId next_conn_id_ = 1;
   SocketReadyFn socket_ready_;
   const bpf::Vm* pending_vm_ = nullptr;
   const bpf::LoadedProgram* pending_prog_ = nullptr;

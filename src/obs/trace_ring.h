@@ -34,7 +34,7 @@ enum class TraceType : uint16_t {
                     //                c=after_time<<42 | after_conn<<21 | after_event
   BitmapSync,       // publication:   a=group, b=bitmap, c=gap since last sync (ns)
   Accept,           // SYN enqueued:  a=port, b=conn id, c=queue depth after push
-  Drop,             // SYN dropped:   a=port, b=conn id, c=queue depth (=backlog)
+  Drop,             // SYN dropped:   a=port, b=0, c=queue depth (=backlog)
   RequestDone,      // request served: a=tenant, b=conn id, c=latency ns
 };
 

@@ -126,15 +126,12 @@ DataPlane::DataPlane(const Config& cfg, uint32_t num_workers,
   rr_.update_backends(std::move(backends), cfg_.seed);
 }
 
-DataPlane::ConnCtx& DataPlane::ctx(netsim::ConnId id) {
-  auto it = conns_.find(id);
-  if (it == conns_.end()) {
-    http::ConnState::Config cc;
-    cc.zero_copy = cfg_.zero_copy;
-    cc.capture_body = false;  // bodies travel only in the wire chain
-    it = conns_.try_emplace(id, cc).first;
-  }
-  return it->second;
+http::ConnState& DataPlane::conn_state(netsim::ConnId id) {
+  if (http::ConnState* cs = conns_.find(id)) return *cs;
+  http::ConnState::Config cc;
+  cc.zero_copy = cfg_.zero_copy;
+  cc.capture_body = false;  // bodies travel only in the wire chain
+  return conns_.emplace(id, cc);
 }
 
 void DataPlane::sync_pool_stats(WorkerId w) {
@@ -155,12 +152,12 @@ void DataPlane::sync_pool_stats(WorkerId w) {
 SimTime DataPlane::on_request(WorkerId w, const Request& req,
                               bool last_on_conn, SimTime now) {
   if (w >= num_workers_) w = 0;  // unowned yet: account to worker 0
-  ConnCtx& c = ctx(req.conn);
+  http::ConnState& cs = conn_state(req.conn);
 
   synth_request_wire(req, last_on_conn, &scratch_);
-  c.cs.on_client_data(std::string_view{scratch_});
-  HERMES_CHECK_MSG(!c.cs.failed(), "data plane synthesized a bad request");
-  auto ready = c.cs.pop_ready();
+  cs.on_client_data(std::string_view{scratch_});
+  HERMES_CHECK_MSG(!cs.failed(), "data plane synthesized a bad request");
+  auto ready = cs.pop_ready();
   HERMES_CHECK_MSG(ready.has_value(),
                    "data plane request did not parse to completion");
 
@@ -206,8 +203,9 @@ void DataPlane::on_response(WorkerId w, const Request& req, SimTime now) {
   // A connection reset mid-flight has no client left to answer, but its
   // backend still replied: the backend connection returns to the pool
   // either way.
-  auto cit = conns_.find(req.conn);
-  if (cit != conns_.end()) egress_response(w, req, cit->second);
+  if (http::ConnState* cs = conns_.find(req.conn)) {
+    egress_response(w, req, *cs);
+  }
 
   auto pit = pending_.find(req.id);
   if (pit != pending_.end()) {
@@ -218,8 +216,9 @@ void DataPlane::on_response(WorkerId w, const Request& req, SimTime now) {
   sync_pool_stats(w);
 }
 
-void DataPlane::egress_response(WorkerId w, const Request& req, ConnCtx& c) {
-  const netsim::IoChain out = c.cs.egress(encode_response(req));
+void DataPlane::egress_response(WorkerId w, const Request& req,
+                                http::ConnState& cs) {
+  const netsim::IoChain out = cs.egress(encode_response(req));
   totals_.client_stream_hash = out.digest(totals_.client_stream_hash);
   totals_.bytes_out += out.size();
   ++totals_.responses_returned;

@@ -25,6 +25,9 @@
 // They run on every byte in every build: ~0.15-0.2 ns/B on a 2 GHz VM
 // (bench/proxy_path's digest_kib_cost_ns), ~0.4 us per ~2.4 KB request.
 //
+// Each connection's http::ConnState sits in a netsim::ConnTable keyed by
+// Request::conn, i.e. by slab slot.
+//
 // Disabled by default (Config::enabled=false): every pre-existing bench
 // and test runs byte-identically with the data plane compiled in.
 #pragma once
@@ -36,6 +39,7 @@
 
 #include "core/backend_pool.h"
 #include "http/conn_state.h"
+#include "netsim/conn_table.h"
 #include "netsim/iobuf.h"
 #include "obs/observability.h"
 #include "sim/request.h"
@@ -120,17 +124,13 @@ class DataPlane {
   static netsim::IoChain encode_response(const Request& req);
 
  private:
-  struct ConnCtx {
-    http::ConnState cs;
-    explicit ConnCtx(const http::ConnState::Config& c) : cs(c) {}
-  };
   struct Pending {
     core::BackendId backend = 0;
     uint64_t pooled_id = 0;  // 0 = freshly established
   };
 
-  ConnCtx& ctx(netsim::ConnId id);
-  void egress_response(WorkerId w, const Request& req, ConnCtx& c);
+  http::ConnState& conn_state(netsim::ConnId id);
+  void egress_response(WorkerId w, const Request& req, http::ConnState& cs);
   void sync_pool_stats(WorkerId w);
 
   Config cfg_;
@@ -139,7 +139,9 @@ class DataPlane {
   core::RoundRobinBackends rr_;
   core::BackendConnectionPool pool_;
   core::BackendConnectionPool::Stats pool_seen_{};  // last obs-synced stats
-  std::unordered_map<netsim::ConnId, ConnCtx> conns_;
+  netsim::ConnTable<http::ConnState> conns_;
+  // Keyed by request, not connection: an entry outlives a connection reset
+  // while its request is in flight.
   std::unordered_map<RequestId, Pending> pending_;
   std::string scratch_;
   Totals totals_;

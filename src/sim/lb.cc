@@ -285,8 +285,11 @@ void LbDevice::start_tenant_mix(const TenantModel& tm, double total_cps,
 }
 
 void LbDevice::burst_all_connections(const DistSpec& cost_us, int k) {
-  for (auto& [id, lc] : conns_) {
-    if (lc.conn.state() != netsim::ConnState::Accepted) continue;
+  conns_.for_each([&](netsim::ConnId, LiveConn& lc) {
+    // A client that already sent Connection: close sends nothing more.
+    if (lc.conn.state() != netsim::ConnState::Accepted || lc.close_sent) {
+      return;
+    }
     lc.plan.remaining += k;
     for (int i = 0; i < k; ++i) {
       Request req = make_request(lc, eq_.now());
@@ -294,7 +297,7 @@ void LbDevice::burst_all_connections(const DistSpec& cost_us, int k) {
       ++totals_.requests_generated;
       workers_[lc.conn.owner()]->deliver_request(req);
     }
-  }
+  });
 }
 
 uint64_t LbDevice::inject_core_probe(WorkerId w, SimTime cost) {
@@ -312,12 +315,12 @@ uint64_t LbDevice::inject_core_probe(WorkerId w, SimTime cost) {
 uint64_t LbDevice::close_fraction(double fraction) {
   if (fraction <= 0) return 0;
   std::vector<netsim::ConnId> victims;
-  for (auto& [id, lc] : conns_) {
+  conns_.for_each([&](netsim::ConnId id, const LiveConn& lc) {
     if (lc.conn.state() == netsim::ConnState::Accepted &&
         rng_.bernoulli(fraction)) {
       victims.push_back(id);
     }
-  }
+  });
   for (netsim::ConnId id : victims) close_conn(id);
   return victims.size();
 }
@@ -328,21 +331,21 @@ void LbDevice::run_degradation_sweep() {
     if (!degradation_->should_degrade(hermes_->wst(), w, eq_.now())) continue;
     // Collect the hung worker's connections.
     std::vector<uint64_t> ids;
-    for (auto& [id, lc] : conns_) {
+    conns_.for_each([&](netsim::ConnId id, const LiveConn& lc) {
       if (lc.conn.owner() == w &&
           lc.conn.state() == netsim::ConnState::Accepted) {
         ids.push_back(id);
       }
-    }
+    });
     const auto resets = degradation_->pick_resets(ids, degradation_salt_++);
     degradation_->stats().degradations += resets.empty() ? 0 : 1;
     for (uint64_t id : resets) {
       // RST: the client reconnects immediately; remaining requests carry
       // over to the new connection, which the (healthy-workers) bitmap
       // dispatch will place elsewhere.
-      auto it = conns_.find(id);
-      if (it == conns_.end()) continue;
-      ConnPlan plan = it->second.plan;
+      const LiveConn* lc = conns_.find(id);
+      if (lc == nullptr) continue;
+      ConnPlan plan = lc->plan;
       const TenantId tenant = plan.tenant;
       ++totals_.degradation_resets;
       degradation_->stats().resets++;
@@ -407,26 +410,25 @@ Request LbDevice::make_request(LiveConn& lc, SimTime arrival) {
     req.cost = SimTime::from_seconds_f(lc.plan.cost_us.sample(rng_) / 1e6);
   }
   req.bytes = static_cast<uint64_t>(lc.plan.bytes.sample(rng_));
+  lc.close_sent = lc.plan.remaining <= 1;
   if (dp_) {
     // Byte-level proxy path: synthesize + parse + forward the request's
     // actual wire bytes; a backend-pool miss charges the handshake.
-    const bool last_on_conn = lc.plan.remaining <= 1;
-    req.cost = req.cost + dp_->on_request(lc.conn.owner(), req, last_on_conn,
-                                          eq_.now());
+    req.cost = req.cost + dp_->on_request(lc.conn.owner(), req,
+                                          lc.close_sent, eq_.now());
   }
   return req;
 }
 
 void LbDevice::on_accepted(Worker& w, netsim::Connection conn) {
-  auto it = conns_.find(conn.id());
-  if (it == conns_.end()) return;  // closed while queued (shouldn't happen)
-  LiveConn& lc = it->second;
-  if (!lc.first_delivered) {
-    lc.first_delivered = true;
+  LiveConn* lc = conns_.find(conn.id());
+  if (lc == nullptr) return;  // closed while queued (shouldn't happen)
+  if (!lc->first_delivered) {
+    lc->first_delivered = true;
     // The client's first request was already on the wire: its latency clock
     // started at SYN time, so accept-queue waiting counts (this is what
     // punishes reuseport's dispatch-to-hung-worker behaviour).
-    Request req = make_request(lc, lc.syn_time);
+    Request req = make_request(*lc, lc->syn_time);
     ++totals_.requests_generated;
     w.deliver_request(req);
   }
@@ -445,8 +447,8 @@ void LbDevice::on_request_done(Worker& w, const Request& req) {
   }
   if (request_done_) request_done_(req.tenant, latency);
 
-  auto it = conns_.find(req.conn);
-  if (it == conns_.end()) {
+  LiveConn* lc = conns_.find(req.conn);
+  if (lc == nullptr) {
     if (req.conn >= kProbeConnBase) {  // synthetic per-core probe
       probe_latency_.record(latency);
       if (latency > SimTime::millis(200)) ++delayed_probes_;
@@ -458,41 +460,39 @@ void LbDevice::on_request_done(Worker& w, const Request& req) {
     }
     return;
   }
-  LiveConn& lc = it->second;
-  if (lc.plan.is_probe) {
+  if (lc->plan.is_probe) {
     probe_latency_.record(latency);
     if (latency > SimTime::millis(200)) ++delayed_probes_;
     if (probe_done_) probe_done_(req.conn, latency);
   }
   if (dp_) dp_->on_response(w.id(), req, eq_.now());
-  lc.plan.remaining -= 1;
-  if (lc.plan.remaining <= 0) {
+  lc->plan.remaining -= 1;
+  if (lc->plan.remaining <= 0) {
     w.note_conn_closed();
-    const netsim::Connection conn = lc.conn;
+    const netsim::Connection conn = lc->conn;
     if (dp_) dp_->on_conn_close(req.conn);
-    conns_.erase(it);
+    conns_.erase(req.conn);
     ns_.close(conn);
     return;
   }
   // Schedule the next request on this connection after the think gap.
   const SimTime gap =
-      SimTime::from_seconds_f(lc.plan.gap_us.sample(rng_) / 1e6);
+      SimTime::from_seconds_f(lc->plan.gap_us.sample(rng_) / 1e6);
   const netsim::ConnId id = req.conn;
   eq_.schedule_after(gap, [this, id] {
-    auto cit = conns_.find(id);
-    if (cit == conns_.end()) return;  // reset by degradation meanwhile
-    LiveConn& c = cit->second;
-    if (c.conn.state() != netsim::ConnState::Accepted) return;
-    Request next = make_request(c, eq_.now());
+    LiveConn* c = conns_.find(id);
+    if (c == nullptr) return;  // reset by degradation meanwhile
+    if (c->conn.state() != netsim::ConnState::Accepted) return;
+    Request next = make_request(*c, eq_.now());
     ++totals_.requests_generated;
-    workers_[c.conn.owner()]->deliver_request(next);
+    workers_[c->conn.owner()]->deliver_request(next);
   });
 }
 
 void LbDevice::close_conn(netsim::ConnId id) {
-  auto it = conns_.find(id);
-  if (it == conns_.end()) return;
-  const netsim::Connection conn = it->second.conn;
+  const LiveConn* lc = conns_.find(id);
+  if (lc == nullptr) return;
+  const netsim::Connection conn = lc->conn;
   // Closing a still-queued connection would leave a stale view in its
   // accept queue; callers only shed Accepted connections.
   HERMES_CHECK(conn.state() == netsim::ConnState::Accepted);
@@ -500,7 +500,7 @@ void LbDevice::close_conn(netsim::ConnId id) {
     workers_[conn.owner()]->note_conn_closed();
   }
   if (dp_) dp_->on_conn_close(id);
-  conns_.erase(it);
+  conns_.erase(id);
   ns_.close(conn);
 }
 

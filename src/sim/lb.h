@@ -1,17 +1,20 @@
 // LbDevice: one simulated L7 load balancer — N workers pinned to cores,
 // M tenant ports, a netsim kernel beneath, and optionally the full Hermes
 // runtime wired into it. The benches and examples drive this type.
+//
+// Per-connection workload state (plan, original SYN time) lives in a
+// netsim::ConnTable keyed by the connection's id, i.e. by its slab slot.
 #pragma once
 
 #include <memory>
 #include <optional>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "core/degradation.h"
 #include "core/hermes.h"
 #include "core/rate_limit.h"
+#include "netsim/conn_table.h"
 #include "netsim/netstack.h"
 #include "sim/data_plane.h"
 #include "obs/observability.h"
@@ -203,6 +206,9 @@ class LbDevice {
     ConnPlan plan;
     SimTime syn_time{};   // ORIGINAL SYN (first attempt)
     bool first_delivered = false;
+    // The request carrying Connection: close is out: the client sends
+    // nothing more on this connection.
+    bool close_sent = false;
   };
 
   netsim::ConnId open_connection_attempt(TenantId tenant, ConnPlan plan,
@@ -231,8 +237,9 @@ class LbDevice {
   std::vector<core::PortAttachment> attachments_;
   std::vector<std::unique_ptr<Worker>> workers_;
 
+  // Probe ids name no slab row, so they miss conns_ (see conn_table.h).
   static constexpr netsim::ConnId kProbeConnBase = 1ull << 62;
-  std::unordered_map<netsim::ConnId, LiveConn> conns_;
+  netsim::ConnTable<LiveConn> conns_;
   std::vector<netsim::Connection> burst_views_;  // burst admit scratch
   RequestId next_req_ = 1;
   netsim::ConnId next_probe_id_ = kProbeConnBase;

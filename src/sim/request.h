@@ -1,5 +1,7 @@
 // Request and per-connection workload state shared between the workload
-// generator, the LB device, and workers.
+// generator, the LB device, and workers. Request::conn is the connection's
+// slab handle (netsim::ConnId); LbDevice and DataPlane find a connection's
+// state from it through their netsim::ConnTables.
 #pragma once
 
 #include <cstdint>

@@ -134,26 +134,27 @@ void Worker::process_next() {
     end_iteration();
     return;
   }
-  WorkerEvent ev = batch_.front();
+  in_service_ = batch_.front();
   batch_.pop_front();
 
-  SimTime cost = ev.kind == WorkerEvent::Kind::Accept ? cfg_.accept_cost
-                                                      : ev.request.cost;
+  SimTime cost = in_service_.kind == WorkerEvent::Kind::Accept
+                     ? cfg_.accept_cost
+                     : in_service_.request.cost;
   if (cfg_.speed != 1.0) {
     cost = SimTime{static_cast<int64_t>(
         std::llround(static_cast<double>(cost.ns()) / cfg_.speed))};
   }
   busy_time_ += cost;
   event_proc_time_.record(cost);
-  eq_.schedule_after(cost, [this, ev = std::move(ev)]() mutable {
-    finish_event(std::move(ev));
-  });
+  // Capturing only `this` keeps the closure inside std::function's inline
+  // buffer: one event is in service at a time, so it waits in a member.
+  eq_.schedule_after(cost, [this] { finish_event(); });
 }
 
-void Worker::finish_event(WorkerEvent ev) {
+void Worker::finish_event() {
   if (hooks_) hooks_->on_event_processed();
-  if (ev.kind == WorkerEvent::Kind::Accept) {
-    const netsim::Connection conn = ns_.accept(*ev.socket, cfg_.id);
+  if (in_service_.kind == WorkerEvent::Kind::Accept) {
+    const netsim::Connection conn = ns_.accept(*in_service_.socket, cfg_.id);
     if (conn) {  // may have been drained by a sibling (herd)
       ++accepts_done_;
       ++live_conns_;
@@ -162,7 +163,9 @@ void Worker::finish_event(WorkerEvent ev) {
     }
   } else {
     ++requests_done_;
-    if (host_.on_request_done) host_.on_request_done(*this, ev.request);
+    if (host_.on_request_done) {
+      host_.on_request_done(*this, in_service_.request);
+    }
   }
   process_next();
 }

@@ -114,7 +114,7 @@ class Worker final : public netsim::Waiter {
   void on_timeout();
   void start_iteration();
   void process_next();
-  void finish_event(WorkerEvent ev);
+  void finish_event();
   void end_iteration();
   size_t collect_batch();
 
@@ -128,6 +128,7 @@ class Worker final : public netsim::Waiter {
   std::vector<netsim::ListeningSocket*> sockets_;
   std::deque<Request> pending_requests_;  // conn events not yet in a batch
   std::deque<WorkerEvent> batch_;
+  WorkerEvent in_service_;  // popped by process_next, done at finish_event
 
   State state_ = State::Running;  // until start()
   EventQueue::Handle timeout_handle_{};

@@ -1,5 +1,6 @@
 // Property tests for the SoA connection arena: slot reuse, generation-tag
-// use-after-free protection, chunk growth, and live-set iteration.
+// use-after-free protection, chunk growth, live-set iteration, and ids
+// that encode the slab handle.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -23,9 +24,13 @@ FourTuple tuple_of(uint32_t saddr, uint16_t sport) {
 TEST(ConnSlabTest, CreateInitializesRow) {
   ConnSlab slab;
   const Connection c =
-      slab.create(42, tuple_of(7, 1234), 80, 3, SimTime::millis(5));
+      slab.create(tuple_of(7, 1234), 80, 3, SimTime::millis(5));
   ASSERT_TRUE(c.valid());
-  EXPECT_EQ(c.id(), 42u);
+  // The id is the handle: (generation << 32) | (slot + 1). A fresh slab's
+  // first row is slot 0 at generation 0, so its id is 1.
+  EXPECT_EQ(c.slot(), 0u);
+  EXPECT_EQ(c.id(), 1u);
+  EXPECT_EQ(slot_of(c.id()), c.slot());
   EXPECT_EQ(c.tuple().saddr, 7u);
   EXPECT_EQ(c.port(), 80);
   EXPECT_EQ(c.tenant(), 3u);
@@ -43,7 +48,7 @@ TEST(ConnSlabTest, DefaultViewIsInvalid) {
 
 TEST(ConnSlabTest, DestroyInvalidatesEveryOutstandingView) {
   ConnSlab slab;
-  const Connection c = slab.create(1, tuple_of(1, 1), 80, 0, SimTime::zero());
+  const Connection c = slab.create(tuple_of(1, 1), 80, 0, SimTime::zero());
   const Connection copy = c;  // views are values; copies alias the same row
   slab.destroy(c);
   EXPECT_EQ(slab.live(), 0u);
@@ -54,18 +59,22 @@ TEST(ConnSlabTest, DestroyInvalidatesEveryOutstandingView) {
 TEST(ConnSlabTest, SlotReuseBumpsGenerationAndKillsStaleViews) {
   ConnSlab slab;
   const Connection old_conn =
-      slab.create(1, tuple_of(1, 1), 80, 0, SimTime::zero());
+      slab.create(tuple_of(1, 1), 80, 0, SimTime::zero());
   const uint32_t slot = old_conn.slot();
+  const ConnId old_id = old_conn.id();
   slab.destroy(old_conn);
 
   // LIFO free list: the next create reuses the same row.
   const Connection new_conn =
-      slab.create(2, tuple_of(2, 2), 81, 1, SimTime::millis(1));
+      slab.create(tuple_of(2, 2), 81, 1, SimTime::millis(1));
   ASSERT_EQ(new_conn.slot(), slot);
   EXPECT_TRUE(new_conn.valid());
   EXPECT_FALSE(old_conn.valid());       // stale view cannot see the new row
   EXPECT_NE(old_conn, new_conn);        // gen differs even with equal slot
-  EXPECT_EQ(new_conn.id(), 2u);
+  // Same slot, next generation: a new id that still names the slot.
+  EXPECT_EQ(old_id, 1u);
+  EXPECT_EQ(new_conn.id(), (ConnId{1} << 32) | 1u);
+  EXPECT_EQ(slot_of(new_conn.id()), slot);
 }
 
 #ifndef NDEBUG
@@ -73,9 +82,9 @@ TEST(ConnSlabDeathTest, StaleViewAccessAborts) {
   // The generation check is the use-after-free guard: reading through a
   // view of a destroyed connection aborts in debug/sanitizer builds.
   ConnSlab slab;
-  const Connection c = slab.create(1, tuple_of(1, 1), 80, 0, SimTime::zero());
+  const Connection c = slab.create(tuple_of(1, 1), 80, 0, SimTime::zero());
   slab.destroy(c);
-  slab.create(2, tuple_of(2, 2), 80, 0, SimTime::zero());  // reuses the slot
+  slab.create(tuple_of(2, 2), 80, 0, SimTime::zero());  // reuses the slot
   EXPECT_DEATH({ (void)c.id(); }, "valid");
   EXPECT_DEATH({ c.set_owner(3); }, "valid");
 }
@@ -83,7 +92,7 @@ TEST(ConnSlabDeathTest, StaleViewAccessAborts) {
 
 TEST(ConnSlabDeathTest, DoubleDestroyAborts) {
   ConnSlab slab;
-  const Connection c = slab.create(1, tuple_of(1, 1), 80, 0, SimTime::zero());
+  const Connection c = slab.create(tuple_of(1, 1), 80, 0, SimTime::zero());
   slab.destroy(c);
   EXPECT_DEATH(slab.destroy(c), "stale");
 }
@@ -95,8 +104,8 @@ TEST(ConnSlabTest, GrowsAcrossChunksWithoutInvalidatingViews) {
   conns.reserve(n);
   for (uint32_t i = 0; i < n; ++i) {
     conns.push_back(
-        slab.create(i + 1, tuple_of(i, static_cast<uint16_t>(i)), 80,
-                    i % 7, SimTime::zero()));
+        slab.create(tuple_of(i, static_cast<uint16_t>(i)), 80, i % 7,
+                    SimTime::zero()));
   }
   EXPECT_EQ(slab.live(), n);
   EXPECT_EQ(slab.chunk_count(), 2u);
@@ -112,7 +121,7 @@ TEST(ConnSlabTest, ForEachLiveSkipsFreedRows) {
   ConnSlab slab;
   std::vector<Connection> conns;
   for (uint32_t i = 0; i < 100; ++i) {
-    conns.push_back(slab.create(i, tuple_of(i, 1), 80, 0, SimTime::zero()));
+    conns.push_back(slab.create(tuple_of(i, 1), 80, 0, SimTime::zero()));
   }
   for (uint32_t i = 0; i < 100; i += 2) slab.destroy(conns[i]);
 
@@ -122,7 +131,8 @@ TEST(ConnSlabTest, ForEachLiveSkipsFreedRows) {
     seen.insert(c.id());
   });
   EXPECT_EQ(seen.size(), 50u);
-  for (uint32_t i = 1; i < 100; i += 2) EXPECT_TRUE(seen.count(i));
+  // conns[i] sits in slot i at generation 0, so its id is i + 1.
+  for (uint32_t i = 1; i < 100; i += 2) EXPECT_TRUE(seen.count(i + 1));
   EXPECT_EQ(slab.live(), 50u);
 }
 
@@ -131,13 +141,11 @@ TEST(ConnSlabTest, ChurnKeepsFootprintBounded) {
   // instead of growing the arena: used() stays at the high-water mark.
   ConnSlab slab;
   std::vector<Connection> live;
-  uint64_t next_id = 1;
   uint64_t rng = 12345;
   for (int round = 0; round < 20000; ++round) {
     rng = rng * 6364136223846793005ull + 1442695040888963407ull;
     if ((rng >> 33) % 2 == 0 || live.size() < 8) {
-      live.push_back(slab.create(next_id++, tuple_of(1, 1), 80, 0,
-                                 SimTime::zero()));
+      live.push_back(slab.create(tuple_of(1, 1), 80, 0, SimTime::zero()));
     } else {
       const size_t pick = (rng >> 40) % live.size();
       slab.destroy(live[pick]);
@@ -148,6 +156,35 @@ TEST(ConnSlabTest, ChurnKeepsFootprintBounded) {
   EXPECT_EQ(slab.live(), live.size());
   EXPECT_LT(slab.used(), 200u);  // bounded by peak live count, not churn
   EXPECT_EQ(slab.chunk_count(), 1u);
+}
+
+TEST(ConnSlabTest, IdsStayUniqueAcrossCreateDestroyCycles) {
+  // Churn that reuses a few slots thousands of times each: every id ever
+  // handed out is distinct, nonzero, and names the slot its view holds.
+  ConnSlab slab;
+  std::vector<Connection> live;
+  std::set<ConnId> ids;
+  uint64_t created = 0;
+  uint64_t rng = 777;
+  for (int round = 0; round < 50000; ++round) {
+    rng = rng * 6364136223846793005ull + 1442695040888963407ull;
+    if ((rng >> 33) % 2 == 0 || live.empty()) {
+      const Connection c = slab.create(tuple_of(1, 1), 80, 0, SimTime::zero());
+      ASSERT_NE(c.id(), 0u);
+      ASSERT_EQ(slot_of(c.id()), c.slot());
+      ASSERT_TRUE(ids.insert(c.id()).second) << "id reused: " << c.id();
+      ++created;
+      live.push_back(c);
+    } else {
+      const size_t pick = (rng >> 40) % live.size();
+      slab.destroy(live[pick]);
+      live[pick] = live.back();
+      live.pop_back();
+    }
+  }
+  EXPECT_EQ(ids.size(), created);
+  EXPECT_LT(slab.used(), 1000u);  // the slots really were reused
+  EXPECT_GT(created, 10 * uint64_t{slab.used()});
 }
 
 }  // namespace

@@ -210,6 +210,116 @@ TEST(DataPlaneTest, ResetMidFlightReturnsBackendConnections) {
   EXPECT_LT(dp.totals().responses_returned, dp.totals().requests_forwarded);
 }
 
+TEST(DataPlaneTest, StaleRequestNeverTouchesTheSlotsNextConnection) {
+  // A request is in flight when close_fraction resets its connection, and
+  // a new connection reuses the slot before that request completes. The
+  // old completion must miss both connection tables: it may not answer on
+  // the new connection's ConnState, count against its plan, or close it.
+  LbDevice lb(dp_config(/*zero_copy=*/true));
+  LbDevice::ConnPlan old_plan;
+  old_plan.remaining = 4;
+  old_plan.cost_us = DistSpec::constant(20'000);  // in service until ~20 ms
+  old_plan.bytes = DistSpec::constant(700);
+  const netsim::ConnId old_id = lb.open_connection(0, old_plan);
+  ASSERT_NE(old_id, 0u);
+
+  LbDevice::ConnPlan new_plan = old_plan;
+  new_plan.tenant = 1;
+  new_plan.remaining = 3;
+  new_plan.cost_us = DistSpec::constant(100);
+  new_plan.gap_us = DistSpec::constant(10'000);  // requests at ~1, 11, 21 ms
+  netsim::ConnId new_id = 0;
+  lb.eq().schedule_at(SimTime::millis(1), [&] {
+    EXPECT_EQ(lb.close_fraction(1.0), 1u);
+    new_id = lb.open_connection(new_plan.tenant, new_plan);
+  });
+  const DataPlane& dp = *lb.data_plane();
+  lb.eq().schedule_at(SimTime::millis(15), [&] {
+    // Precondition: the old request is still in service, and the new
+    // connection is open with its own ConnState and two answers so far.
+    EXPECT_EQ(lb.totals().requests_completed, 2u);
+    EXPECT_EQ(lb.live_connections(), 1u);
+    EXPECT_EQ(dp.live_conn_states(), 1u);
+    EXPECT_EQ(dp.totals().responses_returned, 2u);
+  });
+  lb.eq().run_until(SimTime::seconds(1));
+
+  ASSERT_NE(new_id, 0u);
+  EXPECT_NE(new_id, old_id);
+  EXPECT_EQ(netsim::slot_of(new_id), netsim::slot_of(old_id));
+  // One request on the old connection, exactly three on the new one, and
+  // only the new connection's three were answered.
+  EXPECT_EQ(lb.totals().requests_generated, 4u);
+  EXPECT_EQ(lb.totals().requests_completed, 4u);
+  EXPECT_EQ(dp.totals().requests_forwarded, 4u);
+  EXPECT_EQ(dp.totals().responses_returned, 3u);
+  EXPECT_EQ(dp.pending_requests(), 0u);
+  EXPECT_EQ(lb.live_connections(), 0u);
+  EXPECT_EQ(dp.live_conn_states(), 0u);
+  for (WorkerId w = 0; w < lb.num_workers(); ++w) {
+    EXPECT_EQ(lb.worker(w).live_connections(), 0) << "worker " << w;
+  }
+}
+
+TEST(DataPlaneTest, ConnectionStoresAgreeThroughAKeepAliveDrain) {
+  // LbDevice's live connections, the netstack's slab rows and the data
+  // plane's ConnStates are three stores of one set: while connections sit
+  // idle between keep-alive requests, and once they have all closed, the
+  // three counts agree.
+  LbDevice lb(dp_config(/*zero_copy=*/true));
+  LbDevice::ConnPlan plan;
+  plan.cost_us = DistSpec::constant(100);
+  plan.gap_us = DistSpec::constant(20'000);  // requests at ~0, 20, 40, 60 ms
+  plan.bytes = DistSpec::constant(700);
+  for (int i = 0; i < 64; ++i) {
+    plan.tenant = static_cast<TenantId>(i % 4);
+    plan.remaining = 1 + i % 4;
+    lb.open_connection(plan.tenant, plan);
+  }
+  const DataPlane& dp = *lb.data_plane();
+  // A connection closes when its last request completes, so by 10 ms the
+  // single-request quarter is gone.
+  const uint64_t expected_live[] = {48, 32, 16};
+  for (int k = 0; k < 3; ++k) {
+    lb.eq().run_until(SimTime::millis(10 + 20 * k));  // mid think gap
+    SCOPED_TRACE(::testing::Message() << "at " << 10 + 20 * k << " ms");
+    EXPECT_EQ(lb.live_connections(), expected_live[k]);
+    EXPECT_EQ(lb.netstack().live_connections(), lb.live_connections());
+    EXPECT_EQ(dp.live_conn_states(), lb.live_connections());
+  }
+  lb.eq().run_until(SimTime::seconds(1));
+  EXPECT_EQ(lb.live_connections(), 0u);
+  EXPECT_EQ(lb.netstack().live_connections(), 0u);
+  EXPECT_EQ(dp.live_conn_states(), 0u);
+  EXPECT_EQ(lb.totals().requests_completed, 16u * (1 + 2 + 3 + 4));
+}
+
+TEST(DataPlaneTest, BurstSkipsConnectionsThatAlreadySentClose) {
+  // Each connection's only request is its last, so it went out with
+  // Connection: close and its ConnState parses nothing more. A burst
+  // while those requests are in service must leave them alone; it used to
+  // abort with "data plane request did not parse to completion".
+  LbDevice lb(dp_config(/*zero_copy=*/true));
+  LbDevice::ConnPlan plan;
+  plan.remaining = 1;
+  plan.cost_us = DistSpec::constant(50'000);
+  for (int i = 0; i < 4; ++i) {
+    plan.tenant = static_cast<TenantId>(i);
+    lb.open_connection(plan.tenant, plan);
+  }
+  lb.eq().schedule_at(SimTime::millis(10), [&lb] {
+    const uint64_t before = lb.totals().requests_generated;
+    lb.burst_all_connections(DistSpec::constant(200), 2);
+    EXPECT_EQ(lb.totals().requests_generated, before);
+  });
+  lb.eq().run_until(SimTime::seconds(1));
+  EXPECT_EQ(lb.totals().requests_generated, 4u);
+  EXPECT_EQ(lb.totals().requests_completed, 4u);
+  EXPECT_EQ(lb.data_plane()->totals().responses_returned, 4u);
+  EXPECT_EQ(lb.data_plane()->totals().parse_errors, 0u);
+  EXPECT_EQ(lb.live_connections(), 0u);
+}
+
 TEST(DataPlaneTest, PerByteCostScalesServiceTimeWithBodySize) {
   // Body-size-dependent service costs: on_request charges exactly
   // per_byte_cost * Request::bytes on top of any handshake.

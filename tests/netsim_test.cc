@@ -54,8 +54,8 @@ TEST(JhashTest, LocalityHashIgnoresSource) {
 TEST(AcceptQueueTest, FifoOrder) {
   ConnSlab slab;
   AcceptQueue q(4);
-  const Connection c1 = slab.create(1, FourTuple{}, 80, 0, SimTime::zero());
-  const Connection c2 = slab.create(2, FourTuple{}, 80, 0, SimTime::zero());
+  const Connection c1 = slab.create(FourTuple{}, 80, 0, SimTime::zero());
+  const Connection c2 = slab.create(FourTuple{}, 80, 0, SimTime::zero());
   EXPECT_TRUE(q.push(c1));
   EXPECT_TRUE(q.push(c2));
   EXPECT_EQ(q.pop().id(), 1u);
@@ -68,8 +68,7 @@ TEST(AcceptQueueTest, BacklogOverflowDrops) {
   AcceptQueue q(2);
   Connection c[3];
   for (int i = 0; i < 3; ++i) {
-    c[i] = slab.create(static_cast<ConnId>(i + 1), FourTuple{}, 80, 0,
-                       SimTime::zero());
+    c[i] = slab.create(FourTuple{}, 80, 0, SimTime::zero());
   }
   EXPECT_TRUE(q.push(c[0]));
   EXPECT_TRUE(q.push(c[1]));
