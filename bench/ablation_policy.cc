@@ -2,8 +2,8 @@
 // variant costs on the hot path, and what load-awareness buys on a
 // heterogeneous fleet.
 //
-// Part 1 (micro): ns/dispatch of every policy's generated program at the
-// default execution tier, over the same context sweep as dispatch_path.
+// Part 1 (micro): ns/dispatch of every policy's generated program, over
+// the same context sweep as dispatch_path.
 // Wall-clock rows carry the _cost_ns suffix (reported, never gated); the
 // gated rows are deterministic — insns/dispatch and the selection count
 // over a fixed 1024-context sweep with fixed bitmaps and aux state.

@@ -1,27 +1,24 @@
 // Dispatch hot path microbench: ns/dispatch of the production eBPF
-// dispatch program under each execution tier (src/bpf/plan.h).
-//
-//   tier 0  reference switch interpreter (decode every insn, every run)
-//   tier 1  pre-decoded threaded plan (superinstruction fusion, computed
-//           goto, map pointers resolved at load)
-//   tier 2  tier 1 + verifier-guided check elision (bounds checks the
-//           abstract interpreter proved are dropped at plan-compile time)
-//   tier 3  native x86-64 JIT over the tier-2 micro-ops (bpf/jit/); on
-//           hosts without codegen the row silently measures the tier-2
-//           fallback and the tier3-vs-tier2 bar is reported as SKIP
+// dispatch program through bpf::Vm, which runs the verified ExecutionPlan
+// (src/bpf/plan.h): pre-decoded micro-ops with superinstruction fusion,
+// computed goto, map pointers resolved at load, and the bounds checks the
+// abstract interpreter proved dropped at plan-compile time.
 //
 // The program under test is core::build_dispatch_program — the exact
 // bytecode sim::LbDevice attaches — at the two-level geometry (2 groups x
 // 8 workers), so one dispatch exercises both popcounts, the 63-unit
-// rank-select ladder, and the isolate-lowest-bit epilogue that tier 1
-// fuses into superinstructions.
+// rank-select ladder, and the isolate-lowest-bit epilogue that the plan
+// fuses into superinstructions. Every context of the deterministic sweep
+// also runs through the reference interpreter (bpf::ref_run), which must
+// agree on r0, instruction count and socket selection.
 //
-// Wall-clock metrics carry the _cost_ns / .speedup suffixes and are
-// reported but never gated (bench/bench_gate_check.cc); the gated metrics
-// are the deterministic ones: insns/dispatch per tier (tier-invariant by
-// construction — fused micro-ops charge their original instruction
-// counts), plan shape (uops, fusion/elision site counts), and per-dispatch
-// fused/elided counter rates.
+// Wall-clock metrics carry the _cost_ns suffix and are reported but never
+// gated (bench/bench_gate_check.cc); the gated metrics are the
+// deterministic ones: insns/dispatch (fused micro-ops charge their
+// original instruction counts), plan shape (uops, fusion/elision site
+// counts), and per-dispatch fused/elided counter rates. The tier2_ prefix
+// names the plan's bpf::ExecTier slot; perfbench/run.py reads
+// tier2_cost_ns.
 #include <algorithm>
 #include <cinttypes>
 #include <cstdio>
@@ -29,9 +26,9 @@
 #include <vector>
 
 #include "bench/bench_common.h"
-#include "bpf/jit/jit.h"
 #include "bpf/maps.h"
 #include "bpf/plan.h"
+#include "bpf/ref_interpreter.h"
 #include "bpf/vm.h"
 #include "core/dispatch_prog.h"
 #include "simcore/rng.h"
@@ -64,64 +61,64 @@ constexpr uint32_t kWorkersPerGroup = 8;
 constexpr size_t kNumCtxs = 1024;  // power of two (cheap index mask)
 constexpr int kTimedIters = 200'000;
 
-struct TierResult {
+// The dispatch program bound to its maps, as LbDevice binds it.
+struct DispatchWorld {
+  bpf::ArrayMap sel{kNumGroups, sizeof(uint64_t)};
+  bpf::ReuseportSockArray socks{kNumGroups * kWorkersPerGroup};
+  bpf::Program prog;
+
+  DispatchWorld() {
+    core::DispatchProgramParams params;
+    params.num_groups = kNumGroups;
+    params.workers_per_group = kWorkersPerGroup;
+    sel.store_u64(0, 0xad);  // 5 of 8 workers available
+    sel.store_u64(1, 0x5f);  // 6 of 8
+    for (uint32_t w = 0; w < kNumGroups * kWorkersPerGroup; ++w) {
+      socks.update(w, 1000 + w);
+    }
+    prog = core::build_dispatch_program(params);
+  }
+};
+
+struct PlanResult {
   double cost_ns = 0;
   // Deterministic sweep over the kNumCtxs contexts:
   uint64_t insns = 0;
   uint64_t fused_hits = 0;
   uint64_t elided_checks = 0;
-  uint64_t selections = 0;
-  uint64_t ret_sum = 0;
   bpf::ExecutionPlan::Stats plan{};
-  bool has_plan = false;
 };
 
-TierResult run_tier(bpf::ExecTier tier,
-                    const std::vector<bpf::ReuseportCtx>& ctxs) {
-  core::DispatchProgramParams params;
-  params.num_groups = kNumGroups;
-  params.workers_per_group = kWorkersPerGroup;
-  bpf::ArrayMap sel(params.num_groups, sizeof(uint64_t));
-  sel.store_u64(0, 0xad);  // 5 of 8 workers available
-  sel.store_u64(1, 0x5f);  // 6 of 8
-  bpf::ReuseportSockArray socks(kNumGroups * kWorkersPerGroup);
-  for (uint32_t w = 0; w < kNumGroups * kWorkersPerGroup; ++w) {
-    socks.update(w, 1000 + w);
-  }
-
+PlanResult run_plan(const std::vector<bpf::ReuseportCtx>& ctxs) {
+  DispatchWorld world;
   bpf::Vm vm;
-  vm.set_tier(tier);
   std::string err;
-  auto loaded =
-      vm.load(core::build_dispatch_program(params), {&sel, &socks}, &err);
+  auto loaded = vm.load(world.prog, {&world.sel, &world.socks}, &err);
   HERMES_CHECK_MSG(loaded != nullptr, "dispatch program rejected");
-  const bpf::ExecTier expected =
-      (tier == bpf::ExecTier::Jit && !bpf::jit::available())
-          ? bpf::ExecTier::Elide
-          : tier;
-  HERMES_CHECK(loaded->tier() == expected);
-  if (loaded->plan() != nullptr) {
-    // Fusion must have fired on the production program: 2 popcounts, the
-    // full rank-select ladder, 1 isolate-lowest-bit.
-    HERMES_CHECK(loaded->plan()->stats().fused_popcount == 2);
-    HERMES_CHECK(loaded->plan()->stats().fused_isolate == 1);
-  }
 
-  TierResult r;
-  if (loaded->plan() != nullptr) {
-    r.plan = loaded->plan()->stats();
-    r.has_plan = true;
-  }
+  PlanResult r;
+  r.plan = loaded->plan().stats();
+  // Fusion must have fired on the production program: 2 popcounts, the
+  // full rank-select ladder, 1 isolate-lowest-bit.
+  HERMES_CHECK(r.plan.fused_popcount == 2);
+  HERMES_CHECK(r.plan.fused_isolate == 1);
 
-  // Deterministic sweep: every context once, results accumulated.
+  // Deterministic sweep: every context once, checked against the
+  // reference interpreter, or the bench is measuring a different program.
   for (const bpf::ReuseportCtx& c : ctxs) {
     bpf::ReuseportCtx ctx = c;
     const bpf::Vm::RunResult run = vm.run(*loaded, ctx);
+    bpf::ReuseportCtx ref_ctx = c;
+    const bpf::RefResult ref =
+        bpf::ref_run(loaded->insns(), loaded->maps(), ref_ctx);
+    HERMES_CHECK_MSG(!ref.trapped && run.ret == ref.ret &&
+                         run.insns_executed == ref.insns_executed &&
+                         ctx.selection_made == ref_ctx.selection_made &&
+                         ctx.selected_socket == ref_ctx.selected_socket,
+                     "plan diverges from the reference interpreter");
     r.insns += run.insns_executed;
     r.fused_hits += run.fused_hits;
     r.elided_checks += run.elided_checks;
-    r.ret_sum += run.ret * 31 + ctx.selected_socket;
-    if (ctx.selection_made) ++r.selections;
   }
 
   // Timed loop: cycle through the contexts so the branch pattern matches
@@ -138,45 +135,23 @@ TierResult run_tier(bpf::ExecTier tier,
   return r;
 }
 
-// One-time translation-validation cost: wall-clock of a full tier-3
-// Vm::load (verify + plan compile + codegen) with the validator forced
-// on vs off. This is load-time work — it never touches the dispatch hot
-// path — so the row is reported for sizing (how much a validated attach
-// costs) and never gated.
-double load_cost_ns(const char* validate_env) {
-  core::DispatchProgramParams params;
-  params.num_groups = kNumGroups;
-  params.workers_per_group = kWorkersPerGroup;
-  bpf::ArrayMap sel(params.num_groups, sizeof(uint64_t));
-  bpf::ReuseportSockArray socks(kNumGroups * kWorkersPerGroup);
-  for (uint32_t w = 0; w < kNumGroups * kWorkersPerGroup; ++w) {
-    socks.update(w, 1000 + w);
-  }
-  const bpf::Program prog = core::build_dispatch_program(params);
+// One-time cost of Vm::load (verify + plan compile). Load-time work that
+// never touches the dispatch hot path; reported for sizing, never gated.
+double load_cost_ns() {
+  DispatchWorld world;
   bpf::Vm vm;
-  vm.set_tier(bpf::ExecTier::Jit);
-
-  const char* saved = ::getenv("HERMES_BPF_VALIDATE");
-  const std::string saved_val = saved != nullptr ? saved : "";
-  ::setenv("HERMES_BPF_VALIDATE", validate_env, 1);
-  const double cost = ns_per_op(
+  return ns_per_op(
       [&](int) {
         std::string err;
-        auto loaded = vm.load(prog, {&sel, &socks}, &err);
+        auto loaded = vm.load(world.prog, {&world.sel, &world.socks}, &err);
         HERMES_CHECK_MSG(loaded != nullptr, "dispatch program rejected");
       },
       200);
-  if (saved != nullptr) {
-    ::setenv("HERMES_BPF_VALIDATE", saved_val.c_str(), 1);
-  } else {
-    ::unsetenv("HERMES_BPF_VALIDATE");
-  }
-  return cost;
 }
 
 int main_impl(int argc, char** argv) {
   BenchJson json("dispatch_path", &argc, argv);
-  header("dispatch_path: ns/dispatch per eBPF execution tier");
+  header("dispatch_path: ns/dispatch of the eBPF execution plan");
 
   std::vector<bpf::ReuseportCtx> ctxs(kNumCtxs);
   sim::Rng rng(17);
@@ -186,105 +161,42 @@ int main_impl(int argc, char** argv) {
     c.ip_protocol = 6;
   }
 
-  const bpf::ExecTier tiers[] = {bpf::ExecTier::Interp,
-                                 bpf::ExecTier::Threaded,
-                                 bpf::ExecTier::Elide, bpf::ExecTier::Jit};
-  TierResult res[4];
-  for (int t = 0; t < 4; ++t) res[t] = run_tier(tiers[t], ctxs);
-
-  // Tier equivalence on the production program: identical returns,
-  // selections, and instruction counts, or the bench itself is measuring
-  // two different programs.
-  for (int t = 1; t < 4; ++t) {
-    HERMES_CHECK_MSG(res[t].ret_sum == res[0].ret_sum &&
-                         res[t].selections == res[0].selections &&
-                         res[t].insns == res[0].insns,
-                     "tier divergence on dispatch program");
-  }
+  const PlanResult res = run_plan(ctxs);
+  const double load_ns = load_cost_ns();
 
   const double n = static_cast<double>(kNumCtxs);
-  std::printf("\n%-28s %12s %14s %10s %10s\n", "tier", "ns/dispatch",
-              "insns/dispatch", "fused/d", "elided/d");
-  for (int t = 0; t < 4; ++t) {
-    std::printf("%-28s %12.1f %14.1f %10.2f %10.2f\n",
-                bpf::to_string(tiers[t]), res[t].cost_ns,
-                static_cast<double>(res[t].insns) / n,
-                static_cast<double>(res[t].fused_hits) / n,
-                static_cast<double>(res[t].elided_checks) / n);
-  }
-
-  const double speedup1 = res[0].cost_ns / res[1].cost_ns;
-  const double speedup2 = res[0].cost_ns / res[2].cost_ns;
-  const double speedup3 = res[0].cost_ns / res[3].cost_ns;
-  const double jit_vs_elide = res[2].cost_ns / res[3].cost_ns;
-  std::printf("\nspeedup tier1 vs tier0: %.2fx   tier2 vs tier0: %.2fx   "
-              "tier3 vs tier0: %.2fx%s\n",
-              speedup1, speedup2, speedup3,
-              bpf::jit::available() ? "" : " (jit unavailable: tier-2 fallback)");
+  const double insns = static_cast<double>(res.insns) / n;
+  const double fused = static_cast<double>(res.fused_hits) / n;
+  const double elided = static_cast<double>(res.elided_checks) / n;
+  std::printf("\n%12s %14s %10s %10s\n", "ns/dispatch", "insns/dispatch",
+              "fused/d", "elided/d");
+  std::printf("%12.1f %14.1f %10.2f %10.2f\n", res.cost_ns, insns, fused,
+              elided);
   std::printf("plan: %" PRIu64 " insns -> %" PRIu64
               " uops (popcount=%u blsr=%u isolate=%u, elided sites=%u of "
-              "%u mem/helper sites at tier 2)\n",
-              static_cast<uint64_t>(res[1].plan.n_insns),
-              static_cast<uint64_t>(res[1].plan.n_uops),
-              res[1].plan.fused_popcount, res[1].plan.fused_blsr,
-              res[1].plan.fused_isolate, res[2].plan.elided_sites,
-              res[2].plan.elided_sites + res[2].plan.checked_sites);
-  std::printf("\npaper says: dispatch program overhead is negligible "
-              "(Table 5); we measure the\ntiered engine keeping it so — "
-              "acceptance bar is tier1 >= 2x tier0, tier2 >= tier1,\n"
-              "tier3 >= 2x tier2 (native code vs threaded dispatch).\n");
-  std::printf("bar: tier1 %.2fx (%s), tier2/tier1 %.2fx (%s), "
-              "tier3/tier2 %.2fx (%s)\n",
-              speedup1, speedup1 >= 2.0 ? "PASS" : "FAIL",
-              res[1].cost_ns / res[2].cost_ns,
-              res[2].cost_ns <= res[1].cost_ns * 1.05 ? "PASS" : "FAIL",
-              jit_vs_elide,
-              bpf::jit::available() ? (jit_vs_elide >= 2.0 ? "PASS" : "FAIL")
-                                    : "SKIP: jit unavailable");
-
-  // One-time validation cost at load: how much slower a tier-3 attach is
-  // with translation validation on. Pure load-time work, never gated.
-  const double load_plain_ns = load_cost_ns("0");
-  const double load_validated_ns = load_cost_ns("1");
-  std::printf("\ntier-3 load (one-time): %.0f ns plain, %.0f ns validated "
-              "(+%.0f ns, %.2fx)%s\n",
-              load_plain_ns, load_validated_ns,
-              load_validated_ns - load_plain_ns,
-              load_validated_ns / load_plain_ns,
-              bpf::jit::available() ? "" : " (jit unavailable: no validation)");
+              "%u mem/helper sites)\n",
+              static_cast<uint64_t>(res.plan.n_insns),
+              static_cast<uint64_t>(res.plan.n_uops),
+              res.plan.fused_popcount, res.plan.fused_blsr,
+              res.plan.fused_isolate, res.plan.elided_sites,
+              res.plan.elided_sites + res.plan.checked_sites);
+  std::printf("load (one-time, verify + compile): %.0f ns\n", load_ns);
 
   // Wall-clock: reported, never gated.
-  json.metric("load_cost_ns", load_plain_ns);
-  json.metric("load_validated_cost_ns", load_validated_ns);
-  json.metric("tier0_cost_ns", res[0].cost_ns);
-  json.metric("tier1_cost_ns", res[1].cost_ns);
-  json.metric("tier2_cost_ns", res[2].cost_ns);
-  json.metric("tier3_cost_ns", res[3].cost_ns);
-  json.metric("tier1.speedup", speedup1);
-  json.metric("tier2.speedup", speedup2);
-  json.metric("tier3.speedup", speedup3);
-  json.metric("tier3_vs_tier2.speedup", jit_vs_elide);
-  // Deterministic: gated against bench/baseline.json. The tier-3 rates
-  // equal tier 2's by construction (same micro-op stream and counter
-  // charges), so the baseline stays portable to non-JIT hosts.
-  for (int t = 0; t < 4; ++t) {
-    const std::string p = "tier" + std::to_string(t);
-    json.metric(p + "_insns_per_dispatch",
-                static_cast<double>(res[t].insns) / n);
-    json.metric(p + "_fused_per_dispatch",
-                static_cast<double>(res[t].fused_hits) / n);
-    json.metric(p + "_elided_per_dispatch",
-                static_cast<double>(res[t].elided_checks) / n);
-  }
-  json.metric("plan_uops", static_cast<double>(res[1].plan.n_uops));
+  json.metric("load_cost_ns", load_ns);
+  json.metric("tier2_cost_ns", res.cost_ns);
+  // Deterministic: gated against bench/baseline.json.
+  json.metric("tier2_insns_per_dispatch", insns);
+  json.metric("tier2_fused_per_dispatch", fused);
+  json.metric("tier2_elided_per_dispatch", elided);
+  json.metric("plan_uops", static_cast<double>(res.plan.n_uops));
   json.metric("plan_fused_popcount",
-              static_cast<double>(res[1].plan.fused_popcount));
-  json.metric("plan_fused_blsr",
-              static_cast<double>(res[1].plan.fused_blsr));
+              static_cast<double>(res.plan.fused_popcount));
+  json.metric("plan_fused_blsr", static_cast<double>(res.plan.fused_blsr));
   json.metric("plan_fused_isolate",
-              static_cast<double>(res[1].plan.fused_isolate));
+              static_cast<double>(res.plan.fused_isolate));
   json.metric("plan_elided_sites",
-              static_cast<double>(res[2].plan.elided_sites));
+              static_cast<double>(res.plan.elided_sites));
   return 0;
 }
 

@@ -307,7 +307,7 @@ ObsOverhead measure_obs_overhead() {
         m.dispatch_fallback, m.dispatch_hash, m.bpf_tier_dispatches[0],
         m.bpf_tier_dispatches[1], m.bpf_tier_dispatches[2],
         m.bpf_tier_dispatches[3], m.bpf_fused_ops,
-        m.bpf_elided_checks, m.bpf_jit_fallbacks, m.accept_enqueued,
+        m.bpf_elided_checks, m.accept_enqueued,
         m.accept_dropped, m.sched_syncs_suppressed,
         // L7 data-plane counters: all zero here (data plane disabled in
         // this run), included so the accounting stays complete if a

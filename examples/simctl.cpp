@@ -9,6 +9,7 @@
 //
 // Prints a one-page report: latency distribution, throughput, per-worker
 // balance, Hermes counters.
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -51,6 +52,13 @@ netsim::DispatchMode parse_mode(const std::string& m) {
   std::exit(2);
 }
 
+// A count parses signed, so "-1" reads as 0 and fails the range check
+// instead of wrapping to 2^32 - 1; so does anything above 2^32 - 1.
+uint32_t parse_count(const char* s) {
+  const long long v = std::atoll(s);
+  return v < 0 || v > UINT32_MAX ? 0 : static_cast<uint32_t>(v);
+}
+
 Args parse(int argc, char** argv) {
   Args a;
   for (int i = 1; i < argc; ++i) {
@@ -66,8 +74,8 @@ Args parse(int argc, char** argv) {
     else if (flag == "--policy") a.policy = next();
     else if (flag == "--case") a.case_id = std::atoi(next());
     else if (flag == "--load") a.load = std::atof(next());
-    else if (flag == "--workers") a.workers = (uint32_t)std::atoi(next());
-    else if (flag == "--ports") a.ports = (uint32_t)std::atoi(next());
+    else if (flag == "--workers") a.workers = parse_count(next());
+    else if (flag == "--ports") a.ports = parse_count(next());
     else if (flag == "--seconds") a.seconds = std::atof(next());
     else if (flag == "--seed") a.seed = (uint64_t)std::atoll(next());
     else if (flag == "--theta") a.theta = std::atof(next());
@@ -115,7 +123,8 @@ int main(int argc, char** argv) {
     usage();
     return 0;
   }
-  if (a.case_id < 1 || a.case_id > 4 || a.workers < 1 || a.seconds <= 0) {
+  if (a.case_id < 1 || a.case_id > 4 || a.workers < 1 || a.ports < 1 ||
+      a.load <= 0 || a.seconds <= 0) {
     std::fprintf(stderr, "invalid arguments (try --help)\n");
     return 2;
   }
@@ -218,14 +227,6 @@ int main(int argc, char** argv) {
     if (a.metrics) {
       std::printf("\n-- metrics --------------------------------------\n%s",
                   lb.obs()->registry.text_dump().c_str());
-      if (lb.hermes() != nullptr) {
-        // Why the most recent tier-3 load fell back (counters above say
-        // how often; this says what happened last, e.g. a translation-
-        // validation rejection with its decoded-window diagnostic).
-        const std::string& why = lb.hermes()->vm().jit_fallback_reason();
-        std::printf("bpf.jit_fallback_reason: %s\n",
-                    why.empty() ? "(none)" : why.c_str());
-      }
     }
     if (a.trace_dump > 0) {
       auto events = lb.obs()->traces.merged_snapshot();

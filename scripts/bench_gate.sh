@@ -14,7 +14,7 @@
 #   fig13_load_sd     the Fig. 13 SD table (full sim pipeline, all modes)
 #   table5_overhead   component CPU shares + obs_overhead_pct (< 5% budget)
 #   analysis_cost     verifier cost table (abstract-interpreter behavior)
-#   dispatch_path     per-tier eBPF dispatch cost; gates the deterministic
+#   dispatch_path     eBPF plan dispatch cost; gates the deterministic
 #                     plan shape and insns/fused/elided-per-dispatch rates
 #   sched_path        fast-vs-reference schedule_and_sync cost; gates the
 #                     sweep sync/suppression counts and bitmap checksums

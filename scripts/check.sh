@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# Full verification sweep: lint, plain build + all ctest labels, a
-# ThreadSanitizer pass over the concurrency-sensitive suites, then any
-# extra sanitizer sweeps requested on the command line.
+# Full verification sweep: lint, plain build + all ctest labels (plus the
+# sched, zero-copy and policy knob sweeps), a ThreadSanitizer pass over the
+# concurrency-sensitive suites, then any extra sanitizer sweeps requested
+# on the command line.
 #
 #   scripts/check.sh                       # lint + plain + TSan concurrency
 #   scripts/check.sh address undefined     # ... + ASan + UBSan full sweeps
@@ -43,41 +44,9 @@ run_suite() {
   cmake --build "$dir" -j "$JOBS"
   echo "==> ctest ${dir} -L '${LABELS}'"
   ctest --test-dir "$dir" --output-on-failure -j "$JOBS" -L "$LABELS"
-  run_tier_sweep "$dir"
   run_sched_sweep "$dir"
   run_zerocopy_sweep "$dir"
   run_policy_sweep "$dir"
-}
-
-# eBPF execution-tier sweep: the suite above ran at the default tier
-# (HERMES_BPF_TIER unset = 2, check elision). Re-run the bpf-labeled
-# suites pinned to the reference interpreter (0), the threaded plan (1),
-# and the native JIT (3) so every tier keeps identical semantics; under a
-# sanitizer tree this is also what would catch an unsoundly elided bounds
-# check or a codegen slip. Tier 3 silently lands on tier 2 on non-x86-64
-# hosts (the tests assert the fallback contract instead). The final leg
-# pins tier 3 with the JIT switched off, exercising the
-# codegen-unavailable fallback path end to end.
-run_tier_sweep() {
-  local dir=$1
-  for tier in 0 1 3; do
-    echo "==> ctest ${dir} -L bpf (HERMES_BPF_TIER=$tier)"
-    HERMES_BPF_TIER=$tier \
-      ctest --test-dir "$dir" --output-on-failure -j "$JOBS" -L bpf
-  done
-  echo "==> ctest ${dir} -L jit (HERMES_BPF_TIER=3 HERMES_BPF_JIT=off)"
-  HERMES_BPF_TIER=3 HERMES_BPF_JIT=off \
-    ctest --test-dir "$dir" --output-on-failure -j "$JOBS" -L jit
-  # Translation-validation leg: tier 3 with the validator forced on, over
-  # the full bpf-labeled set. Every compile must be proven equivalent to
-  # its micro-op stream before running — a rejection (see the validate-
-  # labeled suite for the mutation self-test) fails this leg loudly.
-  echo "==> ctest ${dir} -L bpf (HERMES_BPF_TIER=3 HERMES_BPF_VALIDATE=1)"
-  HERMES_BPF_TIER=3 HERMES_BPF_VALIDATE=1 \
-    ctest --test-dir "$dir" --output-on-failure -j "$JOBS" -L bpf
-  echo "==> ctest ${dir} -L validate (HERMES_BPF_VALIDATE=1)"
-  HERMES_BPF_VALIDATE=1 \
-    ctest --test-dir "$dir" --output-on-failure -j "$JOBS" -L validate
 }
 
 # Scheduler-path sweep: the suite above ran with the default fast path

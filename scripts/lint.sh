@@ -1,10 +1,15 @@
 #!/usr/bin/env bash
-# clang-tidy over every tracked translation unit, driven by the CMake
-# compilation database (CMAKE_EXPORT_COMPILE_COMMANDS is on by default).
+# Knob guard, then clang-tidy over every tracked translation unit, driven
+# by the CMake compilation database (CMAKE_EXPORT_COMPILE_COMMANDS is on by
+# default).
 #
 #   scripts/lint.sh              # lint all tracked .cc files
 #   scripts/lint.sh src/bpf      # lint one subtree
 #   BUILD_DIR=build-tidy scripts/lint.sh
+#
+# The knob guard fails when src/ or examples/ reads a HERMES_* environment
+# variable other than the three oracle switches in ALLOWED_KNOBS. It runs
+# first, so minimal containers without clang-tidy still enforce it.
 #
 # Checks and naming rules live in .clang-tidy at the repo root. When
 # clang-tidy is not installed (minimal containers ship only gcc) the
@@ -12,6 +17,24 @@
 # gate is advisory where the tool exists, absent where it does not.
 set -euo pipefail
 cd "$(dirname "$0")/.."
+
+ALLOWED_KNOBS=(HERMES_SCHED_FAST HERMES_ZEROCOPY HERMES_POLICY)
+mapfile -t knobs < <(
+  { grep -rhoE 'getenv\(\s*"HERMES_[A-Za-z0-9_]+"' src examples || true; } |
+    grep -oE 'HERMES_[A-Za-z0-9_]+' | sort -u)
+unlisted=()
+for k in ${knobs[@]+"${knobs[@]}"}; do
+  case " ${ALLOWED_KNOBS[*]} " in
+    *" $k "*) ;;
+    *) unlisted+=("$k") ;;
+  esac
+done
+if [ ${#unlisted[@]} -gt 0 ]; then
+  echo "lint: src/ or examples/ reads unlisted knob(s): ${unlisted[*]}" >&2
+  echo "lint: allowed: ${ALLOWED_KNOBS[*]}" >&2
+  exit 1
+fi
+echo "==> knob guard clean (${#knobs[@]} knobs read: ${knobs[*]-})"
 
 TIDY=${CLANG_TIDY:-clang-tidy}
 if ! command -v "$TIDY" >/dev/null 2>&1; then

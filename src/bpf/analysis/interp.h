@@ -112,7 +112,7 @@ struct HelperCallInfo {
 // and whether every visit of this pc passed the abstract bounds check with
 // a consistent base kind. In an accepted program every *visited* access is
 // bounds-proven by construction (a failing check rejects the program), so
-// `proven` is the license the tiered VM (bpf/plan.h) uses to elide the
+// `proven` is the license the execution plan (bpf/plan.h) uses to elide the
 // runtime check at that pc. Range-dead accesses are never visited and get
 // no entry — the plan compiler keeps the checked micro-op there.
 struct MemAccessInfo {

@@ -146,12 +146,6 @@ class ReuseportSockArray final : public Map {
     return slots_[key].load(std::memory_order_acquire);
   }
 
-  // Slot array base for the JIT's inlined sk_select_reuseport fast path
-  // (bpf/jit/), baked into generated code as an immediate. An aligned
-  // 8-byte mov from a slot is an acquire load on x86-64 — the only
-  // architecture that JITs — so this matches get()'s ordering.
-  const std::atomic<uint64_t>* slots_data() const { return slots_.data(); }
-
  private:
   std::vector<std::atomic<uint64_t>> slots_;
 };

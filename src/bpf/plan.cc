@@ -1,54 +1,20 @@
 // ExecutionPlan compiler: pre-decodes a verified program into the flat
-// micro-op form bpf/plan_exec.cc dispatches over. See plan.h for the tier
+// micro-op form bpf/plan_exec.cc dispatches over. See plan.h for the engine
 // model. Compilation is structural — fusion matches the exact instruction
 // shapes core/dispatch_prog.cc emits (any register allocation), and every
 // rewrite preserves final register state and instruction accounting.
 #include "bpf/plan.h"
 
-#include <cstdlib>
-
 #include "bpf/analysis/interp.h"
-#include "bpf/jit/jit.h"
-#include "bpf/jit/validate/validate.h"
 #include "util/check.h"
 
 namespace hermes::bpf {
 
-ExecutionPlan::~ExecutionPlan() = default;
-
 const char* to_string(ExecTier t) {
   switch (t) {
-    case ExecTier::Interp: return "interp";
-    case ExecTier::Threaded: return "threaded";
     case ExecTier::Elide: return "elide";
-    case ExecTier::Jit: return "jit";
   }
   return "?";
-}
-
-const char* to_string(JitFallbackKind k) {
-  switch (k) {
-    case JitFallbackKind::None: return "none";
-    case JitFallbackKind::Disabled: return "disabled";
-    case JitFallbackKind::AllocFailure: return "alloc_failure";
-    case JitFallbackKind::ValidateReject: return "validate_reject";
-    case JitFallbackKind::Other: return "other";
-  }
-  return "?";
-}
-
-ExecTier default_tier() {
-  static const ExecTier tier = [] {
-    const char* e = std::getenv("HERMES_BPF_TIER");
-    if (e != nullptr && e[0] != '\0' && e[1] == '\0') {
-      if (e[0] == '0') return ExecTier::Interp;
-      if (e[0] == '1') return ExecTier::Threaded;
-      if (e[0] == '2') return ExecTier::Elide;
-      if (e[0] == '3') return ExecTier::Jit;
-    }
-    return ExecTier::Elide;
-  }();
-  return tier;
 }
 
 namespace {
@@ -165,12 +131,10 @@ int64_t ptr_bits(const void* p) {
 
 std::unique_ptr<ExecutionPlan> compile_plan(
     const Program& prog, std::span<Map* const> maps,
-    const analysis::AnalysisResult* facts, ExecTier tier) {
-  if (tier == ExecTier::Interp) return nullptr;
+    const analysis::AnalysisResult& facts) {
   HERMES_CHECK(!prog.empty());
 
   auto plan = std::make_unique<ExecutionPlan>();
-  plan->tier_ = tier;
   plan->stats_.n_insns = static_cast<uint32_t>(prog.size());
   for (Map* m : maps) {
     if (ArrayMap* am = as_array_map(m)) {
@@ -183,6 +147,10 @@ std::unique_ptr<ExecutionPlan> compile_plan(
   // mid-superinstruction.
   std::vector<uint8_t> is_target(prog.size(), 0);
   for (size_t pc = 0; pc < prog.size(); ++pc) {
+    // The handlers index regs[] by both fields regardless of op; the
+    // verifier's structural prescan guarantees this for loaded programs.
+    HERMES_CHECK_MSG(prog[pc].dst < kNumRegs && prog[pc].src < kNumRegs,
+                     "bpf plan: bad register field");
     if (is_jump_op(prog[pc].op)) {
       const int64_t t = static_cast<int64_t>(pc) + 1 + prog[pc].off;
       HERMES_CHECK_MSG(t >= 0 && t < static_cast<int64_t>(prog.size()),
@@ -195,24 +163,14 @@ std::unique_ptr<ExecutionPlan> compile_plan(
   // pcs (range-dead) have no entry and keep their runtime checks.
   std::vector<uint8_t> mem_proven(prog.size(), 0);
   std::vector<int32_t> call_slot(prog.size(), -2);  // -2 = call not visited
-  if (facts != nullptr) {
-    for (const auto& m : facts->mem_accesses) {
-      if (m.pc < prog.size() && m.proven) mem_proven[m.pc] = 1;
-    }
-    for (const auto& h : facts->helper_calls) {
-      if (h.pc < prog.size()) call_slot[h.pc] = h.map_slot;
-    }
+  for (const auto& m : facts.mem_accesses) {
+    if (m.pc < prog.size() && m.proven) mem_proven[m.pc] = 1;
   }
-  // Tier 3 compiles the tier-2 (elided) micro-op stream to native code;
-  // elision licensing is identical.
-  const bool elide =
-      (tier == ExecTier::Elide || tier == ExecTier::Jit) && facts != nullptr;
+  for (const auto& h : facts.helper_calls) {
+    if (h.pc < prog.size()) call_slot[h.pc] = h.map_slot;
+  }
 
   std::vector<uint32_t> uop_of_pc(prog.size(), kNoUop);
-  // Micro-op -> source pc, for the translation validator's elision-
-  // coverage check (an unchecked access must trace to a proven fact at
-  // its source pc). Local: the hot-path MicroOp layout stays untouched.
-  std::vector<uint32_t> src_pc;
   struct Fixup {
     size_t uop;
     size_t target_pc;
@@ -257,7 +215,7 @@ std::unique_ptr<ExecutionPlan> compile_plan(
         u.code = ULdMapPtr;
         u.imm = ptr_bits(maps[slot]);
       } else if (uint16_t nc = unchecked_code(in.op); nc != 0) {
-        if (elide && mem_proven[pc] != 0) {
+        if (mem_proven[pc] != 0) {
           u.code = nc;
           ++plan->stats_.elided_sites;
         } else {
@@ -275,7 +233,7 @@ std::unique_ptr<ExecutionPlan> compile_plan(
                 slot >= 0 && static_cast<size_t>(slot) < maps.size()
                     ? as_array_map(maps[slot])
                     : nullptr;
-            if (elide && am != nullptr) {
+            if (am != nullptr) {
               u.code = UCallLookupNC;
               u.imm = ptr_bits(am);
               ++plan->stats_.elided_sites;
@@ -290,7 +248,7 @@ std::unique_ptr<ExecutionPlan> compile_plan(
                 slot >= 0 && static_cast<size_t>(slot) < maps.size()
                     ? as_array_map(maps[slot])
                     : nullptr;
-            if (elide && am != nullptr) {
+            if (am != nullptr) {
               u.code = UCallUpdateNC;
               u.imm = ptr_bits(am);
               ++plan->stats_.elided_sites;
@@ -305,7 +263,7 @@ std::unique_ptr<ExecutionPlan> compile_plan(
                 slot >= 0 && static_cast<size_t>(slot) < maps.size()
                     ? as_sock_array(maps[slot])
                     : nullptr;
-            if (elide && sa != nullptr) {
+            if (sa != nullptr) {
               u.code = UCallSelectNC;
               u.imm = ptr_bits(sa);
               ++plan->stats_.elided_sites;
@@ -332,7 +290,6 @@ std::unique_ptr<ExecutionPlan> compile_plan(
 
     uop_of_pc[pc] = static_cast<uint32_t>(plan->ops_.size());
     plan->ops_.push_back(u);
-    src_pc.push_back(static_cast<uint32_t>(pc));
     if (needs_fixup) {
       fixups.push_back({plan->ops_.size() - 1, target_pc});
     }
@@ -347,38 +304,6 @@ std::unique_ptr<ExecutionPlan> compile_plan(
 
   plan->stats_.n_uops = static_cast<uint32_t>(plan->ops_.size());
 
-  if (tier == ExecTier::Jit) {
-    // Native codegen over the finished micro-op stream. Refusal (non-x86
-    // host, W^X mapping failure, untranslatable op) is not an error: the
-    // same micro-ops run under the tier-2 dispatch loop, and the reason
-    // is surfaced through Vm::jit_fallback_reason / bpf.jit_fallbacks.
-    std::string reason;
-    JitFallbackKind kind = JitFallbackKind::Other;
-    plan->jit_ = jit::compile(plan->ops_, &reason, &kind);
-    if (plan->jit_ != nullptr && jit::validate::enabled()) {
-      // Translation validation: prove the emitted buffer matches the
-      // micro-op semantics before accepting tier 3. A rejection is loud
-      // (decoded-window diagnostic in the reason) but non-fatal — the
-      // tier-2 dispatch loop runs the identical micro-ops.
-      jit::validate::Request req;
-      req.code = plan->jit_.get();
-      req.ops = plan->ops_;
-      req.src_pc = src_pc;
-      req.maps = maps;
-      req.facts = facts;
-      jit::validate::Result vres = jit::validate::validate(req);
-      if (!vres.ok) {
-        plan->jit_.reset();
-        reason = "validation rejected: " + vres.error;
-        kind = JitFallbackKind::ValidateReject;
-      }
-    }
-    if (plan->jit_ == nullptr) {
-      plan->tier_ = ExecTier::Elide;
-      plan->jit_fallback_reason_ = reason;
-      plan->jit_fallback_kind_ = kind;
-    }
-  }
   return plan;
 }
 

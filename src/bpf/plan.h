@@ -1,34 +1,33 @@
-// Tiered execution engine for the in-repo eBPF dialect: the ExecutionPlan
-// is a pre-decoded, direct-threaded form of a verified program, compiled
-// once at Vm::load time and reused for every dispatch.
+// The eBPF execution engine: an ExecutionPlan is a pre-decoded,
+// direct-threaded form of a verified program, compiled once at Vm::load
+// and reused for every dispatch.
 //
-// Tier 0 (bpf/vm.cc) stays the reference switch interpreter. Tier 1
-// compiles the program into a flat micro-op array: jump offsets resolved
-// to absolute indices, LdMapFd slots resolved to map pointers, helper
-// calls specialized per helper id with their map argument pre-downcast,
-// and the popcount / rank-select idioms that core/dispatch_prog.cc emits
-// fused into superinstructions (19-insn Hamming weight -> 1 micro-op,
-// 3-insn clear-lowest-bit -> 1, 4-insn isolate-lowest-bit -> 1). Dispatch
-// uses computed goto where the compiler supports it. Tier 2 additionally
-// elides runtime bounds checks at accesses the abstract interpreter
-// (bpf/analysis/) proved in-bounds for every execution — which, for a
-// verified program, is every access it visited; accesses the analysis
-// range-pruned as dead keep the checked micro-op.
+// compile_plan turns the program into a flat micro-op array: jump offsets
+// resolved to absolute indices, LdMapFd slots resolved to map pointers,
+// helper calls specialized per helper id with their map argument
+// pre-downcast, and the popcount / rank-select idioms that
+// core/dispatch_prog.cc emits fused into superinstructions (19-insn
+// Hamming weight -> 1 micro-op, 3-insn clear-lowest-bit -> 1, 4-insn
+// isolate-lowest-bit -> 1). Dispatch uses computed goto where the compiler
+// supports it. Runtime bounds checks are elided at accesses the abstract
+// interpreter (bpf/analysis/) proved in-bounds for every execution — which,
+// for a verified program, is every access it visited; accesses the
+// analysis range-pruned as dead keep the checked micro-op.
 //
-// Semantics are bit-identical to Tier 0 by construction and by test: a
-// fused micro-op writes the exact final register values of the sequence it
-// replaces (including clobbered scratch registers) and charges the
-// sequence's full instruction count, so RunResult::insns_executed — the
-// Table 5 overhead metric — is tier-invariant. tests/torture_bpf_diff_test
-// runs all tiers over >= 10k fuzzed programs and demands byte-identical
-// results.
+// Semantics match the trapping reference interpreter (bpf::ref_run,
+// bpf/ref_interpreter.h) by construction and by test: a fused micro-op
+// writes the exact final register values of the sequence it replaces
+// (including clobbered scratch registers) and charges the sequence's full
+// instruction count, so ExecResult::insns_executed — the Table 5 overhead
+// metric — is the source-instruction count. tests/torture_bpf_diff_test
+// compares the plan with ref_run over >= 10k fuzzed programs and demands
+// byte-identical results.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <span>
-#include <string>
 #include <vector>
 
 #include "bpf/insn.h"
@@ -40,43 +39,18 @@ namespace analysis {
 struct AnalysisResult;
 }  // namespace analysis
 
-namespace jit {
-class JitCode;
-}  // namespace jit
-
+// The one execution engine, named for reporting: the bpf.tierN_dispatches
+// counter slot it bumps and the config line the repository benchmark
+// prints. The value 2 is the slot index those readers expect.
 enum class ExecTier : uint8_t {
-  Interp = 0,    // reference switch interpreter (no plan)
-  Threaded = 1,  // pre-decoded micro-ops, fusion, checked memory accesses
-  Elide = 2,     // Threaded + verifier-guided bounds-check elision
-  Jit = 3,       // Elide micro-ops compiled to native x86-64 (bpf/jit/);
-                 // falls back to Elide when the host cannot JIT
+  Elide = 2,  // the verified plan with check elision
 };
 
 const char* to_string(ExecTier t);
 
-// Why a tier-3 (Jit) load request landed on Elide instead. Split out so
-// observability can count fallback causes separately (the
-// bpf.jit_fallbacks_* counters) rather than folding an alloc failure, an
-// operator switch, and a translation-validation rejection into one number.
-enum class JitFallbackKind : uint8_t {
-  None = 0,        // no fallback: a tier-3 request got tier 3
-  Disabled,        // HERMES_BPF_JIT=off|0, or the host is not x86-64
-  AllocFailure,    // the W^X buffer could not be mapped or protected
-  ValidateReject,  // translation validation rejected the emitted code
-  Other,           // codegen refusal (a micro-op it cannot translate)
-};
-inline constexpr size_t kJitFallbackKindCount = 5;
+constexpr ExecTier default_tier() { return ExecTier::Elide; }
 
-const char* to_string(JitFallbackKind k);
-
-// Process-wide default, read once from HERMES_BPF_TIER (0|1|2|3). Unset or
-// unparsable means Elide: verified programs carry their own safety proof,
-// so the fastest always-available tier is the production configuration.
-// Tier 3 is opt-in (it is x86-64-only and mmap-dependent; requesting it
-// where unavailable runs tier 2 and bumps the bpf.jit_fallbacks counter).
-ExecTier default_tier();
-
-// A contiguous byte region the interpreter may touch (runtime checking).
+// A contiguous byte region a checked access may touch.
 struct MemRegion {
   uint8_t* base = nullptr;
   size_t size = 0;
@@ -103,14 +77,14 @@ enum UExt : uint16_t {
   UPopcount,             // fused emit_popcount: dst, src, aux as documented
   UBlsr,                 // fused v &= v-1 triplet: dst &= dst-1, src = old-1
   UIsolateLow,           // fused (v & -v) - 1 prologue into dst from src
-  // Unchecked loads/stores (Tier 2, analysis-proven accesses only).
+  // Unchecked loads/stores (analysis-proven accesses only).
   ULdxBNC, ULdxHNC, ULdxWNC, ULdxDWNC,
   UStxBNC, UStxHNC, UStxWNC, UStxDWNC,
   UStBNC, UStHNC, UStWNC, UStDWNC,
   // Helper calls, specialized per id; imm carries the pre-downcast map
   // pointer when the analysis pinned the map slot (0 = resolve at runtime).
-  // The NC variants skip the key/value buffer bounds checks (Tier 2; the
-  // helper signature check proved those buffers in-bounds).
+  // The NC variants skip the key/value buffer bounds checks (the helper
+  // signature check proved those buffers in-bounds).
   UCallLookup, UCallLookupNC,
   UCallUpdate, UCallUpdateNC,
   UCallSelect, UCallSelectNC,
@@ -132,29 +106,16 @@ class ExecutionPlan {
 
   struct ExecResult {
     uint64_t ret = 0;
-    uint64_t insns_executed = 0;  // source-instruction count (tier-invariant)
+    uint64_t insns_executed = 0;  // source instructions, fused ones included
     uint32_t fused_hits = 0;      // fused micro-ops executed this run
     uint32_t elided_checks = 0;   // unchecked accesses executed this run
   };
 
-  ~ExecutionPlan();  // out-of-line: jit_ holds an incomplete type here
-
-  ExecTier tier() const { return tier_; }
   const Stats& stats() const { return stats_; }
-  std::span<const MicroOp> ops() const { return ops_; }
 
-  // Non-null iff tier() == Jit: execute() runs the native code instead of
-  // the threaded dispatch loop.
-  const jit::JitCode* jit_code() const { return jit_.get(); }
-  // Why a Jit request compiled down to Elide ("" when it didn't).
-  const std::string& jit_fallback_reason() const {
-    return jit_fallback_reason_;
-  }
-  JitFallbackKind jit_fallback_kind() const { return jit_fallback_kind_; }
-
-  // Run the plan. Register/stack/helper semantics mirror Vm::run exactly;
+  // Run the plan. Register/stack/helper semantics mirror bpf::ref_run;
   // violations abort (the program was verified — a trip here is a repo
-  // bug, same contract as Tier 0's runtime checks).
+  // bug, where ref_run would report a trap).
   ExecResult execute(ReuseportCtx& ctx,
                      const std::function<uint64_t()>& time_fn,
                      const std::function<uint32_t()>& rand_fn) const;
@@ -162,24 +123,17 @@ class ExecutionPlan {
  private:
   friend std::unique_ptr<ExecutionPlan> compile_plan(
       const Program& prog, std::span<Map* const> maps,
-      const analysis::AnalysisResult* facts, ExecTier tier);
+      const analysis::AnalysisResult& facts);
 
-  ExecTier tier_ = ExecTier::Threaded;
   std::vector<MicroOp> ops_;
   std::vector<MemRegion> map_regions_;  // array-map stores, hoisted at load
   Stats stats_;
-  std::unique_ptr<jit::JitCode> jit_;  // tier 3 only
-  std::string jit_fallback_reason_;
-  JitFallbackKind jit_fallback_kind_ = JitFallbackKind::None;
 };
 
 // Compile a verified program into a plan. `facts` (the verifier's
-// AnalysisResult) licenses Tier-2 check elision and helper-map
-// pre-resolution; pass nullptr to compile without facts (all accesses stay
-// checked, helper maps resolve at runtime). Tier Interp returns nullptr —
-// the reference interpreter needs no plan.
+// AnalysisResult) licenses check elision and helper-map pre-resolution.
 std::unique_ptr<ExecutionPlan> compile_plan(
     const Program& prog, std::span<Map* const> maps,
-    const analysis::AnalysisResult* facts, ExecTier tier);
+    const analysis::AnalysisResult& facts);
 
 }  // namespace hermes::bpf

@@ -4,12 +4,11 @@
 // micro-op, no bounds re-check, no per-op decode) with a portable switch
 // fallback. Handler bodies are shared between both modes via the
 // OPC/OPX/NEXT/JUMP macros. Semantics per handler mirror the reference
-// interpreter in vm.cc instruction for instruction; fused handlers
-// reproduce the exact final register state and instruction count of the
-// sequences they replace.
+// interpreter (bpf/ref_interpreter.cc) instruction for instruction; fused
+// handlers reproduce the exact final register state and instruction count
+// of the sequences they replace.
 #include <cstring>
 
-#include "bpf/jit/jit.h"
 #include "bpf/plan.h"
 #include "util/check.h"
 
@@ -42,9 +41,6 @@ static_assert(kUopCodeCount == kOpCount + 24);
 ExecutionPlan::ExecResult ExecutionPlan::execute(
     ReuseportCtx& ctx, const std::function<uint64_t()>& time_fn,
     const std::function<uint32_t()>& rand_fn) const {
-  if (jit_ != nullptr) {
-    return jit_->run(ctx, map_regions_, time_fn, rand_fn);
-  }
   alignas(8) uint8_t stack[kStackSize] = {};
   uint64_t regs[kNumRegs] = {};
   regs[1] = reinterpret_cast<uint64_t>(&ctx);
@@ -70,8 +66,8 @@ ExecutionPlan::ExecResult ExecutionPlan::execute(
   const MicroOp* ip = base;
 
 // Handler-body plumbing, shared by both dispatch modes. D/S are the dst/src
-// registers of the current micro-op; UIMM/SIMM its immediate as the
-// unsigned/signed flavor vm.cc uses.
+// registers of the current micro-op; UIMM/SIMM its immediate in its
+// unsigned and signed flavors.
 #define D regs[ip->dst]
 #define S regs[ip->src]
 #define UIMM static_cast<uint64_t>(ip->imm)

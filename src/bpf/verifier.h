@@ -62,8 +62,8 @@ struct VerifyResult {
 
   // The full abstract-interpretation result. On success this carries the
   // per-callsite helper facts and per-pc memory-access proofs that the
-  // tiered execution engine (bpf/plan.h) compiles against — Tier 2's check
-  // elision is licensed exclusively by these facts.
+  // execution plan (bpf/plan.h) compiles against — its check elision is
+  // licensed exclusively by these facts.
   analysis::AnalysisResult analysis;
 
   explicit operator bool() const { return ok; }

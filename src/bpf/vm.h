@@ -3,13 +3,14 @@
 //
 // Execution model matches the kernel interpreter: 64-bit registers, 512-byte
 // zeroed stack per run, helpers dispatched by id, hard instruction budget.
-// Loads/stores are additionally bounds-checked at runtime (defense in depth
-// on top of the verifier; a violation is a bug in this repo, so it aborts).
+// Loads/stores the verifier could not prove in-bounds are additionally
+// bounds-checked at runtime (defense in depth; a violation is a bug in this
+// repo, so it aborts).
 //
-// Execution is tiered (see bpf/plan.h): load() verifies once, precomputes
-// the valid memory regions, and — for tiers above Interp — compiles the
-// program into a cached ExecutionPlan. run() then dispatches through the
-// plan when one exists; results are bit-identical across tiers.
+// load() verifies once and compiles the program into a cached
+// ExecutionPlan (bpf/plan.h); run() dispatches through that plan. The
+// trapping reference interpreter, bpf::ref_run (bpf/ref_interpreter.h), is
+// the oracle the plan is tested against.
 #pragma once
 
 #include <cstdint>
@@ -31,21 +32,12 @@ class LoadedProgram {
  public:
   const Program& insns() const { return prog_; }
   std::span<Map* const> maps() const { return maps_; }
-
-  // Tier this program actually executes at — may be Elide when a Jit
-  // request fell back (see Vm::jit_fallback_reason). plan() is null iff
-  // tier is Interp.
-  ExecTier tier() const { return tier_; }
-  const ExecutionPlan* plan() const { return plan_.get(); }
+  const ExecutionPlan& plan() const { return *plan_; }
 
  private:
   friend class Vm;
   Program prog_;
   std::vector<Map*> maps_;
-  // Array-map backing stores, resolved at load time so Tier 0 runs never
-  // allocate or dynamic_cast (stack + ctx regions are per-run locals).
-  std::vector<MemRegion> map_regions_;
-  ExecTier tier_ = ExecTier::Interp;
   std::unique_ptr<ExecutionPlan> plan_;
 };
 
@@ -56,29 +48,17 @@ class Vm {
   using TimeFn = std::function<uint64_t()>;
   using RandFn = std::function<uint32_t()>;
 
-  // A fresh Vm starts at default_tier() (HERMES_BPF_TIER env override,
-  // else Tier 2).
-  Vm() : tier_(default_tier()) {}
   void set_time_fn(TimeFn fn) { time_fn_ = std::move(fn); }
   void set_rand_fn(RandFn fn) { rand_fn_ = std::move(fn); }
 
-  // Tier for subsequently loaded programs (already-loaded programs keep
-  // the plan they were compiled with).
-  ExecTier tier() const { return tier_; }
-  void set_tier(ExecTier t) { tier_ = t; }
-
-  // Verify + bind maps + compile the execution plan for the current tier.
-  // Returns nullptr and fills `error` on rejection.
+  // Verify + bind maps + compile the execution plan. Returns nullptr and
+  // fills `error` on rejection.
   std::unique_ptr<LoadedProgram> load(Program prog, std::vector<Map*> maps,
                                       std::string* error = nullptr) const;
 
-  struct RunResult {
-    uint64_t ret = 0;          // r0 at exit
-    uint64_t insns_executed = 0;  // source instructions; tier-invariant
-    ExecTier tier = ExecTier::Interp;  // tier that executed this run
-    uint32_t fused_hits = 0;      // fused micro-ops executed (tier >= 1)
-    uint32_t elided_checks = 0;   // unchecked accesses executed (tier 2)
-  };
+  // r0 at exit, source instructions executed, and the plan's fused and
+  // unchecked micro-ops executed.
+  using RunResult = ExecutionPlan::ExecResult;
 
   // Run against a reuseport context. The program may call
   // bpf_sk_select_reuseport, which records its decision into `ctx`.
@@ -88,31 +68,10 @@ class Vm {
   // accounting for Table 5).
   uint64_t total_insns() const { return total_insns_; }
 
-  // Tier-3 fallback state: how many load() calls requested Jit but got an
-  // Elide plan, and why the most recent one fell back. Never a silent
-  // downgrade — core/hermes.cc forwards this to the bpf.jit_fallbacks
-  // observability counters (split by kind: disabled / alloc failure /
-  // validation rejection).
-  uint64_t jit_fallbacks() const { return jit_fallbacks_; }
-  const std::string& jit_fallback_reason() const {
-    return jit_fallback_reason_;
-  }
-  JitFallbackKind jit_fallback_kind() const { return jit_fallback_kind_; }
-  uint64_t jit_fallbacks_by_kind(JitFallbackKind k) const {
-    return jit_fallbacks_by_kind_[static_cast<size_t>(k)];
-  }
-
  private:
-  RunResult run_interp(const LoadedProgram& prog, ReuseportCtx& ctx) const;
-
   TimeFn time_fn_;
   RandFn rand_fn_;
-  ExecTier tier_;
   mutable uint64_t total_insns_ = 0;
-  mutable uint64_t jit_fallbacks_ = 0;
-  mutable std::string jit_fallback_reason_;
-  mutable JitFallbackKind jit_fallback_kind_ = JitFallbackKind::None;
-  mutable uint64_t jit_fallbacks_by_kind_[kJitFallbackKindCount] = {};
 };
 
 }  // namespace hermes::bpf

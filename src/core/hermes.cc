@@ -5,7 +5,6 @@
 #include <cstdlib>
 
 #include "bpf/analysis/prove.h"
-#include "bpf/jit/validate/validate.h"
 #include "util/check.h"
 
 namespace hermes::core {
@@ -257,41 +256,8 @@ PortAttachment HermesRuntime::attach_port(
   }
 
   std::string err;
-  const uint64_t fallbacks_before = vm_.jit_fallbacks();
-  const uint64_t by_kind_before[] = {
-      vm_.jit_fallbacks_by_kind(bpf::JitFallbackKind::Disabled),
-      vm_.jit_fallbacks_by_kind(bpf::JitFallbackKind::AllocFailure),
-      vm_.jit_fallbacks_by_kind(bpf::JitFallbackKind::ValidateReject)};
-  const uint64_t validate_before[] = {bpf::jit::validate::accepts(),
-                                      bpf::jit::validate::rejects()};
   att.program = vm_.load(std::move(prog), std::move(maps), &err);
   HERMES_CHECK_MSG(att.program != nullptr, err.c_str());
-  // A tier-3 request that compiled down to tier 2 must be visible, not a
-  // silent downgrade: count it where dashboards can alert on it — split
-  // by cause, so "JIT off on this host" and "translation validation
-  // refused the buffer" alert at very different severities.
-  if (obs_ != nullptr) {
-    obs::PipelineMetrics& m = obs_->metrics;
-    if (vm_.jit_fallbacks() > fallbacks_before) {
-      m.bpf_jit_fallbacks->add(0, vm_.jit_fallbacks() - fallbacks_before);
-    }
-    const auto fwd = [](obs::Counter* c, uint64_t now, uint64_t before) {
-      if (now > before) c->add(0, now - before);
-    };
-    fwd(m.bpf_jit_fallbacks_disabled,
-        vm_.jit_fallbacks_by_kind(bpf::JitFallbackKind::Disabled),
-        by_kind_before[0]);
-    fwd(m.bpf_jit_fallbacks_alloc,
-        vm_.jit_fallbacks_by_kind(bpf::JitFallbackKind::AllocFailure),
-        by_kind_before[1]);
-    fwd(m.bpf_jit_fallbacks_validate,
-        vm_.jit_fallbacks_by_kind(bpf::JitFallbackKind::ValidateReject),
-        by_kind_before[2]);
-    fwd(m.bpf_validate_accepts, bpf::jit::validate::accepts(),
-        validate_before[0]);
-    fwd(m.bpf_validate_rejects, bpf::jit::validate::rejects(),
-        validate_before[1]);
-  }
   return att;
 }
 

@@ -17,7 +17,7 @@ using namespace hermes::bpf;  // r0..r10 register names
 
 // Second p2c sample: a deterministic 32-bit multiplicative mix of the
 // 4-tuple hash (Fibonacci hashing constant). NOT bpf_get_prandom_u32 —
-// the reference mirror and the tier-equivalence fuzz sweep both need the
+// the reference mirror and the differential fuzz sweep both need the
 // decision to be a pure function of the context.
 constexpr uint32_t kP2cHashMix = 0x9E3779B1u;
 
@@ -316,8 +316,8 @@ class QueueEstPolicy final : public SchedulingPolicy {
     if (!p.plant_out_of_range) a.jge(r5, wpg, "fallback");
 
     // estimates[best] += 1 before the pick becomes visible — the local
-    // part of the estimate (legal map-value store; bit-identical across
-    // all execution tiers, and the torture sweep compares the map bytes).
+    // part of the estimate (legal map-value store; the torture sweep
+    // compares the map bytes with the reference interpreter's).
     a.mov(r4, r5);
     a.lsh(r4, 3);
     a.mov(r1, r9);

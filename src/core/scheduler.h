@@ -56,8 +56,7 @@ enum class SchedPath : uint8_t {
 const char* to_string(SchedPath p);
 
 // Process-wide default, read once from HERMES_SCHED_FAST: "0" selects the
-// reference path, anything else (including unset) the fast path — the same
-// pinning scheme as bpf::default_tier()/HERMES_BPF_TIER.
+// reference path, anything else (including unset) the fast path.
 SchedPath default_sched_path();
 
 // theta_ratio quantized to permille for the exact integer threshold

@@ -83,7 +83,7 @@ class ReuseportGroup {
       const auto run = vm_->run(*prog_, ctx);
       stats_.bpf_insns += run.insns_executed;
       if (metrics_ != nullptr) {
-        metrics_->bpf_tier_dispatches[static_cast<size_t>(run.tier)]->inc(0);
+        metrics_->bpf_tier_dispatches[kTierSlot]->inc(0);
         if (run.fused_hits != 0) {
           metrics_->bpf_fused_ops->add(0, run.fused_hits);
         }
@@ -119,8 +119,8 @@ class ReuseportGroup {
   }
 
   // Batched socket selection for a SYN burst (same per-SYN semantics and
-  // accounting as select(), in order). Program attachment, tier, and
-  // metric sinks are resolved once per burst and the stat/counter updates
+  // accounting as select(), in order). Program attachment and metric
+  // sinks are resolved once per burst and the stat/counter updates
   // are accumulated locally and flushed once, so per-SYN work on the hot
   // path reduces to the program run plus the pick.
   void select_batch(std::span<const FourTuple> tuples,
@@ -143,7 +143,6 @@ class ReuseportGroup {
       return;
     }
 
-    const auto tier = static_cast<size_t>(prog_->tier());
     uint64_t insns = 0;
     uint64_t fused = 0;
     uint64_t elided = 0;
@@ -176,7 +175,7 @@ class ReuseportGroup {
     stats_.bpf_selections += selections;
     stats_.bpf_fallbacks += fallbacks;
     if (metrics_ != nullptr) {
-      metrics_->bpf_tier_dispatches[tier]->add(0, tuples.size());
+      metrics_->bpf_tier_dispatches[kTierSlot]->add(0, tuples.size());
       if (fused != 0) metrics_->bpf_fused_ops->add(0, fused);
       if (elided != 0) metrics_->bpf_elided_checks->add(0, elided);
       if (selections != 0) metrics_->dispatch_bpf->add(0, selections);
@@ -188,6 +187,9 @@ class ReuseportGroup {
   }
 
  private:
+  // The bpf.tierN_dispatches slot every program run is counted in.
+  static constexpr size_t kTierSlot = static_cast<size_t>(bpf::default_tier());
+
   PortId port_;
   std::vector<ListeningSocket*> sockets_;
   std::unordered_map<uint64_t, ListeningSocket*> by_cookie_;

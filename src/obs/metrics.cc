@@ -228,14 +228,6 @@ PipelineMetrics::PipelineMetrics(Registry& reg, uint32_t workers)
                           &reg.counter("bpf.tier3_dispatches", 1)},
       bpf_fused_ops(&reg.counter("bpf.fused_ops", 1)),
       bpf_elided_checks(&reg.counter("bpf.elided_checks", 1)),
-      bpf_jit_fallbacks(&reg.counter("bpf.jit_fallbacks", 1)),
-      bpf_jit_fallbacks_disabled(
-          &reg.counter("bpf.jit_fallbacks_disabled", 1)),
-      bpf_jit_fallbacks_alloc(&reg.counter("bpf.jit_fallbacks_alloc", 1)),
-      bpf_jit_fallbacks_validate(
-          &reg.counter("bpf.jit_fallbacks_validate", 1)),
-      bpf_validate_accepts(&reg.counter("bpf.validate_accepts", 1)),
-      bpf_validate_rejects(&reg.counter("bpf.validate_rejects", 1)),
       accept_enqueued(&reg.counter("accept.enqueued", workers)),
       accept_dropped(&reg.counter("accept.dropped", workers)),
       accept_depth(&reg.histogram("accept.depth", workers, 2)),

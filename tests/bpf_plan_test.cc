@@ -1,9 +1,9 @@
 // Execution-plan unit tests (src/bpf/plan.h): superinstruction fusion and
-// its boundary conditions, tier selection and the HERMES_BPF_TIER default,
-// instruction-count parity across tiers, Tier-2 check-elision counters,
-// plan reuse across reuseport attach/detach, and batch-vs-scalar socket
-// selection equality. The broad semantic equivalence claim (all tiers
-// byte-identical over >= 10k fuzzed programs) lives in
+// its boundary conditions, instruction-count parity with the reference
+// interpreter across fusion, check elision at proven sites, plan reuse
+// across reuseport attach/detach, and batch-vs-scalar socket selection
+// equality. The broad semantic equivalence claim (the plan byte-identical
+// to bpf::ref_run over >= 10k fuzzed programs) lives in
 // torture_bpf_diff_test; this file pins the plan compiler's structure.
 #include <gtest/gtest.h>
 
@@ -14,6 +14,7 @@
 #include "bpf/assembler.h"
 #include "bpf/maps.h"
 #include "bpf/plan.h"
+#include "bpf/ref_interpreter.h"
 #include "bpf/vm.h"
 #include "core/dispatch_prog.h"
 #include "netsim/listening_socket.h"
@@ -55,13 +56,24 @@ struct Loaded {
   std::unique_ptr<LoadedProgram> prog;
 };
 
-Loaded load_at(const Program& p, ExecTier tier, std::vector<Map*> maps = {}) {
+Loaded load(const Program& p, std::vector<Map*> maps = {}) {
   Loaded l;
-  l.vm.set_tier(tier);
   std::string err;
   l.prog = l.vm.load(p, std::move(maps), &err);
   EXPECT_NE(l.prog, nullptr) << err;
   return l;
+}
+
+// The plan's run and the reference interpreter's agree on r0 and on the
+// source-instruction count.
+void expect_matches_reference(const Loaded& l, const ReuseportCtx& ctx0) {
+  ReuseportCtx ctx = ctx0;
+  const Vm::RunResult got = l.vm.run(*l.prog, ctx);
+  ReuseportCtx ref_ctx = ctx0;
+  const RefResult ref = ref_run(l.prog->insns(), l.prog->maps(), ref_ctx);
+  ASSERT_FALSE(ref.trapped) << ref.trap << " at pc " << ref.trap_pc;
+  EXPECT_EQ(got.ret, ref.ret);
+  EXPECT_EQ(got.insns_executed, ref.insns_executed);
 }
 
 TEST(BpfPlan, PopcountSequenceFusesToOneMicroOp) {
@@ -71,9 +83,8 @@ TEST(BpfPlan, PopcountSequenceFusesToOneMicroOp) {
   a.exit();
   const Program p = a.finish();
 
-  auto l = load_at(p, ExecTier::Threaded);
-  ASSERT_NE(l.prog->plan(), nullptr);
-  const auto& st = l.prog->plan()->stats();
+  auto l = load(p);
+  const auto& st = l.prog->plan().stats();
   EXPECT_EQ(st.fused_popcount, 1u);
   EXPECT_EQ(st.n_insns, p.size());
   EXPECT_EQ(st.n_uops, st.n_insns - 18);  // 19 insns -> 1 micro-op
@@ -96,21 +107,16 @@ TEST(BpfPlan, JumpIntoSegmentBlocksFusionButKeepsSemantics) {
   a.exit();
   const Program p = a.finish();
 
-  auto l = load_at(p, ExecTier::Threaded);
-  ASSERT_NE(l.prog->plan(), nullptr);
-  EXPECT_EQ(l.prog->plan()->stats().fused_popcount, 0u);
+  auto l = load(p);
+  EXPECT_EQ(l.prog->plan().stats().fused_popcount, 0u);
 
   ReuseportCtx ctx;
   const auto run = l.vm.run(*l.prog, ctx);
   EXPECT_EQ(run.ret, 8u);
   EXPECT_EQ(run.fused_hits, 0u);
 
-  // Tier 0 agrees, including on the instruction count.
-  auto l0 = load_at(p, ExecTier::Interp);
-  ReuseportCtx ctx0;
-  const auto run0 = l0.vm.run(*l0.prog, ctx0);
-  EXPECT_EQ(run0.ret, run.ret);
-  EXPECT_EQ(run0.insns_executed, run.insns_executed);
+  // The reference interpreter agrees, including on the instruction count.
+  expect_matches_reference(l, ReuseportCtx{});
 }
 
 TEST(BpfPlan, BlsrNearMissDoesNotFuse) {
@@ -124,86 +130,52 @@ TEST(BpfPlan, BlsrNearMissDoesNotFuse) {
   a.mov(r0, r1);
   a.exit();
 
-  auto l = load_at(a.finish(), ExecTier::Threaded);
-  ASSERT_NE(l.prog->plan(), nullptr);
-  EXPECT_EQ(l.prog->plan()->stats().fused_blsr, 0u);
+  auto l = load(a.finish());
+  EXPECT_EQ(l.prog->plan().stats().fused_blsr, 0u);
   ReuseportCtx ctx;
   EXPECT_EQ(l.vm.run(*l.prog, ctx).ret, 0b1100u & 0b1010u);
 }
 
 TEST(BpfPlan, InsnCountIsTierInvariantAcrossFusion) {
+  // The fused popcount is one micro-op but charges its 19 source
+  // instructions, so the plan reports the reference interpreter's count.
   Assembler a;
   a.mov(r1, 0x1234567812345678ll);
   emit_popcount(a, r0, r1, r2);
   a.exit();
-  const Program p = a.finish();
 
-  uint64_t ret[3], insns[3];
-  for (int t = 0; t < 3; ++t) {
-    auto l = load_at(p, static_cast<ExecTier>(t));
-    ReuseportCtx ctx;
-    const auto run = l.vm.run(*l.prog, ctx);
-    ret[t] = run.ret;
-    insns[t] = run.insns_executed;
-    EXPECT_EQ(run.tier, static_cast<ExecTier>(t));
-    EXPECT_EQ(run.fused_hits, t == 0 ? 0u : 1u);
-  }
-  EXPECT_EQ(ret[0], ret[1]);
-  EXPECT_EQ(ret[0], ret[2]);
-  EXPECT_EQ(insns[0], insns[1]);  // fused op charges the 19 source insns
-  EXPECT_EQ(insns[0], insns[2]);
+  auto l = load(a.finish());
+  ReuseportCtx ctx;
+  const auto run = l.vm.run(*l.prog, ctx);
+  EXPECT_EQ(run.fused_hits, 1u);
+  EXPECT_EQ(run.insns_executed, 21u);
+  expect_matches_reference(l, ReuseportCtx{});
 }
 
-TEST(BpfPlan, ElisionOnlyAtTier2) {
-  // ctx load + stack store/load: all proven by the verifier, so Tier 2
-  // elides every check while Tier 1 keeps them all.
+TEST(BpfPlan, ElidesChecksAtProvenSites) {
+  // ctx load + stack store/load: all proven by the verifier, so the plan
+  // drops all three runtime checks. The ctx load behind the never-taken
+  // fall-through is range-dead — the analysis never visits it — so it
+  // keeps its check.
   Assembler a;
   a.ldx_w(r0, r1, 16);      // ctx.hash
   a.stx_w(r10, -4, r0);
   a.ldx_w(r0, r10, -4);
+  a.mov(r2, 0);
+  a.jeq(r2, 0, "out");      // always taken
+  a.ldx_w(r0, r1, 20);      // range-dead
+  a.label("out");
   a.exit();
-  const Program p = a.finish();
 
-  auto l1 = load_at(p, ExecTier::Threaded);
-  ASSERT_NE(l1.prog->plan(), nullptr);
-  EXPECT_EQ(l1.prog->plan()->stats().elided_sites, 0u);
-  ReuseportCtx ctx1;
-  ctx1.hash = 0xabcd;
-  const auto run1 = l1.vm.run(*l1.prog, ctx1);
-  EXPECT_EQ(run1.ret, 0xabcdu);
-  EXPECT_EQ(run1.elided_checks, 0u);
-
-  auto l2 = load_at(p, ExecTier::Elide);
-  ASSERT_NE(l2.prog->plan(), nullptr);
-  EXPECT_EQ(l2.prog->plan()->stats().elided_sites, 3u);
-  EXPECT_EQ(l2.prog->plan()->stats().checked_sites, 0u);
-  ReuseportCtx ctx2;
-  ctx2.hash = 0xabcd;
-  const auto run2 = l2.vm.run(*l2.prog, ctx2);
-  EXPECT_EQ(run2.ret, 0xabcdu);
-  EXPECT_EQ(run2.elided_checks, 3u);
-}
-
-TEST(BpfPlan, TierSelectionAndPlanPresence) {
-  // A fresh Vm starts at the process default (HERMES_BPF_TIER, read once);
-  // set_tier overrides per-Vm, and the loaded program records the tier it
-  // was compiled for. Interp carries no plan at all.
-  Vm fresh;
-  EXPECT_EQ(fresh.tier(), default_tier());
-
-  Assembler a;
-  a.mov(r0, 1);
-  a.exit();
-  const Program p = a.finish();
-
-  auto li = load_at(p, ExecTier::Interp);
-  EXPECT_EQ(li.prog->tier(), ExecTier::Interp);
-  EXPECT_EQ(li.prog->plan(), nullptr);
-
-  auto lt = load_at(p, ExecTier::Threaded);
-  EXPECT_EQ(lt.prog->tier(), ExecTier::Threaded);
-  ASSERT_NE(lt.prog->plan(), nullptr);
-  EXPECT_EQ(lt.prog->plan()->tier(), ExecTier::Threaded);
+  auto l = load(a.finish());
+  EXPECT_EQ(l.prog->plan().stats().elided_sites, 3u);
+  EXPECT_EQ(l.prog->plan().stats().checked_sites, 1u);
+  ReuseportCtx ctx;
+  ctx.hash = 0xabcd;
+  const auto run = l.vm.run(*l.prog, ctx);
+  EXPECT_EQ(run.ret, 0xabcdu);
+  EXPECT_EQ(run.elided_checks, 3u);
+  expect_matches_reference(l, ctx);
 }
 
 TEST(BpfPlan, PlanReusedAcrossAttachDetach) {
@@ -218,13 +190,11 @@ TEST(BpfPlan, PlanReusedAcrossAttachDetach) {
   for (uint32_t w = 0; w < 8; ++w) socks.update(w, 100 + w);
 
   Vm vm;
-  vm.set_tier(ExecTier::Elide);
   std::string err;
   auto loaded =
       vm.load(core::build_dispatch_program(params), {&sel, &socks}, &err);
   ASSERT_NE(loaded, nullptr) << err;
-  const ExecutionPlan* plan_before = loaded->plan();
-  ASSERT_NE(plan_before, nullptr);
+  const ExecutionPlan* plan_before = &loaded->plan();
 
   netsim::ReuseportGroup group(80);
   std::vector<std::unique_ptr<netsim::ListeningSocket>> ls;
@@ -248,7 +218,7 @@ TEST(BpfPlan, PlanReusedAcrossAttachDetach) {
         EXPECT_EQ(s, first[static_cast<size_t>(i)]) << "round " << round;
       }
     }
-    EXPECT_EQ(loaded->plan(), plan_before) << "plan recompiled";
+    EXPECT_EQ(&loaded->plan(), plan_before) << "plan recompiled";
     group.detach_program();
     rng = sim::Rng(3);  // same tuples every round
   }
@@ -316,9 +286,9 @@ TEST(BpfPlan, BatchSelectMatchesScalarSelect) {
 
 TEST(BpfPlan, DispatchProgramPlanShape) {
   // The production program's plan: 2 fused popcounts, the full
-  // (workers_per_group-1)-unit blsr ladder, 1 isolate-lowest-bit, and at
-  // Tier 2 every memory/helper site elided (straight-line program — the
-  // analysis visits everything).
+  // (workers_per_group-1)-unit blsr ladder, 1 isolate-lowest-bit, and
+  // every memory/helper site elided (straight-line program — the analysis
+  // visits everything).
   core::DispatchProgramParams params;
   params.num_groups = 2;
   params.workers_per_group = 8;
@@ -326,12 +296,11 @@ TEST(BpfPlan, DispatchProgramPlanShape) {
   ReuseportSockArray socks(16);
 
   Vm vm;
-  vm.set_tier(ExecTier::Elide);
   std::string err;
   auto loaded =
       vm.load(core::build_dispatch_program(params), {&sel, &socks}, &err);
   ASSERT_NE(loaded, nullptr) << err;
-  const auto& st = loaded->plan()->stats();
+  const auto& st = loaded->plan().stats();
   EXPECT_EQ(st.fused_popcount, 2u);
   EXPECT_EQ(st.fused_blsr, 63u);
   EXPECT_EQ(st.fused_isolate, 1u);

@@ -2,7 +2,7 @@
 // name round-trips, the cascade's byte-identity guarantee, and each
 // load-aware policy's userspace half (fill_aux) + C++ decision mirror
 // (reference_dispatch) — the torture sweep separately proves the mirrors
-// agree with the generated programs on every tier.
+// agree with the generated programs.
 #include <gtest/gtest.h>
 
 #include <cstring>

@@ -13,37 +13,21 @@
 //     selection side effects, and final map contents — any divergence is a
 //     bug in one of the three components, pinned by the failing seed.
 //
-// Every accepted program runs under ALL execution tiers (bpf/plan.h):
-// tier 0 (reference switch interpreter), tier 1 (pre-decoded threaded
-// plan with superinstruction fusion), tier 2 (threaded + verifier-guided
-// check elision), tier 3 (native x86-64 JIT over the tier-2 micro-ops).
-// Each tier gets an identically initialized world and must match the
-// reference interpreter byte-for-byte — including insns_executed, which
-// fused micro-ops must keep tier-invariant.
-//
-// On hosts that cannot JIT (non-x86-64, or HERMES_BPF_JIT=off), a tier-3
-// request legitimately executes at tier 2 — the sweep still runs all four
-// requested tiers and asserts the documented fallback, so this test is
-// meaningful on every architecture.
+// bpf::Vm runs the verified ExecutionPlan (bpf/plan.h): pre-decoded
+// micro-ops with superinstruction fusion and verifier-guided check
+// elision. It must match the reference interpreter byte-for-byte —
+// including insns_executed, which fused micro-ops must keep equal to the
+// source-instruction count.
 //
 // One run covers >= 10,000 generated programs.
-// Tier-3 loads additionally run under the translation validator
-// (HERMES_BPF_VALIDATE=1, forced for the duration of each sweep): every
-// generated program and every dispatch geometry must validate with ZERO
-// rejections — a reject here is a validator false positive (or a real
-// codegen bug), either of which fails the run loudly with the decoded
-// window in the fallback reason.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "bpf/insn.h"
-#include "bpf/jit/jit.h"
-#include "bpf/jit/validate/validate.h"
 #include "bpf/maps.h"
 #include "bpf/ref_interpreter.h"
 #include "bpf/vm.h"
@@ -57,53 +41,8 @@ namespace {
 
 constexpr uint64_t kSeedBase = 0x5eedULL << 32;
 constexpr int kNumPrograms = 10'000;
-constexpr int kNumTiers = 4;
-
-// The tier a load requested at `requested` actually executes at on this
-// host (bpf/plan.h: Jit falls back to Elide when unavailable).
-ExecTier expected_tier(ExecTier requested) {
-  if (requested == ExecTier::Jit && !jit::available()) {
-    return ExecTier::Elide;
-  }
-  return requested;
-}
 
 constexpr testing::GenOptions kGen{};  // defaults: 2-entry array, 8 socks
-
-// Force the translation validator on for one test's scope and assert no
-// rejections happened inside it: on a JIT-capable host the sweep must be
-// 100% false-positive free.
-class ValidateScope {
- public:
-  ValidateScope() {
-    const char* v = std::getenv("HERMES_BPF_VALIDATE");
-    had_env_ = v != nullptr;
-    if (had_env_) saved_ = v;
-    ::setenv("HERMES_BPF_VALIDATE", "1", 1);
-    accepts0_ = jit::validate::accepts();
-    rejects0_ = jit::validate::rejects();
-  }
-  ~ValidateScope() {
-    EXPECT_EQ(jit::validate::rejects(), rejects0_)
-        << "translation validator rejected a clean compile (false "
-           "positive, or a real codegen bug)";
-    if (jit::available()) {
-      EXPECT_GT(jit::validate::accepts(), accepts0_)
-          << "tier-3 sweep ran but the validator was never invoked";
-    }
-    if (had_env_) {
-      ::setenv("HERMES_BPF_VALIDATE", saved_.c_str(), 1);
-    } else {
-      ::unsetenv("HERMES_BPF_VALIDATE");
-    }
-  }
-
- private:
-  bool had_env_ = false;
-  std::string saved_;
-  uint64_t accepts0_ = 0;
-  uint64_t rejects0_ = 0;
-};
 
 // Deterministic helper functions: both runs see the same sequence.
 Vm::TimeFn counter_time(uint64_t& n) {
@@ -147,7 +86,6 @@ struct World {
 };
 
 TEST(TortureBpfDiff, TenThousandProgramsNoTrapNoDivergence) {
-  ValidateScope validate_scope;
   int accepted = 0;
   int rejected = 0;
   int accepted_with_loop = 0;
@@ -160,21 +98,18 @@ TEST(TortureBpfDiff, TenThousandProgramsNoTrapNoDivergence) {
     const Program prog = testing::gen_program(rng, kGen, &stats);
     const ReuseportCtx ctx0 = testing::gen_ctx(rng);
 
-    sim::Rng gate_rng(seed ^ 0xabcdef);
-    World gate_world(gate_rng);
+    sim::Rng world_rng(seed ^ 0xabcdef);
+    World vm_world(world_rng);
     sim::Rng world_rng2(seed ^ 0xabcdef);
     World ref_world(world_rng2);
 
-    // Verifier gate (Vm::load = verify + bind maps). Acceptance is
-    // tier-independent: the gate Vm just answers accept/reject.
-    {
-      Vm gate;
-      std::string err;
-      if (gate.load(prog, {&gate_world.array, &gate_world.socks}, &err) ==
-          nullptr) {
-        ++rejected;
-        continue;
-      }
+    // Verifier gate (Vm::load = verify + bind maps + compile the plan).
+    Vm vm;
+    std::string err;
+    auto loaded = vm.load(prog, {&vm_world.array, &vm_world.socks}, &err);
+    if (loaded == nullptr) {
+      ++rejected;
+      continue;
     }
     ++accepted;
     if (stats.has_loop) ++accepted_with_loop;
@@ -192,56 +127,30 @@ TEST(TortureBpfDiff, TenThousandProgramsNoTrapNoDivergence) {
         << ref.trap_pc << " (seed=" << seed << ")\n"
         << disassemble(prog);
 
-    // Every execution tier runs against its own identically initialized
-    // world and must match the reference byte-for-byte.
-    for (int t = 0; t < kNumTiers; ++t) {
-      const auto tier = static_cast<ExecTier>(t);
-      sim::Rng world_rng(seed ^ 0xabcdef);
-      World vm_world(world_rng);
-      Vm vm;
-      vm.set_tier(tier);
-      std::string err;
-      auto loaded =
-          vm.load(prog, {&vm_world.array, &vm_world.socks}, &err);
-      ASSERT_NE(loaded, nullptr)
-          << "tier " << t << " rejected a program tier-independent "
-          << "verification accepted (seed=" << seed << "): " << err;
+    // The plan runs against its own identically initialized world and
+    // must match the reference byte-for-byte.
+    uint64_t vm_t = 0, vm_r = 0;
+    vm.set_time_fn(counter_time(vm_t));
+    vm.set_rand_fn(counter_rand(vm_r));
+    ReuseportCtx vm_ctx = ctx0;
+    const Vm::RunResult got = vm.run(*loaded, vm_ctx);
 
-      uint64_t vm_t = 0, vm_r = 0;
-      vm.set_time_fn(counter_time(vm_t));
-      vm.set_rand_fn(counter_rand(vm_r));
-      ReuseportCtx vm_ctx = ctx0;
-      const Vm::RunResult got = vm.run(*loaded, vm_ctx);
-
-      ASSERT_EQ(got.tier, expected_tier(tier));
-      ASSERT_EQ(got.ret, ref.ret)
-          << "r0 divergence at tier " << t << " (seed=" << seed << ")\n"
-          << disassemble(prog);
-      ASSERT_EQ(got.insns_executed, ref.insns_executed)
-          << "instruction-count divergence at tier " << t
-          << " (seed=" << seed << ")\n"
-          << disassemble(prog);
-      ASSERT_EQ(vm_ctx.selection_made, ref_ctx.selection_made)
-          << "selection divergence at tier " << t << " (seed=" << seed
-          << ")";
-      ASSERT_EQ(vm_ctx.selected_socket, ref_ctx.selected_socket)
-          << "selected-socket divergence at tier " << t << " (seed=" << seed
-          << ")";
-      ASSERT_EQ(std::memcmp(vm_world.array.storage_base(),
-                            ref_world.array.storage_base(),
-                            vm_world.array.storage_bytes()),
-                0)
-          << "final map-content divergence at tier " << t
-          << " (seed=" << seed << ")\n"
-          << disassemble(prog);
-      // Counter discipline: the reference tier reports no plan activity;
-      // check elision is a tier >= 2 privilege.
-      if (t == 0) ASSERT_EQ(got.fused_hits, 0u);
-      if (t <= 1) {
-        ASSERT_EQ(got.elided_checks, 0u)
-            << "tier " << t << " elided a check (seed=" << seed << ")";
-      }
-    }
+    ASSERT_EQ(got.ret, ref.ret)
+        << "r0 divergence (seed=" << seed << ")\n"
+        << disassemble(prog);
+    ASSERT_EQ(got.insns_executed, ref.insns_executed)
+        << "instruction-count divergence (seed=" << seed << ")\n"
+        << disassemble(prog);
+    ASSERT_EQ(vm_ctx.selection_made, ref_ctx.selection_made)
+        << "selection divergence (seed=" << seed << ")";
+    ASSERT_EQ(vm_ctx.selected_socket, ref_ctx.selected_socket)
+        << "selected-socket divergence (seed=" << seed << ")";
+    ASSERT_EQ(std::memcmp(vm_world.array.storage_base(),
+                          ref_world.array.storage_base(),
+                          vm_world.array.storage_bytes()),
+              0)
+        << "final map-content divergence (seed=" << seed << ")\n"
+        << disassemble(prog);
   }
 
   // The corpus must exercise both verifier verdicts, or the test is vacuous.
@@ -283,7 +192,6 @@ TEST(TortureBpfDiff, GeneratorIsDeterministic) {
 // program generator supports: single- and multi-group, minimum and
 // full-width (64-worker) bitmaps, and a non-power-of-two width.
 TEST(TortureBpfDiff, DispatchProgramAgreesWithReferenceInterpreter) {
-  ValidateScope validate_scope;
   struct Geometry {
     uint32_t groups;
     uint32_t workers_per_group;
@@ -304,21 +212,14 @@ TEST(TortureBpfDiff, DispatchProgramAgreesWithReferenceInterpreter) {
     for (uint32_t w = 0; w < n_socks; ++w) socks.update(w, 1000 + w);
 
     const Program prog = core::build_dispatch_program(params);
-    // One Vm per execution tier, all bound to the same (read-only) maps:
-    // the dispatch program never writes map state, so the tiers share it.
-    Vm vms[kNumTiers];
-    std::unique_ptr<LoadedProgram> loaded[kNumTiers];
-    for (int t = 0; t < kNumTiers; ++t) {
-      vms[t].set_tier(static_cast<ExecTier>(t));
-      std::string err;
-      loaded[t] = vms[t].load(prog, {&sel, &socks}, &err);
-      ASSERT_NE(loaded[t], nullptr)
-          << "geometry " << g.groups << "x" << g.workers_per_group
-          << " tier " << t << ": " << err;
-      ASSERT_EQ(loaded[t]->tier(), expected_tier(static_cast<ExecTier>(t)))
-          << "geometry " << g.groups << "x" << g.workers_per_group
-          << " tier " << t;
-    }
+    // The plan and the reference interpreter share the maps: the dispatch
+    // program never writes map state.
+    Vm vm;
+    std::string err;
+    const auto loaded = vm.load(prog, {&sel, &socks}, &err);
+    ASSERT_NE(loaded, nullptr)
+        << "geometry " << g.groups << "x" << g.workers_per_group << ": "
+        << err;
 
     sim::Rng rng(7 + g.groups * 131 + g.workers_per_group);
     Map* maps[] = {&sel, &socks};
@@ -331,20 +232,18 @@ TEST(TortureBpfDiff, DispatchProgramAgreesWithReferenceInterpreter) {
 
       const RefResult ref = ref_run(prog, maps, ref_ctx);
       ASSERT_FALSE(ref.trapped) << ref.trap << " at pc " << ref.trap_pc;
-      for (int t = 0; t < kNumTiers; ++t) {
-        ReuseportCtx ctx = ctx0;
-        const Vm::RunResult got = vms[t].run(*loaded[t], ctx);
+      ReuseportCtx ctx = ctx0;
+      const Vm::RunResult got = vm.run(*loaded, ctx);
 
-        const auto where = [&] {
-          return ::testing::Message()
-                 << "geometry " << g.groups << "x" << g.workers_per_group
-                 << " iteration " << i << " tier " << t;
-        };
-        ASSERT_EQ(got.ret, ref.ret) << where();
-        ASSERT_EQ(got.insns_executed, ref.insns_executed) << where();
-        ASSERT_EQ(ctx.selection_made, ref_ctx.selection_made) << where();
-        ASSERT_EQ(ctx.selected_socket, ref_ctx.selected_socket) << where();
-      }
+      const auto where = [&] {
+        return ::testing::Message()
+               << "geometry " << g.groups << "x" << g.workers_per_group
+               << " iteration " << i;
+      };
+      ASSERT_EQ(got.ret, ref.ret) << where();
+      ASSERT_EQ(got.insns_executed, ref.insns_executed) << where();
+      ASSERT_EQ(ctx.selection_made, ref_ctx.selection_made) << where();
+      ASSERT_EQ(ctx.selected_socket, ref_ctx.selected_socket) << where();
     }
   }
 }
@@ -352,10 +251,11 @@ TEST(TortureBpfDiff, DispatchProgramAgreesWithReferenceInterpreter) {
 // Every scheduling policy's generated dispatch program (core/policy.h),
 // differentially checked the same way — with two policy-specific twists:
 //
-//   * each tier gets PRIVATE maps. queue_est's program WRITES its aux map
-//     (the per-dispatch estimate increment), so tiers sharing storage
-//     would contaminate each other; instead every tier's final aux bytes
-//     must match the reference interpreter's byte-for-byte;
+//   * the plan and the reference interpreter get PRIVATE maps.
+//     queue_est's program WRITES its aux map (the per-dispatch estimate
+//     increment), so shared storage would let one run contaminate the
+//     other; instead the plan's final aux bytes must match the reference
+//     interpreter's byte-for-byte;
 //   * the policy's C++ mirror (reference_dispatch, which mutates its own
 //     plain-memory aux copy) must agree with the program on both the
 //     picked worker and the resulting aux contents.
@@ -365,7 +265,6 @@ TEST(TortureBpfDiff, DispatchProgramAgreesWithReferenceInterpreter) {
 // but the aux state did not (weighted's membership re-check, queue_est's
 // accumulated increments).
 TEST(TortureBpfDiff, PolicyProgramsBitIdenticalAcrossTiers) {
-  ValidateScope validate_scope;
   struct Geometry {
     uint32_t groups;
     uint32_t workers_per_group;
@@ -392,7 +291,7 @@ TEST(TortureBpfDiff, PolicyProgramsBitIdenticalAcrossTiers) {
       const Program prog = policy->build_program(pp);
       const uint32_t aux_bytes = policy->aux_value_bytes();
 
-      // One private world per tier + one for the reference interpreter.
+      // One private world for the plan, one for the reference interpreter.
       struct PolicyWorld {
         std::unique_ptr<ArrayMap> sel;
         std::unique_ptr<ReuseportSockArray> socks;
@@ -412,18 +311,13 @@ TEST(TortureBpfDiff, PolicyProgramsBitIdenticalAcrossTiers) {
         return w;
       };
       PolicyWorld ref_world = make_world();
-      PolicyWorld tier_worlds[kNumTiers];
-      Vm vms[kNumTiers];
-      std::unique_ptr<LoadedProgram> loaded[kNumTiers];
-      for (int t = 0; t < kNumTiers; ++t) {
-        tier_worlds[t] = make_world();
-        vms[t].set_tier(static_cast<ExecTier>(t));
-        std::string err;
-        loaded[t] = vms[t].load(prog, tier_worlds[t].maps, &err);
-        ASSERT_NE(loaded[t], nullptr)
-            << policy->name() << " " << g.groups << "x"
-            << g.workers_per_group << " tier " << t << ": " << err;
-      }
+      PolicyWorld vm_world = make_world();
+      Vm vm;
+      std::string err;
+      const auto loaded = vm.load(prog, vm_world.maps, &err);
+      ASSERT_NE(loaded, nullptr)
+          << policy->name() << " " << g.groups << "x" << g.workers_per_group
+          << ": " << err;
 
       // The C++ mirror's aux copy (plain memory, same per-group stride as
       // the map's slots).
@@ -439,9 +333,7 @@ TEST(TortureBpfDiff, PolicyProgramsBitIdenticalAcrossTiers) {
         for (uint32_t gr = 0; gr < g.groups; ++gr) {
           bitmaps[gr] = rng.next_u64() & bitmap_mask;
           ref_world.sel->store_u64(gr, bitmaps[gr]);
-          for (int t = 0; t < kNumTiers; ++t) {
-            tier_worlds[t].sel->store_u64(gr, bitmaps[gr]);
-          }
+          vm_world.sel->store_u64(gr, bitmaps[gr]);
         }
         if (aux_bytes > 0 && i % 4 == 0) {
           for (uint32_t gr = 0; gr < g.groups; ++gr) {
@@ -462,9 +354,7 @@ TEST(TortureBpfDiff, PolicyProgramsBitIdenticalAcrossTiers) {
             policy->fill_aux(in, words);
             std::memcpy(mirror_aux.data() + gr * stride, words, aux_bytes);
             ref_world.aux->update(gr, words);
-            for (int t = 0; t < kNumTiers; ++t) {
-              tier_worlds[t].aux->update(gr, words);
-            }
+            vm_world.aux->update(gr, words);
           }
         }
 
@@ -501,23 +391,18 @@ TEST(TortureBpfDiff, PolicyProgramsBitIdenticalAcrossTiers) {
               << where() << " (mirror aux diverged from interpreter)";
         }
 
-        for (int t = 0; t < kNumTiers; ++t) {
-          ReuseportCtx ctx = ctx0;
-          const Vm::RunResult got = vms[t].run(*loaded[t], ctx);
-          ASSERT_EQ(got.ret, ref.ret) << where() << " tier " << t;
-          ASSERT_EQ(got.insns_executed, ref.insns_executed)
-              << where() << " tier " << t;
-          ASSERT_EQ(ctx.selection_made, ref_ctx.selection_made)
-              << where() << " tier " << t;
-          ASSERT_EQ(ctx.selected_socket, ref_ctx.selected_socket)
-              << where() << " tier " << t;
-          if (aux_bytes > 0) {
-            ASSERT_EQ(std::memcmp(tier_worlds[t].aux->storage_base(),
-                                  ref_world.aux->storage_base(),
-                                  ref_world.aux->storage_bytes()),
-                      0)
-                << where() << " tier " << t << " (aux bytes diverged)";
-          }
+        ReuseportCtx ctx = ctx0;
+        const Vm::RunResult got = vm.run(*loaded, ctx);
+        ASSERT_EQ(got.ret, ref.ret) << where();
+        ASSERT_EQ(got.insns_executed, ref.insns_executed) << where();
+        ASSERT_EQ(ctx.selection_made, ref_ctx.selection_made) << where();
+        ASSERT_EQ(ctx.selected_socket, ref_ctx.selected_socket) << where();
+        if (aux_bytes > 0) {
+          ASSERT_EQ(std::memcmp(vm_world.aux->storage_base(),
+                                ref_world.aux->storage_base(),
+                                ref_world.aux->storage_bytes()),
+                    0)
+              << where() << " (aux bytes diverged)";
         }
       }
     }
