@@ -20,6 +20,7 @@ const char* to_string(ExecTier t) {
 namespace {
 
 constexpr uint32_t kNoUop = ~0u;
+constexpr uint32_t kNoSlot = ~0u;
 
 bool is_jump_op(Op op) {
   return op == Op::Ja ||
@@ -129,18 +130,12 @@ int64_t ptr_bits(const void* p) {
 
 }  // namespace
 
-std::unique_ptr<ExecutionPlan> compile_plan(
-    const Program& prog, std::span<Map* const> maps,
-    const analysis::AnalysisResult& facts) {
+ExecutionPlan compile_plan(const Program& prog, std::span<Map* const> maps,
+                           const analysis::AnalysisResult& facts) {
   HERMES_CHECK(!prog.empty());
 
-  auto plan = std::make_unique<ExecutionPlan>();
-  plan->stats_.n_insns = static_cast<uint32_t>(prog.size());
-  for (Map* m : maps) {
-    if (ArrayMap* am = as_array_map(m)) {
-      plan->map_regions_.push_back({am->storage_base(), am->storage_bytes()});
-    }
-  }
+  ExecutionPlan plan;
+  plan.stats_.n_insns = static_cast<uint32_t>(prog.size());
 
   // Jump-target set: a fused segment may start at a target but must not
   // contain one, or the pc->uop mapping for the incoming edge would land
@@ -188,18 +183,19 @@ std::unique_ptr<ExecutionPlan> compile_plan(
 
     MicroOp u{};
     size_t len = 1;
+    uint32_t map_slot = kNoSlot;
     bool needs_fixup = false;
     size_t target_pc = 0;
 
     if (match_popcount(prog, pc, &u) && segment_clear(19)) {
       len = 19;
-      ++plan->stats_.fused_popcount;
+      ++plan.stats_.fused_popcount;
     } else if (match_isolate_low(prog, pc, &u) && segment_clear(4)) {
       len = 4;
-      ++plan->stats_.fused_isolate;
+      ++plan.stats_.fused_isolate;
     } else if (match_blsr(prog, pc, &u) && segment_clear(3)) {
       len = 3;
-      ++plan->stats_.fused_blsr;
+      ++plan.stats_.fused_blsr;
     } else {
       const Insn& in = prog[pc];
       u = MicroOp{};
@@ -210,16 +206,16 @@ std::unique_ptr<ExecutionPlan> compile_plan(
       u.imm = in.imm;
 
       if (in.op == Op::LdMapFd) {
-        const auto slot = static_cast<size_t>(in.imm);
-        HERMES_CHECK(slot < maps.size());
+        HERMES_CHECK(static_cast<uint64_t>(in.imm) < maps.size());
         u.code = ULdMapPtr;
-        u.imm = ptr_bits(maps[slot]);
+        u.imm = 0;
+        map_slot = static_cast<uint32_t>(in.imm);
       } else if (uint16_t nc = unchecked_code(in.op); nc != 0) {
         if (mem_proven[pc] != 0) {
           u.code = nc;
-          ++plan->stats_.elided_sites;
+          ++plan.stats_.elided_sites;
         } else {
-          ++plan->stats_.checked_sites;
+          ++plan.stats_.checked_sites;
         }
       } else if (is_jump_op(in.op)) {
         needs_fixup = true;
@@ -227,52 +223,30 @@ std::unique_ptr<ExecutionPlan> compile_plan(
       } else if (in.op == Op::Call) {
         const auto id = static_cast<HelperId>(in.imm);
         const int32_t slot = call_slot[pc];
+        // A map argument the analysis pinned to one slot of the helper's
+        // map type makes an unchecked site whose pointer bind() fills in.
+        const auto pin = [&](MapType type, uint16_t checked,
+                             uint16_t unchecked) {
+          if (slot >= 0 && static_cast<size_t>(slot) < maps.size() &&
+              maps[slot] != nullptr && maps[slot]->type() == type) {
+            u.code = unchecked;
+            map_slot = static_cast<uint32_t>(slot);
+            ++plan.stats_.elided_sites;
+          } else {
+            u.code = checked;
+            ++plan.stats_.checked_sites;
+          }
+        };
         switch (id) {
-          case HelperId::MapLookupElem: {
-            ArrayMap* am =
-                slot >= 0 && static_cast<size_t>(slot) < maps.size()
-                    ? as_array_map(maps[slot])
-                    : nullptr;
-            if (am != nullptr) {
-              u.code = UCallLookupNC;
-              u.imm = ptr_bits(am);
-              ++plan->stats_.elided_sites;
-            } else {
-              u.code = UCallLookup;
-              ++plan->stats_.checked_sites;
-            }
+          case HelperId::MapLookupElem:
+            pin(MapType::Array, UCallLookup, UCallLookupNC);
             break;
-          }
-          case HelperId::MapUpdateElem: {
-            ArrayMap* am =
-                slot >= 0 && static_cast<size_t>(slot) < maps.size()
-                    ? as_array_map(maps[slot])
-                    : nullptr;
-            if (am != nullptr) {
-              u.code = UCallUpdateNC;
-              u.imm = ptr_bits(am);
-              ++plan->stats_.elided_sites;
-            } else {
-              u.code = UCallUpdate;
-              ++plan->stats_.checked_sites;
-            }
+          case HelperId::MapUpdateElem:
+            pin(MapType::Array, UCallUpdate, UCallUpdateNC);
             break;
-          }
-          case HelperId::SkSelectReuseport: {
-            ReuseportSockArray* sa =
-                slot >= 0 && static_cast<size_t>(slot) < maps.size()
-                    ? as_sock_array(maps[slot])
-                    : nullptr;
-            if (sa != nullptr) {
-              u.code = UCallSelectNC;
-              u.imm = ptr_bits(sa);
-              ++plan->stats_.elided_sites;
-            } else {
-              u.code = UCallSelect;
-              ++plan->stats_.checked_sites;
-            }
+          case HelperId::SkSelectReuseport:
+            pin(MapType::ReuseportSockArray, UCallSelect, UCallSelectNC);
             break;
-          }
           case HelperId::KtimeGetNs:
             u.code = UCallTime;
             break;
@@ -288,10 +262,14 @@ std::unique_ptr<ExecutionPlan> compile_plan(
       }
     }
 
-    uop_of_pc[pc] = static_cast<uint32_t>(plan->ops_.size());
-    plan->ops_.push_back(u);
+    uop_of_pc[pc] = static_cast<uint32_t>(plan.ops_.size());
+    if (map_slot != kNoSlot) {
+      plan.map_sites_.push_back(
+          {static_cast<uint32_t>(plan.ops_.size()), map_slot});
+    }
+    plan.ops_.push_back(u);
     if (needs_fixup) {
-      fixups.push_back({plan->ops_.size() - 1, target_pc});
+      fixups.push_back({plan.ops_.size() - 1, target_pc});
     }
     pc += len;
   }
@@ -299,12 +277,40 @@ std::unique_ptr<ExecutionPlan> compile_plan(
   for (const Fixup& f : fixups) {
     const uint32_t t = uop_of_pc[f.target_pc];
     HERMES_CHECK_MSG(t != kNoUop, "bpf plan: jump into fused segment");
-    plan->ops_[f.uop].target = t;
+    plan.ops_[f.uop].target = t;
   }
 
-  plan->stats_.n_uops = static_cast<uint32_t>(plan->ops_.size());
+  plan.stats_.n_uops = static_cast<uint32_t>(plan.ops_.size());
 
   return plan;
+}
+
+ExecutionPlan ExecutionPlan::bind(std::span<Map* const> maps) const {
+  ExecutionPlan bound = *this;
+  for (const MapSite& site : map_sites_) {
+    HERMES_CHECK(site.slot < maps.size());
+    Map* m = maps[site.slot];
+    MicroOp& u = bound.ops_[site.uop];
+    if (u.code == ULdMapPtr) {
+      u.imm = ptr_bits(m);
+    } else if (u.code == UCallSelectNC) {
+      ReuseportSockArray* sa = as_sock_array(m);
+      HERMES_CHECK_MSG(sa != nullptr,
+                       "bpf plan: select site needs a sock array");
+      u.imm = ptr_bits(sa);
+    } else {
+      ArrayMap* am = as_array_map(m);
+      HERMES_CHECK_MSG(am != nullptr, "bpf plan: map site needs an array map");
+      u.imm = ptr_bits(am);
+    }
+  }
+  bound.map_regions_.clear();
+  for (Map* m : maps) {
+    if (ArrayMap* am = as_array_map(m)) {
+      bound.map_regions_.push_back({am->storage_base(), am->storage_bytes()});
+    }
+  }
+  return bound;
 }
 
 }  // namespace hermes::bpf

@@ -1,11 +1,11 @@
 // The eBPF execution engine: an ExecutionPlan is a pre-decoded,
-// direct-threaded form of a verified program, compiled once at Vm::load
-// and reused for every dispatch.
+// direct-threaded form of a verified program, compiled once per verified
+// image (bpf/vm.h) and bound to each map set that runs it.
 //
 // compile_plan turns the program into a flat micro-op array: jump offsets
-// resolved to absolute indices, LdMapFd slots resolved to map pointers,
-// helper calls specialized per helper id with their map argument
-// pre-downcast, and the popcount / rank-select idioms that
+// resolved to absolute indices, LdMapFd slots and helper calls with a
+// pinned map recorded as map sites, helper calls specialized per helper
+// id, and the popcount / rank-select idioms that
 // core/dispatch_prog.cc emits fused into superinstructions (19-insn
 // Hamming weight -> 1 micro-op, 3-insn clear-lowest-bit -> 1, 4-insn
 // isolate-lowest-bit -> 1). Dispatch uses computed goto where the compiler
@@ -26,7 +26,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <span>
 #include <vector>
 
@@ -73,7 +72,7 @@ inline constexpr uint16_t kOpCount = static_cast<uint16_t>(Op::Exit) + 1;
 // Extended micro-op codes (contiguous after the Op range so the threaded
 // dispatch table stays dense).
 enum UExt : uint16_t {
-  ULdMapPtr = kOpCount,  // dst = imm (map pointer resolved at compile time)
+  ULdMapPtr = kOpCount,  // dst = imm (map pointer resolved at bind time)
   UPopcount,             // fused emit_popcount: dst, src, aux as documented
   UBlsr,                 // fused v &= v-1 triplet: dst &= dst-1, src = old-1
   UIsolateLow,           // fused (v & -v) - 1 prologue into dst from src
@@ -81,8 +80,8 @@ enum UExt : uint16_t {
   ULdxBNC, ULdxHNC, ULdxWNC, ULdxDWNC,
   UStxBNC, UStxHNC, UStxWNC, UStxDWNC,
   UStBNC, UStHNC, UStWNC, UStDWNC,
-  // Helper calls, specialized per id; imm carries the pre-downcast map
-  // pointer when the analysis pinned the map slot (0 = resolve at runtime).
+  // Helper calls, specialized per id; the NC variants' imm carries the
+  // pre-downcast map pointer of the slot the analysis pinned, set at bind.
   // The NC variants skip the key/value buffer bounds checks (the helper
   // signature check proved those buffers in-bounds).
   UCallLookup, UCallLookupNC,
@@ -113,27 +112,43 @@ class ExecutionPlan {
 
   const Stats& stats() const { return stats_; }
 
+  // A copy of this plan with every map site pointing into `maps` and the
+  // checked-access regions rebuilt from its array maps. `maps` must have
+  // the slot types the plan was compiled against (Vm::bind checks the
+  // full verified shape before calling this).
+  ExecutionPlan bind(std::span<Map* const> maps) const;
+
   // Run the plan. Register/stack/helper semantics mirror bpf::ref_run;
   // violations abort (the program was verified — a trip here is a repo
-  // bug, where ref_run would report a trap).
+  // bug, where ref_run would report a trap). Only a bound plan runs.
   ExecResult execute(ReuseportCtx& ctx,
                      const std::function<uint64_t()>& time_fn,
                      const std::function<uint32_t()>& rand_fn) const;
 
  private:
-  friend std::unique_ptr<ExecutionPlan> compile_plan(
-      const Program& prog, std::span<Map* const> maps,
-      const analysis::AnalysisResult& facts);
+  friend ExecutionPlan compile_plan(const Program& prog,
+                                    std::span<Map* const> maps,
+                                    const analysis::AnalysisResult& facts);
+
+  // A micro-op whose imm is a map pointer (ULdMapPtr, UCallLookupNC,
+  // UCallUpdateNC, UCallSelectNC) and the map slot it names. compile_plan
+  // leaves imm 0 there; bind() fills it in.
+  struct MapSite {
+    uint32_t uop;
+    uint32_t slot;
+  };
 
   std::vector<MicroOp> ops_;
-  std::vector<MemRegion> map_regions_;  // array-map stores, hoisted at load
+  std::vector<MapSite> map_sites_;
+  std::vector<MemRegion> map_regions_;  // array-map stores, set by bind()
   Stats stats_;
 };
 
-// Compile a verified program into a plan. `facts` (the verifier's
-// AnalysisResult) licenses check elision and helper-map pre-resolution.
-std::unique_ptr<ExecutionPlan> compile_plan(
-    const Program& prog, std::span<Map* const> maps,
-    const analysis::AnalysisResult& facts);
+// Compile a verified program into an unbound plan. `facts` (the verifier's
+// AnalysisResult) licenses check elision and helper-map pre-resolution;
+// `maps` supplies the slot types those decisions depend on, and no
+// pointer into them is kept.
+ExecutionPlan compile_plan(const Program& prog, std::span<Map* const> maps,
+                           const analysis::AnalysisResult& facts);
 
 }  // namespace hermes::bpf

@@ -7,15 +7,24 @@
 // bounds-checked at runtime (defense in depth; a violation is a bug in this
 // repo, so it aborts).
 //
-// load() verifies once and compiles the program into a cached
-// ExecutionPlan (bpf/plan.h); run() dispatches through that plan. The
-// trapping reference interpreter, bpf::ref_run (bpf/ref_interpreter.h), is
-// the oracle the plan is tested against.
+// Loading is split in two. A VerifiedImage is the part that is the same
+// for every map set of one shape: the program, its compiled ExecutionPlan
+// (bpf/plan.h) with the map-pointer sites left open, and the shape
+// (type, max_entries, value_size) of each map slot it was verified
+// against. A LoadedProgram binds an image to concrete maps: a copy of the
+// plan's micro-ops with those sites pointing at its own maps. load()
+// verifies, compiles and binds; bind() reuses an image for another map
+// set of the same shape (one reuseport group per port, one image per
+// device), checking every slot's shape and never re-verifying. run()
+// dispatches through the bound plan. The trapping reference interpreter,
+// bpf::ref_run (bpf/ref_interpreter.h), is the oracle the plan is tested
+// against.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -27,18 +36,44 @@
 
 namespace hermes::bpf {
 
-// A loaded, verified program. Create via Vm::load().
-class LoadedProgram {
+// A verified, compiled program with its maps unbound. It keeps no map
+// pointer, so it outlives every LoadedProgram bound from it. Create via
+// Vm::load() and take it from LoadedProgram::image().
+class VerifiedImage {
  public:
   const Program& insns() const { return prog_; }
-  std::span<Map* const> maps() const { return maps_; }
-  const ExecutionPlan& plan() const { return *plan_; }
 
  private:
   friend class Vm;
+  // What the verifier and prove_dispatch read of a slot's map; nullopt for
+  // a slot the program never references.
+  struct MapShape {
+    MapType type;
+    uint32_t max_entries;
+    uint32_t value_size;
+    bool operator==(const MapShape&) const = default;
+  };
+  static std::optional<MapShape> shape_of(const Map* m);
+
   Program prog_;
+  std::vector<std::optional<MapShape>> shapes_;
+  ExecutionPlan plan_;  // unbound: map sites hold 0
+};
+
+// A verified program bound to its maps. Create via Vm::load() or
+// Vm::bind().
+class LoadedProgram {
+ public:
+  const Program& insns() const { return image_->insns(); }
+  std::span<Map* const> maps() const { return maps_; }
+  const ExecutionPlan& plan() const { return plan_; }
+  const std::shared_ptr<const VerifiedImage>& image() const { return image_; }
+
+ private:
+  friend class Vm;
+  std::shared_ptr<const VerifiedImage> image_;
   std::vector<Map*> maps_;
-  std::unique_ptr<ExecutionPlan> plan_;
+  ExecutionPlan plan_;
 };
 
 class Vm {
@@ -51,10 +86,17 @@ class Vm {
   void set_time_fn(TimeFn fn) { time_fn_ = std::move(fn); }
   void set_rand_fn(RandFn fn) { rand_fn_ = std::move(fn); }
 
-  // Verify + bind maps + compile the execution plan. Returns nullptr and
+  // Verify + compile the execution plan + bind maps. Returns nullptr and
   // fills `error` on rejection.
   std::unique_ptr<LoadedProgram> load(Program prog, std::vector<Map*> maps,
                                       std::string* error = nullptr) const;
+
+  // Bind an already verified image to another map set. Aborts unless every
+  // slot has the shape the image was verified against: the verifier's
+  // proofs (and prove_dispatch's key bound) hold only for that shape.
+  std::unique_ptr<LoadedProgram> bind(
+      std::shared_ptr<const VerifiedImage> image,
+      std::vector<Map*> maps) const;
 
   // r0 at exit, source instructions executed, and the plan's fused and
   // unchecked micro-ops executed.

@@ -232,32 +232,36 @@ PortAttachment HermesRuntime::attach_port(
     HERMES_CHECK(att.sock_map->update(w, worker_cookies[w]));
   }
 
-  PolicyProgramParams pp;
-  pp.base.sel_map_slot = 0;
-  pp.base.sock_map_slot = 1;
-  pp.base.num_groups = num_groups_;
-  pp.base.workers_per_group = wpg_;
-  pp.base.min_workers = scheduler_.config().min_workers_for_dispatch;
-  pp.aux_map_slot = 2;
-
   std::vector<bpf::Map*> maps = {sel_map_.get(), att.sock_map.get()};
   if (aux_map_ != nullptr) maps.push_back(aux_map_.get());
-  bpf::Program prog = policy_->build_program(pp);
 
-  // Machine-check the generated program BEFORE load (the policy-authoring
-  // safety contract, DESIGN.md §12): on every path reaching the socket
-  // selection the key is proven < num_workers. The program is a pure
-  // function of the runtime config, so one proof covers all ports.
-  if (!dispatch_proved_) {
+  if (image_ == nullptr) {
+    PolicyProgramParams pp;
+    pp.base.sel_map_slot = 0;
+    pp.base.sock_map_slot = 1;
+    pp.base.num_groups = num_groups_;
+    pp.base.workers_per_group = wpg_;
+    pp.base.min_workers = scheduler_.config().min_workers_for_dispatch;
+    pp.aux_map_slot = 2;
+    bpf::Program prog = policy_->build_program(pp);
+
+    // Machine-check the generated program BEFORE load (the
+    // policy-authoring safety contract, DESIGN.md §12): on every path
+    // reaching the socket selection the key is proven < the socket
+    // array's capacity. Every port's array has that capacity, which
+    // Vm::bind re-checks.
     const bpf::analysis::DispatchProof proof = bpf::analysis::prove_dispatch(
         prog, maps, att.sock_map->max_entries());
     HERMES_CHECK_MSG(proof.ok, proof.detail.c_str());
-    dispatch_proved_ = true;
-  }
 
-  std::string err;
-  att.program = vm_.load(std::move(prog), std::move(maps), &err);
-  HERMES_CHECK_MSG(att.program != nullptr, err.c_str());
+    std::string err;
+    att.program = vm_.load(std::move(prog), std::move(maps), &err);
+    HERMES_CHECK_MSG(att.program != nullptr, err.c_str());
+    image_ = att.program->image();
+    ++counters_.program_loads;
+  } else {
+    att.program = vm_.bind(image_, std::move(maps));
+  }
   return att;
 }
 

@@ -5,10 +5,11 @@
 //   stage 3  dispatch program (Algo. 2) over eBPF    <- PortAttachment
 //
 // The runtime is deliberately kernel-agnostic: it owns the bpf VM, the
-// M_sel map (one u64 bitmap per worker group) and, per port, a
-// ReuseportSockArray plus a verified dispatch program. The simulator
-// attaches those to netsim reuseport groups; the live demo drives them
-// directly. Both consume identical code paths.
+// M_sel map (one u64 bitmap per worker group) and one verified image of
+// the dispatch program (built, proved, verified and compiled once); per
+// port it hands out a ReuseportSockArray plus that image bound to it. The
+// simulator attaches those to netsim reuseport groups; the live demo
+// drives them directly. Both consume identical code paths.
 //
 // Workers with id >= 64 are handled by the two-level scheme the paper
 // describes (§7): workers are partitioned into groups of
@@ -36,7 +37,8 @@
 
 namespace hermes::core {
 
-// Per-port kernel-side state: the socket map and the verified program.
+// Per-port kernel-side state: the socket map and the dispatch program
+// bound to it.
 struct PortAttachment {
   std::unique_ptr<bpf::ReuseportSockArray> sock_map;
   std::unique_ptr<bpf::LoadedProgram> program;
@@ -105,8 +107,12 @@ class HermesRuntime {
   void schedule_all_groups(WorkerId self, SimTime now, ScheduleResult* out);
 
   // Stage-3 attachment for one port: builds the socket map from the given
-  // per-worker socket cookies and loads (verifies) the dispatch program.
-  // Aborts if the program fails verification — that would be a build bug.
+  // per-worker socket cookies and binds the dispatch program to it. The
+  // first call builds the program, proves it (prove.h), verifies and
+  // compiles it; every later call only binds that image to the new socket
+  // array, which the bind step checks has the verified shape. Aborts if
+  // the program fails the proof or verification — that would be a build
+  // bug.
   PortAttachment attach_port(const std::vector<uint64_t>& worker_cookies);
 
   // Current kernel-visible bitmap of a group (diagnostics/tests).
@@ -121,6 +127,7 @@ class HermesRuntime {
     uint64_t syncs_dropped = 0;  // map updates suppressed by fault injection
     uint64_t syncs_suppressed = 0;  // stores skipped: bitmap unchanged
     uint64_t aux_publishes = 0;  // policy aux-map refreshes (word stores / 64)
+    uint64_t program_loads = 0;  // dispatch-program verify + compile passes
   };
   const Counters& counters() const { return counters_; }
 
@@ -151,9 +158,10 @@ class HermesRuntime {
   std::unique_ptr<bpf::ArrayMap> sel_map_;
   std::unique_ptr<SchedulingPolicy> policy_;
   std::unique_ptr<bpf::ArrayMap> aux_map_;  // null: policy has no aux state
-  // The dispatch program is a pure function of the runtime config, so the
-  // prove.h machine-check runs once and covers every later attach_port.
-  bool dispatch_proved_ = false;
+  // The dispatch program is a pure function of the runtime config, so one
+  // proof, verification and compile covers every port; set by the first
+  // attach_port.
+  std::shared_ptr<const bpf::VerifiedImage> image_;
   Counters counters_;
   // Per-group timestamp of the last completed sync, for the staleness
   // histogram (sync.gap_ns). Atomic: syncs may race across worker threads.

@@ -1,9 +1,10 @@
 // Execution-plan unit tests (src/bpf/plan.h): superinstruction fusion and
 // its boundary conditions, instruction-count parity with the reference
 // interpreter across fusion, check elision at proven sites, plan reuse
-// across reuseport attach/detach, and batch-vs-scalar socket selection
-// equality. The broad semantic equivalence claim (the plan byte-identical
-// to bpf::ref_run over >= 10k fuzzed programs) lives in
+// across reuseport attach/detach, binding a verified image to another map
+// set (and refusing a map of another shape), and batch-vs-scalar socket
+// selection equality. The broad semantic equivalence claim (the plan
+// byte-identical to bpf::ref_run over >= 10k fuzzed programs) lives in
 // torture_bpf_diff_test; this file pins the plan compiler's structure.
 #include <gtest/gtest.h>
 
@@ -17,6 +18,7 @@
 #include "bpf/ref_interpreter.h"
 #include "bpf/vm.h"
 #include "core/dispatch_prog.h"
+#include "core/policy.h"
 #include "netsim/listening_socket.h"
 #include "netsim/reuseport.h"
 #include "simcore/rng.h"
@@ -307,6 +309,103 @@ TEST(BpfPlan, DispatchProgramPlanShape) {
   EXPECT_EQ(st.checked_sites, 0u);
   EXPECT_GT(st.elided_sites, 0u);
   EXPECT_LT(st.n_uops, st.n_insns);
+}
+
+// Maps for the one-group, 8-worker cascade dispatch program: all workers
+// selectable, worker w's cookie is cookie_base + w.
+struct DispatchMaps {
+  ArrayMap sel{1, sizeof(uint64_t)};
+  ReuseportSockArray socks;
+
+  explicit DispatchMaps(uint32_t sock_entries, uint64_t cookie_base)
+      : socks(sock_entries) {
+    sel.store_u64(0, 0xff);
+    for (uint32_t w = 0; w < 8; ++w) socks.update(w, cookie_base + w);
+  }
+};
+
+Program cascade_program() {
+  core::DispatchProgramParams params;
+  params.num_groups = 1;
+  params.workers_per_group = 8;
+  return core::build_dispatch_program(params);
+}
+
+TEST(BpfPlan, BindRepointsEveryMapSite) {
+  Vm vm;
+  std::string err;
+  DispatchMaps a(8, 100);
+  auto first = vm.load(cascade_program(), {&a.sel, &a.socks}, &err);
+  ASSERT_NE(first, nullptr) << err;
+
+  DispatchMaps b(8, 200);
+  b.sel.store_u64(0, 0x3c);
+  const auto second = vm.bind(first->image(), {&b.sel, &b.socks});
+  EXPECT_EQ(second->image(), first->image());
+  EXPECT_EQ(&second->insns(), &first->insns());
+  first.reset();  // the image must not depend on the first map set
+
+  sim::Rng rng(13);
+  int selections = 0;
+  for (int i = 0; i < 64; ++i) {
+    ReuseportCtx c;
+    c.hash = static_cast<uint32_t>(rng.next_u64());
+    c.ip_protocol = 6;
+    ReuseportCtx ctx = c;
+    const Vm::RunResult run = vm.run(*second, ctx);
+    ReuseportCtx ref_ctx = c;
+    const RefResult ref = ref_run(second->insns(), second->maps(), ref_ctx);
+    ASSERT_FALSE(ref.trapped) << ref.trap;
+    EXPECT_EQ(run.ret, ref.ret);
+    EXPECT_EQ(run.insns_executed, ref.insns_executed);
+    EXPECT_EQ(ctx.selected_socket, ref_ctx.selected_socket);
+    if (ctx.selection_made) {
+      ++selections;
+      // Only workers 2..5 are in b's bitmap, and only b's cookies exist.
+      EXPECT_GE(ctx.selected_socket, 202u);
+      EXPECT_LE(ctx.selected_socket, 205u);
+    }
+  }
+  EXPECT_GT(selections, 0);
+}
+
+TEST(BpfPlanDeathTest, BindRefusesSockArrayOfAnotherCapacity) {
+  // prove_dispatch bounded the selection key by the verified array's
+  // max_entries; a smaller array would void that proof.
+  Vm vm;
+  std::string err;
+  DispatchMaps a(8, 100);
+  auto loaded = vm.load(cascade_program(), {&a.sel, &a.socks}, &err);
+  ASSERT_NE(loaded, nullptr) << err;
+  DispatchMaps smaller(4, 100);
+  EXPECT_DEATH((void)vm.bind(loaded->image(), {&a.sel, &smaller.socks}),
+               "map shape differs");
+  EXPECT_DEATH((void)vm.bind(loaded->image(), {&a.sel}), "map count");
+}
+
+TEST(BpfPlanDeathTest, BindRefusesAuxMapOfAnotherValueSize) {
+  // The verifier proved the aux loads against the aux value size.
+  const auto policy = core::make_policy(core::PolicyKind::P2c, {});
+  ASSERT_GT(policy->aux_value_bytes(), 0u);
+  core::PolicyProgramParams pp;
+  pp.base.num_groups = 1;
+  pp.base.workers_per_group = 8;
+  pp.base.sel_map_slot = 0;
+  pp.base.sock_map_slot = 1;
+  pp.aux_map_slot = 2;
+  DispatchMaps a(8, 100);
+  ArrayMap aux(1, policy->aux_value_bytes());
+  Vm vm;
+  std::string err;
+  auto loaded =
+      vm.load(policy->build_program(pp), {&a.sel, &a.socks, &aux}, &err);
+  ASSERT_NE(loaded, nullptr) << err;
+
+  ArrayMap same(1, policy->aux_value_bytes());
+  EXPECT_NE(vm.bind(loaded->image(), {&a.sel, &a.socks, &same}), nullptr);
+  ArrayMap narrower(1, policy->aux_value_bytes() - 8);
+  EXPECT_DEATH((void)vm.bind(loaded->image(), {&a.sel, &a.socks, &narrower}),
+               "map shape differs");
 }
 
 }  // namespace

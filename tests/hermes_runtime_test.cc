@@ -2,8 +2,12 @@
 // stages 1-3 without the workload simulator.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
+#include <string>
+#include <vector>
 
+#include "bpf/ref_interpreter.h"
 #include "core/hermes.h"
 #include "netsim/netstack.h"
 #include "simcore/rng.h"
@@ -199,6 +203,145 @@ TEST(RuntimeGroupTest, OddWorkerCountLastGroupSmaller) {
   for (WorkerId w = 0; w < 70; ++w) rt.hooks_for(w).on_loop_enter(now);
   const auto res = rt.schedule_and_sync(69, now);
   EXPECT_EQ(res.selected, 6u);  // workers 64..69
+}
+
+// The dispatch program is verified and compiled once per runtime; every
+// port binds that image to its own socket array. Cookies carry their port
+// in the high word, so a selection that reads another port's array shows.
+uint64_t port_cookie(uint32_t port, WorkerId w) {
+  return (uint64_t{port} << 32) | w;
+}
+
+std::vector<uint64_t> port_cookies(uint32_t port, uint32_t workers) {
+  std::vector<uint64_t> cookies;
+  for (WorkerId w = 0; w < workers; ++w) {
+    cookies.push_back(port_cookie(port, w));
+  }
+  return cookies;
+}
+
+std::vector<uint8_t> aux_bytes(HermesRuntime& rt) {
+  bpf::ArrayMap* aux = rt.aux_map();
+  if (aux == nullptr) return {};
+  return {aux->storage_base(), aux->storage_base() + aux->storage_bytes()};
+}
+
+void set_aux_bytes(HermesRuntime& rt, const std::vector<uint8_t>& bytes) {
+  if (rt.aux_map() != nullptr) {
+    std::copy(bytes.begin(), bytes.end(), rt.aux_map()->storage_base());
+  }
+}
+
+class PerPortBindTest : public ::testing::TestWithParam<PolicyKind> {};
+
+TEST_P(PerPortBindTest, EveryPortRunsTheImageOnItsOwnMaps) {
+  constexpr uint32_t kWorkers = 24;  // two groups of 16, the last partial
+  constexpr uint32_t kPorts = 32;
+  HermesRuntime::Options o;
+  o.num_workers = kWorkers;
+  o.config.workers_per_group = 16;
+  o.policy = GetParam();
+  HermesRuntime rt(o);
+
+  std::vector<PortAttachment> ports;
+  for (uint32_t p = 0; p < kPorts; ++p) {
+    ports.push_back(rt.attach_port(port_cookies(p, kWorkers)));
+  }
+  EXPECT_EQ(rt.counters().program_loads, 1u);
+
+  // Publish real aux state (for the aux-map policies) from a WST with
+  // uneven load, then sweep the selection bitmaps over it.
+  const SimTime now = SimTime::millis(5);
+  for (WorkerId w = 0; w < kWorkers; ++w) {
+    rt.hooks_for(w).on_loop_enter(now);
+    rt.wst().add_connections(w, (3 * w) % 7);
+  }
+  ScheduleResult per_group[2];
+  rt.schedule_all_groups(0, now, per_group);
+
+  sim::Rng rng(29);
+  std::vector<bpf::ReuseportCtx> ctxs(48);
+  for (bpf::ReuseportCtx& c : ctxs) {
+    c.hash = static_cast<uint32_t>(rng.next_u64());
+    c.hash2 = static_cast<uint32_t>(rng.next_u64());
+    c.ip_protocol = 6;
+  }
+  uint64_t selections = 0;
+  for (const uint64_t bitmap : {~0ull, 0xffffull, 0xadull, 0x5f00ull, 1ull}) {
+    for (uint32_t g = 0; g < rt.num_groups(); ++g) {
+      rt.sel_map().store_u64(g, bitmap);
+    }
+    for (uint32_t p = 0; p < kPorts; ++p) {
+      const bpf::LoadedProgram& prog = *ports[p].program;
+      ASSERT_EQ(prog.maps()[1], ports[p].sock_map.get());
+      for (const bpf::ReuseportCtx& c : ctxs) {
+        // queue_est's program writes the aux map: run the reference from
+        // the same starting bytes and require the same final bytes.
+        const std::vector<uint8_t> aux_before = aux_bytes(rt);
+        bpf::ReuseportCtx ctx = c;
+        const bpf::Vm::RunResult run = rt.vm().run(prog, ctx);
+        const std::vector<uint8_t> aux_after = aux_bytes(rt);
+        set_aux_bytes(rt, aux_before);
+        bpf::ReuseportCtx ref_ctx = c;
+        const bpf::RefResult ref =
+            bpf::ref_run(prog.insns(), prog.maps(), ref_ctx);
+        ASSERT_FALSE(ref.trapped) << ref.trap;
+        ASSERT_EQ(aux_bytes(rt), aux_after) << "port " << p;
+        ASSERT_EQ(run.ret, ref.ret) << "port " << p;
+        ASSERT_EQ(run.insns_executed, ref.insns_executed) << "port " << p;
+        ASSERT_EQ(ctx.selection_made, ref_ctx.selection_made) << "port " << p;
+        ASSERT_EQ(ctx.selected_socket, ref_ctx.selected_socket)
+            << "port " << p;
+        if (ctx.selection_made) {
+          ++selections;
+          EXPECT_EQ(ctx.selected_socket >> 32, p);
+          EXPECT_LT(ctx.selected_socket & 0xffffffffu, kWorkers);
+        }
+      }
+    }
+  }
+  EXPECT_GT(selections, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllPolicies, PerPortBindTest,
+    ::testing::Values(PolicyKind::Cascade, PolicyKind::P2c,
+                      PolicyKind::Weighted, PolicyKind::QueueEst),
+    [](const ::testing::TestParamInfo<PolicyKind>& param) {
+      return std::string(to_string(param.param));
+    });
+
+TEST(PerPortBindLifetimeTest, LaterPortOutlivesTheFirstAttachment) {
+  // The image keeps no pointer into the first port's maps: with that
+  // attachment gone, a new port still binds and dispatches cleanly.
+  constexpr uint32_t kWorkers = 8;
+  HermesRuntime::Options o;
+  o.num_workers = kWorkers;
+  o.policy = PolicyKind::P2c;  // an aux-map policy: three map slots
+  HermesRuntime rt(o);
+  {
+    PortAttachment first = rt.attach_port(port_cookies(0, kWorkers));
+  }
+  PortAttachment second = rt.attach_port(port_cookies(1, kWorkers));
+  EXPECT_EQ(rt.counters().program_loads, 1u);
+
+  const SimTime now = SimTime::millis(1);
+  for (WorkerId w = 0; w < kWorkers; ++w) rt.hooks_for(w).on_loop_enter(now);
+  rt.schedule_and_sync(0, now);
+  sim::Rng rng(5);
+  int selections = 0;
+  for (int i = 0; i < 64; ++i) {
+    bpf::ReuseportCtx ctx;
+    ctx.hash = static_cast<uint32_t>(rng.next_u64());
+    ctx.hash2 = static_cast<uint32_t>(rng.next_u64());
+    ctx.ip_protocol = 6;
+    (void)rt.vm().run(*second.program, ctx);
+    if (ctx.selection_made) {
+      ++selections;
+      EXPECT_EQ(ctx.selected_socket >> 32, 1u);
+    }
+  }
+  EXPECT_GT(selections, 0);
 }
 
 TEST(RuntimeShmTest, ExternalMemoryBacksWst) {
