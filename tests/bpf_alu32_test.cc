@@ -4,6 +4,7 @@
 
 #include "bpf/assembler.h"
 #include "bpf/vm.h"
+#include "param_names.h"
 #include "simcore/rng.h"
 
 namespace hermes::bpf {
@@ -20,6 +21,11 @@ struct Alu32Case {
 };
 
 uint32_t lo(uint64_t v) { return static_cast<uint32_t>(v); }
+
+// Each case's name, pinned in one table (see param_names.h).
+constexpr auto kAlu32Names = hermes::testing::param_name_table<0>(
+    "add32\0sub32\0mul32\0div32\0mod32\0and32\0or32\0xor32\0lsh32\0"
+    "rsh32\0arsh32");
 
 class Alu32Sweep : public ::testing::TestWithParam<Alu32Case> {};
 
@@ -54,57 +60,57 @@ INSTANTIATE_TEST_SUITE_P(
     AllOps, Alu32Sweep,
     ::testing::Values(
         Alu32Case{.op = Op::Add32Reg,
-                  .name = "add32",
+                  .name = kAlu32Names["add32"],
                   .eval = [](uint64_t x, uint64_t y) -> uint64_t {
                     return lo(x + y);
                   }},
         Alu32Case{.op = Op::Sub32Reg,
-                  .name = "sub32",
+                  .name = kAlu32Names["sub32"],
                   .eval = [](uint64_t x, uint64_t y) -> uint64_t {
                     return lo(x - y);
                   }},
         Alu32Case{.op = Op::Mul32Reg,
-                  .name = "mul32",
+                  .name = kAlu32Names["mul32"],
                   .eval = [](uint64_t x, uint64_t y) -> uint64_t {
                     return lo(x * y);
                   }},
         Alu32Case{.op = Op::Div32Reg,
-                  .name = "div32",
+                  .name = kAlu32Names["div32"],
                   .eval = [](uint64_t x, uint64_t y) -> uint64_t {
                     return lo(y) ? lo(x) / lo(y) : 0;
                   }},
         Alu32Case{.op = Op::Mod32Reg,
-                  .name = "mod32",
+                  .name = kAlu32Names["mod32"],
                   .eval = [](uint64_t x, uint64_t y) -> uint64_t {
                     return lo(y) ? lo(x) % lo(y) : lo(x);
                   }},
         Alu32Case{.op = Op::And32Reg,
-                  .name = "and32",
+                  .name = kAlu32Names["and32"],
                   .eval = [](uint64_t x, uint64_t y) -> uint64_t {
                     return lo(x & y);
                   }},
         Alu32Case{.op = Op::Or32Reg,
-                  .name = "or32",
+                  .name = kAlu32Names["or32"],
                   .eval = [](uint64_t x, uint64_t y) -> uint64_t {
                     return lo(x | y);
                   }},
         Alu32Case{.op = Op::Xor32Reg,
-                  .name = "xor32",
+                  .name = kAlu32Names["xor32"],
                   .eval = [](uint64_t x, uint64_t y) -> uint64_t {
                     return lo(x ^ y);
                   }},
         Alu32Case{.op = Op::Lsh32Reg,
-                  .name = "lsh32",
+                  .name = kAlu32Names["lsh32"],
                   .eval = [](uint64_t x, uint64_t y) -> uint64_t {
                     return lo(lo(x) << (y & 31));
                   }},
         Alu32Case{.op = Op::Rsh32Reg,
-                  .name = "rsh32",
+                  .name = kAlu32Names["rsh32"],
                   .eval = [](uint64_t x, uint64_t y) -> uint64_t {
                     return lo(x) >> (y & 31);
                   }},
         Alu32Case{.op = Op::Arsh32Reg,
-                  .name = "arsh32",
+                  .name = kAlu32Names["arsh32"],
                   .eval = [](uint64_t x, uint64_t y) -> uint64_t {
                     return static_cast<uint32_t>(
                         static_cast<int32_t>(lo(x)) >> (y & 31));

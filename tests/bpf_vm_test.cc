@@ -6,6 +6,7 @@
 #include "bpf/assembler.h"
 #include "bpf/maps.h"
 #include "bpf/vm.h"
+#include "param_names.h"
 #include "simcore/rng.h"
 
 namespace hermes::bpf {
@@ -364,6 +365,11 @@ struct AluCase {
   uint64_t (*eval)(uint64_t, uint64_t);
 };
 
+// Each case's name, at the offset that gives the CTest names this sweep has
+// always been listed under (see param_names.h).
+constexpr auto kAluNames = hermes::testing::param_name_table<0x17>(
+    "add\0sub\0mul\0div\0mod\0and\0xor\0lsh\0arsh");
+
 class VmAluSweep : public ::testing::TestWithParam<AluCase> {};
 
 TEST_P(VmAluSweep, MatchesHostSemantics) {
@@ -394,37 +400,37 @@ INSTANTIATE_TEST_SUITE_P(
     AllOps, VmAluSweep,
     ::testing::Values(
         AluCase{.op = Op::AddReg,
-                .name = "add",
+                .name = kAluNames["add"],
                 .eval = [](uint64_t x, uint64_t y) { return x + y; }},
         AluCase{.op = Op::SubReg,
-                .name = "sub",
+                .name = kAluNames["sub"],
                 .eval = [](uint64_t x, uint64_t y) { return x - y; }},
         AluCase{.op = Op::MulReg,
-                .name = "mul",
+                .name = kAluNames["mul"],
                 .eval = [](uint64_t x, uint64_t y) { return x * y; }},
         AluCase{.op = Op::DivReg,
-                .name = "div",
+                .name = kAluNames["div"],
                 .eval = [](uint64_t x, uint64_t y) { return y ? x / y : 0; }},
         AluCase{.op = Op::ModReg,
-                .name = "mod",
+                .name = kAluNames["mod"],
                 .eval = [](uint64_t x, uint64_t y) { return y ? x % y : x; }},
         AluCase{.op = Op::AndReg,
-                .name = "and",
+                .name = kAluNames["and"],
                 .eval = [](uint64_t x, uint64_t y) { return x & y; }},
         AluCase{.op = Op::OrReg,
-                .name = "or",
+                .name = kAluNames["or"],
                 .eval = [](uint64_t x, uint64_t y) { return x | y; }},
         AluCase{.op = Op::XorReg,
-                .name = "xor",
+                .name = kAluNames["xor"],
                 .eval = [](uint64_t x, uint64_t y) { return x ^ y; }},
         AluCase{.op = Op::LshReg,
-                .name = "lsh",
+                .name = kAluNames["lsh"],
                 .eval = [](uint64_t x, uint64_t y) { return x << (y & 63); }},
         AluCase{.op = Op::RshReg,
-                .name = "rsh",
+                .name = kAluNames["rsh"],
                 .eval = [](uint64_t x, uint64_t y) { return x >> (y & 63); }},
         AluCase{.op = Op::ArshReg,
-                .name = "arsh",
+                .name = kAluNames["arsh"],
                 .eval = [](uint64_t x, uint64_t y) {
                   return static_cast<uint64_t>(static_cast<int64_t>(x) >>
                                                (y & 63));
