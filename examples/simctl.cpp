@@ -9,6 +9,7 @@
 //
 // Prints a one-page report: latency distribution, throughput, per-worker
 // balance, Hermes counters.
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -24,7 +25,7 @@ namespace {
 
 struct Args {
   std::string mode = "hermes";
-  std::string policy;  // empty = default_policy() (HERMES_POLICY or cascade)
+  std::string policy;  // empty = the config default, cascade
   int case_id = 3;
   double load = 1.0;
   uint32_t workers = 8;
@@ -51,6 +52,10 @@ netsim::DispatchMode parse_mode(const std::string& m) {
   std::fprintf(stderr, "unknown mode '%s'\n", m.c_str());
   std::exit(2);
 }
+
+// Longest run accepted: the end time plus the one-second drain must fit
+// SimTime's int64 nanoseconds (about 9.2e9 s).
+constexpr double kMaxSeconds = 1e9;
 
 // A count parses signed, so "-1" reads as 0 and fails the range check
 // instead of wrapping to 2^32 - 1; so does anything above 2^32 - 1.
@@ -98,7 +103,7 @@ void usage() {
       "simctl — drive the Hermes LB simulator\n\n"
       "  --mode M       hermes|exclusive|reuseport|rr|wakeall|fifo|dispatcher\n"
       "  --policy P     dispatch policy: cascade|p2c|weighted|queue_est\n"
-      "                 (default: HERMES_POLICY env var, else cascade)\n"
+      "                 (default: cascade)\n"
       "  --case N       traffic case 1-4 (paper Table 3)\n"
       "  --load X       replay multiplier (1=light, 2=medium, 3=heavy)\n"
       "  --workers N    worker processes / cores (default 8)\n"
@@ -109,8 +114,7 @@ void usage() {
       "  --sync-us N    min gap between decision syncs, 0 = every loop\n"
       "  --metrics      dump the observability registry after the run\n"
       "  --data-plane   enable the byte-level L7 data plane (HTTP wire\n"
-      "                 synthesis, keep-alive parsing, zero-copy forward;\n"
-      "                 HERMES_ZEROCOPY=0 switches to the copy oracle)\n"
+      "                 synthesis, keep-alive parsing, zero-copy forward)\n"
       "  --trace-dump N print the last N trace-ring events\n"
       "  --trace-json P write chrome://tracing JSON of the trace rings to P");
 }
@@ -123,8 +127,11 @@ int main(int argc, char** argv) {
     usage();
     return 0;
   }
+  // Each bound reads "!(in range)" so that NaN, which fails every
+  // comparison, is rejected too.
   if (a.case_id < 1 || a.case_id > 4 || a.workers < 1 || a.ports < 1 ||
-      a.load <= 0 || a.seconds <= 0) {
+      !(a.load > 0 && std::isfinite(a.load)) ||
+      !(a.seconds > 0 && a.seconds <= kMaxSeconds)) {
     std::fprintf(stderr, "invalid arguments (try --help)\n");
     return 2;
   }
@@ -145,10 +152,7 @@ int main(int argc, char** argv) {
   cfg.seed = a.seed;
   cfg.hermes.theta_ratio = a.theta;
   cfg.worker.min_sync_interval = SimTime::micros(a.sync_us);
-  if (a.data_plane) {
-    cfg.data_plane.enabled = true;
-    cfg.data_plane.zero_copy = http::zero_copy_enabled_from_env();
-  }
+  cfg.data_plane.enabled = a.data_plane;
   sim::LbDevice lb(cfg);
 
   const SimTime end = SimTime::from_seconds_f(a.seconds);

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
-# Full verification sweep: lint, plain build + all ctest labels (plus the
-# sched, zero-copy and policy knob sweeps), a ThreadSanitizer pass over the
-# concurrency-sensitive suites, then any extra sanitizer sweeps requested
-# on the command line.
+# Full verification sweep: lint, plain build + one ctest run over all
+# labels, a ThreadSanitizer pass over the concurrency-sensitive suites,
+# then any extra sanitizer sweeps requested on the command line. Each
+# differential oracle (reference scheduler, copy-oracle forwarding, every
+# policy) runs inside that one ctest run, chosen by API in its test.
 #
 #   scripts/check.sh                       # lint + plain + TSan concurrency
 #   scripts/check.sh address undefined     # ... + ASan + UBSan full sweeps
@@ -44,53 +45,6 @@ run_suite() {
   cmake --build "$dir" -j "$JOBS"
   echo "==> ctest ${dir} -L '${LABELS}'"
   ctest --test-dir "$dir" --output-on-failure -j "$JOBS" -L "$LABELS"
-  run_sched_sweep "$dir"
-  run_zerocopy_sweep "$dir"
-  run_policy_sweep "$dir"
-}
-
-# Scheduler-path sweep: the suite above ran with the default fast path
-# (HERMES_SCHED_FAST unset). Re-run the sched-labeled suites pinned to
-# each path so the SoA/branchless rewrite and the reference oracle keep
-# bit-identical bitmaps — under a sanitizer tree this is also what would
-# catch an out-of-bounds SoA gather or a bad fixed-point clamp.
-run_sched_sweep() {
-  local dir=$1
-  for path in 0 1; do
-    echo "==> ctest ${dir} -L sched (HERMES_SCHED_FAST=$path)"
-    HERMES_SCHED_FAST=$path \
-      ctest --test-dir "$dir" --output-on-failure -j "$JOBS" -L sched
-  done
-}
-
-# L7 data-plane sweep: the suite above ran with the default forwarding
-# mode (HERMES_ZEROCOPY unset = zero-copy). Re-run the http-labeled
-# suites pinned to each mode so the splice-style path and the copying
-# oracle keep identical parse results and bit-identical byte streams.
-# Under an ASan tree the zero-copy leg is also the use-after-free gate
-# for the refcounted iobuf segments that parsed header views borrow from.
-run_zerocopy_sweep() {
-  local dir=$1
-  for zc in 0 1; do
-    echo "==> ctest ${dir} -L http (HERMES_ZEROCOPY=$zc)"
-    HERMES_ZEROCOPY=$zc \
-      ctest --test-dir "$dir" --output-on-failure -j "$JOBS" -L http
-  done
-}
-
-# Scheduling-policy sweep: the suite above ran with the default policy
-# (HERMES_POLICY unset = cascade). Re-run the policy-labeled suites
-# pinned to each shipped policy so every generated dispatch program
-# attaches (prove-before-load), dispatches, and keeps its userspace
-# mirror honest under the env-selection path — under a sanitizer tree
-# this is also what would catch an aux-map overrun in a policy program.
-run_policy_sweep() {
-  local dir=$1
-  for pol in cascade p2c weighted queue_est; do
-    echo "==> ctest ${dir} -L policy (HERMES_POLICY=$pol)"
-    HERMES_POLICY=$pol \
-      ctest --test-dir "$dir" --output-on-failure -j "$JOBS" -L policy
-  done
 }
 
 # TSan preset: only the suites that exercise cross-thread code (the WST

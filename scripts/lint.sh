@@ -7,9 +7,11 @@
 #   scripts/lint.sh src/bpf      # lint one subtree
 #   BUILD_DIR=build-tidy scripts/lint.sh
 #
-# The knob guard fails when src/ or examples/ reads a HERMES_* environment
-# variable other than the three oracle switches in ALLOWED_KNOBS. It runs
-# first, so minimal containers without clang-tidy still enforce it.
+# The knob guard fails when src/, examples/, bench/ or tests/ reads a
+# HERMES_* environment variable that ALLOWED_KNOBS does not list. The list
+# is empty: oracles are reached by API, never by the environment. The
+# guard runs first, so minimal containers without clang-tidy still
+# enforce it.
 #
 # Checks and naming rules live in .clang-tidy at the repo root. When
 # clang-tidy is not installed (minimal containers ship only gcc) the
@@ -18,20 +20,22 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-ALLOWED_KNOBS=(HERMES_SCHED_FAST HERMES_ZEROCOPY HERMES_POLICY)
+ALLOWED_KNOBS=()
 mapfile -t knobs < <(
-  { grep -rhoE 'getenv\(\s*"HERMES_[A-Za-z0-9_]+"' src examples || true; } |
+  { grep -rhoE 'getenv\(\s*"HERMES_[A-Za-z0-9_]+"' src examples bench tests ||
+      true; } |
     grep -oE 'HERMES_[A-Za-z0-9_]+' | sort -u)
 unlisted=()
 for k in ${knobs[@]+"${knobs[@]}"}; do
-  case " ${ALLOWED_KNOBS[*]} " in
+  case " ${ALLOWED_KNOBS[*]-} " in
     *" $k "*) ;;
     *) unlisted+=("$k") ;;
   esac
 done
 if [ ${#unlisted[@]} -gt 0 ]; then
-  echo "lint: src/ or examples/ reads unlisted knob(s): ${unlisted[*]}" >&2
-  echo "lint: allowed: ${ALLOWED_KNOBS[*]}" >&2
+  echo "lint: src/, examples/, bench/ or tests/ reads unlisted knob(s):" \
+    "${unlisted[*]}" >&2
+  echo "lint: allowed: ${ALLOWED_KNOBS[*]-(none)}" >&2
   exit 1
 fi
 echo "==> knob guard clean (${#knobs[@]} knobs read: ${knobs[*]-})"

@@ -11,6 +11,12 @@
 // simulator attaches those to netsim reuseport groups; the live demo
 // drives them directly. Both consume identical code paths.
 //
+// The runtime starts on the fast Stage-2 path and the configured policy
+// (Options::policy, cascade by default). The differential oracles are
+// reached by API only: scheduler().set_path(SchedPath::Reference) runs the
+// reference filter, which also turns off change suppression in
+// finish_sync. No environment variable selects either.
+//
 // Workers with id >= 64 are handled by the two-level scheme the paper
 // describes (§7): workers are partitioned into groups of
 // `config.workers_per_group`; each group has its own bitmap slot in M_sel,
@@ -61,8 +67,8 @@ class HermesRuntime {
     obs::Observability* obs = nullptr;
     // Scheduling policy (core/policy.h): which Stage-2 aux pipeline +
     // Stage-3 dispatch program pair the runtime runs. Defaults to the
-    // HERMES_POLICY env override, else the paper's cascade.
-    PolicyKind policy = default_policy();
+    // paper's cascade.
+    PolicyKind policy = PolicyKind::Cascade;
     // Per-worker capacity weights for the weighted policy (empty = all 1).
     std::vector<uint32_t> worker_weights;
   };

@@ -1,6 +1,5 @@
 #include "core/policy.h"
 
-#include <cstdlib>
 #include <cstring>
 
 #include "bpf/assembler.h"
@@ -381,18 +380,6 @@ bool parse_policy(std::string_view name, PolicyKind* out) {
     }
   }
   return false;
-}
-
-PolicyKind default_policy() {
-  static const PolicyKind kind = [] {
-    const char* e = std::getenv("HERMES_POLICY");
-    if (e == nullptr || e[0] == '\0') return PolicyKind::Cascade;
-    PolicyKind k;
-    HERMES_CHECK_MSG(parse_policy(e, &k),
-                     "HERMES_POLICY: want cascade|p2c|weighted|queue_est");
-    return k;
-  }();
-  return kind;
 }
 
 std::unique_ptr<SchedulingPolicy> make_policy(PolicyKind kind,

@@ -30,6 +30,10 @@
 //              the eligible set, incremented in-kernel per dispatch so
 //              estimates stay useful between refreshes (staleness is
 //              bounded by the schedule/publish cadence).
+//
+// A runtime runs another policy than the cascade only when its config
+// names one (HermesRuntime::Options::policy, LbDevice::Config::policy,
+// simctl --policy); no environment variable selects one.
 #pragma once
 
 #include <cstdint>
@@ -48,12 +52,9 @@ enum class PolicyKind : uint8_t { Cascade = 0, P2c, Weighted, QueueEst };
 inline constexpr size_t kPolicyCount = 4;
 
 const char* to_string(PolicyKind kind);
-// Accepts the names used by HERMES_POLICY / simctl --policy:
-// cascade | p2c | weighted | queue_est. Returns false on anything else.
+// Accepts the names simctl --policy takes: cascade | p2c | weighted |
+// queue_est. Returns false on anything else.
 bool parse_policy(std::string_view name, PolicyKind* out);
-// Process-wide default: HERMES_POLICY env var, else Cascade. Read once
-// (same pattern as default_sched_path); an unknown name aborts loudly.
-PolicyKind default_policy();
 
 struct PolicyProgramParams {
   DispatchProgramParams base;

@@ -2,7 +2,6 @@
 
 #include <bit>
 #include <cmath>
-#include <cstdlib>
 
 #if defined(__x86_64__) && defined(__GNUC__)
 #include <immintrin.h>
@@ -16,17 +15,6 @@ const char* to_string(SchedPath p) {
     case SchedPath::Fast: return "fast";
   }
   return "?";
-}
-
-SchedPath default_sched_path() {
-  static const SchedPath path = [] {
-    const char* e = std::getenv("HERMES_SCHED_FAST");
-    if (e != nullptr && e[0] == '0' && e[1] == '\0') {
-      return SchedPath::Reference;
-    }
-    return SchedPath::Fast;
-  }();
-  return path;
 }
 
 int64_t theta_permille_of(double theta_ratio) {

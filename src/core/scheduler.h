@@ -20,7 +20,8 @@
 //     bit-walking (`w &= w - 1`) over surviving candidates only.
 // Both use exact 128-bit fixed-point threshold math (see theta_permille),
 // so their bitmaps are identical bit for bit; tests/sched_fast_test.cc
-// proves it. HERMES_SCHED_FAST=0 pins the reference path process-wide.
+// proves it. Every Scheduler starts on the fast path; the reference path
+// is reached only by API (set_path, schedule_reference_with_order).
 //
 // Single O(n) pass per filter over at most 64 workers; no allocation on the
 // hot path.
@@ -55,9 +56,9 @@ enum class SchedPath : uint8_t {
 
 const char* to_string(SchedPath p);
 
-// Process-wide default, read once from HERMES_SCHED_FAST: "0" selects the
-// reference path, anything else (including unset) the fast path.
-SchedPath default_sched_path();
+// The path every Scheduler starts on. Kept only because the repository
+// benchmark prints it on its config line (perfbench/src/main.cc).
+constexpr SchedPath default_sched_path() { return SchedPath::Fast; }
 
 // theta_ratio quantized to permille for the exact integer threshold
 // comparison `v*n*1000 < sum*(1000 + theta_permille)`. Clamped to
@@ -67,8 +68,7 @@ int64_t theta_permille_of(double theta_ratio);
 
 class Scheduler {
  public:
-  explicit Scheduler(HermesConfig cfg)
-      : cfg_(cfg), path_(default_sched_path()) {}
+  explicit Scheduler(HermesConfig cfg) : cfg_(cfg) {}
 
   const HermesConfig& config() const { return cfg_; }
   // Live policy updates (PolicyEndpoint / ops tooling). Safe: the
@@ -115,7 +115,7 @@ class Scheduler {
 
  private:
   HermesConfig cfg_;
-  SchedPath path_;
+  SchedPath path_ = SchedPath::Fast;
 };
 
 }  // namespace hermes::core

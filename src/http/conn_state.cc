@@ -1,15 +1,9 @@
 #include "http/conn_state.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <string>
 
 namespace hermes::http {
-
-bool zero_copy_enabled_from_env() {
-  const char* v = std::getenv("HERMES_ZEROCOPY");
-  return v == nullptr || std::string_view{v} != "0";
-}
 
 ConnState::ConnState() : ConnState(Config{}) {}
 

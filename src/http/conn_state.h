@@ -6,9 +6,10 @@
 // and builds, per request, the exact *wire chain* the proxy forwards to
 // the backend. In zero-copy mode the wire chain references the admitted
 // segments (zero memcpy on the proxy path; header/target views borrow
-// from the retained segments). In oracle mode (HERMES_ZEROCOPY=0) the
-// wire chain deep-copies every byte — the differential reference whose
-// output streams must be bit-identical to the zero-copy path.
+// from the retained segments). In oracle mode (Config::zero_copy = false)
+// the wire chain deep-copies every byte — the differential reference
+// whose output streams must be bit-identical to the zero-copy path. The
+// mode is chosen only through Config; no environment variable selects it.
 //
 // The same split applies on egress: a serialized backend response is
 // encoded once (admission copy, identical in both modes) and then either
@@ -26,8 +27,10 @@
 
 namespace hermes::http {
 
-// HERMES_ZEROCOPY: unset or "1" → zero-copy; "0" → copy oracle.
-bool zero_copy_enabled_from_env();
+// The forwarding mode every ConnState and DataPlane defaults to. Kept
+// only because the repository benchmark prints it on its config line
+// (perfbench/src/main.cc); it reads no environment variable.
+constexpr bool zero_copy_enabled_from_env() { return true; }
 
 class ConnState {
  public:

@@ -15,7 +15,8 @@
 // 26-periodic letter patterns, appended as memcpy runs out of one static
 // pre-rendered alphabet per direction, never byte by byte.
 //
-// Both modes (HERMES_ZEROCOPY=1 zero-copy / =0 copy oracle) must produce
+// Both modes (Config::zero_copy true = zero-copy, false = copy oracle;
+// chosen by config only, never by the environment) must produce
 // bit-identical backend and client byte streams; the data plane chains
 // IoChain::digest (netsim/iobuf.h) over each direction so benches and
 // tests can assert it. Each forwarded chain's digest seeds the next, so a
@@ -52,8 +53,7 @@ class DataPlane {
   struct Config {
     bool enabled = false;
     // Splice-style forwarding (references into admitted segments) vs the
-    // copy oracle. Callers usually seed this from HERMES_ZEROCOPY via
-    // http::zero_copy_enabled_from_env().
+    // copy oracle. Only differential tests turn it off.
     bool zero_copy = true;
     uint32_t num_backends = 8;
     core::BackendConnectionPool::Config pool{};

@@ -2,6 +2,11 @@
 // M tenant ports, a netsim kernel beneath, and optionally the full Hermes
 // runtime wired into it. The benches and examples drive this type.
 //
+// Every variant a test compares against is a Config field: the policy
+// (Config::policy), the forwarding mode (data_plane.zero_copy). The
+// scheduler path is set on the runtime (hermes()->scheduler().set_path).
+// The device reads no environment variable.
+//
 // Per-connection workload state (plan, original SYN time) lives in a
 // netsim::ConnTable keyed by the connection's id, i.e. by its slab slot.
 #pragma once
@@ -39,8 +44,8 @@ class LbDevice {
     Worker::Config worker{};           // id is overwritten per worker
     core::HermesConfig hermes{};
     // Scheduling policy for the generated dispatch program (core/policy.h).
-    // Defaults to the cascade, overridable via HERMES_POLICY.
-    core::PolicyKind policy = core::default_policy();
+    // Defaults to the paper's cascade.
+    core::PolicyKind policy = core::PolicyKind::Cascade;
     // Heterogeneous fleet: per-worker relative core speeds (empty = all
     // 1.0). Shorter than num_workers pads with 1.0. Also feeds the
     // weighted policy's capacity weights (weight = round(speed * 4)).

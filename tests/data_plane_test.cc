@@ -11,6 +11,7 @@
 #include "http/response.h"
 #include "sim/fleet.h"
 #include "sim/lb.h"
+#include "sim/workload.h"
 
 namespace hermes::sim {
 namespace {
@@ -123,6 +124,30 @@ TEST(DataPlaneTest, ZeroCopyAndOracleStreamsAreBitIdentical) {
   EXPECT_EQ(b.bytes_zero_copied, 0u);
   EXPECT_GT(b.bytes_copied, 0u);
   EXPECT_EQ(a.bytes_zero_copied, b.bytes_copied);
+}
+
+// The same differential on the paper's case-3 traffic (long-lived
+// keep-alive connections, Poisson arrivals, randomized request sizes)
+// driven through start_pattern, as simctl --case 3 --data-plane runs it.
+TEST(DataPlaneTest, Case3PatternStreamsMatchAcrossModes) {
+  DataPlane::Totals totals[2];
+  for (const bool zero_copy : {true, false}) {
+    LbDevice lb(dp_config(zero_copy));
+    const SimTime end = SimTime::seconds(1);
+    lb.start_pattern(case_pattern(3, lb.num_workers(), /*load=*/2.0), 0,
+                     lb.config().num_ports, end);
+    lb.eq().run_until(end);
+    totals[zero_copy ? 0 : 1] = lb.data_plane()->totals();
+  }
+  const DataPlane::Totals& zc = totals[0];
+  const DataPlane::Totals& oracle = totals[1];
+  EXPECT_GT(zc.requests_forwarded, 100u);
+  EXPECT_EQ(zc.requests_forwarded, oracle.requests_forwarded);
+  EXPECT_EQ(zc.bytes_in, oracle.bytes_in);
+  EXPECT_EQ(zc.backend_stream_hash, oracle.backend_stream_hash);
+  EXPECT_EQ(zc.client_stream_hash, oracle.client_stream_hash);
+  EXPECT_EQ(zc.bytes_copied, 0u);
+  EXPECT_GT(oracle.bytes_copied, 0u);
 }
 
 TEST(DataPlaneTest, StreamsMatchGoldenHashesInBothModes) {

@@ -4,9 +4,8 @@
 // counters; the weighted policy skews connections toward faster cores in
 // a heterogeneous fleet; per-worker speed scales the cost model.
 //
-// Every test pins Config::policy explicitly, so the suite passes under
-// any HERMES_POLICY value — the check.sh policy sweep re-runs it with
-// each one to cover the env-selection path end to end.
+// A policy is chosen only by Config::policy (cascade by default); every
+// test here names the one it runs.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -34,6 +33,9 @@ void run_case(LbDevice& lb, double load = 1.0, double seconds = 1.0) {
 }
 
 TEST(PolicySimTest, EveryPolicyServesTrafficEndToEnd) {
+  // A config that names no policy runs the paper's cascade.
+  EXPECT_EQ(LbDevice::Config{}.policy, core::PolicyKind::Cascade);
+  EXPECT_EQ(core::HermesRuntime::Options{}.policy, core::PolicyKind::Cascade);
   for (size_t k = 0; k < core::kPolicyCount; ++k) {
     const auto kind = static_cast<core::PolicyKind>(k);
     LbDevice lb(policy_config(kind));
@@ -125,23 +127,6 @@ TEST(PolicySimTest, WorkerSpeedScalesServiceCost) {
   EXPECT_GE(fast_lb.totals().requests_completed,
             slow_lb.totals().requests_completed);
   EXPECT_LT(busy_total(fast_lb).ns(), busy_total(slow_lb).ns() / 2);
-}
-
-TEST(PolicySimTest, DefaultPolicyFromEnvironmentServesTraffic) {
-  // The one test that does NOT pin Config::policy: whatever HERMES_POLICY
-  // selected (the check.sh sweep sets each name in turn) must attach,
-  // prove, and dispatch.
-  LbDevice::Config cfg;
-  cfg.mode = netsim::DispatchMode::HermesMode;
-  cfg.num_workers = 8;
-  cfg.num_ports = 8;
-  LbDevice lb(cfg);
-  ASSERT_NE(lb.hermes(), nullptr);
-  EXPECT_EQ(lb.hermes()->policy_kind(), core::default_policy());
-  run_case(lb);
-  EXPECT_GT(lb.totals().requests_completed, 100u);
-  const auto active = static_cast<size_t>(lb.hermes()->policy_kind());
-  EXPECT_GT(lb.obs()->metrics.policy_dispatches[active]->value(), 0u);
 }
 
 TEST(PolicySimTest, AuxPublishesTrackSchedules) {

@@ -8,10 +8,18 @@
 // all 6 stage orders, theta in {0, 0.1, 0.5} and group limits {1, 2, 63,
 // 64}, mixing metric magnitudes up to ~2^60 so the >2^53 range — where the
 // old double-precision filter misclassified — is covered continuously.
+//
+// One level up, RuntimeFastMatchesReferenceEverySync drives two whole
+// HermesRuntimes, one per path, through the same script. There the fast
+// path also skips unchanged-bitmap syncs, so the test pins what the
+// kernel sees after every schedule_and_sync.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <vector>
 
+#include "core/hermes.h"
+#include "core/policy.h"
 #include "core/scheduler.h"
 #include "core/wst.h"
 #include "simcore/rng.h"
@@ -147,6 +155,95 @@ TEST(SchedFastDifferentialTest, AllEqualHugeMetricsKeepEveryone) {
     sched.set_path(p);
     const ScheduleResult res = sched.schedule(wst, now);
     EXPECT_EQ(res.selected, kWorkers) << to_string(p);
+  }
+}
+
+// The runtime-level differential: two HermesRuntimes, one on each path,
+// replay one seeded script of heartbeats, connection and pending-event
+// deltas and hangs. Steps advance time by under 2 ms, so several syncs
+// land inside one sync_refresh_interval and the fast runtime's change
+// suppression is exercised on both changed and unchanged bitmaps. After
+// every schedule_and_sync the two must agree on the filter result and on
+// every group's kernel-visible bitmap. Worker counts cover one partial
+// group, one full group, a full group plus a one-worker group, and two
+// full groups; every policy runs, since aux policies take their own
+// gather before the sync.
+TEST(SchedFastDifferentialTest, RuntimeFastMatchesReferenceEverySync) {
+  constexpr int kSteps = 1500;
+  for (uint32_t workers : {8u, 63u, 64u, 65u, 128u}) {
+    for (size_t k = 0; k < core::kPolicyCount; ++k) {
+      const auto kind = static_cast<core::PolicyKind>(k);
+      SCOPED_TRACE(::testing::Message()
+                   << "workers=" << workers << " policy=" << to_string(kind));
+      core::HermesRuntime::Options opts;
+      opts.num_workers = workers;
+      opts.policy = kind;
+      core::HermesRuntime fast(opts);
+      core::HermesRuntime ref(opts);
+      ref.scheduler().set_path(SchedPath::Reference);
+      ASSERT_EQ(fast.scheduler().path(), SchedPath::Fast);
+      core::HermesRuntime* const both[] = {&fast, &ref};
+
+      sim::Rng rng(0x5c41ed00 + workers * 8 + k);
+      std::vector<int64_t> conns(workers, 0);
+      std::vector<int64_t> pending(workers, 0);
+      std::vector<SimTime> hung_until(workers, SimTime::zero());
+      SimTime now = SimTime::millis(1);
+      for (int step = 0; step < kSteps; ++step) {
+        now = now + SimTime::micros(static_cast<int64_t>(rng.next_below(2000)));
+        for (WorkerId w = 0; w < workers; ++w) {
+          if (now >= hung_until[w] && rng.bernoulli(0.5)) {
+            for (auto* rt : both) rt->wst().update_avail(w, now);
+          }
+          if (rng.bernoulli(0.2)) {
+            const int64_t d =
+                static_cast<int64_t>(rng.next_below(7)) - 3;
+            const int64_t dc = conns[w] + d < 0 ? -conns[w] : d;
+            conns[w] += dc;
+            for (auto* rt : both) rt->wst().add_connections(w, dc);
+          }
+          if (rng.bernoulli(0.3)) {
+            const int64_t d =
+                static_cast<int64_t>(rng.next_below(9)) - 4;
+            const int64_t dp = pending[w] + d < 0 ? -pending[w] : d;
+            pending[w] += dp;
+            for (auto* rt : both) rt->wst().add_pending(w, dp);
+          }
+        }
+        // A hang of 20-120 ms: past the 50 ms threshold, FilterTime drops
+        // the worker until it heartbeats again.
+        if (rng.bernoulli(0.05)) {
+          const WorkerId w = static_cast<WorkerId>(rng.next_below(workers));
+          hung_until[w] =
+              now + SimTime::millis(20 + static_cast<int64_t>(
+                                             rng.next_below(100)));
+        }
+
+        const WorkerId self = static_cast<WorkerId>(rng.next_below(workers));
+        const ScheduleResult a = fast.schedule_and_sync(self, now);
+        const ScheduleResult b = ref.schedule_and_sync(self, now);
+        ASSERT_EQ(a.bitmap, b.bitmap) << "step=" << step;
+        ASSERT_EQ(a.after_time, b.after_time) << "step=" << step;
+        ASSERT_EQ(a.after_conn, b.after_conn) << "step=" << step;
+        ASSERT_EQ(a.after_event, b.after_event) << "step=" << step;
+        ASSERT_EQ(a.selected, b.selected) << "step=" << step;
+        // The reference path publishes every sync; the fast path may skip
+        // one only when the map already holds the bitmap, which the
+        // per-group comparison below checks.
+        ASSERT_TRUE(b.published) << "step=" << step;
+        for (uint32_t g = 0; g < fast.num_groups(); ++g) {
+          ASSERT_EQ(fast.kernel_bitmap(g), ref.kernel_bitmap(g))
+              << "step=" << step << " group=" << g;
+        }
+      }
+      const auto& fc = fast.counters();
+      const auto& rc = ref.counters();
+      EXPECT_EQ(fc.schedules, rc.schedules);
+      EXPECT_EQ(rc.syncs_suppressed, 0u);
+      EXPECT_GT(fc.syncs_suppressed, 0u);
+      EXPECT_GT(fc.syncs, 0u);
+      EXPECT_EQ(fc.syncs + fc.syncs_suppressed, rc.syncs);
+    }
   }
 }
 
