@@ -8,7 +8,7 @@
 #include <cstdio>
 
 #include "bench/bench_common.h"
-#include "sim/multi_lb.h"
+#include "sim/fleet.h"
 
 using namespace hermes;
 using namespace hermes::bench;
@@ -23,24 +23,24 @@ struct PhaseStats {
   double victim_p99_ms;
 };
 
-PhaseStats run_phase(sim::MultiLbCluster& cluster, bool attack, SimTime dur) {
+PhaseStats run_phase(sim::Fleet& fleet, bool attack, SimTime dur) {
   sim::Histogram victims{5};
-  for (size_t d = 0; d < cluster.size(); ++d) {
-    cluster.device(d).set_request_done_fn(
+  for (size_t d = 0; d < fleet.device_count(); ++d) {
+    fleet.device(d).set_request_done_fn(
         [&victims](TenantId tenant, SimTime latency) {
           if (tenant != kAbuser) victims.record(latency);
         });
   }
 
-  const SimTime end = cluster.now() + dur;
-  while (cluster.now() < end) {
+  const SimTime end = fleet.now() + dur;
+  while (fleet.now() < end) {
     for (int v = 1; v <= kVictims; ++v) {
       sim::LbDevice::ConnPlan plan;
       plan.tenant = static_cast<TenantId>(v);
       plan.remaining = 2;
       plan.cost_us = sim::DistSpec::constant(150);
       plan.gap_us = sim::DistSpec::constant(10'000);
-      cluster.open_connection(static_cast<TenantId>(v), plan);
+      fleet.open_burst(static_cast<TenantId>(v), plan, 1);
     }
     if (attack) {
       for (int k = 0; k < 3; ++k) {
@@ -48,15 +48,15 @@ PhaseStats run_phase(sim::MultiLbCluster& cluster, bool attack, SimTime dur) {
         bad.tenant = kAbuser;
         bad.remaining = 1;
         bad.cost_us = sim::DistSpec::uniform(30'000, 120'000);
-        cluster.open_connection(kAbuser, bad);
+        fleet.open_burst(kAbuser, bad, 1);
       }
     }
-    cluster.run_until(cluster.now() + SimTime::millis(10));
+    fleet.run_until(fleet.now() + SimTime::millis(10));
   }
   // Let in-flight work land before switching phases.
-  cluster.run_until(cluster.now() + SimTime::millis(500));
-  for (size_t d = 0; d < cluster.size(); ++d) {
-    cluster.device(d).set_request_done_fn(nullptr);
+  fleet.run_until(fleet.now() + SimTime::millis(500));
+  for (size_t d = 0; d < fleet.device_count(); ++d) {
+    fleet.device(d).set_request_done_fn(nullptr);
   }
   return PhaseStats{victims.mean() / 1e6,
                     static_cast<double>(victims.p99()) / 1e6};
@@ -68,40 +68,37 @@ int main(int argc, char** argv) {
   BenchJson json("appendixC_sandbox", &argc, argv);
   header("Appendix C (case 2): abusive-tenant sandbox isolation");
 
-  std::vector<sim::MultiLbCluster::DeviceSpec> specs = {
-      {netsim::DispatchMode::HermesMode, 41},
-      {netsim::DispatchMode::HermesMode, 42},
-      {netsim::DispatchMode::HermesMode, 43},  // the sandbox
-  };
-  sim::LbDevice::Config base;
-  base.num_workers = 8;
-  base.num_ports = 16;
-  base.seed = 6;
-  sim::MultiLbCluster cluster(specs, base);
-  cluster.start_draining(2);  // sandbox is out of the normal rotation
+  sim::Fleet::Config fc;
+  fc.num_lbs = 3;  // two shared devices and the sandbox
+  fc.device.mode = netsim::DispatchMode::HermesMode;
+  fc.device.num_workers = 8;
+  fc.device.num_ports = 16;
+  fc.seed = 6;
+  sim::Fleet fleet(fc);
+  fleet.drain(2);  // sandbox is out of the normal rotation
 
   std::printf("%-34s %14s %14s\n", "phase", "victims avg", "victims P99");
 
-  const auto healthy = run_phase(cluster, /*attack=*/false, SimTime::seconds(3));
+  const auto healthy = run_phase(fleet, /*attack=*/false, SimTime::seconds(3));
   std::printf("%-34s %11.2f ms %11.2f ms\n", "1. healthy (no attack)",
               healthy.victim_avg_ms, healthy.victim_p99_ms);
 
   const auto under_attack =
-      run_phase(cluster, /*attack=*/true, SimTime::seconds(3));
+      run_phase(fleet, /*attack=*/true, SimTime::seconds(3));
   std::printf("%-34s %11.2f ms %11.2f ms\n", "2. attack on shared devices",
               under_attack.victim_avg_ms, under_attack.victim_p99_ms);
 
   // Detection + migration: pin the abuser to the sandbox; shed its
   // leftover connections from the shared devices.
-  cluster.migrate_tenant(kAbuser, 2);
-  cluster.device(0).close_fraction(1.0);
-  cluster.device(1).close_fraction(1.0);
+  fleet.pin_tenant(kAbuser, 2);
+  fleet.device(0).close_fraction(1.0);
+  fleet.device(1).close_fraction(1.0);
   // The shared devices drain the abuser's already-queued work ("once the
   // migration is complete, CPU usage on the original workers returns to
   // normal" — it takes a moment).
-  cluster.run_until(cluster.now() + SimTime::seconds(4));
+  fleet.run_until(fleet.now() + SimTime::seconds(4));
   const auto sandboxed =
-      run_phase(cluster, /*attack=*/true, SimTime::seconds(3));
+      run_phase(fleet, /*attack=*/true, SimTime::seconds(3));
   std::printf("%-34s %11.2f ms %11.2f ms\n",
               "3. attack continues, sandboxed", sandboxed.victim_avg_ms,
               sandboxed.victim_p99_ms);

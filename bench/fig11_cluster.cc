@@ -1,13 +1,14 @@
 // Fig. 11 (cluster edition): the canary release simulated end-to-end on a
-// real multi-device cluster instead of the analytic drain model. Two
+// real multi-device fleet instead of the analytic drain model. Two
 // old-version (epoll exclusive) devices serve long-lived, surge-prone
-// tenants; at the release day two Hermes devices enter the L4 rotation
-// and the old ones drain as client connections churn out. Per-core probes
-// track delayed counts per "day" on whichever devices still hold traffic.
+// tenants behind the Maglev front tier; on the release day two Hermes
+// devices join the fleet (Fleet::add_lb) and the old ones drain
+// (Fleet::drain) as client connections churn out. Per-core probes track
+// delayed counts per "day" on whichever devices still hold traffic.
 #include <cstdio>
 
 #include "bench/bench_common.h"
-#include "sim/multi_lb.h"
+#include "sim/fleet.h"
 
 using namespace hermes;
 using namespace hermes::bench;
@@ -22,19 +23,13 @@ int main(int argc, char** argv) {
   BenchJson json("fig11_cluster", &argc, argv);
   header("Fig. 11 (cluster): canary release across 4 LB devices, simulated");
 
-  std::vector<sim::MultiLbCluster::DeviceSpec> specs = {
-      {netsim::DispatchMode::EpollExclusive, 11},
-      {netsim::DispatchMode::EpollExclusive, 12},
-      {netsim::DispatchMode::HermesMode, 13},
-      {netsim::DispatchMode::HermesMode, 14},
-  };
-  sim::LbDevice::Config base;
-  base.num_workers = 8;
-  base.num_ports = 16;
-  base.seed = 3;
-  sim::MultiLbCluster cluster(specs, base);
-  cluster.start_draining(2);  // Hermes devices not yet released
-  cluster.start_draining(3);
+  sim::Fleet::Config fc;
+  fc.num_lbs = 2;  // old version; the Hermes devices join on release day
+  fc.device.mode = netsim::DispatchMode::EpollExclusive;
+  fc.device.num_workers = 8;
+  fc.device.num_ports = 16;
+  fc.seed = 3;
+  sim::Fleet fleet(fc);
 
   sim::Rng rng(99);
   sim::LbDevice::ConnPlan longlived;
@@ -47,10 +42,10 @@ int main(int argc, char** argv) {
   uint64_t prev_delayed[4] = {};
   for (int day = 0; day < 8; ++day) {
     if (day == kReleaseDay) {
-      cluster.stop_draining(2);
-      cluster.stop_draining(3);
-      cluster.start_draining(0);
-      cluster.start_draining(1);
+      fleet.add_lb(netsim::DispatchMode::HermesMode);
+      fleet.add_lb(netsim::DispatchMode::HermesMode);
+      fleet.drain(0);
+      fleet.drain(1);
     }
 
     uint64_t probes = 0, delayed = 0;
@@ -60,19 +55,19 @@ int main(int argc, char** argv) {
       // wakeup concentrates).
       for (int step = 0; step < 10; ++step) {
         for (int i = 0; i < 10; ++i) {
-          cluster.open_connection(static_cast<TenantId>(i % 8), longlived);
+          fleet.open_burst(static_cast<TenantId>(i % 8), longlived, 1);
         }
-        cluster.run_until(cluster.now() + kDay / 80);
+        fleet.run_until(fleet.now() + kDay / 80);
       }
-      cluster.run_until(cluster.now() + kDay / 40);
+      fleet.run_until(fleet.now() + kDay / 40);
       // Synchronized surge (the lag-effect trigger) on every device.
-      for (size_t d = 0; d < cluster.size(); ++d) {
-        cluster.device(d).burst_all_connections(
+      for (size_t d = 0; d < fleet.device_count(); ++d) {
+        fleet.device(d).burst_all_connections(
             sim::DistSpec::lognormal(400, 0.3), 3);
       }
       // Probe every device that still carries connections, per core.
-      for (size_t d = 0; d < cluster.size(); ++d) {
-        auto& lb = cluster.device(d);
+      for (size_t d = 0; d < fleet.device_count(); ++d) {
+        auto& lb = fleet.device(d);
         if (lb.live_connections() == 0) continue;
         for (int i = 0; i < 50; ++i) {
           lb.inject_core_probe(
@@ -80,17 +75,16 @@ int main(int argc, char** argv) {
           ++probes;
         }
       }
-      cluster.run_until(cluster.now() + kDay / 8);
+      fleet.run_until(fleet.now() + kDay / 8);
     }
 
-    for (size_t d = 0; d < cluster.size(); ++d) {
-      delayed += cluster.device(d).delayed_probes() - prev_delayed[d];
-      prev_delayed[d] = cluster.device(d).delayed_probes();
+    uint64_t old_conns = 0, new_conns = 0;
+    for (size_t d = 0; d < fleet.device_count(); ++d) {
+      delayed += fleet.device(d).delayed_probes() - prev_delayed[d];
+      prev_delayed[d] = fleet.device(d).delayed_probes();
+      (d < fc.num_lbs ? old_conns : new_conns) +=
+          fleet.device(d).live_connections();
     }
-    const uint64_t old_conns = cluster.device(0).live_connections() +
-                               cluster.device(1).live_connections();
-    const uint64_t new_conns = cluster.device(2).live_connections() +
-                               cluster.device(3).live_connections();
     std::printf("%-5d %8lu %9lu %12.1f%% %15lu %15lu%s\n", day,
                 (unsigned long)probes, (unsigned long)delayed,
                 100.0 * static_cast<double>(delayed) /
@@ -100,11 +94,13 @@ int main(int argc, char** argv) {
     json.metric("day" + std::to_string(day) + ".delayed_rate_pct",
                 100.0 * static_cast<double>(delayed) /
                     static_cast<double>(std::max<uint64_t>(1, probes)));
+    json.metric("day" + std::to_string(day) + ".old_dev_conns",
+                static_cast<double>(old_conns));
 
     // Daily client churn on every device; draining devices get no
     // replacements, so their population decays (the Fig. 11 tail).
-    for (size_t d = 0; d < cluster.size(); ++d) {
-      cluster.device(d).close_fraction(kDailyChurn);
+    for (size_t d = 0; d < fleet.device_count(); ++d) {
+      fleet.device(d).close_fraction(kDailyChurn);
     }
   }
   std::printf("\nShape: pre-release, surges on the exclusive devices delay"

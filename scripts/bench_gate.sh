@@ -26,6 +26,13 @@
 #                     allocs/request, and the sim leg's data-plane counts
 #                     (the >=2x speedup check is enforced by the bench
 #                     binary itself, which exits non-zero on miss)
+#   fig11_cluster     canary release on a Fleet (2 epoll-exclusive devices,
+#                     then 2 Hermes devices added and the old pair
+#                     drained); gates the per-day delayed-probe rate and
+#                     old-device connection count
+#   appendixC_sandbox abusive tenant pinned to a drained sandbox device;
+#                     gates the victims' P99 healthy / under attack /
+#                     sandboxed
 #   ablation_policy   per-policy dispatch programs (cascade/p2c/weighted/
 #                     queue_est); gates insns-per-dispatch + selection
 #                     counts over a fixed ctx sweep and the hetero-fleet
@@ -39,7 +46,7 @@ BUILD_DIR=${BUILD_DIR:-build}
 BASELINE=${BASELINE:-bench/baseline.json}
 GATE_BENCHES=(fig12_unit_cost fig13_load_sd table5_overhead analysis_cost
               dispatch_path sched_path fleet_scale proxy_path
-              ablation_policy)
+              fig11_cluster appendixC_sandbox ablation_policy)
 
 # The gate runs the fleet bench at smoke scale; deterministic metrics scale
 # with the connection count, so the baseline is only valid at this value.

@@ -11,30 +11,28 @@ Fleet::Fleet(Config cfg)
     : cfg_(cfg), maglev_(cfg.maglev_size), rng_(cfg.seed ^ 0xf1ee7f1ee7ull) {
   HERMES_CHECK(cfg_.num_lbs > 0);
   devices_.reserve(cfg_.num_lbs);
-  for (uint32_t i = 0; i < cfg_.num_lbs; ++i) {
-    devices_.push_back(std::make_unique<LbDevice>(device_config(next_id_)));
-    ids_.push_back(next_id_++);
-    active_.push_back(true);
-  }
+  for (uint32_t i = 0; i < cfg_.num_lbs; ++i) add_device(cfg_.device.mode);
   rebuild_tables();
 }
 
-LbDevice::Config Fleet::device_config(uint32_t index) const {
+void Fleet::add_device(netsim::DispatchMode mode) {
   LbDevice::Config dc = cfg_.device;
-  dc.seed = cfg_.seed * 0x9e3779b97f4a7c15ull + index + 1;
-  return dc;
+  dc.mode = mode;
+  dc.seed = cfg_.seed * 0x9e3779b97f4a7c15ull + next_id_ + 1;
+  devices_.push_back(std::make_unique<LbDevice>(dc));
+  ids_.push_back(next_id_++);
+  state_.push_back(Member::Active);
 }
 
 size_t Fleet::active_count() const {
-  size_t n = 0;
-  for (bool a : active_) n += a ? 1 : 0;
-  return n;
+  return static_cast<size_t>(
+      std::count(state_.begin(), state_.end(), Member::Active));
 }
 
 void Fleet::rebuild_tables() {
   std::vector<uint32_t> members;
   for (size_t i = 0; i < devices_.size(); ++i) {
-    if (active_[i]) members.push_back(ids_[i]);
+    if (active(i)) members.push_back(ids_[i]);
   }
   maglev_.build(members);
 }
@@ -57,7 +55,7 @@ size_t Fleet::route_mod(uint32_t flow_hash) const {
   uint32_t k = netsim::reciprocal_scale(flow_hash,
                                         static_cast<uint32_t>(n));
   for (size_t i = 0; i < devices_.size(); ++i) {
-    if (!active_[i]) continue;
+    if (!active(i)) continue;
     if (k == 0) return i;
     --k;
   }
@@ -66,7 +64,8 @@ size_t Fleet::route_mod(uint32_t flow_hash) const {
 
 size_t Fleet::open_burst(TenantId tenant, const LbDevice::ConnPlan& plan,
                          size_t count) {
-  if (active_count() == 0) return 0;
+  const size_t pin = pinned_device(tenant);
+  if (pin == SIZE_MAX && active_count() == 0) return 0;
   burst_groups_.resize(devices_.size());
   for (auto& g : burst_groups_) g.clear();
 
@@ -76,12 +75,8 @@ size_t Fleet::open_burst(TenantId tenant, const LbDevice::ConnPlan& plan,
   const auto dport = static_cast<PortId>(
       cfg_.device.first_port + tenant % cfg_.device.num_ports);
   for (size_t i = 0; i < count; ++i) {
-    netsim::FourTuple t;
-    t.saddr = static_cast<uint32_t>(rng_.next_u64());
-    t.daddr = 0x0a000001;
-    t.sport = static_cast<uint16_t>(1024 + rng_.next_below(60000));
-    t.dport = dport;
-    const size_t dev = route(netsim::skb_hash(t));
+    const netsim::FourTuple t = draw_client_tuple(rng_, dport);
+    const size_t dev = pin != SIZE_MAX ? pin : route(netsim::skb_hash(t));
     HERMES_DCHECK(dev != SIZE_MAX);
     burst_groups_[dev].push_back(t);
   }
@@ -95,10 +90,8 @@ size_t Fleet::open_burst(TenantId tenant, const LbDevice::ConnPlan& plan,
   return established;
 }
 
-size_t Fleet::add_lb() {
-  devices_.push_back(std::make_unique<LbDevice>(device_config(next_id_)));
-  ids_.push_back(next_id_++);
-  active_.push_back(true);
+size_t Fleet::add_lb(netsim::DispatchMode mode) {
+  add_device(mode);
   // New devices join at the fleet clock (their queue starts at zero).
   devices_.back()->eq().run_until(now_);
   rebuild_tables();
@@ -106,8 +99,9 @@ size_t Fleet::add_lb() {
 }
 
 void Fleet::remove_lb(size_t i) {
-  HERMES_CHECK(i < devices_.size() && active_[i]);
-  active_[i] = false;
+  HERMES_CHECK(i < devices_.size() && state_[i] != Member::Removed);
+  state_[i] = Member::Removed;
+  std::erase_if(pins_, [i](const auto& pin) { return pin.second == i; });
   rebuild_tables();
   // Every connection still on the removed device is broken: the stateless
   // front tier now routes its packets to a device with no state for it.
@@ -115,14 +109,32 @@ void Fleet::remove_lb(size_t i) {
   devices_[i]->close_fraction(1.0);
 }
 
+void Fleet::drain(size_t i) {
+  HERMES_CHECK(i < devices_.size() && active(i));
+  state_[i] = Member::Draining;
+  rebuild_tables();
+}
+
+void Fleet::pin_tenant(TenantId tenant, size_t i) {
+  HERMES_CHECK(i < devices_.size() && state_[i] != Member::Removed);
+  pins_[tenant] = i;
+}
+
 Fleet::PccAudit Fleet::audit_pcc() {
   PccAudit audit;
+  const bool any_pins = !pins_.empty();
   for (size_t d = 0; d < devices_.size(); ++d) {
-    if (!active_[d]) continue;
+    if (!active(d)) continue;
     devices_[d]->netstack().conns().for_each_live(
         [&](netsim::Connection c) {
-          const uint32_t h = netsim::skb_hash(c.tuple());
           ++audit.checked;
+          const size_t pin = any_pins ? pinned_device(c.tenant()) : SIZE_MAX;
+          if (pin != SIZE_MAX) {  // both tiers send it to the pinned device
+            audit.maglev_violations += pin != d;
+            audit.modn_violations += pin != d;
+            return;
+          }
+          const uint32_t h = netsim::skb_hash(c.tuple());
           if (route(h) != d) ++audit.maglev_violations;
           if (route_mod(h) != d) ++audit.modn_violations;
         });
@@ -135,7 +147,7 @@ Fleet::Imbalance Fleet::imbalance() const {
   uint64_t total = 0, n = 0;
   uint64_t mx = 0, mn = UINT64_MAX;
   for (size_t d = 0; d < devices_.size(); ++d) {
-    if (!active_[d]) continue;
+    if (!active(d)) continue;
     const uint64_t live = devices_[d]->live_connections();
     total += live;
     mx = std::max(mx, live);
@@ -146,7 +158,7 @@ Fleet::Imbalance Fleet::imbalance() const {
   im.conn_avg = static_cast<double>(total) / static_cast<double>(n);
   double var = 0;
   for (size_t d = 0; d < devices_.size(); ++d) {
-    if (!active_[d]) continue;
+    if (!active(d)) continue;
     const double diff = static_cast<double>(devices_[d]->live_connections()) -
                         im.conn_avg;
     var += diff * diff;
@@ -165,8 +177,8 @@ void Fleet::run_until(SimTime until, SimTime step) {
   while (t < until) {
     t = std::min(until, t + step);
     for (size_t d = 0; d < devices_.size(); ++d) {
-      // Inactive devices keep draining their queues (in-flight work
-      // finishes) but receive no new connections.
+      // Draining and removed devices keep running their queues
+      // (in-flight work finishes) but receive no new connections.
       devices_[d]->eq().run_until(t);
     }
     now_ = t;
@@ -176,7 +188,7 @@ void Fleet::run_until(SimTime until, SimTime step) {
 uint64_t Fleet::total_live() const {
   uint64_t sum = 0;
   for (size_t d = 0; d < devices_.size(); ++d) {
-    if (active_[d]) sum += devices_[d]->live_connections();
+    if (state_[d] != Member::Removed) sum += devices_[d]->live_connections();
   }
   return sum;
 }
@@ -184,12 +196,6 @@ uint64_t Fleet::total_live() const {
 uint64_t Fleet::total_completed() const {
   uint64_t sum = 0;
   for (const auto& d : devices_) sum += d->totals().requests_completed;
-  return sum;
-}
-
-uint64_t Fleet::total_opened() const {
-  uint64_t sum = 0;
-  for (const auto& d : devices_) sum += d->totals().conns_opened;
   return sum;
 }
 

@@ -13,12 +13,16 @@
 // ECMP does) moves almost all of them. Fleet measures both, by scanning the
 // SoA connection slabs of every device and re-routing each live tuple.
 //
-// Each LbDevice keeps its own event queue (as in multi_lb.h); devices only
-// interact through connection arrivals, so the fleet advances them in
-// bounded lockstep.
+// It also runs the paper's fleet operations: the canary release of Fig. 11
+// (add_lb(mode), then drain the old devices) and the sandbox migration of
+// Appendix C (pin_tenant).
+//
+// Each LbDevice keeps its own event queue; devices only interact through
+// connection arrivals, so the fleet advances them in bounded lockstep.
 #pragma once
 
 #include <memory>
+#include <unordered_map>
 #include <vector>
 
 #include "netsim/four_tuple.h"
@@ -89,7 +93,8 @@ class Fleet {
   size_t device_count() const { return devices_.size(); }
   size_t active_count() const;
   LbDevice& device(size_t i) { return *devices_[i]; }
-  bool active(size_t i) const { return active_[i]; }
+  // In the front-tier rotation (neither draining nor removed).
+  bool active(size_t i) const { return state_[i] == Member::Active; }
 
   // ---- front tier ------------------------------------------------------
   // Maglev route: device index owning this flow hash (SIZE_MAX if no
@@ -100,24 +105,40 @@ class Fleet {
   size_t route_mod(uint32_t flow_hash) const;
 
   // Open `count` connections for `tenant`: tuples are drawn from the fleet
-  // RNG, routed by Maglev exactly as the front tier would route the SYN,
-  // and delivered to each device as one tuple burst. Returns established.
+  // RNG, routed by Maglev exactly as the front tier would route the SYN
+  // (or all to the tenant's pinned device), and delivered to each device
+  // as one tuple burst. Returns established.
   size_t open_burst(TenantId tenant, const LbDevice::ConnPlan& plan,
                     size_t count);
 
   // ---- membership churn ------------------------------------------------
-  // Add one LB instance; the table rebuild remaps ~1/N of the hash space.
-  // Returns the new device's index.
-  size_t add_lb();
+  // Add one LB instance running dispatch `mode`; the table rebuild remaps
+  // ~1/N of the hash space. Returns the new device's index.
+  size_t add_lb(netsim::DispatchMode mode);
+  size_t add_lb() { return add_lb(cfg_.device.mode); }
 
   // Remove LB `i` from the rotation. Its live connections are broken (the
   // stateless tier cannot pin them anywhere) and closed; surviving
   // connections on other devices may also be remapped by the rebuild.
+  // Tenants pinned to it fall back to the hash.
   void remove_lb(size_t i);
+
+  // Canary drain: take active LB `i` out of the rotation without breaking
+  // anything. It gets no new connections (unless a tenant is pinned to
+  // it), keeps running, and its live connections finish on it; they still
+  // count in total_live().
+  void drain(size_t i);
+
+  // ---- sandbox pinning -------------------------------------------------
+  // Route every new connection of `tenant` to device `i` (draining or
+  // active), bypassing the hash. The audit honours the pin.
+  void pin_tenant(TenantId tenant, size_t i);
+  void unpin_tenant(TenantId tenant) { pins_.erase(tenant); }
 
   // ---- PCC audit -------------------------------------------------------
   // Scan every active device's connection slab (SoA column walk) and
-  // re-route each live tuple through the CURRENT front-tier tables.
+  // re-route each live connection through the CURRENT front-tier decision:
+  // its tenant's pin, else the tuple hash.
   struct PccAudit {
     uint64_t checked = 0;            // live connections scanned
     uint64_t maglev_violations = 0;  // Maglev now routes elsewhere
@@ -142,9 +163,8 @@ class Fleet {
   void run_until(SimTime until, SimTime step = SimTime::millis(100));
   SimTime now() const { return now_; }
 
-  uint64_t total_live() const;
+  uint64_t total_live() const;  // active and draining devices
   uint64_t total_completed() const;
-  uint64_t total_opened() const;
   uint64_t total_dropped() const;
 
   // Aggregated L7 data-plane totals across all devices (zero when the
@@ -153,14 +173,23 @@ class Fleet {
   DataPlane::Totals data_plane_totals() const;
 
  private:
+  enum class Member : uint8_t { Active, Draining, Removed };
+
   size_t index_of_id(uint32_t id) const;  // device index for a backend id
+  // Device `tenant` is pinned to, or SIZE_MAX.
+  size_t pinned_device(TenantId tenant) const {
+    if (pins_.empty()) return SIZE_MAX;
+    const auto it = pins_.find(tenant);
+    return it == pins_.end() ? SIZE_MAX : it->second;
+  }
+  void add_device(netsim::DispatchMode mode);
   void rebuild_tables();
-  LbDevice::Config device_config(uint32_t index) const;
 
   Config cfg_;
   std::vector<std::unique_ptr<LbDevice>> devices_;
   std::vector<uint32_t> ids_;      // stable backend id per device index
-  std::vector<bool> active_;
+  std::vector<Member> state_;
+  std::unordered_map<TenantId, size_t> pins_;
   MaglevTable maglev_;
   Rng rng_;
   SimTime now_{};

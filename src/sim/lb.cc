@@ -133,18 +133,6 @@ netsim::ConnId LbDevice::open_connection(TenantId tenant, ConnPlan plan) {
                                  /*attempt=*/0);
 }
 
-size_t LbDevice::open_connection_burst(TenantId tenant, const ConnPlan& plan,
-                                       size_t count) {
-  std::vector<netsim::FourTuple> tuples(count);
-  for (auto& tuple : tuples) {
-    tuple.saddr = static_cast<uint32_t>(rng_.next_u64());
-    tuple.daddr = 0x0a000001;
-    tuple.sport = static_cast<uint16_t>(1024 + rng_.next_below(60000));
-    tuple.dport = port_of(tenant);
-  }
-  return open_tuple_burst(tenant, plan, tuples);
-}
-
 size_t LbDevice::open_tuple_burst(TenantId tenant, const ConnPlan& plan,
                                   std::span<const netsim::FourTuple> tuples) {
   // Admission control: rate-limited SYNs never reach the netstack (and
@@ -182,11 +170,7 @@ netsim::ConnId LbDevice::open_connection_attempt(TenantId tenant,
                                                  ConnPlan plan,
                                                  SimTime first_syn,
                                                  int attempt) {
-  netsim::FourTuple tuple;
-  tuple.saddr = static_cast<uint32_t>(rng_.next_u64());
-  tuple.daddr = 0x0a000001;
-  tuple.sport = static_cast<uint16_t>(1024 + rng_.next_below(60000));
-  tuple.dport = port_of(tenant);
+  const netsim::FourTuple tuple = draw_client_tuple(rng_, port_of(tenant));
 
   if (limiter_ && !limiter_->admit(tuple.saddr, eq_.now())) {
     // Policy refusal at admission: no backlog drop, no SYN retry (the
@@ -448,22 +432,19 @@ void LbDevice::on_request_done(Worker& w, const Request& req) {
   if (request_done_) request_done_(req.tenant, latency);
 
   LiveConn* lc = conns_.find(req.conn);
-  if (lc == nullptr) {
-    if (req.conn >= kProbeConnBase) {  // synthetic per-core probe
-      probe_latency_.record(latency);
-      if (latency > SimTime::millis(200)) ++delayed_probes_;
-      if (probe_done_) probe_done_(req.conn, latency);
-    } else if (dp_) {
-      // Reset while in flight (degradation, close_fraction): nobody to
-      // answer, but the request's backend connection must still return.
-      dp_->on_response(w.id(), req, eq_.now());
-    }
-    return;
-  }
-  if (lc->plan.is_probe) {
-    probe_latency_.record(latency);
+  // A probe rides a probe-plan connection or is a synthetic per-core
+  // probe, whose id names no connection.
+  const bool probe =
+      lc != nullptr ? lc->plan.is_probe : req.conn >= kProbeConnBase;
+  if (probe) {
     if (latency > SimTime::millis(200)) ++delayed_probes_;
     if (probe_done_) probe_done_(req.conn, latency);
+  }
+  if (lc == nullptr) {
+    // Reset while in flight (degradation, close_fraction): nobody to
+    // answer, but the request's backend connection must still return.
+    if (!probe && dp_) dp_->on_response(w.id(), req, eq_.now());
+    return;
   }
   if (dp_) dp_->on_response(w.id(), req, eq_.now());
   lc->plan.remaining -= 1;

@@ -33,6 +33,18 @@
 
 namespace hermes::sim {
 
+// A client SYN's four-tuple: a random source address and ephemeral port
+// towards the VIP's `dport`. The draw order (saddr, then sport) is part
+// of every seeded run's identity.
+inline netsim::FourTuple draw_client_tuple(Rng& rng, PortId dport) {
+  netsim::FourTuple t;
+  t.saddr = static_cast<uint32_t>(rng.next_u64());
+  t.daddr = 0x0a000001;
+  t.sport = static_cast<uint16_t>(1024 + rng.next_below(60000));
+  t.dport = dport;
+  return t;
+}
+
 class LbDevice {
  public:
   struct Config {
@@ -111,17 +123,13 @@ class LbDevice {
   // ORIGINAL SYN, as the client experiences it).
   netsim::ConnId open_connection(TenantId tenant, ConnPlan plan);
 
-  // Open `count` connections for `tenant` as one SYN burst at the current
-  // sim time. Dispatch goes through the netstack's batched entry
-  // (ReuseportGroup::select_batch), amortizing program-plan and metric
-  // lookups across the burst. Burst drops are final — no SYN
-  // retransmission. Returns the number established.
-  size_t open_connection_burst(TenantId tenant, const ConnPlan& plan,
-                               size_t count);
-
-  // Same burst entry but with caller-supplied four-tuples (the fleet front
-  // tier routes by tuple hash, so the tuple the client chose must be the
-  // tuple this device admits). Tuple dports must equal port_of(tenant).
+  // Open one connection per caller-supplied four-tuple as one SYN burst at
+  // the current sim time (the fleet front tier routes by tuple hash, so the
+  // tuple the client chose must be the tuple this device admits). Dispatch
+  // goes through the netstack's batched entry (ReuseportGroup::
+  // select_batch), amortizing program-plan and metric lookups across the
+  // burst. Burst drops are final — no SYN retransmission. Tuple dports
+  // must equal port_of(tenant). Returns the number established.
   size_t open_tuple_burst(TenantId tenant, const ConnPlan& plan,
                           std::span<const netsim::FourTuple> tuples);
 
@@ -181,7 +189,6 @@ class LbDevice {
     window_latency_ = Histogram{5};
     return out;
   }
-  Histogram& probe_latency() { return probe_latency_; }
   uint64_t delayed_probes() const { return delayed_probes_; }
   uint64_t live_connections() const { return conns_.size(); }
 
@@ -253,7 +260,6 @@ class LbDevice {
   Totals totals_;
   Histogram latency_{5};
   Histogram window_latency_{5};
-  Histogram probe_latency_{5};
   uint64_t delayed_probes_ = 0;
   ProbeDoneFn probe_done_;
   RequestDoneFn request_done_;
