@@ -1,7 +1,7 @@
 #include "http/conn_state.h"
 
-#include <algorithm>
 #include <string>
+#include <utility>
 
 namespace hermes::http {
 
@@ -34,70 +34,40 @@ void ConnState::on_client_data(std::string_view flat) {
 void ConnState::pump() {
   size_t done = 0;  // slices fully consumed by this call
   while (done < in_q_.size() && !parser_.failed() && !saw_close_ &&
-         ready_len_ < cfg_.max_pipeline) {
+         !parser_.has_request()) {
     netsim::IoSlice& front = in_q_[done];
     const std::string_view view =
         front.view().substr(in_q_off_, front.len - in_q_off_);
     // In zero-copy mode the fed bytes are retained (the wire chain below
     // references the same segment), so the parser may borrow views.
     const size_t consumed = parser_.feed(view, /*stable=*/cfg_.zero_copy);
-
-    if (consumed > 0) {
-      if (cfg_.zero_copy) {
-        cur_wire_.append_ref(front.seg,
-                             front.off + static_cast<uint32_t>(in_q_off_),
-                             static_cast<uint32_t>(consumed));
-        stats_.forward_bytes_referenced += consumed;
-      } else {
-        cur_wire_.append_copy(view.substr(0, consumed));
-        stats_.forward_bytes_copied += consumed;
-      }
-      in_q_off_ += consumed;
-      if (in_q_off_ == front.len) {
-        ++done;
-        in_q_off_ = 0;
-      }
+    if (consumed == 0) break;  // parse error
+    if (cfg_.zero_copy) {
+      cur_wire_.append_ref(front.seg,
+                           front.off + static_cast<uint32_t>(in_q_off_),
+                           static_cast<uint32_t>(consumed));
+      stats_.forward_bytes_referenced += consumed;
+    } else {
+      cur_wire_.append_copy(view.substr(0, consumed));
+      stats_.forward_bytes_copied += consumed;
     }
-
-    if (parser_.has_request()) {
-      Request r = parser_.take();
-      saw_close_ = !r.keep_alive();
-      ++stats_.requests;
-      push_ready(Ready{std::move(r), std::move(cur_wire_)});
-      cur_wire_ = netsim::IoChain{};
-      continue;
+    in_q_off_ += consumed;
+    if (in_q_off_ == front.len) {
+      ++done;
+      in_q_off_ = 0;
     }
-    if (consumed == 0) break;  // need more data (or backpressured)
   }
   in_q_.erase(in_q_.begin(),
               in_q_.begin() + static_cast<std::ptrdiff_t>(done));
 }
 
-void ConnState::push_ready(Ready r) {
-  if (ready_len_ < ready_.size()) {
-    ready_[(ready_head_ + ready_len_) % ready_.size()] = std::move(r);
-  } else {
-    // Every slot is live: unroll the ring so the new slot goes at the
-    // back, growing geometrically but never past max_pipeline slots.
-    std::rotate(ready_.begin(),
-                ready_.begin() + static_cast<std::ptrdiff_t>(ready_head_),
-                ready_.end());
-    ready_head_ = 0;
-    if (ready_.size() == ready_.capacity()) {
-      ready_.reserve(std::min<size_t>(
-          std::max<size_t>(1, 2 * ready_.size()), cfg_.max_pipeline));
-    }
-    ready_.push_back(std::move(r));
-  }
-  ++ready_len_;
-}
-
 std::optional<ConnState::Ready> ConnState::pop_ready() {
-  if (ready_len_ == 0) return std::nullopt;
-  std::optional<Ready> out{std::move(ready_[ready_head_])};
-  ready_head_ = (ready_head_ + 1) % ready_.size();
-  --ready_len_;
-  pump();  // backpressure may have paused parsing
+  std::optional<Ready> out;  // the only return value, so it is elided
+  if (!parser_.has_request()) return out;
+  out.emplace(parser_.take(), std::move(cur_wire_));
+  saw_close_ = !out->request.keep_alive();
+  ++stats_.requests;
+  pump();
   return out;
 }
 

@@ -11,6 +11,14 @@
 // whose output streams must be bit-identical to the zero-copy path. The
 // mode is chosen only through Config; no environment variable selects it.
 //
+// Parsing is on demand: there is no queue of parsed requests. pump() stops
+// as soon as the parser holds a completed request — that request is the
+// one ready request — and pipelined bytes after it stay as retained slices
+// until pop_ready() takes it and parses the next one. A pipeline that never
+// drains therefore holds at most one parsed request plus raw bytes, and an
+// error in a later request surfaces only once the requests before it have
+// been popped.
+//
 // The same split applies on egress: a serialized backend response is
 // encoded once (admission copy, identical in both modes) and then either
 // referenced or re-copied toward the client.
@@ -39,8 +47,6 @@ class ConnState {
     // Capture parsed bodies into Request::body. The data plane leaves
     // this off: body bytes travel only in the wire chain.
     bool capture_body = false;
-    // Parsed-but-unconsumed request cap (pipelining backpressure).
-    uint32_t max_pipeline = 64;
   };
 
   // One fully parsed request plus the exact bytes that encoded it.
@@ -72,10 +78,9 @@ class ConnState {
   // (models the NIC→userspace admission copy; identical in both modes).
   void on_client_data(std::string_view flat);
 
-  bool has_ready() const { return ready_len_ > 0; }
+  bool has_ready() const { return parser_.has_request(); }
+  // Takes the ready request, then parses on toward the next one.
   std::optional<Ready> pop_ready();
-  // Slots the ready queue has allocated; never more than max_pipeline.
-  size_t ready_capacity() const { return ready_.capacity(); }
 
   // LB→client chain for one encoded response: references `encoded` in
   // zero-copy mode, deep-copies it in the oracle.
@@ -87,8 +92,8 @@ class ConnState {
 
   bool failed() const { return parser_.failed(); }
   std::string_view error() const { return parser_.error(); }
-  // True once a request carried Connection: close (or HTTP/1.0 without
-  // keep-alive); further input is left unconsumed.
+  // True once a popped request carried Connection: close (or HTTP/1.0
+  // without keep-alive); further input is left unconsumed.
   bool wants_close() const { return saw_close_; }
   size_t buffered_bytes() const;
 
@@ -97,7 +102,6 @@ class ConnState {
 
  private:
   void pump();
-  void push_ready(Ready r);
 
   Config cfg_;
   RequestParser parser_;
@@ -105,14 +109,7 @@ class ConnState {
   // once per call, so the queue holds only unconsumed slices.
   std::vector<netsim::IoSlice> in_q_;
   size_t in_q_off_ = 0;  // parse offset into in_q_.front()
-  netsim::IoChain cur_wire_;          // bytes of the in-progress request
-  // Parsed requests awaiting pop_ready(): a ring over reused slots
-  // [ready_head_, ready_head_ + ready_len_) mod ready_.size(). It grows
-  // only when every slot is live, and pump() stops at max_pipeline live
-  // requests, so a stream that never fully drains stays bounded.
-  std::vector<Ready> ready_;
-  size_t ready_head_ = 0;
-  size_t ready_len_ = 0;
+  netsim::IoChain cur_wire_;  // bytes of the parser's current request
   Stats stats_;
   bool saw_close_ = false;
 };

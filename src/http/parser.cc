@@ -140,27 +140,11 @@ void HeaderMap::add_borrowed(std::string_view name, std::string_view value) {
 }
 
 std::optional<std::string_view> HeaderMap::get(std::string_view name) const {
-  const uint32_t h = lower_hash(name);
-  for (size_t i = 0; i < n_; ++i) {
-    const Entry& e = entry(i);
-    if (e.hash == h && e.name_len == name.size() &&
-        iequals(std::string_view{e.name, e.name_len}, name)) {
-      return std::string_view{e.value, e.value_len};
-    }
-  }
-  return std::nullopt;
-}
-
-std::vector<std::string_view> HeaderMap::get_all(std::string_view name) const {
-  std::vector<std::string_view> out;
-  const uint32_t h = lower_hash(name);
-  for (size_t i = 0; i < n_; ++i) {
-    const Entry& e = entry(i);
-    if (e.hash == h && e.name_len == name.size() &&
-        iequals(std::string_view{e.name, e.name_len}, name)) {
-      out.emplace_back(e.value, e.value_len);
-    }
-  }
+  std::optional<std::string_view> out;
+  for_each(name, [&out](std::string_view v) {
+    out = v;
+    return false;
+  });
   return out;
 }
 
@@ -448,83 +432,71 @@ void RequestParser::on_body_bytes(std::string_view chunk) {
 }
 
 void RequestParser::headers_done() {
-  const auto te_values = req_.headers.get_all("transfer-encoding");
-  const auto cl_values = req_.headers.get_all("content-length");
+  const HeaderMap& h = req_.headers;
 
-  if (!te_values.empty()) {
+  // Transfer-Encoding: walk the (possibly repeated) coding list in order.
+  // "chunked" must be the final coding and may appear only there; any
+  // other final coding leaves the message length undeterminable.
+  bool te_seen = false;
+  bool chunked_last = false;
+  bool chunked_not_final = false;
+  const bool te_ok = h.for_each("transfer-encoding", [&](std::string_view v) {
+    te_seen = true;
+    return for_each_list_token(v, [&](std::string_view tok) {
+      chunked_not_final |= chunked_last;
+      chunked_last = HeaderMap::iequals(tok, "chunked");
+      return true;
+    });
+  });
+
+  // Content-Length: repeated headers (or list members) must agree;
+  // conflicting values are a smuggling shape (RFC 9110 §8.6).
+  bool cl_seen = false;
+  bool cl_have = false;
+  bool cl_conflict = false;
+  uint64_t cl = 0;
+  const bool cl_ok = h.for_each("content-length", [&](std::string_view v) {
+    cl_seen = true;
+    return for_each_list_token(v, [&](std::string_view tok) {
+      uint64_t val = 0;
+      if (!parse_dec(tok, &val)) return false;
+      if (cl_have && val != cl) {
+        cl_conflict = true;
+        return false;
+      }
+      cl = val;
+      cl_have = true;
+      return true;
+    });
+  });
+
+  if (te_seen) {
     // Content-Length alongside Transfer-Encoding is the classic
     // request-smuggling shape: reject outright (RFC 9112 §6.1).
-    if (!cl_values.empty()) {
+    if (cl_seen) {
       set_error("content-length with transfer-encoding");
-      return;
+    } else if (!te_ok) {
+      set_error("malformed transfer-encoding");
+    } else if (chunked_not_final) {
+      set_error("chunked not final transfer-encoding");
+    } else if (!chunked_last) {
+      set_error("unsupported transfer-encoding");
+    } else {
+      state_ = State::ChunkSize;
     }
-    // Flatten the (possibly repeated) coding list. "chunked" must be
-    // the final coding and may appear only there; any other final
-    // coding leaves the message length undeterminable — reject.
-    std::vector<std::string_view> codings;
-    for (const std::string_view v : te_values) {
-      if (!for_each_list_token(v, [&](std::string_view tok) {
-            codings.push_back(tok);
-            return true;
-          })) {
-        set_error("malformed transfer-encoding");
-        return;
-      }
-    }
-    for (size_t i = 0; i < codings.size(); ++i) {
-      const bool is_chunked = HeaderMap::iequals(codings[i], "chunked");
-      if (i + 1 == codings.size()) {
-        if (!is_chunked) {
-          set_error("unsupported transfer-encoding");
-          return;
-        }
-      } else if (is_chunked) {
-        set_error("chunked not final transfer-encoding");
-        return;
-      }
-    }
-    chunked_ = true;
-    state_ = State::ChunkSize;
     return;
   }
 
-  if (!cl_values.empty()) {
-    // Repeated Content-Length headers (or list members) must agree;
-    // conflicting values are a smuggling shape (RFC 9110 §8.6).
-    uint64_t n = 0;
-    bool have = false;
-    bool bad = false;
-    bool conflict = false;
-    for (const std::string_view v : cl_values) {
-      if (!for_each_list_token(v, [&](std::string_view tok) {
-            uint64_t val = 0;
-            if (!parse_dec(tok, &val)) {
-              bad = true;
-              return false;
-            }
-            if (have && val != n) {
-              conflict = true;
-              return false;
-            }
-            n = val;
-            have = true;
-            return true;
-          })) {
-        set_error(conflict ? "conflicting content-length"
-                           : "bad content-length");
-        return;
-      }
-    }
-    if (bad) {  // unreachable; kept for clarity
-      set_error("bad content-length");
-      return;
-    }
-    if (n > kMaxBodyBytes) {
+  if (cl_seen) {
+    if (!cl_ok) {
+      set_error(cl_conflict ? "conflicting content-length"
+                            : "bad content-length");
+    } else if (cl > kMaxBodyBytes) {
       set_error("body too large");
-      return;
+    } else {
+      body_remaining_ = cl;
+      state_ = cl == 0 ? State::Complete : State::Body;
     }
-    body_remaining_ = n;
-    state_ = n == 0 ? State::Complete : State::Body;
     return;
   }
   state_ = State::Complete;  // no body
@@ -532,11 +504,16 @@ void RequestParser::headers_done() {
 
 Request RequestParser::take() {
   Request out = std::move(req_);
-  req_ = Request{};
+  // Reset in place. Moving the header maps left both of them empty.
+  req_.method = Method::Unknown;
+  req_.target = req_.path = req_.query = {};
+  req_.version_major = 1;
+  req_.version_minor = 1;
+  req_.body.clear();
+  req_.wire_size = 0;
   line_buf_.clear();
   body_remaining_ = 0;
   body_bytes_ = 0;
-  chunked_ = false;
   state_ = State::RequestLine;
   error_ = "";
   return out;

@@ -42,7 +42,7 @@ Method parse_method(std::string_view s);
 // small inline array that spills to a vector only past kInlineEntries —
 // a typical request performs one arena-block allocation total instead
 // of two std::string heap allocations per header. Entries carry a
-// precomputed lowercase FNV-1a hash of the name, so get()/get_all()
+// precomputed lowercase FNV-1a hash of the name, so get()/for_each()
 // compare hashes instead of re-lowercasing stored names on every probe.
 //
 // add_borrowed() skips the arena copy for callers that guarantee the
@@ -70,8 +70,22 @@ class HeaderMap {
 
   // First value for `name` (case-insensitive), if any.
   std::optional<std::string_view> get(std::string_view name) const;
-  // All values for repeated headers.
-  std::vector<std::string_view> get_all(std::string_view name) const;
+  // Calls fn(value) for each value of `name` (repeated headers included)
+  // in order, without allocating, until fn returns false. Returns false
+  // iff fn did.
+  template <typename Fn>
+  bool for_each(std::string_view name, Fn&& fn) const {
+    const uint32_t h = lower_hash(name);
+    for (size_t i = 0; i < n_; ++i) {
+      const Entry& e = entry(i);
+      if (e.hash == h && e.name_len == name.size() &&
+          iequals(std::string_view{e.name, e.name_len}, name) &&
+          !fn(std::string_view{e.value, e.value_len})) {
+        return false;
+      }
+    }
+    return true;
+  }
 
   size_t size() const { return n_; }
   std::pair<std::string_view, std::string_view> at(size_t i) const {
@@ -157,7 +171,9 @@ struct Request {
 
 // Push parser. Feed bytes; when a full request is available, take() it.
 // One parser instance handles a whole keep-alive connection: after take(),
-// feeding continues with the next pipelined request.
+// feeding continues with the next pipelined request. The parser owns one
+// Request it fills in place; take() moves it out and resets it field by
+// field, and framing checks walk the header entries without allocating.
 class RequestParser {
  public:
   enum class State : uint8_t {
@@ -186,7 +202,7 @@ class RequestParser {
   // Body bytes seen for the request currently being parsed.
   uint64_t body_bytes() const { return body_bytes_; }
 
-  // Retrieve the parsed request and reset for the next one.
+  // Retrieve the parsed request and reset, in place, for the next one.
   Request take();
 
   // Hard limits (guard against abusive inputs, as any real LB must).
@@ -209,7 +225,6 @@ class RequestParser {
   Request req_;
   uint64_t body_remaining_ = 0;
   uint64_t body_bytes_ = 0;
-  bool chunked_ = false;
   bool capture_body_ = true;
   const char* error_ = "";
 };

@@ -6,6 +6,8 @@
 // zero memcpy. A copying mode is retained by the callers (ConnState /
 // DataPlane) as the differential oracle: both modes must produce
 // bit-identical byte streams, which IoChain::digest() checks cheaply.
+// An IoChain keeps its first slice inline, so the common one-slice chain
+// (a request wire, an encoded response, its egress) costs no allocation.
 //
 // Concurrency: the simulator is single-threaded by design (workers are
 // simulated actors inside one event loop), so refcounts are plain
@@ -18,15 +20,17 @@
 // write frontier; bytes that any other slice can see are immutable.
 #pragma once
 
+#include <algorithm>
 #include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <memory>
 #include <new>
+#include <span>
 #include <string>
 #include <string_view>
 #include <utility>
-#include <vector>
 
 #include "util/check.h"
 
@@ -284,21 +288,34 @@ struct IoSlice {
 // of the proxy. append_ref() is the zero-copy path; append_copy() is
 // both the admission path (bytes entering the simulated machine) and
 // the copy-oracle forwarding path.
+//
+// Storage: the first slice lives inline, so a one-slice chain (a request
+// that fits one segment, an encoded response, its egress) allocates
+// nothing. Past one slice the chain spills to a heap array, which it keeps
+// for the rest of its life. A moved-from chain is empty.
 class IoChain {
  public:
   IoChain() = default;
-  IoChain(IoChain&&) noexcept = default;
-  IoChain& operator=(IoChain&&) noexcept = default;
+  IoChain(IoChain&& o) noexcept { take_from(o); }
+  IoChain& operator=(IoChain&& o) noexcept {
+    if (this != &o) {
+      clear();
+      take_from(o);
+    }
+    return *this;
+  }
   IoChain(const IoChain&) = delete;
   IoChain& operator=(const IoChain&) = delete;
 
   size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
-  size_t num_slices() const { return slices_.size(); }
-  const std::vector<IoSlice>& slices() const { return slices_; }
+  size_t num_slices() const { return n_; }
+  std::span<const IoSlice> slices() const { return {data(), n_}; }
 
   void clear() {
-    slices_.clear();
+    IoSlice* s = data();
+    for (uint32_t i = 0; i < n_; ++i) s[i].seg.reset();
+    n_ = 0;
     size_ = 0;
   }
 
@@ -309,23 +326,25 @@ class IoChain {
     HERMES_DCHECK(seg && off + len <= seg->size());
     iobuf_stats().bytes_referenced += len;
     size_ += len;
-    if (!slices_.empty()) {
-      IoSlice& tail = slices_.back();
+    if (n_ > 0) {
+      IoSlice& tail = data()[n_ - 1];
       if (tail.seg == seg && tail.off + tail.len == off) {
         tail.len += len;
         return;
       }
     }
-    slices_.push_back(IoSlice{seg, off, len});
+    // `seg` may name one of this chain's own slices: take the reference
+    // before push() moves the slices to a new array.
+    push(IoSlice{seg, off, len});
   }
 
   void append_ref(const IoSlice& s) { append_ref(s.seg, s.off, s.len); }
 
   // Indexes over a slice count taken up front, so appending a chain to
-  // itself sees only the original slices and survives slices_ growing.
+  // itself sees only the original slices and survives a spill.
   void append_ref(const IoChain& other) {
-    const size_t n = other.slices_.size();
-    for (size_t i = 0; i < n; ++i) append_ref(other.slices_[i]);
+    const uint32_t n = other.n_;
+    for (uint32_t i = 0; i < n; ++i) append_ref(other.data()[i]);
   }
 
   // Copying append: memcpy into this chain's writable tail, allocating
@@ -342,14 +361,13 @@ class IoChain {
                 ? static_cast<uint32_t>(
                       n < UINT32_MAX ? n : IoSegment::kDefaultCapacity)
                 : IoSegment::kDefaultCapacity;
-        SegRef seg = IoSegment::alloc(cap);
-        slices_.push_back(IoSlice{std::move(seg), 0, 0});
-        tail = slices_.back().seg.get();
+        push(IoSlice{IoSegment::alloc(cap), 0, 0});
+        tail = data()[n_ - 1].seg.get();
       }
       const uint32_t wrote =
           tail->append(p, n < UINT32_MAX ? static_cast<uint32_t>(n)
                                          : UINT32_MAX - 1);
-      slices_.back().len += wrote;
+      data()[n_ - 1].len += wrote;
       p += wrote;
       n -= wrote;
     }
@@ -363,8 +381,8 @@ class IoChain {
     if (by_ref) {
       append_ref(other);
     } else {
-      const size_t n = other.slices_.size();
-      for (size_t i = 0; i < n; ++i) append_copy(other.slices_[i].view());
+      const uint32_t n = other.n_;
+      for (uint32_t i = 0; i < n; ++i) append_copy(other.data()[i].view());
     }
   }
 
@@ -372,9 +390,10 @@ class IoChain {
   void consume(size_t n) {
     HERMES_DCHECK(n <= size_);
     size_ -= n;
-    size_t dropped = 0;
+    IoSlice* s = data();
+    uint32_t dropped = 0;
     while (n > 0) {
-      IoSlice& head = slices_[dropped];
+      IoSlice& head = s[dropped];
       if (head.len <= n) {
         n -= head.len;
         head.seg.reset();
@@ -386,14 +405,14 @@ class IoChain {
       }
     }
     if (dropped > 0) {
-      slices_.erase(slices_.begin(),
-                    slices_.begin() + static_cast<std::ptrdiff_t>(dropped));
+      std::move(s + dropped, s + n_, s);
+      n_ -= dropped;
     }
   }
 
   void copy_out(size_t off, size_t n, char* dst) const {
     HERMES_DCHECK(off + n <= size_);
-    for (const IoSlice& s : slices_) {
+    for (const IoSlice& s : slices()) {
       if (n == 0) break;
       if (off >= s.len) {
         off -= s.len;
@@ -417,16 +436,42 @@ class IoChain {
   // checksum. Equal to digest_bytes() of the flattened chain.
   uint64_t digest(uint64_t seed = 0) const {
     StreamDigest d(seed);
-    for (const IoSlice& s : slices_) d.update(s.seg->data() + s.off, s.len);
+    for (const IoSlice& s : slices()) d.update(s.seg->data() + s.off, s.len);
     return d.finish();
   }
 
  private:
+  // The first spill makes room for four slices; later ones double it.
+  static constexpr uint32_t kFirstSpill = 4;
+
+  IoSlice* data() { return heap_ ? heap_.get() : &inline_; }
+  const IoSlice* data() const { return heap_ ? heap_.get() : &inline_; }
+
+  void push(IoSlice s) {
+    if (n_ == cap_) {
+      const uint32_t cap = heap_ ? 2 * cap_ : kFirstSpill;
+      auto grown = std::make_unique<IoSlice[]>(cap);
+      std::move(data(), data() + n_, grown.get());
+      heap_ = std::move(grown);
+      cap_ = cap;
+    }
+    data()[n_++] = std::move(s);
+  }
+
+  // Leaves `o` empty, with no heap array.
+  void take_from(IoChain& o) {
+    inline_ = std::move(o.inline_);
+    heap_ = std::move(o.heap_);
+    n_ = std::exchange(o.n_, 0);
+    cap_ = std::exchange(o.cap_, 1);
+    size_ = std::exchange(o.size_, 0);
+  }
+
   // The tail segment is writable only while this chain's tail slice is
   // the sole reference to it and ends at its write frontier.
   IoSegment* writable_tail() {
-    if (slices_.empty()) return nullptr;
-    IoSlice& tail = slices_.back();
+    if (n_ == 0) return nullptr;
+    IoSlice& tail = data()[n_ - 1];
     IoSegment* seg = tail.seg.get();
     if (seg->refs() != 1) return nullptr;
     if (tail.off + tail.len != seg->size()) return nullptr;
@@ -434,7 +479,10 @@ class IoChain {
     return seg;
   }
 
-  std::vector<IoSlice> slices_;
+  IoSlice inline_;                   // the only slice until the first spill
+  std::unique_ptr<IoSlice[]> heap_;  // every slice after it
+  uint32_t n_ = 0;
+  uint32_t cap_ = 1;
   size_t size_ = 0;
 };
 

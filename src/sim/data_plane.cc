@@ -1,6 +1,7 @@
 #include "sim/data_plane.h"
 
 #include <array>
+#include <bit>
 #include <charconv>
 #include <string_view>
 
@@ -175,7 +176,7 @@ SimTime DataPlane::on_request(WorkerId w, const Request& req,
   // Pick a backend and take (or establish) a connection to it.
   const core::BackendId b = rr_.pick(w);
   const auto pooled = pool_.acquire(w, b, now);
-  pending_[req.id] = Pending{b, pooled ? pooled->id : 0};
+  pending_.put(req.id, Pending{b, pooled ? pooled->id : 0});
 
   totals_.pool_hits = pool_.stats().hits;
   totals_.pool_misses = pool_.stats().misses;
@@ -207,10 +208,8 @@ void DataPlane::on_response(WorkerId w, const Request& req, SimTime now) {
     egress_response(w, req, *cs);
   }
 
-  auto pit = pending_.find(req.id);
-  if (pit != pending_.end()) {
-    pool_.release(w, pit->second.backend, pit->second.pooled_id, now);
-    pending_.erase(pit);
+  if (Pending p; pending_.take(req.id, &p)) {
+    pool_.release(w, p.backend, p.pooled_id, now);
   }
   totals_.pool_evictions = pool_.stats().evictions;
   sync_pool_stats(w);
@@ -239,6 +238,50 @@ void DataPlane::egress_response(WorkerId w, const Request& req,
 
 void DataPlane::on_conn_close(netsim::ConnId id) {
   conns_.erase(id);
+}
+
+size_t DataPlane::PendingTable::find(RequestId id) const {
+  size_t i = home(id);
+  while (slots_[i].used && slots_[i].id != id) i = (i + 1) & mask_;
+  return i;
+}
+
+void DataPlane::PendingTable::put(RequestId id, const Pending& p) {
+  if (2 * (size_ + 1) > slots_.size()) grow();
+  Slot& s = slots_[find(id)];
+  if (!s.used) ++size_;
+  s = Slot{id, p, true};
+}
+
+bool DataPlane::PendingTable::take(RequestId id, Pending* out) {
+  if (size_ == 0) return false;
+  size_t hole = find(id);
+  if (!slots_[hole].used) return false;
+  *out = slots_[hole].p;
+  --size_;
+  // Backward-shift erase: pull each later entry of the probe run whose
+  // home is not cyclically in (hole, j] back into the hole.
+  for (size_t j = (hole + 1) & mask_; slots_[j].used; j = (j + 1) & mask_) {
+    const size_t k = home(slots_[j].id);
+    const bool stays = hole <= j ? (hole < k && k <= j) : (hole < k || k <= j);
+    if (!stays) {
+      slots_[hole] = slots_[j];
+      hole = j;
+    }
+  }
+  slots_[hole].used = false;
+  return true;
+}
+
+void DataPlane::PendingTable::grow() {
+  std::vector<Slot> old = std::move(slots_);
+  const size_t cap = old.empty() ? 64 : 2 * old.size();
+  slots_.assign(cap, Slot{});
+  mask_ = cap - 1;
+  shift_ = 64 - std::countr_zero(cap);
+  for (const Slot& s : old) {
+    if (s.used) slots_[find(s.id)] = s;
+  }
 }
 
 }  // namespace hermes::sim

@@ -36,7 +36,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <unordered_map>
+#include <vector>
 
 #include "core/backend_pool.h"
 #include "http/conn_state.h"
@@ -129,6 +129,35 @@ class DataPlane {
     uint64_t pooled_id = 0;  // 0 = freshly established
   };
 
+  // Pending entries by request id in one flat, open-addressed array
+  // (linear probing, backward-shift erase). Slots are reused request after
+  // request, so the steady state allocates nothing; the array doubles
+  // only when more than half full.
+  class PendingTable {
+   public:
+    void put(RequestId id, const Pending& p);
+    // Removes id's entry into *out; false if there is none.
+    bool take(RequestId id, Pending* out);
+    size_t size() const { return size_; }
+
+   private:
+    struct Slot {
+      RequestId id = 0;
+      Pending p;
+      bool used = false;
+    };
+    size_t home(RequestId id) const {
+      return static_cast<size_t>((id * 0x9E3779B97F4A7C15ULL) >> shift_);
+    }
+    size_t find(RequestId id) const;  // id's slot, or the empty slot for it
+    void grow();
+
+    std::vector<Slot> slots_;
+    size_t mask_ = 0;
+    int shift_ = 64;
+    size_t size_ = 0;
+  };
+
   http::ConnState& conn_state(netsim::ConnId id);
   void egress_response(WorkerId w, const Request& req, http::ConnState& cs);
   void sync_pool_stats(WorkerId w);
@@ -142,7 +171,7 @@ class DataPlane {
   netsim::ConnTable<http::ConnState> conns_;
   // Keyed by request, not connection: an entry outlives a connection reset
   // while its request is in flight.
-  std::unordered_map<RequestId, Pending> pending_;
+  PendingTable pending_;
   std::string scratch_;
   Totals totals_;
 };

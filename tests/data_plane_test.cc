@@ -5,7 +5,10 @@
 // rate-limited admission, and fleet-level aggregation.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <random>
 #include <string>
+#include <vector>
 
 #include "http/conn_state.h"
 #include "http/response.h"
@@ -233,6 +236,39 @@ TEST(DataPlaneTest, ResetMidFlightReturnsBackendConnections) {
   EXPECT_EQ(dp.pending_requests(), 0u);
   EXPECT_EQ(dp.totals().requests_forwarded, lb.totals().requests_completed);
   EXPECT_LT(dp.totals().responses_returned, dp.totals().requests_forwarded);
+}
+
+TEST(DataPlaneTest, PendingEntriesSurviveOutOfOrderCompletion) {
+  // Rounds of 4000 requests in flight at once on a standalone data plane
+  // (the pending table grows to just under half full), each drained in
+  // shuffled order. Every completion must find its own entry however
+  // earlier erases have shifted the probe runs around it, including runs
+  // that wrap past the end of the table.
+  DataPlane::Config cfg;
+  cfg.enabled = true;
+  DataPlane dp(cfg, /*num_workers=*/4, /*obs=*/nullptr);
+  std::mt19937_64 rng(7);
+  uint64_t answered = 0;
+  for (int round = 0; round < 16; ++round) {
+    std::vector<Request> reqs(4000);
+    for (size_t i = 0; i < reqs.size(); ++i) {
+      reqs[i].id = rng();
+      reqs[i].conn = i + 1;
+      reqs[i].bytes = 300;
+      dp.on_request(static_cast<WorkerId>(i % 4), reqs[i],
+                    /*last_on_conn=*/false, SimTime{});
+    }
+    ASSERT_EQ(dp.pending_requests(), reqs.size());
+    std::shuffle(reqs.begin(), reqs.end(), rng);
+    size_t left = reqs.size();
+    for (const Request& r : reqs) {
+      dp.on_response(static_cast<WorkerId>(r.conn % 4), r, SimTime{});
+      ASSERT_EQ(dp.pending_requests(), --left)
+          << "round " << round << " request " << r.id;
+    }
+    answered += reqs.size();
+  }
+  EXPECT_EQ(dp.totals().responses_returned, answered);
 }
 
 TEST(DataPlaneTest, StaleRequestNeverTouchesTheSlotsNextConnection) {

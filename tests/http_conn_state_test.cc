@@ -1,10 +1,12 @@
 // http::ConnState: keep-alive + pipelining over iobuf chains, zero-copy
 // wire building vs the copy oracle, Connection: close semantics, and
-// backpressure.
+// on-demand parsing (at most one parsed request held).
 #include "http/conn_state.h"
 
 #include <gtest/gtest.h>
 
+#include <deque>
+#include <numeric>
 #include <string>
 
 namespace hermes::http {
@@ -93,33 +95,41 @@ TEST(ConnState, ConnectionCloseStopsConsuming) {
 }
 
 TEST(ConnState, MaxPipelineBackpressure) {
-  ConnState::Config cc;
-  cc.max_pipeline = 2;
-  ConnState cs(cc);
+  // Parsing is on demand: of five pipelined requests exactly one is
+  // parsed ahead, and the other four stay as unparsed bytes until the
+  // one before them is popped.
+  ConnState cs;
   std::string wire;
   for (int i = 0; i < 5; ++i) wire += simple_get(i);
   cs.on_client_data(std::string_view{wire});
 
-  // Only max_pipeline requests parse ahead; popping resumes the pump.
+  size_t parsed = 0;  // bytes of the requests parsed so far
   int popped = 0;
-  while (auto r = cs.pop_ready()) ++popped;
+  while (cs.has_ready()) {
+    parsed += simple_get(popped).size();
+    EXPECT_EQ(cs.buffered_bytes(), wire.size() - parsed);
+    auto r = cs.pop_ready();
+    ASSERT_TRUE(r.has_value());
+    EXPECT_EQ(r->request.path, "/item/" + std::to_string(popped));
+    ++popped;
+  }
   EXPECT_EQ(popped, 5);
+  EXPECT_EQ(cs.buffered_bytes(), 0u);
 }
 
 TEST(ConnState, ReadyQueueStaysBoundedOnAPipelineThatNeverDrains) {
-  // A long pipelined stream whose ready queue never empties: every step
-  // delivers 1-3 requests and pops 1-3, but always leaves one behind.
-  // The queue must reuse its slots (FIFO order intact across wraps)
-  // instead of growing with the stream. Up to four requests are
-  // outstanding, so backpressure at max_pipeline engages as well.
-  ConnState::Config cc;
-  cc.max_pipeline = 3;
-  ConnState cs(cc);
+  // A long pipelined stream that never drains: every step delivers 1-3
+  // requests and pops 1-3, but always leaves one behind. However many
+  // requests are outstanding, at most one is parsed; the rest stay as
+  // raw bytes, in order.
+  ConnState cs;
   int delivered = 0;
   int popped = 0;
+  std::deque<size_t> lengths;  // wire sizes of the unpopped requests
   for (int step = 0; step < 3000; ++step) {
     for (int k = 0; k <= step % 3; ++k) {
       const std::string req = simple_get(delivered++);
+      lengths.push_back(req.size());
       cs.on_client_data(std::string_view{req});
     }
     for (int k = 0; k <= (step + 1) % 3 && delivered - popped > 1; ++k) {
@@ -127,12 +137,55 @@ TEST(ConnState, ReadyQueueStaysBoundedOnAPipelineThatNeverDrains) {
       ASSERT_TRUE(r.has_value());
       ASSERT_EQ(r->request.path, "/item/" + std::to_string(popped));
       ++popped;
+      lengths.pop_front();
     }
     ASSERT_TRUE(cs.has_ready());
-    ASSERT_LE(cs.ready_capacity(), cc.max_pipeline);
+    // The one parsed request's bytes are in its wire chain; every later
+    // request is still buffered.
+    const size_t unparsed =
+        std::accumulate(lengths.begin() + 1, lengths.end(), size_t{0});
+    ASSERT_EQ(cs.buffered_bytes(), unparsed);
   }
   EXPECT_GT(popped, 5000);
   EXPECT_FALSE(cs.failed());
+}
+
+TEST(ConnState, MalformedPipelinedRequestFailsOnlyAfterTheOneBeforeIt) {
+  // The second request is garbage. It is not parsed until the first is
+  // popped, so the first is served before the connection fails.
+  ConnState cs;
+  const std::string first = simple_get(1);
+  cs.on_client_data(std::string_view{first + "NONSENSE\r\n\r\n"});
+  ASSERT_TRUE(cs.has_ready());
+  EXPECT_FALSE(cs.failed());
+
+  auto r = cs.pop_ready();
+  ASSERT_TRUE(r.has_value());
+  EXPECT_EQ(r->wire.to_string(), first);
+  EXPECT_TRUE(cs.failed());
+  EXPECT_FALSE(cs.has_ready());
+  EXPECT_FALSE(cs.pop_ready().has_value());
+}
+
+TEST(ConnState, ConnectionCloseMidPipelineLeavesLaterBytesUnconsumed) {
+  ConnState cs;
+  const std::string tail = simple_get(3) + simple_get(4);
+  cs.on_client_data(
+      std::string_view{simple_get(1) + simple_get(2, /*close=*/true) + tail});
+
+  auto a = cs.pop_ready();
+  ASSERT_TRUE(a.has_value());
+  EXPECT_FALSE(cs.wants_close());
+  auto b = cs.pop_ready();
+  ASSERT_TRUE(b.has_value());
+  EXPECT_EQ(b->request.path, "/item/2");
+  EXPECT_TRUE(cs.wants_close());
+  // Nothing after the closing request is parsed or forwarded.
+  EXPECT_FALSE(cs.has_ready());
+  EXPECT_EQ(cs.buffered_bytes(), tail.size());
+  EXPECT_EQ(cs.stats().requests, 2u);
+  EXPECT_EQ(cs.stats().forward_bytes_referenced,
+            simple_get(1).size() + simple_get(2, true).size());
 }
 
 TEST(ConnState, BodyBytesTravelInWireChainNotRequestBody) {

@@ -81,7 +81,6 @@ std::vector<FlatRequest> parse_chained(const std::string& stream,
   ConnState::Config cfg;
   cfg.zero_copy = zero_copy;
   cfg.capture_body = true;
-  cfg.max_pipeline = 1024;
   ConnState cs(cfg);
 
   size_t prev = 0;
@@ -90,14 +89,16 @@ std::vector<FlatRequest> parse_chained(const std::string& stream,
     prev = cut;
   }
   cs.on_client_data(std::string_view{stream}.substr(prev));
-  EXPECT_FALSE(cs.failed()) << cs.error();
 
+  // Parsing is on demand, so a later request's error surfaces only while
+  // popping: check after the last pop.
   std::vector<FlatRequest> out;
   std::string forwarded;
   while (auto r = cs.pop_ready()) {
     out.push_back(flatten(r->request));
     forwarded += r->wire.to_string();
   }
+  EXPECT_FALSE(cs.failed()) << cs.error();
   EXPECT_EQ(forwarded, stream.substr(0, forwarded.size()));
   return out;
 }

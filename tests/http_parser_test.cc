@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "http/parser.h"
 
@@ -125,7 +127,19 @@ TEST(ParserTest, HeaderCaseInsensitivityAndRepeats) {
   const auto req = parse_all(
       "GET / HTTP/1.1\r\nX-Tag: one\r\nx-tag: two\r\nHOST: h\r\n\r\n");
   EXPECT_EQ(*req.headers.get("X-TAG"), "one");  // first wins for get()
-  EXPECT_EQ(req.headers.get_all("x-Tag").size(), 2u);
+  std::vector<std::string_view> tags;
+  EXPECT_TRUE(req.headers.for_each("x-Tag", [&tags](std::string_view v) {
+    tags.push_back(v);
+    return true;
+  }));
+  EXPECT_EQ(tags, (std::vector<std::string_view>{"one", "two"}));
+  // A callback that returns false stops the walk at the first value.
+  int calls = 0;
+  EXPECT_FALSE(req.headers.for_each("X-TAG", [&calls](std::string_view) {
+    ++calls;
+    return false;
+  }));
+  EXPECT_EQ(calls, 1);
   EXPECT_EQ(*req.host(), "h");
 }
 

@@ -223,13 +223,15 @@ TEST(Digest, ChainingIsOrderSensitive) {
 }
 
 TEST(IoChain, AppendingAChainToItselfDoublesIt) {
-  // Each append grows slices_ while reading the same chain's slices; the
-  // loops must not hold iterators or references across a reallocation.
+  // Each append grows the slice array while reading the same chain's
+  // slices; the loops must not hold iterators or references across a
+  // reallocation.
   for (const bool by_ref : {true, false}) {
     SCOPED_TRACE(by_ref ? "by ref" : "by copy");
     IoChain c;
     std::string want;
-    // Eight slices fill the vector's capacity, so either append reallocates.
+    // Eight slices fill the heap array's capacity, so either append
+    // reallocates.
     for (int i = 0; i < 8; ++i) {
       const std::string piece = varied(10 + i);
       append_piece(c, piece);
@@ -241,6 +243,137 @@ TEST(IoChain, AppendingAChainToItselfDoublesIt) {
     EXPECT_EQ(c.size(), want.size());
     EXPECT_EQ(c.digest(), digest_bytes(want));
   }
+}
+
+TEST(IoChain, AppendingAOneSliceChainToItself) {
+  // The only slice is inline, and appending it to itself spills to the
+  // heap while the slice being appended is the one that moves.
+  for (const bool by_ref : {true, false}) {
+    SCOPED_TRACE(by_ref ? "by ref" : "by copy");
+    IoChain c;
+    const std::string piece = varied(13);
+    append_piece(c, piece);
+    ASSERT_EQ(c.num_slices(), 1u);
+    c.append(c, by_ref);
+    EXPECT_EQ(c.to_string(), piece + piece);
+    EXPECT_EQ(c.size(), 2 * piece.size());
+    EXPECT_EQ(c.digest(), digest_bytes(piece + piece));
+    if (by_ref) {
+      ASSERT_EQ(c.num_slices(), 2u);
+      EXPECT_EQ(c.slices()[0].seg, c.slices()[1].seg);
+      EXPECT_EQ(c.slices()[0].seg->refs(), 2u);
+    }
+  }
+}
+
+TEST(IoChain, GrowsFromInlineSliceToHeap) {
+  IoChain c;
+  std::string want;
+  for (int i = 0; i < 20; ++i) {
+    const std::string piece = varied(3 + i);
+    append_piece(c, piece);
+    want += piece;
+    ASSERT_EQ(c.num_slices(), static_cast<size_t>(i + 1));
+    ASSERT_EQ(c.slices().size(), c.num_slices());
+    ASSERT_EQ(c.to_string(), want);
+  }
+  size_t sum = 0;
+  for (const IoSlice& s : c.slices()) sum += s.len;
+  EXPECT_EQ(sum, c.size());
+  EXPECT_EQ(c.digest(), digest_bytes(want));
+}
+
+TEST(IoBufTest, MovedFromChainIsEmpty) {
+  IoChain a;
+  a.append_copy(std::string_view{"hello"});
+  IoChain b = std::move(a);
+  EXPECT_EQ(a.size(), 0u);  // NOLINT(bugprone-use-after-move)
+  EXPECT_TRUE(a.empty());
+  EXPECT_EQ(a.num_slices(), 0u);
+  EXPECT_EQ(b.to_string(), "hello");
+
+  IoChain c;
+  c.append_copy(std::string_view{"x"});
+  c = std::move(b);
+  EXPECT_EQ(b.size(), 0u);  // NOLINT(bugprone-use-after-move)
+  EXPECT_TRUE(b.empty());
+  EXPECT_EQ(b.num_slices(), 0u);
+  EXPECT_EQ(c.to_string(), "hello");
+
+  // A moved-from chain is reusable.
+  a.append_copy(std::string_view{"again"});
+  EXPECT_EQ(a.to_string(), "again");
+}
+
+TEST(IoChain, MovesOneSliceAndManySliceChains) {
+  for (const int slices : {1, 2, 9}) {
+    SCOPED_TRACE(::testing::Message() << slices << " slices");
+    IoChain a;
+    std::string want;
+    for (int i = 0; i < slices; ++i) {
+      const std::string piece = varied(5 + i);
+      append_piece(a, piece);
+      want += piece;
+    }
+    const SegRef first = a.slices()[0].seg;
+    const uint32_t refs = first->refs();
+
+    IoChain b(std::move(a));
+    EXPECT_TRUE(a.empty());  // NOLINT(bugprone-use-after-move)
+    EXPECT_EQ(a.num_slices(), 0u);
+    EXPECT_EQ(b.num_slices(), static_cast<size_t>(slices));
+    EXPECT_EQ(b.to_string(), want);
+    EXPECT_EQ(first->refs(), refs);  // moved, not shared
+
+    IoChain c;
+    append_piece(c, "old contents");
+    c = std::move(b);
+    EXPECT_TRUE(b.empty());  // NOLINT(bugprone-use-after-move)
+    EXPECT_EQ(c.to_string(), want);
+    EXPECT_EQ(first->refs(), refs);
+
+    // Both moved-from chains take new bytes; the destination is intact.
+    append_piece(a, "a");
+    append_piece(b, "b");
+    c.append_copy(std::string_view{"!"});
+    EXPECT_EQ(a.to_string(), "a");
+    EXPECT_EQ(b.to_string(), "b");
+    EXPECT_EQ(c.to_string(), want + "!");
+  }
+}
+
+TEST(IoChain, ConsumeAcrossTheInlineHeapBoundary) {
+  // Three slices (spilled to the heap), consumed down to part of the last
+  // one, then grown again.
+  IoChain c;
+  append_piece(c, "0123");
+  append_piece(c, "4567");
+  append_piece(c, "89ab");
+  c.consume(9);
+  ASSERT_EQ(c.num_slices(), 1u);
+  EXPECT_EQ(c.to_string(), "9ab");
+  EXPECT_EQ(c.slices()[0].view(), "9ab");
+  append_piece(c, "cdef");
+  append_piece(c, "gh");
+  EXPECT_EQ(c.num_slices(), 3u);
+  EXPECT_EQ(c.to_string(), "9abcdefgh");
+  c.consume(3);
+  EXPECT_EQ(c.num_slices(), 2u);
+  EXPECT_EQ(c.to_string(), "cdefgh");
+  c.consume(6);
+  EXPECT_TRUE(c.empty());
+  EXPECT_EQ(c.num_slices(), 0u);
+  c.append_copy(std::string_view{"new"});
+  EXPECT_EQ(c.to_string(), "new");
+
+  // The inline slice alone: partial consume, then all of it.
+  IoChain d;
+  append_piece(d, "inline");
+  d.consume(2);
+  EXPECT_EQ(d.to_string(), "line");
+  d.consume(4);
+  EXPECT_TRUE(d.empty());
+  EXPECT_EQ(d.num_slices(), 0u);
 }
 
 TEST(IoChain, StatsAccounting) {
