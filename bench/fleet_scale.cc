@@ -10,18 +10,52 @@
 //     spread under tuple-hash routing)
 //   - PCC violation rates for LB add and LB remove, Maglev vs the mod-N
 //     (naive ECMP) baseline
+//   - heap_bytes_per_conn: live operator-new bytes after the ramp divided
+//     by live connections (counted by the operator-new override below)
 //
 // Deterministic metrics (connection counts, PCC violations, imbalance
 // shape) feed the bench gate; wall-clock metrics are reported but ungated.
 // Scale knobs: --conns N / FLEET_SCALE_CONNS env (the CI smoke runs 100k;
 // the nightly leg and the default run 1M+).
 #include <chrono>
+#include <cstddef>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <new>
 
 #include "bench/bench_common.h"
 #include "sim/fleet.h"
+
+// ---- live-heap counter -----------------------------------------------------
+// Each block carries its requested size in a header, so delete subtracts
+// exactly what new added. Single-threaded bench: a plain counter is fine.
+static constexpr std::size_t kSizeHeader = alignof(std::max_align_t);
+static uint64_t g_live_bytes = 0;
+
+void* operator new(std::size_t n) {
+  if (void* p = std::malloc(n + kSizeHeader)) {
+    *static_cast<std::size_t*>(p) = n;
+    g_live_bytes += n;
+    return static_cast<char*>(p) + kSizeHeader;
+  }
+  throw std::bad_alloc{};
+}
+void* operator new[](std::size_t n) { return ::operator new(n); }
+void operator delete(void* p) noexcept {
+  if (p == nullptr) return;
+  // Integer arithmetic: the compiler cannot see the header's allocation.
+  auto* block = reinterpret_cast<std::size_t*>(
+      reinterpret_cast<std::uintptr_t>(p) - kSizeHeader);
+  g_live_bytes -= *block;
+  std::free(block);
+}
+void operator delete[](void* p) noexcept { ::operator delete(p); }
+void operator delete(void* p, std::size_t) noexcept { ::operator delete(p); }
+void operator delete[](void* p, std::size_t) noexcept {
+  ::operator delete(p);
+}
 
 namespace hermes::bench {
 namespace {
@@ -102,6 +136,9 @@ int run(int argc, char** argv) {
       std::chrono::duration<double>(ramp_end - wall_start).count();
 
   const uint64_t live = fleet.total_live();
+  const double heap_bytes_per_conn =
+      live > 0 ? static_cast<double>(g_live_bytes) / static_cast<double>(live)
+               : 0;
   const double conns_per_wall =
       ramp_wall_s > 0 ? static_cast<double>(opened) / ramp_wall_s : 0;
 
@@ -112,6 +149,8 @@ int run(int argc, char** argv) {
               static_cast<unsigned long long>(live));
   std::printf("wall %.2f s -> %.0f simulated conns/sec of wall clock\n",
               ramp_wall_s, conns_per_wall);
+  std::printf("live heap %.1f MB -> %.1f B per live conn\n",
+              static_cast<double>(g_live_bytes) / 1e6, heap_bytes_per_conn);
 
   // ---- fleet-scale imbalance (Table-2 style, across devices) -----------
   const auto im = fleet.imbalance();
@@ -179,6 +218,7 @@ int run(int argc, char** argv) {
   json.metric("pcc_remove_broken", static_cast<double>(victim_live));
   json.metric("pcc_remove_maglev_violations",
               static_cast<double>(rm_audit.maglev_violations));
+  json.metric("heap_bytes_per_conn", heap_bytes_per_conn);
   // Wall-clock metrics (ungated by suffix: machine-speed dependent).
   json.metric("ramp_wall_s", ramp_wall_s);
   json.metric("total_wall_s", total_wall_s);

@@ -12,17 +12,20 @@
 #
 # Prints, per metric, the parent's and the change's median and quartiles,
 # the ratio of medians, and in how many pairs the change was better, then
-# whether every run was correct and how many operations failed. Each run's
-# result line is kept under $OUT (default: a temporary directory).
+# whether every run was correct and how many operations failed, and whether
+# both runs of every pair printed the same sim_digest (or the first pair
+# whose digests differ). Each run's full report is kept under $OUT
+# (default: a temporary directory) next to its result line.
 #
 #   seed             default 3
 #   SECONDS_PER_RUN  seconds per run (default 45, BENCHMARK.json's run_seconds)
-#   OUT              directory for parent-<i>.json / change-<i>.json
+#   OUT              directory for {parent,change}-<i>.txt (full report)
+#                    and {parent,change}-<i>.json (its last line)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 if [ $# -lt 3 ]; then
-  sed -n '2,20p' "$0" >&2
+  sed -n '2,23p' "$0" >&2
   exit 2
 fi
 ref=$1
@@ -40,26 +43,27 @@ trap 'git worktree remove --force "$wt"' EXIT
 
 # A run whose checks fail still leaves its result line, which reports
 # `correct` and `failed`; only a missing line counts as a lost pair.
-run() {  # run <tree> <result file> [extra run.py flags]
-  local tree=$1 result=$2
+run() {  # run <tree> <name> [extra run.py flags]
+  local tree=$1 name=$2
   shift 2
   (cd "$tree" && python3 perfbench/run.py --workload "$workload" \
-     --seed "$seed" --trace 0 "$@" 2>/dev/null || true) | tail -n 1 > "$result"
+     --seed "$seed" --trace 0 "$@" 2>/dev/null || true) > "$out/$name.txt"
+  tail -n 1 "$out/$name.txt" > "$out/$name.json"
 }
 
 # Build both trees before anything is timed.
 echo "perf_ab: building $ref and this checkout" >&2
-run "$wt" "$out/parent-build.json" --seconds 1 --smoke
-run . "$out/change-build.json" --seconds 1 --smoke
+run "$wt" parent-build --seconds 1 --smoke
+run . change-build --seconds 1 --smoke
 
 for ((i = 0; i < pairs; i++)); do
   echo "perf_ab: pair $((i + 1))/$pairs" >&2
   if ((i % 2 == 0)); then
-    run "$wt" "$out/parent-$i.json" --seconds "$seconds"
-    run . "$out/change-$i.json" --seconds "$seconds"
+    run "$wt" "parent-$i" --seconds "$seconds"
+    run . "change-$i" --seconds "$seconds"
   else
-    run . "$out/change-$i.json" --seconds "$seconds"
-    run "$wt" "$out/parent-$i.json" --seconds "$seconds"
+    run . "change-$i" --seconds "$seconds"
+    run "$wt" "parent-$i" --seconds "$seconds"
   fi
 done
 
@@ -122,5 +126,23 @@ for side, runs in (("parent", parent), ("change", change)):
     print(f"{side}: correct {all(r['correct'] for r in ok) and len(ok) == pairs}"
           f" failed {sum(r['failed'] for r in ok)}"
           f" missing {pairs - len(ok)}")
+
+
+def digest(side, i):
+    with open(f"{out}/{side}-{i}.txt") as f:
+        for line in f:
+            if line.startswith("sim_digest:"):
+                return line.split(":", 1)[1].strip()
+    return None
+
+
+digests = [(digest("parent", i), digest("change", i)) for i in range(pairs)]
+bad = [i for i, (p, c) in enumerate(digests) if p is None or p != c]
+if bad:
+    p, c = digests[bad[0]]
+    print(f"sim_digest: pair {bad[0] + 1} differs: parent {p} change {c}")
+else:
+    values = sorted({p for p, _ in digests})
+    print(f"sim_digest: all {pairs} pairs match ({', '.join(values)})")
 print(f"results: {out}")
 EOF

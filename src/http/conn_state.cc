@@ -2,19 +2,42 @@
 
 #include <string>
 #include <utility>
+#include <vector>
 
 namespace hermes::http {
 
+namespace {
+
+// Idle parsers of this thread. Only parsers handed back by pump() land
+// here, so the list never outgrows the number lent at one time.
+std::vector<std::unique_ptr<RequestParser>>& free_parsers() {
+  thread_local std::vector<std::unique_ptr<RequestParser>> list;
+  return list;
+}
+
+std::unique_ptr<RequestParser> lend_parser(bool capture_body) {
+  auto& list = free_parsers();
+  std::unique_ptr<RequestParser> p;
+  if (list.empty()) {
+    p = std::make_unique<RequestParser>();
+  } else {
+    p = std::move(list.back());
+    list.pop_back();
+  }
+  p->set_body_capture(capture_body);
+  return p;
+}
+
+}  // namespace
+
 ConnState::ConnState() : ConnState(Config{}) {}
 
-ConnState::ConnState(const Config& cfg) : cfg_(cfg) {
-  parser_.set_body_capture(cfg_.capture_body);
-}
+ConnState::ConnState(const Config& cfg) : cfg_(cfg) {}
 
 void ConnState::on_client_data(const netsim::IoSlice& slice) {
   if (slice.len == 0) return;
   stats_.bytes_in += slice.len;
-  in_q_.push_back(slice);
+  in_.append_ref(slice);
   pump();
 }
 
@@ -32,39 +55,33 @@ void ConnState::on_client_data(std::string_view flat) {
 }
 
 void ConnState::pump() {
-  size_t done = 0;  // slices fully consumed by this call
-  while (done < in_q_.size() && !parser_.failed() && !saw_close_ &&
-         !parser_.has_request()) {
-    netsim::IoSlice& front = in_q_[done];
-    const std::string_view view =
-        front.view().substr(in_q_off_, front.len - in_q_off_);
+  while (!in_.empty() && !saw_close_ && !has_ready() && !failed()) {
+    if (!parser_) parser_ = lend_parser(cfg_.capture_body);
+    const netsim::IoSlice& front = in_.slices().front();
     // In zero-copy mode the fed bytes are retained (the wire chain below
     // references the same segment), so the parser may borrow views.
-    const size_t consumed = parser_.feed(view, /*stable=*/cfg_.zero_copy);
+    const size_t consumed =
+        parser_->feed(front.view(), /*stable=*/cfg_.zero_copy);
     if (consumed == 0) break;  // parse error
     if (cfg_.zero_copy) {
-      cur_wire_.append_ref(front.seg,
-                           front.off + static_cast<uint32_t>(in_q_off_),
+      cur_wire_.append_ref(front.seg, front.off,
                            static_cast<uint32_t>(consumed));
       stats_.forward_bytes_referenced += consumed;
     } else {
-      cur_wire_.append_copy(view.substr(0, consumed));
+      cur_wire_.append_copy(front.view().substr(0, consumed));
       stats_.forward_bytes_copied += consumed;
     }
-    in_q_off_ += consumed;
-    if (in_q_off_ == front.len) {
-      ++done;
-      in_q_off_ = 0;
-    }
+    in_.consume(consumed);
   }
-  in_q_.erase(in_q_.begin(),
-              in_q_.begin() + static_cast<std::ptrdiff_t>(done));
+  if (parser_ && parser_->idle()) {
+    free_parsers().push_back(std::move(parser_));
+  }
 }
 
 std::optional<ConnState::Ready> ConnState::pop_ready() {
   std::optional<Ready> out;  // the only return value, so it is elided
-  if (!parser_.has_request()) return out;
-  out.emplace(parser_.take(), std::move(cur_wire_));
+  if (!has_ready()) return out;
+  out.emplace(parser_->take(), std::move(cur_wire_));
   saw_close_ = !out->request.keep_alive();
   ++stats_.requests;
   pump();
@@ -89,12 +106,6 @@ netsim::IoChain ConnState::encode(const Response& r) {
   netsim::IoChain c;
   c.append_copy(s);
   return c;
-}
-
-size_t ConnState::buffered_bytes() const {
-  size_t n = 0;
-  for (const auto& s : in_q_) n += s.len;
-  return n - in_q_off_;
 }
 
 }  // namespace hermes::http

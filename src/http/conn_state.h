@@ -1,15 +1,17 @@
 // Per-connection HTTP/1.1 state for the L7 proxy data plane: keep-alive,
 // pipelining, and splice-style zero-copy forwarding.
 //
-// Client bytes arrive as retained iobuf slices. ConnState drives the
-// incremental RequestParser directly over those slices — no flattening —
-// and builds, per request, the exact *wire chain* the proxy forwards to
-// the backend. In zero-copy mode the wire chain references the admitted
-// segments (zero memcpy on the proxy path; header/target views borrow
-// from the retained segments). In oracle mode (Config::zero_copy = false)
-// the wire chain deep-copies every byte — the differential reference
-// whose output streams must be bit-identical to the zero-copy path. The
-// mode is chosen only through Config; no environment variable selects it.
+// Client bytes arrive as retained iobuf slices and queue in an IoChain
+// (one slice inline, so an idle connection's queue allocates nothing).
+// ConnState drives the incremental RequestParser directly over those
+// slices — no flattening — and builds, per request, the exact *wire
+// chain* the proxy forwards to the backend. In zero-copy mode the wire
+// chain references the admitted segments (zero memcpy on the proxy path;
+// header/target views borrow from the retained segments). In oracle mode
+// (Config::zero_copy = false) the wire chain deep-copies every byte — the
+// differential reference whose output streams must be bit-identical to
+// the zero-copy path. The mode is chosen only through Config; no
+// environment variable selects it.
 //
 // Parsing is on demand: there is no queue of parsed requests. pump() stops
 // as soon as the parser holds a completed request — that request is the
@@ -19,15 +21,24 @@
 // error in a later request surfaces only once the requests before it have
 // been popped.
 //
+// The parser is lent per message. A connection holds a RequestParser only
+// while a message is partly parsed or its parsed request waits for
+// pop_ready(); pump() takes a reset parser from a per-thread free list and
+// hands it back as soon as the parser is idle() again (at a message
+// boundary with no partial line). A failed parser stays with its
+// connection, so failed() and error() keep reporting. A keep-alive
+// connection that sits between requests thus costs a small row, not a
+// parser, and the free list holds no more parsers than were lent at once.
+//
 // The same split applies on egress: a serialized backend response is
 // encoded once (admission copy, identical in both modes) and then either
 // referenced or re-copied toward the client.
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <string_view>
-#include <vector>
 
 #include "http/parser.h"
 #include "http/response.h"
@@ -78,7 +89,7 @@ class ConnState {
   // (models the NIC→userspace admission copy; identical in both modes).
   void on_client_data(std::string_view flat);
 
-  bool has_ready() const { return parser_.has_request(); }
+  bool has_ready() const { return parser_ && parser_->has_request(); }
   // Takes the ready request, then parses on toward the next one.
   std::optional<Ready> pop_ready();
 
@@ -90,12 +101,14 @@ class ConnState {
   // identical in both modes).
   static netsim::IoChain encode(const Response& r);
 
-  bool failed() const { return parser_.failed(); }
-  std::string_view error() const { return parser_.error(); }
+  bool failed() const { return parser_ && parser_->failed(); }
+  std::string_view error() const {
+    return parser_ ? parser_->error() : std::string_view{};
+  }
   // True once a popped request carried Connection: close (or HTTP/1.0
   // without keep-alive); further input is left unconsumed.
   bool wants_close() const { return saw_close_; }
-  size_t buffered_bytes() const;
+  size_t buffered_bytes() const { return in_.size(); }
 
   const Stats& stats() const { return stats_; }
   const Config& config() const { return cfg_; }
@@ -104,14 +117,12 @@ class ConnState {
   void pump();
 
   Config cfg_;
-  RequestParser parser_;
-  // Retained, not-yet-parsed bytes. pump() erases the consumed prefix
-  // once per call, so the queue holds only unconsumed slices.
-  std::vector<netsim::IoSlice> in_q_;
-  size_t in_q_off_ = 0;  // parse offset into in_q_.front()
+  bool saw_close_ = false;
+  // Lent while a message is in flight; null between messages.
+  std::unique_ptr<RequestParser> parser_;
+  netsim::IoChain in_;        // retained, not-yet-parsed bytes
   netsim::IoChain cur_wire_;  // bytes of the parser's current request
   Stats stats_;
-  bool saw_close_ = false;
 };
 
 }  // namespace hermes::http

@@ -170,10 +170,12 @@ struct Request {
 };
 
 // Push parser. Feed bytes; when a full request is available, take() it.
-// One parser instance handles a whole keep-alive connection: after take(),
-// feeding continues with the next pipelined request. The parser owns one
-// Request it fills in place; take() moves it out and resets it field by
-// field, and framing checks walk the header entries without allocating.
+// After take(), feeding continues with the next pipelined request, so one
+// parser can serve a whole keep-alive connection; ConnState instead lends
+// a parser per message and hands it back once it is idle(). The parser
+// owns one Request it fills in place; take() moves it out and resets it
+// field by field, and framing checks walk the header entries without
+// allocating.
 class RequestParser {
  public:
   enum class State : uint8_t {
@@ -191,6 +193,11 @@ class RequestParser {
   size_t feed(std::string_view data, bool stable = false);
 
   State state() const { return state_; }
+  // At a message boundary with no partial line buffered: nothing of the
+  // next request has been seen, so the parser holds no connection state.
+  bool idle() const {
+    return state_ == State::RequestLine && line_buf_.empty();
+  }
   bool has_request() const { return state_ == State::Complete; }
   bool failed() const { return state_ == State::Error; }
   std::string_view error() const { return error_; }

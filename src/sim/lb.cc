@@ -1,5 +1,6 @@
 #include "sim/lb.h"
 
+#include <bit>
 #include <cmath>
 
 #include "util/check.h"
@@ -7,6 +8,15 @@
 namespace hermes::sim {
 
 namespace {
+
+bool same_bits(double a, double b) {
+  return std::bit_cast<uint64_t>(a) == std::bit_cast<uint64_t>(b);
+}
+
+bool same_bits(const DistSpec& x, const DistSpec& y) {
+  return x.kind == y.kind && same_bits(x.a, y.a) && same_bits(x.b, y.b) &&
+         same_bits(x.c, y.c);
+}
 
 netsim::NetStack::Config netstack_config(const LbDevice::Config& cfg) {
   netsim::NetStack::Config nc;
@@ -157,11 +167,7 @@ size_t LbDevice::open_tuple_burst(TenantId tenant, const ConnPlan& plan,
   for (const netsim::Connection conn : burst_views_) {
     if (!conn) continue;
     ++totals_.conns_opened;
-    LiveConn lc;
-    lc.conn = conn;
-    lc.plan = plan;
-    lc.syn_time = eq_.now();
-    conns_.emplace(conn.id(), std::move(lc));
+    add_conn(conn, plan, eq_.now());
   }
   return established;
 }
@@ -197,14 +203,68 @@ netsim::ConnId LbDevice::open_connection_attempt(TenantId tenant,
     return 0;
   }
   ++totals_.conns_opened;
+  // The latency clock starts at the original SYN.
+  add_conn(conn, plan, first_syn);
+  return conn.id();
+}
 
-  LiveConn lc;
+void LbDevice::add_conn(netsim::Connection conn, const ConnPlan& plan,
+                        SimTime syn_time) {
+  LiveConn& lc = conns_.emplace(conn.id());
   lc.conn = conn;
-  lc.plan = std::move(plan);
-  lc.syn_time = first_syn;  // latency clock starts at the original SYN
-  const netsim::ConnId id = conn.id();
-  conns_.emplace(id, std::move(lc));
-  return id;
+  lc.syn_time = syn_time;
+  lc.tenant = plan.tenant;
+  lc.remaining = plan.remaining;
+  lc.shape = acquire_shape(plan);
+}
+
+void LbDevice::erase_conn(netsim::ConnId id, const LiveConn& lc) {
+  const uint32_t shape = lc.shape;
+  conns_.erase(id);
+  if (--shapes_[shape].live == 0) {
+    free_shapes_.push_back(shape);
+    if (last_shape_ == shape) last_shape_ = kNoShape;
+  }
+}
+
+uint32_t LbDevice::acquire_shape(const ConnPlan& plan) {
+  if (last_shape_ != kNoShape) {
+    PlanShape& s = shapes_[last_shape_];
+    if (same_bits(s.cost_us, plan.cost_us) &&
+        same_bits(s.bytes, plan.bytes) && same_bits(s.gap_us, plan.gap_us) &&
+        same_bits(s.poison_cost_us, plan.poison_cost_us) &&
+        same_bits(s.poison_fraction, plan.poison_fraction) &&
+        s.is_probe == plan.is_probe) {
+      ++s.live;
+      return last_shape_;
+    }
+  }
+  if (free_shapes_.empty()) {
+    last_shape_ = static_cast<uint32_t>(shapes_.size());
+    shapes_.emplace_back();
+  } else {
+    last_shape_ = free_shapes_.back();
+    free_shapes_.pop_back();
+  }
+  shapes_[last_shape_] = PlanShape{plan.cost_us,         plan.bytes,
+                                   plan.gap_us,          plan.poison_cost_us,
+                                   plan.poison_fraction, plan.is_probe,
+                                   /*live=*/1};
+  return last_shape_;
+}
+
+LbDevice::ConnPlan LbDevice::plan_of(const LiveConn& lc) const {
+  const PlanShape& s = shapes_[lc.shape];
+  ConnPlan plan;
+  plan.tenant = lc.tenant;
+  plan.remaining = lc.remaining;
+  plan.cost_us = s.cost_us;
+  plan.bytes = s.bytes;
+  plan.gap_us = s.gap_us;
+  plan.poison_fraction = s.poison_fraction;
+  plan.poison_cost_us = s.poison_cost_us;
+  plan.is_probe = s.is_probe;
+  return plan;
 }
 
 LbDevice::ConnPlan LbDevice::plan_from_pattern(const TrafficPattern& p,
@@ -274,7 +334,7 @@ void LbDevice::burst_all_connections(const DistSpec& cost_us, int k) {
     if (lc.conn.state() != netsim::ConnState::Accepted || lc.close_sent) {
       return;
     }
-    lc.plan.remaining += k;
+    lc.remaining += k;
     for (int i = 0; i < k; ++i) {
       Request req = make_request(lc, eq_.now());
       req.cost = SimTime::from_seconds_f(cost_us.sample(rng_) / 1e6);
@@ -329,7 +389,7 @@ void LbDevice::run_degradation_sweep() {
       // dispatch will place elsewhere.
       const LiveConn* lc = conns_.find(id);
       if (lc == nullptr) continue;
-      ConnPlan plan = lc->plan;
+      ConnPlan plan = plan_of(*lc);
       const TenantId tenant = plan.tenant;
       ++totals_.degradation_resets;
       degradation_->stats().resets++;
@@ -385,16 +445,17 @@ Request LbDevice::make_request(LiveConn& lc, SimTime arrival) {
   Request req;
   req.id = next_req_++;
   req.conn = lc.conn.id();
-  req.tenant = lc.plan.tenant;
+  req.tenant = lc.tenant;
   req.arrival = arrival;
-  if (lc.plan.poison_fraction > 0 && rng_.bernoulli(lc.plan.poison_fraction)) {
-    req.cost = SimTime::from_seconds_f(lc.plan.poison_cost_us.sample(rng_) / 1e6);
+  const PlanShape& plan = shapes_[lc.shape];
+  if (plan.poison_fraction > 0 && rng_.bernoulli(plan.poison_fraction)) {
+    req.cost = SimTime::from_seconds_f(plan.poison_cost_us.sample(rng_) / 1e6);
     req.is_poison = true;
   } else {
-    req.cost = SimTime::from_seconds_f(lc.plan.cost_us.sample(rng_) / 1e6);
+    req.cost = SimTime::from_seconds_f(plan.cost_us.sample(rng_) / 1e6);
   }
-  req.bytes = static_cast<uint64_t>(lc.plan.bytes.sample(rng_));
-  lc.close_sent = lc.plan.remaining <= 1;
+  req.bytes = static_cast<uint64_t>(plan.bytes.sample(rng_));
+  lc.close_sent = lc.remaining <= 1;
   if (dp_) {
     // Byte-level proxy path: synthesize + parse + forward the request's
     // actual wire bytes; a backend-pool miss charges the handshake.
@@ -434,8 +495,8 @@ void LbDevice::on_request_done(Worker& w, const Request& req) {
   LiveConn* lc = conns_.find(req.conn);
   // A probe rides a probe-plan connection or is a synthetic per-core
   // probe, whose id names no connection.
-  const bool probe =
-      lc != nullptr ? lc->plan.is_probe : req.conn >= kProbeConnBase;
+  const bool probe = lc != nullptr ? shapes_[lc->shape].is_probe
+                                   : req.conn >= kProbeConnBase;
   if (probe) {
     if (latency > SimTime::millis(200)) ++delayed_probes_;
     if (probe_done_) probe_done_(req.conn, latency);
@@ -447,18 +508,18 @@ void LbDevice::on_request_done(Worker& w, const Request& req) {
     return;
   }
   if (dp_) dp_->on_response(w.id(), req, eq_.now());
-  lc->plan.remaining -= 1;
-  if (lc->plan.remaining <= 0) {
+  lc->remaining -= 1;
+  if (lc->remaining <= 0) {
     w.note_conn_closed();
     const netsim::Connection conn = lc->conn;
     if (dp_) dp_->on_conn_close(req.conn);
-    conns_.erase(req.conn);
+    erase_conn(req.conn, *lc);
     ns_.close(conn);
     return;
   }
   // Schedule the next request on this connection after the think gap.
   const SimTime gap =
-      SimTime::from_seconds_f(lc->plan.gap_us.sample(rng_) / 1e6);
+      SimTime::from_seconds_f(shapes_[lc->shape].gap_us.sample(rng_) / 1e6);
   const netsim::ConnId id = req.conn;
   eq_.schedule_after(gap, [this, id] {
     LiveConn* c = conns_.find(id);
@@ -481,7 +542,7 @@ void LbDevice::close_conn(netsim::ConnId id) {
     workers_[conn.owner()]->note_conn_closed();
   }
   if (dp_) dp_->on_conn_close(id);
-  conns_.erase(id);
+  erase_conn(id, *lc);
   ns_.close(conn);
 }
 

@@ -7,10 +7,19 @@
 // scheduler path is set on the runtime (hermes()->scheduler().set_path).
 // The device reads no environment variable.
 //
-// Per-connection workload state (plan, original SYN time) lives in a
-// netsim::ConnTable keyed by the connection's id, i.e. by its slab slot.
+// Per-connection workload state (tenant, remaining requests, original SYN
+// time) lives in a netsim::ConnTable keyed by the connection's id, i.e. by
+// its slab slot. The rest of a connection's ConnPlan — its four DistSpecs,
+// poison_fraction and is_probe — is a *plan shape* in a per-device table
+// that rows name by a 32-bit index. An opened plan reuses the most recently
+// used shape when every field is bitwise equal to it (so a NaN still
+// shares) and otherwise takes a free slot: no hashing, no search. A slot is
+// freed when the last row naming it is erased, so the table never holds
+// more shapes than there are live connections (trace replay, where every
+// plan differs) and usually holds one per traffic pattern.
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <optional>
 #include <span>
@@ -191,6 +200,10 @@ class LbDevice {
   }
   uint64_t delayed_probes() const { return delayed_probes_; }
   uint64_t live_connections() const { return conns_.size(); }
+  // Plan shapes some live connection uses (see the file comment).
+  size_t live_plan_shapes() const {
+    return shapes_.size() - free_shapes_.size();
+  }
 
   // Periodic sampling for Fig. 13 / Table 2: per-sample SD of worker CPU
   // utilization and of per-worker connection counts.
@@ -213,10 +226,23 @@ class LbDevice {
   }
 
  private:
+  // A ConnPlan without its tenant and remaining count, shared by rows.
+  struct PlanShape {
+    DistSpec cost_us;
+    DistSpec bytes;
+    DistSpec gap_us;
+    DistSpec poison_cost_us;
+    double poison_fraction = 0;
+    bool is_probe = false;
+    uint32_t live = 0;  // rows naming this shape; 0 = free slot
+  };
+
   struct LiveConn {
     netsim::Connection conn{};
-    ConnPlan plan;
     SimTime syn_time{};   // ORIGINAL SYN (first attempt)
+    TenantId tenant = 0;
+    int remaining = 1;
+    uint32_t shape = 0;   // index into shapes_
     bool first_delivered = false;
     // The request carrying Connection: close is out: the client sends
     // nothing more on this connection.
@@ -225,6 +251,13 @@ class LbDevice {
 
   netsim::ConnId open_connection_attempt(TenantId tenant, ConnPlan plan,
                                          SimTime first_syn, int attempt);
+  // Fills `conn`'s row from `plan`, taking a reference on its shape.
+  void add_conn(netsim::Connection conn, const ConnPlan& plan,
+                SimTime syn_time);
+  // Empties `id`'s row and drops its reference on its shape.
+  void erase_conn(netsim::ConnId id, const LiveConn& lc);
+  uint32_t acquire_shape(const ConnPlan& plan);
+  ConnPlan plan_of(const LiveConn& lc) const;
 
   PortId port_of(TenantId tenant) const {
     return static_cast<PortId>(cfg_.first_port + tenant % cfg_.num_ports);
@@ -252,6 +285,10 @@ class LbDevice {
   // Probe ids name no slab row, so they miss conns_ (see conn_table.h).
   static constexpr netsim::ConnId kProbeConnBase = 1ull << 62;
   netsim::ConnTable<LiveConn> conns_;
+  static constexpr uint32_t kNoShape = UINT32_MAX;
+  std::vector<PlanShape> shapes_;
+  std::vector<uint32_t> free_shapes_;  // slots with live == 0
+  uint32_t last_shape_ = kNoShape;     // most recently acquired shape
   std::vector<netsim::Connection> burst_views_;  // burst admit scratch
   RequestId next_req_ = 1;
   netsim::ConnId next_probe_id_ = kProbeConnBase;

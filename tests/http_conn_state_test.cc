@@ -6,8 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <deque>
+#include <memory>
 #include <numeric>
 #include <string>
+#include <vector>
 
 namespace hermes::http {
 namespace {
@@ -204,6 +206,126 @@ TEST(ConnState, ParseErrorSurfaces) {
   cs.on_client_data(std::string_view{"NONSENSE\r\n\r\n"});
   EXPECT_TRUE(cs.failed());
   EXPECT_FALSE(cs.has_ready());
+}
+
+// The parser is lent per message, so a connection between requests is a
+// small row. Growing it past this is a per-connection memory regression.
+static_assert(sizeof(ConnState) <= 168);
+
+TEST(ConnState, InterleavedHalfRequestsKeepTheirParsers) {
+  // 1000 connections each hold half a request at once, then get the rest
+  // in a different order. A parser lent away mid-message would hand one
+  // connection's partial line or headers to another. Modes and body
+  // capture alternate so each lend must also take its connection's
+  // capture setting.
+  constexpr int kConns = 1000;
+  std::vector<std::unique_ptr<ConnState>> conns;
+  std::vector<std::string> wires;
+  for (int i = 0; i < kConns; ++i) {
+    ConnState::Config cc;
+    cc.zero_copy = i % 2 == 0;
+    cc.capture_body = i % 3 == 0;
+    conns.push_back(std::make_unique<ConnState>(cc));
+    const std::string body(static_cast<size_t>(i % 17),
+                           static_cast<char>('a' + i % 26));
+    wires.push_back("POST /item/" + std::to_string(i) +
+                    " HTTP/1.1\r\nHost: example.com\r\nContent-Length: " +
+                    std::to_string(body.size()) + "\r\n\r\n" + body);
+  }
+  // Cut points fall inside the request line, a header line, the blank
+  // line and the body.
+  auto cut = [&](int i) { return wires[i].size() * (1 + i % 7) / 8; };
+  for (int i = 0; i < kConns; ++i) {
+    conns[i]->on_client_data(std::string_view{wires[i]}.substr(0, cut(i)));
+    ASSERT_FALSE(conns[i]->has_ready()) << i;
+  }
+  for (int k = 0; k < kConns; ++k) {
+    const int i = (k * 7919) % kConns;  // 7919 is prime: a permutation
+    conns[i]->on_client_data(std::string_view{wires[i]}.substr(cut(i)));
+    ASSERT_TRUE(conns[i]->has_ready()) << i;
+  }
+  for (int i = 0; i < kConns; ++i) {
+    auto r = conns[i]->pop_ready();
+    ASSERT_TRUE(r.has_value()) << i;
+    EXPECT_EQ(r->request.path, "/item/" + std::to_string(i));
+    EXPECT_EQ(r->wire.to_string(), wires[i]);
+    const size_t body_len = static_cast<size_t>(i % 17);
+    EXPECT_EQ(r->request.body.size(), i % 3 == 0 ? body_len : 0u) << i;
+    EXPECT_FALSE(conns[i]->failed());
+    EXPECT_EQ(conns[i]->buffered_bytes(), 0u);
+  }
+}
+
+TEST(ConnState, TwoPipelinedRequestsInOneSlice) {
+  ConnState cs;
+  const std::string a = simple_get(1);
+  const std::string b = simple_get(2);
+  cs.on_client_data(std::string_view{a + b});
+  ASSERT_TRUE(cs.has_ready());
+  EXPECT_EQ(cs.buffered_bytes(), b.size());
+  auto ra = cs.pop_ready();
+  ASSERT_TRUE(ra.has_value());
+  EXPECT_EQ(ra->wire.to_string(), a);
+  ASSERT_TRUE(cs.has_ready());
+  EXPECT_EQ(cs.buffered_bytes(), 0u);
+  auto rb = cs.pop_ready();
+  ASSERT_TRUE(rb.has_value());
+  EXPECT_EQ(rb->request.path, "/item/2");
+  EXPECT_EQ(rb->wire.to_string(), b);
+  EXPECT_FALSE(cs.has_ready());
+  // The connection parses again once more bytes arrive.
+  cs.on_client_data(std::string_view{simple_get(3)});
+  auto rc = cs.pop_ready();
+  ASSERT_TRUE(rc.has_value());
+  EXPECT_EQ(rc->request.path, "/item/3");
+}
+
+TEST(ConnState, RequestLineSplitMidLineAcrossFeeds) {
+  // The first feed ends inside the request line: the parser holds a
+  // partial line and must stay with this connection while another
+  // connection runs whole requests in between.
+  ConnState split;
+  ConnState other;
+  const std::string wire = simple_get(4);
+  const size_t mid = std::string_view{wire}.find(' ', 4);  // in the line
+  split.on_client_data(std::string_view{wire}.substr(0, mid));
+  EXPECT_FALSE(split.has_ready());
+  EXPECT_FALSE(split.failed());
+  EXPECT_EQ(split.buffered_bytes(), 0u);  // consumed into the parser
+  for (int i = 0; i < 3; ++i) {
+    other.on_client_data(std::string_view{simple_get(10 + i)});
+    auto r = other.pop_ready();
+    ASSERT_TRUE(r.has_value());
+    EXPECT_EQ(r->request.path, "/item/" + std::to_string(10 + i));
+  }
+  split.on_client_data(std::string_view{wire}.substr(mid));
+  auto r = split.pop_ready();
+  ASSERT_TRUE(r.has_value());
+  EXPECT_EQ(r->request.path, "/item/4");
+  EXPECT_EQ(r->request.host(), "example.com");
+  EXPECT_EQ(r->wire.to_string(), wire);
+}
+
+TEST(ConnState, FailedParserStaysFailedAfterMoreBytes) {
+  ConnState bad;
+  bad.on_client_data(std::string_view{"NONSENSE\r\n\r\n"});
+  ASSERT_TRUE(bad.failed());
+  const std::string error{bad.error()};
+  EXPECT_FALSE(error.empty());
+  // A valid request after the error is never parsed.
+  bad.on_client_data(std::string_view{simple_get(1)});
+  EXPECT_TRUE(bad.failed());
+  EXPECT_EQ(bad.error(), error);
+  EXPECT_FALSE(bad.has_ready());
+  EXPECT_FALSE(bad.pop_ready().has_value());
+  // The failed parser was not handed back: a fresh connection parses.
+  ConnState good;
+  EXPECT_FALSE(good.failed());
+  EXPECT_TRUE(good.error().empty());
+  good.on_client_data(std::string_view{simple_get(2)});
+  ASSERT_TRUE(good.has_ready());
+  EXPECT_FALSE(good.failed());
+  EXPECT_EQ(good.pop_ready()->request.path, "/item/2");
 }
 
 TEST(ConnState, EgressRespectsMode) {

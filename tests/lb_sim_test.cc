@@ -5,10 +5,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
+#include <map>
 #include <vector>
 
 #include "sim/lb.h"
 #include "sim/probe.h"
+#include "sim/trace.h"
 
 namespace hermes::sim {
 namespace {
@@ -370,6 +373,127 @@ TEST(LbSimTest, SynRetriesExhaustAndGiveUp) {
   // Each dropped SYN retried at most twice, then gave up for good.
   EXPECT_LE(lb.totals().syn_retransmits, 8u);
   EXPECT_GT(lb.totals().conns_dropped, 4u);
+}
+
+TEST(LbSimTest, PatternConnectionsShareOnePlanShape) {
+  // Every connection of one pattern has the same distributions, so the
+  // live rows share a single plan shape however many there are.
+  LbDevice lb(base_config(netsim::DispatchMode::HermesMode));
+  TrafficPattern p;
+  p.cps = 2000;
+  p.requests_per_conn = DistSpec::uniform(2, 6);
+  p.request_gap_us = DistSpec::exponential(50'000);
+  lb.start_pattern(p, 0, 4, SimTime::millis(500));
+  lb.eq().run_until(SimTime::millis(400));
+  EXPECT_GT(lb.live_connections(), 100u);
+  EXPECT_EQ(lb.live_plan_shapes(), 1u);
+  lb.eq().run_until(SimTime::seconds(5));
+  EXPECT_EQ(lb.live_connections(), 0u);
+  EXPECT_EQ(lb.live_plan_shapes(), 0u);
+}
+
+TEST(LbSimTest, NanPlanFieldsStillShareAShape) {
+  // Shapes match bitwise, so a NaN field (which compares unequal to
+  // itself) does not give every connection its own shape.
+  LbDevice lb(base_config(netsim::DispatchMode::HermesMode));
+  LbDevice::ConnPlan plan;
+  plan.remaining = 2;
+  plan.poison_fraction = std::numeric_limits<double>::quiet_NaN();
+  for (int i = 0; i < 10; ++i) lb.open_connection(0, plan);
+  EXPECT_EQ(lb.live_connections(), 10u);
+  EXPECT_EQ(lb.live_plan_shapes(), 1u);
+  lb.eq().run_until(SimTime::seconds(5));
+  EXPECT_EQ(lb.totals().requests_completed, 20u);
+  EXPECT_EQ(lb.live_plan_shapes(), 0u);
+}
+
+TEST(LbSimTest, TracePlanShapesDrainWithTheirConnections) {
+  // Trace replay gives every connection its own constant distributions,
+  // so no two plans match: shapes stay bounded by live connections and
+  // all of them are freed once the connections drain.
+  LbDevice lb(base_config(netsim::DispatchMode::HermesMode));
+  TrafficPattern p = case_pattern(3, /*workers=*/4, /*load=*/1.0);
+  p.cps = 500;
+  Rng rng(11);
+  const Trace trace = Trace::record(p, SimTime::millis(300), 4, rng);
+  ASSERT_GT(trace.entries().size(), 50u);
+  TraceReplayer::replay(trace, lb);
+  size_t peak_shapes = 0;
+  for (int ms = 10; ms <= 300; ms += 10) {
+    lb.eq().run_until(SimTime::millis(ms));
+    EXPECT_LE(lb.live_plan_shapes(), lb.live_connections());
+    peak_shapes = std::max(peak_shapes, lb.live_plan_shapes());
+  }
+  EXPECT_GT(peak_shapes, 10u);
+  lb.eq().run_until(SimTime::seconds(120));
+  EXPECT_EQ(lb.live_connections(), 0u);
+  EXPECT_EQ(lb.live_plan_shapes(), 0u);
+}
+
+TEST(LbSimTest, DegradationResetReopensWithTheSamePlan) {
+  // Connections are idle in a 1 s think gap when one sweep resets every
+  // connection of a hung worker. Each reopened connection must carry its
+  // plan over from the row: the same cost and gap distributions and the
+  // same remaining count, so each tenant completes exactly kRequests.
+  auto cfg = base_config(netsim::DispatchMode::HermesMode);
+  cfg.hermes.degradation_after = SimTime::millis(200);
+  cfg.hermes.degradation_reset_fraction = 1.0;
+  LbDevice lb(cfg);
+
+  constexpr int kConns = 40;
+  constexpr int kRequests = 4;
+  constexpr TenantId kPoisonTenant = 1000;
+  struct Seen {
+    int count = 0;
+    SimTime min_latency = SimTime::seconds(1000);
+    SimTime last_done{};
+    bool done_at_sweep = false;
+  };
+  std::map<TenantId, Seen> seen;
+  const SimTime sweep_at = SimTime::millis(400);
+  lb.set_request_done_fn([&](TenantId t, SimTime latency) {
+    Seen& s = seen[t];
+    ++s.count;
+    s.min_latency = std::min(s.min_latency, latency);
+    s.last_done = lb.eq().now();
+    // A reset connection's first request goes out at the sweep.
+    s.done_at_sweep |= lb.eq().now() - latency == sweep_at;
+  });
+
+  LbDevice::ConnPlan plan;
+  plan.remaining = kRequests;
+  plan.cost_us = DistSpec::constant(700);
+  plan.gap_us = DistSpec::constant(1'000'000);
+  for (int i = 0; i < kConns; ++i) {
+    plan.tenant = static_cast<TenantId>(i);
+    lb.open_connection(plan.tenant, plan);
+  }
+  lb.eq().run_until(SimTime::millis(50));
+
+  LbDevice::ConnPlan poison;
+  poison.tenant = kPoisonTenant;
+  poison.cost_us = DistSpec::constant(3'000'000);
+  lb.open_connection(kPoisonTenant, poison);
+  lb.eq().schedule_at(sweep_at, [&lb] { lb.run_degradation_sweep(); });
+  lb.eq().run_until(SimTime::seconds(30));
+
+  ASSERT_GT(lb.totals().degradation_resets, 1u);
+  EXPECT_EQ(lb.live_connections(), 0u);
+  EXPECT_EQ(lb.live_plan_shapes(), 0u);
+  int reset_tenants = 0;
+  for (int i = 0; i < kConns; ++i) {
+    const Seen& s = seen[static_cast<TenantId>(i)];
+    EXPECT_EQ(s.count, kRequests) << "tenant " << i;
+    EXPECT_GE(s.min_latency, SimTime::micros(700)) << "tenant " << i;
+    if (!s.done_at_sweep) continue;
+    ++reset_tenants;
+    // Reopened at the sweep with kRequests - 1 left, 1 s apart.
+    EXPECT_GE(s.last_done, sweep_at + SimTime::seconds(kRequests - 2))
+        << "tenant " << i;
+  }
+  // Every reset but the poison connection's was a planned connection.
+  EXPECT_EQ(static_cast<uint64_t>(reset_tenants),
+            lb.totals().degradation_resets - 1);
 }
 
 }  // namespace
