@@ -64,7 +64,9 @@ void pool_experiment(BenchJson& json) {
 
   for (const bool hermes_spread : {false, true}) {
     for (const bool shared : {false, true}) {
-      core::BackendConnectionPool pool(kWorkers, shared);
+      // Unbounded, no expiry: reuse-or-miss accounting only.
+      core::BackendConnectionPool pool(core::BackendConnectionPool::Config{
+          shared, kWorkers, UINT32_MAX, SimTime{}});
       sim::Rng rng(5);
       for (int i = 0; i < kRequests; ++i) {
         // Exclusive concentrates requests on few workers; Hermes spreads.
@@ -73,8 +75,8 @@ void pool_experiment(BenchJson& json) {
                 ? static_cast<WorkerId>(rng.next_below(kWorkers))
                 : static_cast<WorkerId>(rng.next_below(3));  // top-3 workers
         const auto b = static_cast<core::BackendId>(rng.next_below(kBackends));
-        pool.acquire(w, b);
-        pool.release(w, b);
+        const auto reused = pool.acquire(w, b, SimTime{});
+        pool.release(w, b, reused ? reused->id : 0, SimTime{});
       }
       const auto& st = pool.stats();
       std::printf("%-18s %-14s hit rate %6.2f%%  extra handshake latency"

@@ -17,7 +17,6 @@
 
 #include "bench/bench_common.h"
 #include "sim/cluster.h"
-#include "sim/probe.h"
 
 using namespace hermes;
 using namespace hermes::bench;
@@ -55,19 +54,16 @@ ProbeResult run_region(netsim::DispatchMode mode, uint64_t seed) {
 
   // Per-core probes: every 20 ms, one probe to an RSS-chosen core.
   ProbeResult res;
-  lb.set_probe_done_fn([&](netsim::ConnId, SimTime) {});
-  auto tick = std::make_shared<std::function<void()>>();
-  *tick = [&lb, &res, tick, end] {
+  sim::Rearming tick([&lb, &res, end](auto& self) {
     const WorkerId core =
         static_cast<WorkerId>(lb.rng().next_below(lb.num_workers()));
     ++res.sent;
-    const uint64_t id = lb.inject_core_probe(core);
-    (void)id;
+    lb.inject_core_probe(core);
     if (lb.eq().now() + SimTime::millis(10) <= end) {
-      lb.eq().schedule_after(SimTime::millis(10), *tick);
+      lb.eq().schedule_after(SimTime::millis(10), self);
     }
-  };
-  lb.eq().schedule_after(SimTime::seconds(5), *tick);
+  });
+  lb.eq().schedule_after(SimTime::seconds(5), tick);
 
   lb.eq().run_until(end + SimTime::seconds(2));
   res.delayed = lb.delayed_probes();

@@ -73,7 +73,7 @@ void run_mode(netsim::DispatchMode mode) {
     }
     netsim::FourTuple tuple{0x01010000u + (uint32_t)i * 7919u, 0x0a000001,
                             (uint16_t)(20000 + i * 131), 80};
-    const netsim::Connection conn = ns.on_connection_request(tuple, 80, 0, t);
+    const netsim::Connection conn = ns.on_connection_request(tuple, 0, t);
 
     WorkerId assigned = kInvalidWorker;
     if (netsim::uses_per_worker_sockets(mode)) {

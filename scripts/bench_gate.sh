@@ -19,8 +19,9 @@
 #   sched_path        fast-vs-reference schedule_and_sync cost; gates the
 #                     sweep sync/suppression counts and bitmap checksums
 #   fleet_scale       multi-LB fleet at 100k conns (FLEET_SCALE_CONNS):
-#                     gates connection counts, PCC violation counts and
-#                     fleet imbalance; the 1M leg runs nightly in CI
+#                     gates connection counts, PCC violation counts,
+#                     fleet imbalance and heap_bytes_per_conn; the 1M leg
+#                     runs nightly in CI
 #   proxy_path        zero-copy L7 forwarding vs the copy oracle; gates
 #                     bytes-memcpy'd/request, stream-match flags,
 #                     allocs/request, and the sim leg's data-plane counts

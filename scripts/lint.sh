@@ -10,8 +10,11 @@
 # The knob guard fails when src/, examples/, bench/ or tests/ reads a
 # HERMES_* environment variable that ALLOWED_KNOBS does not list. The list
 # is empty: oracles are reached by API, never by the environment. The
-# guard runs first, so minimal containers without clang-tidy still
-# enforce it.
+# self-capture guard then fails on `make_shared<std::function` there: a
+# recurring event that holds a shared_ptr to itself is a refcount cycle
+# (it leaks when the queue stops early); sim::Rearming is the idiom. Both
+# guards run first, so minimal containers without clang-tidy still
+# enforce them.
 #
 # Checks and naming rules live in .clang-tidy at the repo root. When
 # clang-tidy is not installed (minimal containers ship only gcc) the
@@ -39,6 +42,14 @@ if [ ${#unlisted[@]} -gt 0 ]; then
   exit 1
 fi
 echo "==> knob guard clean (${#knobs[@]} knobs read: ${knobs[*]-})"
+
+if cycles=$(grep -rnF 'make_shared<std::function' src examples bench tests)
+then
+  echo "lint: self-capturing std::function event (use sim::Rearming):" >&2
+  echo "$cycles" >&2
+  exit 1
+fi
+echo "==> self-capture guard clean"
 
 TIDY=${CLANG_TIDY:-clang-tidy}
 if ! command -v "$TIDY" >/dev/null 2>&1; then

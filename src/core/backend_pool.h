@@ -13,8 +13,8 @@
 //    (partition, backend): bounded per backend, reused LIFO (the warmest
 //    connection first — best TCP cwnd / TLS session state), with cold
 //    connections expired from the FIFO end after an idle timeout. The
-//    data plane (sim::DataPlane) drives the time-aware API; the original
-//    boolean counting API is retained for the ablation bench.
+//    data plane (sim::DataPlane) drives it; the ablation bench runs it
+//    unbounded with expiry off, which leaves pure reuse-or-miss counting.
 #pragma once
 
 #include <cstdint>
@@ -93,11 +93,6 @@ class BackendConnectionPool {
   explicit BackendConnectionPool(const Config& cfg)
       : cfg_(cfg), idle_(cfg.shared ? 1 : cfg.num_workers) {}
 
-  // Legacy ablation-bench constructor: unbounded, no expiry.
-  BackendConnectionPool(uint32_t num_workers, bool shared)
-      : BackendConnectionPool(Config{shared, num_workers, UINT32_MAX,
-                                     SimTime{}}) {}
-
   // A worker needs a backend connection: expire cold idle connections,
   // then reuse the warmest (LIFO). nullopt → the caller "establishes" a
   // new connection (handshake cost charged by the caller).
@@ -128,12 +123,6 @@ class BackendConnectionPool {
     dq.push_back(PooledConn{conn_id != 0 ? conn_id : next_id_++, now});
     ++idle_total_;
   }
-
-  // Legacy counting API (no clock): reuse-or-miss accounting only.
-  bool acquire(WorkerId w, BackendId b) {
-    return acquire(w, b, SimTime{}).has_value();
-  }
-  void release(WorkerId w, BackendId b) { release(w, b, 0, SimTime{}); }
 
   // Proactively expires idle connections across all partitions.
   void expire_idle(SimTime now) {

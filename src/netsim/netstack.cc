@@ -19,9 +19,6 @@ void NetStack::add_port(PortId port) {
       entry.rp_group->add_socket(sock.get());
       entry.per_worker.push_back(std::move(sock));
     }
-    if (pending_prog_ != nullptr) {
-      entry.rp_group->attach_program(pending_vm_, pending_prog_);
-    }
     if (obs_ != nullptr) entry.rp_group->set_metrics(&obs_->metrics);
   } else {
     entry.shared = std::make_unique<ListeningSocket>(port, cfg_.backlog);
@@ -47,19 +44,9 @@ void NetStack::set_obs(obs::Observability* obs) {
   }
 }
 
-void NetStack::attach_bpf(const bpf::Vm* vm, const bpf::LoadedProgram* prog) {
-  HERMES_CHECK_MSG(cfg_.mode == DispatchMode::HermesMode,
-                   "bpf program attach requires Hermes mode");
-  pending_vm_ = vm;
-  pending_prog_ = prog;
-  for (auto& [port, entry] : ports_) {
-    entry.rp_group->attach_program(vm, prog);
-  }
-}
-
 Connection NetStack::on_connection_request(const FourTuple& tuple,
-                                           PortId port, TenantId tenant,
-                                           SimTime now) {
+                                           TenantId tenant, SimTime now) {
+  const PortId port = tuple.dport;
   auto it = ports_.find(port);
   HERMES_CHECK_MSG(it != ports_.end(), "SYN to unbound port");
   PortEntry& entry = it->second;
@@ -74,40 +61,7 @@ Connection NetStack::on_connection_request(const FourTuple& tuple,
   } else {
     sock = entry.shared.get();
   }
-  return admit(tuple, port, tenant, now, sock);
-}
 
-size_t NetStack::on_connection_burst(std::span<const FourTuple> tuples,
-                                     PortId port, TenantId tenant, SimTime now,
-                                     Connection* out) {
-  auto it = ports_.find(port);
-  HERMES_CHECK_MSG(it != ports_.end(), "SYN to unbound port");
-  PortEntry& entry = it->second;
-
-  const bool per_worker = uses_per_worker_sockets(cfg_.mode);
-  if (per_worker) {
-    burst_socks_.resize(tuples.size());
-    entry.rp_group->select_batch(tuples, burst_socks_);
-  }
-
-  size_t established = 0;
-  for (size_t i = 0; i < tuples.size(); ++i) {
-    ListeningSocket* sock =
-        per_worker ? burst_socks_[i] : entry.shared.get();
-    if (per_worker && obs_ != nullptr) {
-      obs_->traces.write(sock->owner(), obs::TraceType::Dispatch, now,
-                         sock->owner(), skb_hash(tuples[i]), port);
-    }
-    const Connection c = admit(tuples[i], port, tenant, now, sock);
-    if (out != nullptr) out[i] = c;
-    if (c) ++established;
-  }
-  return established;
-}
-
-Connection NetStack::admit(const FourTuple& tuple, PortId port,
-                           TenantId tenant, SimTime now,
-                           ListeningSocket* sock) {
   // Shared sockets have no owning worker; account those on shard 0.
   const WorkerId shard = sock->owner() == kInvalidWorker ? 0 : sock->owner();
 

@@ -2,14 +2,14 @@
 //
 // Owns ports, listening sockets (one shared socket per port, or one socket
 // per worker per port under reuseport), reuseport groups, and connections.
-// The sim layer feeds SYNs in and accept()s connections out; everything in
-// between — socket selection, accept-queue backpressure, wait-queue wakeups
-// — happens here with kernel semantics.
+// The sim layer feeds SYNs in one at a time (on_connection_request) and
+// accept()s connections out; everything in between — socket selection,
+// accept-queue backpressure, wait-queue wakeups — happens here with kernel
+// semantics.
 #pragma once
 
 #include <functional>
 #include <memory>
-#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -79,30 +79,19 @@ class NetStack {
 
   void set_socket_ready_fn(SocketReadyFn fn) { socket_ready_ = std::move(fn); }
 
-  // Hermes attachment (per-port groups all share one program).
-  void attach_bpf(const bpf::Vm* vm, const bpf::LoadedProgram* prog);
-
   // Observability sinks (nullable; not owned). Applies to already-bound
   // ports and to every port bound afterwards. Instruments socket selection
   // (dispatch picks/fallbacks) and the accept queues (depth, drops).
   void set_obs(obs::Observability* obs);
 
   // --- data path -------------------------------------------------------
-  // A SYN arrives (handshake is modeled as instantaneous; the paper's
-  // phenomena live after the handshake). Returns the connection view, or an
-  // invalid view if the selected socket's backlog was full (drop).
-  Connection on_connection_request(const FourTuple& tuple, PortId port,
-                                   TenantId tenant, SimTime now);
-
-  // A SYN burst: `tuples.size()` connection requests to one port at one
-  // timestamp. Socket selection goes through ReuseportGroup::select_batch,
-  // amortizing program/plan and metric-sink resolution across the burst;
-  // per-connection admission semantics match on_connection_request exactly.
-  // Returns the number established (drops excluded); when `out` is
-  // non-null it receives one entry per SYN, an invalid view for drops.
-  size_t on_connection_burst(std::span<const FourTuple> tuples, PortId port,
-                             TenantId tenant, SimTime now,
-                             Connection* out = nullptr);
+  // A SYN to `tuple.dport` arrives (handshake is modeled as instantaneous;
+  // the paper's phenomena live after the handshake): socket selection (the
+  // reuseport group runs its program once), then accept-queue admission
+  // and the wakeup. Returns the connection view, or an invalid view if the
+  // selected socket's backlog was full (drop).
+  Connection on_connection_request(const FourTuple& tuple, TenantId tenant,
+                                   SimTime now);
 
   // Worker-side accept() on a specific socket.
   Connection accept(ListeningSocket& sock, WorkerId worker);
@@ -138,20 +127,11 @@ class NetStack {
     std::unique_ptr<ReuseportGroup> rp_group;
   };
 
-  // Admission path shared by the scalar and burst entries: everything
-  // after socket selection (connection creation, backlog push or drop,
-  // accounting, wakeup).
-  Connection admit(const FourTuple& tuple, PortId port, TenantId tenant,
-                   SimTime now, ListeningSocket* sock);
-
   Config cfg_;
-  std::vector<ListeningSocket*> burst_socks_;  // select_batch scratch
   std::unordered_map<PortId, PortEntry> ports_;
   std::vector<PortId> port_order_;
   ConnSlab conns_;
   SocketReadyFn socket_ready_;
-  const bpf::Vm* pending_vm_ = nullptr;
-  const bpf::LoadedProgram* pending_prog_ = nullptr;
   obs::Observability* obs_ = nullptr;  // nullable; not owned
   Stats stats_;
 };

@@ -9,7 +9,6 @@
 #pragma once
 
 #include <memory>
-#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -51,7 +50,6 @@ class ReuseportGroup {
     vm_ = nullptr;
     prog_ = nullptr;
   }
-  bool has_program() const { return prog_ != nullptr; }
 
   struct SelectStats {
     uint64_t bpf_selections = 0;   // program picked the socket
@@ -116,74 +114,6 @@ class ReuseportGroup {
     }
     if (metrics_ != nullptr) metrics_->dispatch_picks->inc(picked->owner());
     return picked;
-  }
-
-  // Batched socket selection for a SYN burst (same per-SYN semantics and
-  // accounting as select(), in order). Program attachment and metric
-  // sinks are resolved once per burst and the stat/counter updates
-  // are accumulated locally and flushed once, so per-SYN work on the hot
-  // path reduces to the program run plus the pick.
-  void select_batch(std::span<const FourTuple> tuples,
-                    std::span<ListeningSocket*> out) {
-    HERMES_CHECK(out.size() >= tuples.size());
-    HERMES_CHECK_MSG(!sockets_.empty(), "reuseport group has no sockets");
-    const auto n_socks = static_cast<uint32_t>(sockets_.size());
-
-    if (prog_ == nullptr) {
-      for (size_t i = 0; i < tuples.size(); ++i) {
-        ListeningSocket* s =
-            sockets_[reciprocal_scale(skb_hash(tuples[i]), n_socks)];
-        out[i] = s;
-        if (metrics_ != nullptr) metrics_->dispatch_picks->inc(s->owner());
-      }
-      stats_.hash_selections += tuples.size();
-      if (metrics_ != nullptr) {
-        metrics_->dispatch_hash->add(0, tuples.size());
-      }
-      return;
-    }
-
-    uint64_t insns = 0;
-    uint64_t fused = 0;
-    uint64_t elided = 0;
-    uint64_t selections = 0;
-    uint64_t fallbacks = 0;
-    for (size_t i = 0; i < tuples.size(); ++i) {
-      const uint32_t hash = skb_hash(tuples[i]);
-      bpf::ReuseportCtx ctx;
-      ctx.hash = hash;
-      ctx.hash2 = locality_hash(tuples[i]);
-      ctx.ip_protocol = 6;  // IPPROTO_TCP
-      const auto run = vm_->run(*prog_, ctx);
-      insns += run.insns_executed;
-      fused += run.fused_hits;
-      elided += run.elided_checks;
-      ListeningSocket* picked = nullptr;
-      if (run.ret == bpf::kRetUseSelection && ctx.selection_made) {
-        picked = by_cookie(ctx.selected_socket);
-      }
-      if (picked != nullptr) {
-        ++selections;
-      } else {
-        ++fallbacks;
-        picked = sockets_[reciprocal_scale(hash, n_socks)];
-      }
-      out[i] = picked;
-      if (metrics_ != nullptr) metrics_->dispatch_picks->inc(picked->owner());
-    }
-    stats_.bpf_insns += insns;
-    stats_.bpf_selections += selections;
-    stats_.bpf_fallbacks += fallbacks;
-    if (metrics_ != nullptr) {
-      metrics_->bpf_tier_dispatches[kTierSlot]->add(0, tuples.size());
-      if (fused != 0) metrics_->bpf_fused_ops->add(0, fused);
-      if (elided != 0) metrics_->bpf_elided_checks->add(0, elided);
-      if (selections != 0) metrics_->dispatch_bpf->add(0, selections);
-      if (fallbacks != 0) metrics_->dispatch_fallback->add(0, fallbacks);
-    }
-    if (policy_dispatches_ != nullptr && selections != 0) {
-      policy_dispatches_->add(0, selections);
-    }
   }
 
  private:

@@ -66,26 +66,20 @@ size_t Fleet::open_burst(TenantId tenant, const LbDevice::ConnPlan& plan,
                          size_t count) {
   const size_t pin = pinned_device(tenant);
   if (pin == SIZE_MAX && active_count() == 0) return 0;
-  burst_groups_.resize(devices_.size());
-  for (auto& g : burst_groups_) g.clear();
-
   // The dport must match what the chosen device binds for this tenant;
   // port layout is identical across devices (same Config), so tuple
   // generation does not depend on the routing decision.
   const auto dport = static_cast<PortId>(
       cfg_.device.first_port + tenant % cfg_.device.num_ports);
+  size_t established = 0;
   for (size_t i = 0; i < count; ++i) {
     const netsim::FourTuple t = draw_client_tuple(rng_, dport);
     const size_t dev = pin != SIZE_MAX ? pin : route(netsim::skb_hash(t));
     HERMES_DCHECK(dev != SIZE_MAX);
-    burst_groups_[dev].push_back(t);
-  }
-
-  size_t established = 0;
-  for (size_t d = 0; d < devices_.size(); ++d) {
-    if (burst_groups_[d].empty()) continue;
-    established += devices_[d]->open_tuple_burst(tenant, plan,
-                                                 burst_groups_[d]);
+    // A drop is final: a retry would draw a new tuple on the device and
+    // bypass this tier.
+    LbDevice& lb = *devices_[dev];
+    if (lb.admit(tenant, t, plan, lb.eq().now()).id != 0) ++established;
   }
   return established;
 }

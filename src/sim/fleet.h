@@ -17,8 +17,11 @@
 // (add_lb(mode), then drain the old devices) and the sandbox migration of
 // Appendix C (pin_tenant).
 //
-// Each LbDevice keeps its own event queue; devices only interact through
-// connection arrivals, so the fleet advances them in bounded lockstep.
+// The front tier hands each routed SYN to its device's own admission step,
+// the one every SYN takes, so a device admits exactly the tuple it was
+// routed. Each LbDevice keeps its own event queue; devices only interact
+// through connection arrivals, so the fleet advances them in bounded
+// lockstep.
 #pragma once
 
 #include <memory>
@@ -104,10 +107,11 @@ class Fleet {
   // order — what a naive ECMP front tier does.
   size_t route_mod(uint32_t flow_hash) const;
 
-  // Open `count` connections for `tenant`: tuples are drawn from the fleet
-  // RNG, routed by Maglev exactly as the front tier would route the SYN
-  // (or all to the tenant's pinned device), and delivered to each device
-  // as one tuple burst. Returns established.
+  // Open `count` connections for `tenant`: each tuple is drawn from the
+  // fleet RNG, routed by Maglev exactly as the front tier would route the
+  // SYN (or to the tenant's pinned device), and admitted by that device's
+  // own SYN step — rate limit, reuseport select, backlog. Drops are final
+  // (no SYN retry). Returns established.
   size_t open_burst(TenantId tenant, const LbDevice::ConnPlan& plan,
                     size_t count);
 
@@ -195,9 +199,6 @@ class Fleet {
   SimTime now_{};
   uint64_t broken_total_ = 0;
   uint32_t next_id_ = 0;
-
-  // open_burst scratch: per-device tuple groups.
-  std::vector<std::vector<netsim::FourTuple>> burst_groups_;
 };
 
 }  // namespace hermes::sim

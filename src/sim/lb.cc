@@ -143,69 +143,45 @@ netsim::ConnId LbDevice::open_connection(TenantId tenant, ConnPlan plan) {
                                  /*attempt=*/0);
 }
 
-size_t LbDevice::open_tuple_burst(TenantId tenant, const ConnPlan& plan,
-                                  std::span<const netsim::FourTuple> tuples) {
-  // Admission control: rate-limited SYNs never reach the netstack (and
-  // are not counted as backlog drops — they are policy refusals).
-  std::vector<netsim::FourTuple> admitted_storage;
-  if (limiter_) {
-    admitted_storage.reserve(tuples.size());
-    for (const netsim::FourTuple& t : tuples) {
-      if (limiter_->admit(t.saddr, eq_.now())) {
-        admitted_storage.push_back(t);
-      } else {
-        ++totals_.rate_limited;
-        if (obs_) obs_->metrics.ratelimit_drops->inc(0);
-      }
-    }
-    tuples = admitted_storage;
+LbDevice::Admission LbDevice::admit(TenantId tenant,
+                                    const netsim::FourTuple& tuple,
+                                    const ConnPlan& plan, SimTime syn_time) {
+  if (limiter_ && !limiter_->admit(tuple.saddr, eq_.now())) {
+    // Policy refusal at admission: no backlog drop, no SYN retry (the
+    // client sees an RST, not a timeout).
+    ++totals_.rate_limited;
+    if (obs_) obs_->metrics.ratelimit_drops->inc(0);
+    return {};
   }
-  burst_views_.resize(tuples.size());
-  const size_t established = ns_.on_connection_burst(
-      tuples, port_of(tenant), tenant, eq_.now(), burst_views_.data());
-  totals_.conns_dropped += tuples.size() - established;
-  for (const netsim::Connection conn : burst_views_) {
-    if (!conn) continue;
-    ++totals_.conns_opened;
-    add_conn(conn, plan, eq_.now());
+  const netsim::Connection conn =
+      ns_.on_connection_request(tuple, tenant, eq_.now());
+  if (!conn) {
+    ++totals_.conns_dropped;
+    return {.dropped = true};
   }
-  return established;
+  ++totals_.conns_opened;
+  add_conn(conn, plan, syn_time);
+  return {.id = conn.id()};
 }
 
 netsim::ConnId LbDevice::open_connection_attempt(TenantId tenant,
                                                  ConnPlan plan,
                                                  SimTime first_syn,
                                                  int attempt) {
-  const netsim::FourTuple tuple = draw_client_tuple(rng_, port_of(tenant));
-
-  if (limiter_ && !limiter_->admit(tuple.saddr, eq_.now())) {
-    // Policy refusal at admission: no backlog drop, no SYN retry (the
-    // client sees an RST, not a timeout).
-    ++totals_.rate_limited;
-    if (obs_) obs_->metrics.ratelimit_drops->inc(0);
-    return 0;
+  const Admission a =
+      admit(tenant, draw_client_tuple(rng_, port_of(tenant)), plan, first_syn);
+  if (a.dropped && attempt < cfg_.syn_retries) {
+    // TCP-style retransmission with exponential backoff; the retry is a
+    // new SYN with a new tuple. The latency clock stays at the original.
+    const SimTime backoff = cfg_.syn_retry_timeout * (1ll << attempt);
+    ++totals_.syn_retransmits;
+    eq_.schedule_after(backoff, [this, tenant, plan = std::move(plan),
+                                 first_syn, attempt]() mutable {
+      open_connection_attempt(tenant, std::move(plan), first_syn,
+                              attempt + 1);
+    });
   }
-
-  const netsim::Connection conn =
-      ns_.on_connection_request(tuple, tuple.dport, tenant, eq_.now());
-  if (!conn) {
-    ++totals_.conns_dropped;
-    if (attempt < cfg_.syn_retries) {
-      // TCP-style retransmission with exponential backoff.
-      const SimTime backoff = cfg_.syn_retry_timeout * (1ll << attempt);
-      ++totals_.syn_retransmits;
-      eq_.schedule_after(backoff, [this, tenant, plan = std::move(plan),
-                                   first_syn, attempt]() mutable {
-        open_connection_attempt(tenant, std::move(plan), first_syn,
-                                attempt + 1);
-      });
-    }
-    return 0;
-  }
-  ++totals_.conns_opened;
-  // The latency clock starts at the original SYN.
-  add_conn(conn, plan, first_syn);
-  return conn.id();
+  return a.id;
 }
 
 void LbDevice::add_conn(netsim::Connection conn, const ConnPlan& plan,
@@ -497,10 +473,7 @@ void LbDevice::on_request_done(Worker& w, const Request& req) {
   // probe, whose id names no connection.
   const bool probe = lc != nullptr ? shapes_[lc->shape].is_probe
                                    : req.conn >= kProbeConnBase;
-  if (probe) {
-    if (latency > SimTime::millis(200)) ++delayed_probes_;
-    if (probe_done_) probe_done_(req.conn, latency);
-  }
+  if (probe && latency > SimTime::millis(200)) ++delayed_probes_;
   if (lc == nullptr) {
     // Reset while in flight (degradation, close_fraction): nobody to
     // answer, but the request's backend connection must still return.

@@ -7,6 +7,12 @@
 // scheduler path is set on the runtime (hermes()->scheduler().set_path).
 // The device reads no environment variable.
 //
+// Every SYN, from the device's own clients or routed by a Fleet's front
+// tier, goes through one admission step (admit): rate limit, the
+// netstack's SYN entry (reuseport select runs the dispatch program once),
+// drop accounting, then the connection's row. Only the device's own
+// clients retry a backlog drop, with a newly drawn tuple.
+//
 // Per-connection workload state (tenant, remaining requests, original SYN
 // time) lives in a netsim::ConnTable keyed by the connection's id, i.e. by
 // its slab slot. The rest of a connection's ConnPlan — its four DistSpecs,
@@ -22,7 +28,6 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
-#include <span>
 #include <vector>
 
 #include "core/degradation.h"
@@ -132,16 +137,6 @@ class LbDevice {
   // ORIGINAL SYN, as the client experiences it).
   netsim::ConnId open_connection(TenantId tenant, ConnPlan plan);
 
-  // Open one connection per caller-supplied four-tuple as one SYN burst at
-  // the current sim time (the fleet front tier routes by tuple hash, so the
-  // tuple the client chose must be the tuple this device admits). Dispatch
-  // goes through the netstack's batched entry (ReuseportGroup::
-  // select_batch), amortizing program-plan and metric lookups across the
-  // burst. Burst drops are final — no SYN retransmission. Tuple dports
-  // must equal port_of(tenant). Returns the number established.
-  size_t open_tuple_burst(TenantId tenant, const ConnPlan& plan,
-                          std::span<const netsim::FourTuple> tuples);
-
   // Build a plan from a TrafficPattern (samples per-conn request count).
   ConnPlan plan_from_pattern(const TrafficPattern& p, TenantId tenant);
 
@@ -184,9 +179,6 @@ class LbDevice {
     uint64_t rate_limited = 0;  // refused at admission (not backlog drops)
   };
   const Totals& totals() const { return totals_; }
-  // Probe completion callback (set by Prober): (conn id, latency).
-  using ProbeDoneFn = std::function<void(netsim::ConnId, SimTime)>;
-  void set_probe_done_fn(ProbeDoneFn fn) { probe_done_ = std::move(fn); }
   // Per-request observer (tenant, latency) — per-tenant SLO tooling.
   using RequestDoneFn = std::function<void(TenantId, SimTime)>;
   void set_request_done_fn(RequestDoneFn fn) { request_done_ = std::move(fn); }
@@ -249,6 +241,19 @@ class LbDevice {
     bool close_sent = false;
   };
 
+  friend class Fleet;  // its front tier admits the tuples it routes
+
+  // Outcome of one SYN through admit().
+  struct Admission {
+    netsim::ConnId id = 0;  // 0 unless established
+    bool dropped = false;   // backlog overflow (a refusal is not a drop)
+  };
+  // The device's one SYN admission step, for its own clients and for the
+  // fleet front tier (which must admit exactly the tuple it routed): the
+  // rate-limit check, the netstack's SYN entry, drop accounting, and the
+  // connection's row, whose latency clock starts at `syn_time`.
+  Admission admit(TenantId tenant, const netsim::FourTuple& tuple,
+                  const ConnPlan& plan, SimTime syn_time);
   netsim::ConnId open_connection_attempt(TenantId tenant, ConnPlan plan,
                                          SimTime first_syn, int attempt);
   // Fills `conn`'s row from `plan`, taking a reference on its shape.
@@ -264,7 +269,6 @@ class LbDevice {
   }
   void on_accepted(Worker& w, netsim::Connection conn);
   void on_request_done(Worker& w, const Request& req);
-  void deliver(LiveConn& lc, SimTime arrival, bool first);
   void close_conn(netsim::ConnId id);
   Request make_request(LiveConn& lc, SimTime arrival);
 
@@ -289,7 +293,6 @@ class LbDevice {
   std::vector<PlanShape> shapes_;
   std::vector<uint32_t> free_shapes_;  // slots with live == 0
   uint32_t last_shape_ = kNoShape;     // most recently acquired shape
-  std::vector<netsim::Connection> burst_views_;  // burst admit scratch
   RequestId next_req_ = 1;
   netsim::ConnId next_probe_id_ = kProbeConnBase;
   uint64_t degradation_salt_ = 0;
@@ -298,7 +301,6 @@ class LbDevice {
   Histogram latency_{5};
   Histogram window_latency_{5};
   uint64_t delayed_probes_ = 0;
-  ProbeDoneFn probe_done_;
   RequestDoneFn request_done_;
 
   std::vector<Sample> samples_;

@@ -66,26 +66,32 @@ TEST(RoundRobinTest, UpdateResetsCursors) {
 
 // ---- connection pool -----------------------------------------------------
 
+// Unbounded and never expiring: reuse-or-miss accounting only.
+BackendConnectionPool::Config counting(uint32_t workers, bool shared) {
+  return {shared, workers, UINT32_MAX, SimTime{}};
+}
+
 TEST(PoolTest, PerWorkerPoolCannotReuseAcrossWorkers) {
-  BackendConnectionPool pool(4, /*shared=*/false);
+  BackendConnectionPool pool(counting(4, /*shared=*/false));
   // Worker 0 finishes a request to backend 5: idle conn parked in w0's pool.
-  pool.release(0, 5);
-  EXPECT_FALSE(pool.acquire(1, 5));  // other worker: miss, new handshake
-  EXPECT_TRUE(pool.acquire(0, 5));   // same worker: hit
+  pool.release(0, 5, 0, SimTime{});
+  // Other worker: miss, new handshake; same worker: hit.
+  EXPECT_FALSE(pool.acquire(1, 5, SimTime{}).has_value());
+  EXPECT_TRUE(pool.acquire(0, 5, SimTime{}).has_value());
 }
 
 TEST(PoolTest, SharedPoolReusesAcrossWorkers) {
-  BackendConnectionPool pool(4, /*shared=*/true);
-  pool.release(0, 5);
-  EXPECT_TRUE(pool.acquire(3, 5));  // any worker reuses
-  EXPECT_FALSE(pool.acquire(2, 5));  // now consumed
+  BackendConnectionPool pool(counting(4, /*shared=*/true));
+  pool.release(0, 5, 0, SimTime{});
+  EXPECT_TRUE(pool.acquire(3, 5, SimTime{}).has_value());   // any worker
+  EXPECT_FALSE(pool.acquire(2, 5, SimTime{}).has_value());  // now consumed
 }
 
 TEST(PoolTest, HitRateAccounting) {
-  BackendConnectionPool pool(2, true);
-  EXPECT_FALSE(pool.acquire(0, 1));  // miss
-  pool.release(0, 1);
-  EXPECT_TRUE(pool.acquire(1, 1));  // hit
+  BackendConnectionPool pool(counting(2, true));
+  EXPECT_FALSE(pool.acquire(0, 1, SimTime{}).has_value());  // miss
+  pool.release(0, 1, 0, SimTime{});
+  EXPECT_TRUE(pool.acquire(1, 1, SimTime{}).has_value());  // hit
   EXPECT_DOUBLE_EQ(pool.stats().hit_rate(), 0.5);
 }
 
@@ -98,15 +104,15 @@ TEST(PoolTest, HermesSpreadFragmentsPerWorkerPools) {
   constexpr uint32_t kBackends = 4;
 
   auto run = [&](bool shared) {
-    BackendConnectionPool pool(kWorkers, shared);
+    BackendConnectionPool pool(counting(kWorkers, shared));
     uint64_t x = 12345;
     for (int i = 0; i < kRequests; ++i) {
       x = x * 6364136223846793005ull + 1442695040888963407ull;
       // Hermes-style: requests land on any worker uniformly.
       const WorkerId w = static_cast<WorkerId>((x >> 33) % kWorkers);
       const BackendId b = static_cast<BackendId>((x >> 17) % kBackends);
-      pool.acquire(w, b);
-      pool.release(w, b);
+      const auto reused = pool.acquire(w, b, SimTime{});
+      pool.release(w, b, reused ? reused->id : 0, SimTime{});
     }
     return pool.stats().hit_rate();
   };

@@ -260,30 +260,30 @@ TEST(BpfPlan, BatchSelectMatchesScalarSelect) {
     t.dport = 443;
   }
 
-  std::vector<netsim::ListeningSocket*> scalar(tuples.size());
-  for (size_t i = 0; i < tuples.size(); ++i) scalar[i] = group.select(tuples[i]);
+  // Two select() passes over the same tuples: the program's picks repeat
+  // and the second pass adds exactly the first pass's accounting.
+  std::vector<netsim::ListeningSocket*> first(tuples.size());
+  for (size_t i = 0; i < tuples.size(); ++i) first[i] = group.select(tuples[i]);
   const auto mid = group.stats();
-
-  std::vector<netsim::ListeningSocket*> batched(tuples.size());
-  group.select_batch(tuples, batched);
+  for (size_t i = 0; i < tuples.size(); ++i) {
+    EXPECT_EQ(group.select(tuples[i]), first[i]) << "tuple " << i;
+  }
   const auto after = group.stats();
-
-  EXPECT_EQ(batched, scalar);
-  // The batch path accounts identically to 256 scalar selects.
   EXPECT_EQ(after.bpf_selections - mid.bpf_selections, mid.bpf_selections);
   EXPECT_EQ(after.bpf_fallbacks - mid.bpf_fallbacks, mid.bpf_fallbacks);
   EXPECT_EQ(after.bpf_insns - mid.bpf_insns, mid.bpf_insns);
+  EXPECT_EQ(after.hash_selections, 0u);
   EXPECT_GT(mid.bpf_selections, 0u);
 
-  // No-program batch path: pure hash fallback, still identical.
+  // No program: every pick is the kernel's hash fallback.
   group.detach_program();
-  std::vector<netsim::ListeningSocket*> hash_scalar(tuples.size());
   for (size_t i = 0; i < tuples.size(); ++i) {
-    hash_scalar[i] = group.select(tuples[i]);
+    const uint32_t hash = netsim::skb_hash(tuples[i]);
+    EXPECT_EQ(group.select(tuples[i]),
+              group.sockets()[netsim::reciprocal_scale(hash, 16)])
+        << "tuple " << i;
   }
-  std::vector<netsim::ListeningSocket*> hash_batched(tuples.size());
-  group.select_batch(tuples, hash_batched);
-  EXPECT_EQ(hash_batched, hash_scalar);
+  EXPECT_EQ(group.stats().hash_selections, tuples.size());
 }
 
 TEST(BpfPlan, DispatchProgramPlanShape) {

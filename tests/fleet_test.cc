@@ -160,5 +160,49 @@ TEST(FleetTest, ImbalanceReflectsPerDeviceConnCounts) {
   EXPECT_LT(im.max_over_avg, 1.3);
 }
 
+TEST(FleetTest, OpenBurstCountsRefusalsAndBacklogDrops) {
+  constexpr size_t kCount = 400;
+  constexpr uint64_t kBurst = 25;
+  // Each leg opens kCount connections, then runs past every SYN-retry
+  // timeout: front-tier drops are final, so nothing more is opened.
+  auto run = [&](Fleet::Config fc) {
+    fc.device.syn_retries = 2;
+    Fleet fleet(fc);
+    const size_t established = fleet.open_burst(0, sticky_plan(), kCount);
+    fleet.run_until(SimTime::seconds(5));
+    LbDevice::Totals sum;
+    for (size_t d = 0; d < fleet.device_count(); ++d) {
+      const LbDevice::Totals& t = fleet.device(d).totals();
+      sum.conns_opened += t.conns_opened;
+      sum.conns_dropped += t.conns_dropped;
+      sum.rate_limited += t.rate_limited;
+      sum.syn_retransmits += t.syn_retransmits;
+    }
+    EXPECT_EQ(sum.conns_opened, established);
+    EXPECT_EQ(sum.conns_dropped, fleet.total_dropped());
+    EXPECT_EQ(established + sum.rate_limited + sum.conns_dropped, kCount);
+    EXPECT_EQ(sum.syn_retransmits, 0u);
+    return sum;
+  };
+
+  // One global bucket per device: each admits kBurst SYNs at t=0 and
+  // refuses the rest. A refusal is not a backlog drop.
+  Fleet::Config limited = small_fleet(4);
+  limited.device.rate_limit = {/*rate_per_sec=*/1, kBurst, /*buckets=*/1};
+  const LbDevice::Totals refused = run(limited);
+  EXPECT_EQ(refused.conns_opened, 4 * kBurst);
+  EXPECT_EQ(refused.rate_limited, kCount - 4 * kBurst);
+  EXPECT_EQ(refused.conns_dropped, 0u);
+
+  // A tiny backlog: each device queues at most 2 workers x 4 SYNs on the
+  // tenant's port and drops the rest.
+  Fleet::Config tiny = small_fleet(4);
+  tiny.device.backlog = 4;
+  const LbDevice::Totals dropped = run(tiny);
+  EXPECT_GT(dropped.conns_opened, 0u);
+  EXPECT_LE(dropped.conns_opened, 4u * 2 * 4);
+  EXPECT_EQ(dropped.rate_limited, 0u);
+}
+
 }  // namespace
 }  // namespace hermes::sim

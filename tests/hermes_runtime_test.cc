@@ -59,7 +59,7 @@ class RuntimeTest : public ::testing::Test {
     ns_->set_socket_ready_fn(
         [&](WorkerId w, netsim::ListeningSocket&) { ++got[w]; });
     for (int i = 0; i < n; ++i) {
-      ns_->on_connection_request(rand_tuple(rng, 80), 80, 0, SimTime::zero());
+      ns_->on_connection_request(rand_tuple(rng, 80), 0, SimTime::zero());
     }
     return got;
   }

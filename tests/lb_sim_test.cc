@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "sim/lb.h"
-#include "sim/probe.h"
 #include "sim/trace.h"
 
 namespace hermes::sim {
@@ -279,20 +278,27 @@ TEST(LbSimTest, BurstDeliversToAllLiveConnections) {
 
 TEST(LbSimTest, ProbeCountsDelayedProbes) {
   LbDevice lb(base_config(netsim::DispatchMode::Reuseport));
-  // Wedge all workers with poison, then probe.
+  // Wedge all workers with poison, then probe every 100 ms for 2 s.
   LbDevice::ConnPlan poison;
   poison.remaining = 1;
   poison.cost_us = DistSpec::constant(3'000'000);
   for (int i = 0; i < 16; ++i) {
     lb.open_connection(static_cast<TenantId>(i % 4), poison);
   }
-  Prober::Config pc;
-  pc.period = SimTime::millis(100);
-  Prober prober(lb, pc);
-  prober.start(SimTime::seconds(2));
-  lb.eq().run_until(SimTime::seconds(4));
-  EXPECT_GT(prober.probes_sent(), 10u);
-  EXPECT_GT(prober.delayed(), 0u);
+  LbDevice::ConnPlan probe;
+  probe.cost_us = DistSpec::constant(50);
+  probe.bytes = DistSpec::constant(64);
+  probe.is_probe = true;
+  constexpr int kProbes = 20;
+  for (int i = 1; i <= kProbes; ++i) {
+    lb.eq().schedule_at(SimTime::millis(100 * i), [&lb, probe] {
+      EXPECT_NE(lb.open_connection(0, probe), 0u);
+    });
+  }
+  // A probe is counted when it completes: run until the wedge drains.
+  lb.eq().run_until(SimTime::seconds(30));
+  EXPECT_EQ(lb.totals().requests_completed, 16u + kProbes);
+  EXPECT_EQ(lb.delayed_probes(), static_cast<uint64_t>(kProbes));
 }
 
 TEST(LbSimTest, DegradationSweepMovesConnectionsOffHungWorker) {

@@ -237,7 +237,7 @@ TEST(NetStackTest, ExclusiveModeSharedSocketDispatch) {
   ns.register_waiter(&w1);
   ns.register_waiter(&w2);
 
-  const Connection c = ns.on_connection_request(tuple_of(1, 1000, 80), 80, 0,
+  const Connection c = ns.on_connection_request(tuple_of(1, 1000, 80), 0,
                                                 SimTime::zero());
   ASSERT_TRUE(c.valid());
   EXPECT_EQ(w2.woken_on.size(), 1u);  // LIFO favourite
@@ -262,7 +262,7 @@ TEST(NetStackTest, ExclusiveAllBusyCountsUnnotified) {
   w0.idle = w1.idle = false;
   ns.register_waiter(&w0);
   ns.register_waiter(&w1);
-  ASSERT_TRUE(ns.on_connection_request(tuple_of(1, 1, 80), 80, 0,
+  ASSERT_TRUE(ns.on_connection_request(tuple_of(1, 1, 80), 0,
                                        SimTime::zero())
                   .valid());
   EXPECT_EQ(ns.stats().unnotified, 1u);
@@ -289,7 +289,7 @@ TEST(NetStackTest, ReuseportModeNotifiesOwningWorker) {
     ns.on_connection_request(
         tuple_of(static_cast<uint32_t>(rng.next_u64()),
                  static_cast<uint16_t>(rng.next_u64()), 443),
-        443, 0, SimTime::zero());
+        0, SimTime::zero());
   }
   // Hashing spreads notifications over all four workers.
   EXPECT_EQ(notified.size(), 4u);
@@ -306,7 +306,7 @@ TEST(NetStackTest, BacklogOverflowDropsAndCounts) {
   NetStack ns(cfg);
   ns.add_port(80);
   for (int i = 0; i < 5; ++i) {
-    ns.on_connection_request(tuple_of(1, static_cast<uint16_t>(i), 80), 80, 0,
+    ns.on_connection_request(tuple_of(1, static_cast<uint16_t>(i), 80), 0,
                              SimTime::zero());
   }
   EXPECT_EQ(ns.stats().drops, 3u);
@@ -320,7 +320,7 @@ TEST(NetStackTest, CloseReleasesConnection) {
   cfg.num_workers = 1;
   NetStack ns(cfg);
   ns.add_port(80);
-  const Connection c = ns.on_connection_request(tuple_of(1, 1, 80), 80, 0,
+  const Connection c = ns.on_connection_request(tuple_of(1, 1, 80), 0,
                                                 SimTime::zero());
   ASSERT_TRUE(c.valid());
   ListeningSocket* sock = ns.worker_socket(80, 0);
@@ -368,7 +368,7 @@ TEST(NetStackTest, HermesModeWithoutProgramFallsBackToHash) {
   ns.add_port(80);
   int notified = 0;
   ns.set_socket_ready_fn([&](WorkerId, ListeningSocket&) { ++notified; });
-  ASSERT_TRUE(ns.on_connection_request(tuple_of(7, 7, 80), 80, 0,
+  ASSERT_TRUE(ns.on_connection_request(tuple_of(7, 7, 80), 0,
                                        SimTime::zero())
                   .valid());
   EXPECT_EQ(notified, 1);

@@ -93,7 +93,7 @@ TEST(WorkerTest, BusyTimeAccountsForProcessing) {
 TEST(WorkerTest, AcceptsFromOwnSocket) {
   WorkerHarness h(Worker::Config{});
   netsim::FourTuple t{1, 2, 3, 80};
-  ASSERT_TRUE(h.ns_->on_connection_request(t, 80, 0, h.eq_.now()).valid());
+  ASSERT_TRUE(h.ns_->on_connection_request(t, 0, h.eq_.now()).valid());
   h.eq_.run_until(SimTime::millis(5));
   EXPECT_EQ(h.accepted_, 1);
   EXPECT_EQ(h.worker_->live_connections(), 1);
@@ -106,7 +106,7 @@ TEST(WorkerTest, AdoptConnectionBypassesAcceptPath) {
   WorkerHarness h(wc);
   netsim::FourTuple t{1, 2, 3, 80};
   const netsim::Connection conn =
-      h.ns_->on_connection_request(t, 80, 0, h.eq_.now());
+      h.ns_->on_connection_request(t, 0, h.eq_.now());
   ASSERT_TRUE(conn.valid());
   // Simulate the dispatcher's accept + handoff.
   const netsim::Connection acc =
