@@ -36,7 +36,6 @@ PhaseStats run_phase(sim::Fleet& fleet, bool attack, SimTime dur) {
   while (fleet.now() < end) {
     for (int v = 1; v <= kVictims; ++v) {
       sim::LbDevice::ConnPlan plan;
-      plan.tenant = static_cast<TenantId>(v);
       plan.remaining = 2;
       plan.cost_us = sim::DistSpec::constant(150);
       plan.gap_us = sim::DistSpec::constant(10'000);
@@ -45,7 +44,6 @@ PhaseStats run_phase(sim::Fleet& fleet, bool attack, SimTime dur) {
     if (attack) {
       for (int k = 0; k < 3; ++k) {
         sim::LbDevice::ConnPlan bad;
-        bad.tenant = kAbuser;
         bad.remaining = 1;
         bad.cost_us = sim::DistSpec::uniform(30'000, 120'000);
         fleet.open_burst(kAbuser, bad, 1);

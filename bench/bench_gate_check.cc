@@ -24,8 +24,9 @@
 //     relative tolerance absorbs libm/compiler drift across toolchains
 //     while still catching the 20% injected regression the gate's
 //     self-test demands.
-//   - a baseline metric missing from the current report is a failure
-//     (silently dropping coverage must not pass CI).
+//   - a baseline metric missing from the current report is a failure,
+//     wall-clock ones included (silently dropping coverage must not pass
+//     CI).
 //
 // --scale F multiplies every gated current value by F before comparing.
 // It exists so scripts/bench_gate.sh can prove the gate trips: after the
@@ -302,15 +303,17 @@ int main(int argc, char** argv) {
     if (!only.empty() && bench != only) continue;
     const auto cur_bench = current.find(bench);
     for (const auto& [metric, base_val] : metrics) {
-      if (is_ungated(metric)) {
-        ++skipped;
-        continue;
-      }
+      // Presence first: a wall-clock metric a bench stops emitting is lost
+      // coverage too, even though its value is never compared.
       if (cur_bench == current.end() ||
           cur_bench->second.find(metric) == cur_bench->second.end()) {
         std::printf("FAIL %s:%s missing from current results\n",
                     bench.c_str(), metric.c_str());
         ++failed;
+        continue;
+      }
+      if (is_ungated(metric)) {
+        ++skipped;
         continue;
       }
       const double cur_val = cur_bench->second.at(metric) * scale;

@@ -263,9 +263,7 @@ void run_keepalive_mix(sim::LbDevice& lb) {
   plan.bytes = sim::DistSpec::constant(1200);
   for (int i = 0; i < 192; ++i) {
     lb.eq().schedule_at(SimTime::micros(250 * i), [&lb, plan, i] {
-      sim::LbDevice::ConnPlan p = plan;
-      p.tenant = static_cast<TenantId>(i % 8);
-      lb.open_connection(p.tenant, p);
+      lb.open_connection(static_cast<TenantId>(i % 8), plan);
     });
   }
   lb.eq().run_until(SimTime::seconds(2));

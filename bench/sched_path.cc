@@ -8,12 +8,14 @@
 //              is skipped while the bitmap is unchanged within
 //              sync_refresh_interval)
 //
-// Scenarios, all at 64 workers (one full bitmap word — the paper's group
-// size and the acceptance geometry):
+// Scenarios, at 64 workers (one full bitmap word — the paper's group size
+// and the acceptance geometry) unless noted:
 //   steady   static load split: half the workers over the connection
 //            threshold; the bitmap never changes, so the fast path
 //            suppresses almost every store (its best case, and the sim's
 //            common case — load shifts slowly relative to loop rate);
+//   steady 32w  the same at 32 workers, the group width the repository
+//            benchmark's workloads run (scalar walks, no dense SIMD lane);
 //   churn    one worker's pending count toggles every call, so the bitmap
 //            keeps flipping and suppression almost never fires (the fast
 //            path's worst case: pure filter-speed comparison).
@@ -78,8 +80,35 @@ void fill_steady(core::HermesRuntime& rt, SimTime now) {
   }
 }
 
+// ns per schedule_and_sync over one group of `workers` (a power of two,
+// so the caller rotation is a mask) under the steady load split.
+double steady_cost_ns(core::SchedPath path, uint32_t workers) {
+  core::HermesRuntime rt = make_runtime(workers);
+  rt.scheduler().set_path(path);
+  const SimTime t0 = SimTime::seconds(1);
+  fill_steady(rt, t0);
+  int64_t vnow = t0.ns();
+  const uint32_t mask = workers - 1;
+  // Heartbeat refresh keeps everyone inside the hang threshold without
+  // entering the timed loop (50 ms threshold vs 100 ms of virtual time
+  // covered): re-heartbeat every 2^15 calls (~33 ms).
+  return ns_per_op(
+      [&](int i) {
+        vnow += kStepNs;
+        if ((i & 0x7fff) == 0) {
+          for (WorkerId w = 0; w < workers; ++w) {
+            rt.hooks_for(w).on_loop_enter(SimTime::nanos(vnow));
+          }
+        }
+        (void)rt.schedule_and_sync(static_cast<WorkerId>(i & mask),
+                                   SimTime::nanos(vnow));
+      },
+      kTimedIters);
+}
+
 struct PathResult {
   double steady_cost_ns = 0;
+  double steady_32w_cost_ns = 0;
   double churn_cost_ns = 0;
   uint64_t steady_syncs = 0;
   uint64_t steady_suppressed = 0;
@@ -91,29 +120,8 @@ struct PathResult {
 PathResult run_path(core::SchedPath path) {
   PathResult r;
 
-  // --- steady scenario -------------------------------------------------
-  {
-    core::HermesRuntime rt = make_runtime(kWorkers);
-    rt.scheduler().set_path(path);
-    const SimTime t0 = SimTime::seconds(1);
-    fill_steady(rt, t0);
-    int64_t vnow = t0.ns();
-    // Heartbeat refresh keeps everyone inside the hang threshold without
-    // entering the timed loop (50 ms threshold vs 100 ms of virtual time
-    // covered): re-heartbeat every 2^15 calls (~33 ms).
-    r.steady_cost_ns = ns_per_op(
-        [&](int i) {
-          vnow += kStepNs;
-          if ((i & 0x7fff) == 0) {
-            for (WorkerId w = 0; w < kWorkers; ++w) {
-              rt.hooks_for(w).on_loop_enter(SimTime::nanos(vnow));
-            }
-          }
-          (void)rt.schedule_and_sync(static_cast<WorkerId>(i & 63),
-                                     SimTime::nanos(vnow));
-        },
-        kTimedIters);
-  }
+  r.steady_cost_ns = steady_cost_ns(path, kWorkers);
+  r.steady_32w_cost_ns = steady_cost_ns(path, 32);
 
   // --- churn scenario --------------------------------------------------
   {
@@ -172,58 +180,6 @@ PathResult run_path(core::SchedPath path) {
   return r;
 }
 
-// Two-level variant: 256 workers in 4 groups, one WST scan for all groups
-// vs four per-group schedule_and_sync calls.
-struct TwoLevelResult {
-  double per_group_cost_ns = 0;  // 4x schedule_and_sync (fast path)
-  double all_groups_cost_ns = 0; // one schedule_all_groups call
-};
-
-TwoLevelResult run_two_level() {
-  constexpr uint32_t kBigWorkers = 256;
-  TwoLevelResult r;
-  {
-    core::HermesRuntime rt = make_runtime(kBigWorkers);
-    rt.scheduler().set_path(core::SchedPath::Fast);
-    fill_steady(rt, SimTime::seconds(1));
-    int64_t vnow = SimTime::seconds(1).ns();
-    const uint32_t wpg = rt.workers_per_group();
-    r.per_group_cost_ns = ns_per_op(
-        [&](int i) {
-          vnow += kStepNs;
-          if ((i & 0x3fff) == 0) {
-            for (WorkerId w = 0; w < kBigWorkers; ++w) {
-              rt.hooks_for(w).on_loop_enter(SimTime::nanos(vnow));
-            }
-          }
-          for (uint32_t g = 0; g < rt.num_groups(); ++g) {
-            (void)rt.schedule_and_sync(static_cast<WorkerId>(g * wpg),
-                                       SimTime::nanos(vnow));
-          }
-        },
-        kTimedIters / 4);
-  }
-  {
-    core::HermesRuntime rt = make_runtime(kBigWorkers);
-    rt.scheduler().set_path(core::SchedPath::Fast);
-    fill_steady(rt, SimTime::seconds(1));
-    int64_t vnow = SimTime::seconds(1).ns();
-    std::vector<core::ScheduleResult> out(rt.num_groups());
-    r.all_groups_cost_ns = ns_per_op(
-        [&](int i) {
-          vnow += kStepNs;
-          if ((i & 0x3fff) == 0) {
-            for (WorkerId w = 0; w < kBigWorkers; ++w) {
-              rt.hooks_for(w).on_loop_enter(SimTime::nanos(vnow));
-            }
-          }
-          rt.schedule_all_groups(0, SimTime::nanos(vnow), out.data());
-        },
-        kTimedIters / 4);
-  }
-  return r;
-}
-
 // Differential spot check inside the bench itself: the two paths must
 // compute identical bitmaps on the bench's own scenarios, or the timing
 // comparison is between two different schedulers.
@@ -253,13 +209,13 @@ int main_impl(int argc, char** argv) {
 
   const PathResult ref = run_path(core::SchedPath::Reference);
   const PathResult fast = run_path(core::SchedPath::Fast);
-  const TwoLevelResult two = run_two_level();
 
-  std::printf("\n%-12s %16s %16s\n", "path", "steady ns/call", "churn ns/call");
-  std::printf("%-12s %16.1f %16.1f\n", "reference", ref.steady_cost_ns,
-              ref.churn_cost_ns);
-  std::printf("%-12s %16.1f %16.1f\n", "fast", fast.steady_cost_ns,
-              fast.churn_cost_ns);
+  std::printf("\n%-12s %16s %16s %20s\n", "path", "steady ns/call",
+              "churn ns/call", "steady 32w ns/call");
+  std::printf("%-12s %16.1f %16.1f %20.1f\n", "reference", ref.steady_cost_ns,
+              ref.churn_cost_ns, ref.steady_32w_cost_ns);
+  std::printf("%-12s %16.1f %16.1f %20.1f\n", "fast", fast.steady_cost_ns,
+              fast.churn_cost_ns, fast.steady_32w_cost_ns);
 
   const double steady_speedup = ref.steady_cost_ns / fast.steady_cost_ns;
   const double churn_speedup = ref.churn_cost_ns / fast.churn_cost_ns;
@@ -273,10 +229,6 @@ int main_impl(int argc, char** argv) {
               static_cast<unsigned long long>(fast.steady_suppressed),
               100.0 * static_cast<double>(fast.steady_suppressed) / total,
               static_cast<unsigned long long>(ref.steady_syncs));
-  std::printf("two-level (256 workers, 4 groups): per-group %.1f ns, "
-              "single-scan %.1f ns (%.2fx)\n",
-              two.per_group_cost_ns, two.all_groups_cost_ns,
-              two.per_group_cost_ns / two.all_groups_cost_ns);
 
   std::printf("\npaper says: the per-loop scheduling work must stay in the "
               "noise (Table 5 < 5%%);\nwe measure the fast path keeping it "
@@ -292,8 +244,8 @@ int main_impl(int argc, char** argv) {
   json.metric("fast_churn_cost_ns", fast.churn_cost_ns);
   json.metric("steady.speedup", steady_speedup);
   json.metric("churn.speedup", churn_speedup);
-  json.metric("two_level_per_group_cost_ns", two.per_group_cost_ns);
-  json.metric("two_level_all_groups_cost_ns", two.all_groups_cost_ns);
+  json.metric("reference_steady_32w_cost_ns", ref.steady_32w_cost_ns);
+  json.metric("fast_steady_32w_cost_ns", fast.steady_32w_cost_ns);
   // Deterministic: gated against bench/baseline.json.
   json.metric("fast_sweep_syncs", static_cast<double>(fast.steady_syncs));
   json.metric("fast_sweep_suppressed",

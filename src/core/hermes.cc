@@ -45,10 +45,7 @@ HermesRuntime::HermesRuntime(const Options& opts)
                    : nullptr),
       last_sync_ns_(num_groups_),
       last_pushed_bitmap_(num_groups_),
-      last_push_ns_(num_groups_),
-      gather_enter_(num_workers_),
-      gather_pending_(num_workers_),
-      gather_conns_(num_workers_) {
+      last_push_ns_(num_groups_) {
   HERMES_CHECK(num_workers_ > 0);
   HERMES_CHECK(policy_->aux_words() <= kMaxWorkersPerGroup);
   for (auto& t : last_sync_ns_) t.store(-1, std::memory_order_relaxed);
@@ -61,55 +58,40 @@ ScheduleResult HermesRuntime::schedule_and_sync(WorkerId self, SimTime now) {
   const WorkerId base = group * wpg_;
   const uint32_t limit = std::min(wpg_, num_workers_ - base);
 
+  // One snapshot of the slice, on the stack (workers schedule
+  // concurrently): the fast cascade and the aux refresh both read it, so
+  // the published bitmap and aux words agree. The reference path reads
+  // the WST itself and gathers only when the policy has aux state.
+  int64_t enter[kMaxWorkersPerGroup];
+  int64_t pending[kMaxWorkersPerGroup];
+  int64_t conns[kMaxWorkersPerGroup];
+  const bool fast = scheduler_.path() == SchedPath::Fast;
+  const auto schedule = [&] {
+    if (!fast) return scheduler_.schedule(wst_, now, base, limit);
+    wst_.gather(base, limit, enter, pending, conns);
+    const HermesConfig& cfg = scheduler_.config();
+    return scheduler_.schedule_gathered(enter, pending, conns, limit, now,
+                                        cfg.stage_order, cfg.num_stages);
+  };
+
   ScheduleResult res;
   if (obs_ != nullptr) {
     const auto t0 = std::chrono::steady_clock::now();
-    res = scheduler_.schedule(wst_, now, base, limit);
+    res = schedule();
     const auto dt = std::chrono::steady_clock::now() - t0;
     obs_->metrics.sched_fast_path_ns->add(
         self, static_cast<uint64_t>(
                   std::chrono::duration_cast<std::chrono::nanoseconds>(dt)
                       .count()));
   } else {
-    res = scheduler_.schedule(wst_, now, base, limit);
+    res = schedule();
   }
   if (aux_map_ != nullptr) {
-    // Aux policies re-gather the group slice onto the stack (the
-    // scheduler's own gather is internal, and member scratch would race
-    // across worker threads). One extra SoA scan, aux policies only.
-    int64_t enter[kMaxWorkersPerGroup];
-    int64_t pending[kMaxWorkersPerGroup];
-    int64_t conns[kMaxWorkersPerGroup];
-    wst_.gather(base, limit, enter, pending, conns);
+    if (!fast) wst_.gather(base, limit, enter, pending, conns);
     refresh_aux(self, group, base, limit, now, res, enter, pending, conns);
   }
   finish_sync(self, group, now, res);
   return res;
-}
-
-void HermesRuntime::schedule_all_groups(WorkerId self, SimTime now,
-                                        ScheduleResult* out) {
-  HERMES_CHECK(self < num_workers_);
-  // One pass over the whole WST; each group then filters its slice of the
-  // same SoA arrays (always the gathered fast-path core — the point of the
-  // variant is the single scan).
-  wst_.gather(0, num_workers_, gather_enter_.data(), gather_pending_.data(),
-              gather_conns_.data());
-  const HermesConfig& cfg = scheduler_.config();
-  for (uint32_t g = 0; g < num_groups_; ++g) {
-    const WorkerId base = g * wpg_;
-    const uint32_t limit = std::min(wpg_, num_workers_ - base);
-    out[g] = scheduler_.schedule_gathered(
-        gather_enter_.data() + base, gather_pending_.data() + base,
-        gather_conns_.data() + base, limit, now, cfg.stage_order,
-        cfg.num_stages);
-    if (aux_map_ != nullptr) {
-      refresh_aux(self, g, base, limit, now, out[g],
-                  gather_enter_.data() + base, gather_pending_.data() + base,
-                  gather_conns_.data() + base);
-    }
-    finish_sync(self, g, now, out[g]);
-  }
 }
 
 void HermesRuntime::refresh_aux(WorkerId self, uint32_t group, WorkerId base,

@@ -21,7 +21,9 @@
 // describes (§7): workers are partitioned into groups of
 // `config.workers_per_group`; each group has its own bitmap slot in M_sel,
 // each worker schedules only its own group's slice of the WST, and the
-// dispatch program picks group-by-hash then worker-by-bitmap.
+// dispatch program picks group-by-hash then worker-by-bitmap. On the
+// fast path a schedule gathers its group's slice once; the cascade and
+// the policy's aux refresh both read that snapshot.
 #pragma once
 
 #include <atomic>
@@ -99,18 +101,13 @@ class HermesRuntime {
 
   // Stage 2, executed by worker `self` at the end of its event loop:
   // cascade-filter the worker's own group and atomically publish the
-  // bitmap to the kernel through M_sel. Returns the filter result;
+  // bitmap to the kernel through M_sel. On the fast path the group's WST
+  // slice is gathered once, and the cascade and the policy's aux refresh
+  // both read that one snapshot. Returns the filter result;
   // result.published says whether the store actually happened (it is
   // skipped when the fast path sees an unchanged bitmap within
   // config.sync_refresh_interval, or when fault injection drops it).
   ScheduleResult schedule_and_sync(WorkerId self, SimTime now);
-
-  // Two-level variant (DESIGN.md §8): gather every group's slots in ONE
-  // pass over the WST, then run the cascade and sync for each group from
-  // the same SoA arrays. Counters/obs attribute to `self` (the calling
-  // worker / control thread). Uses member scratch — single caller at a
-  // time; per-group results land in out[0..num_groups).
-  void schedule_all_groups(WorkerId self, SimTime now, ScheduleResult* out);
 
   // Stage-3 attachment for one port: builds the socket map from the given
   // per-worker socket cookies and binds the dispatch program to it. The
@@ -139,8 +136,7 @@ class HermesRuntime {
 
  private:
   // Everything after the schedule itself: counters, obs, change
-  // suppression, the fault hook, and the M_sel store. Shared between
-  // schedule_and_sync and schedule_all_groups.
+  // suppression, the fault hook, and the M_sel store.
   void finish_sync(WorkerId self, uint32_t group, SimTime now,
                    ScheduleResult& res);
 
@@ -179,9 +175,6 @@ class HermesRuntime {
   // bounds the damage to one interval.
   std::vector<std::atomic<uint64_t>> last_pushed_bitmap_;
   std::vector<std::atomic<int64_t>> last_push_ns_;
-  // Scratch for schedule_all_groups' single-pass gather (one caller at a
-  // time; sized num_workers at construction).
-  std::vector<int64_t> gather_enter_, gather_pending_, gather_conns_;
 };
 
 }  // namespace hermes::core

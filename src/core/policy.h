@@ -74,7 +74,8 @@ struct PolicyConfig {
 };
 
 // Inputs to fill_aux: one group's slice of the Wst::gather SoA snapshot
-// plus the cascade result computed from that same snapshot.
+// plus the cascade result computed from that same snapshot (on the fast
+// path; the reference oracle's cascade reads the WST itself).
 struct PolicyAuxInputs {
   const int64_t* loop_enter_ns = nullptr;
   const int64_t* pending_events = nullptr;

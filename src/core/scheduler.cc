@@ -350,41 +350,19 @@ count_stage_dense_avx2(uint64_t cand, const int64_t* m,
   return wo;
 }
 
-// Candidate-masked sum of a column (leading count stage only).
-__attribute__((target("avx2"))) void masked_sum_dense_avx2(uint64_t cand,
-                                                           const int64_t* m,
-                                                           uint64_t* wrap_sum,
-                                                           uint64_t* enc_or) {
-  __m256i acc = _mm256_setzero_si256();
-  __m256i tag = _mm256_setzero_si256();
-  for (int b = 0; b < 16; ++b) {
-    const __m256i mv = _mm256_and_si256(
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(m + 4 * b)),
-        lane_mask(cand, b));
-    acc = _mm256_add_epi64(acc, mv);
-    tag = _mm256_or_si256(tag, mag_tag(mv));
-  }
-  *wrap_sum = hsum_epi64(acc);
-  *enc_or = hor_epi64(tag);
-}
-
 #else
 constexpr bool dense_simd_available() { return false; }
 #endif  // HERMES_SCHED_DENSE_SIMD
 
-// The cascade over already-gathered SoA columns, entered at `first_stage`
-// with the survivor set `w` (and, when `sum_ready`, the current stage's
-// metric pre-summed over `w` by the caller's previous pass). Shared by
-// schedule_gathered (first_stage = 0) and the fused gather+FilterTime
-// entry of schedule_with_order (first_stage = 1).
+// The cascade over gathered SoA columns (indexed 0..limit-1), starting from
+// every worker of the slice. Each stage's walk sums the next stage's metric
+// over its survivors, so only a leading count stage pays a separate
+// summing pass.
 ScheduleResult run_cascade(const int64_t* loop_enter_ns,
                            const int64_t* pending_events,
                            const int64_t* connections, uint32_t limit,
                            int64_t now_ns, int64_t hang_ns, int64_t tpm,
-                           const FilterStage* order, uint32_t num_stages,
-                           uint32_t first_stage, uint64_t w, uint64_t wrap_sum,
-                           uint64_t enc_or, bool sum_ready,
-                           ScheduleResult res) {
+                           const FilterStage* order, uint32_t num_stages) {
   const auto column = [&](FilterStage st) -> const int64_t* {
     switch (st) {
       case FilterStage::Time: return nullptr;  // compared, never summed
@@ -399,8 +377,12 @@ ScheduleResult run_cascade(const int64_t* loop_enter_ns,
   const bool dense_ok = limit == 64 && dense_simd_available();
   const int64_t narrow_cap = (INT64_MAX - 1) / (1000 + tpm);
 
+  ScheduleResult res;
+  uint64_t w = limit == 64 ? ~uint64_t{0} : ((uint64_t{1} << limit) - 1);
+  uint64_t wrap_sum = 0;
+  uint64_t enc_or = 0;
   auto n = count_nonzero_bits(w);
-  for (uint32_t s = first_stage; s < num_stages && w != 0; ++s) {
+  for (uint32_t s = 0; s < num_stages && w != 0; ++s) {
     const FilterStage st = order[s];
     const int64_t* next_m =
         s + 1 < num_stages ? column(order[s + 1]) : nullptr;
@@ -429,22 +411,13 @@ ScheduleResult run_cascade(const int64_t* loop_enter_ns,
       }
     } else {
       const int64_t* m = column(st);
-      if (!sum_ready) {
-        // No prior pass summed this stage's column (it is the leading
-        // stage): one extra pass over the candidates.
-        wrap_sum = 0;
-        enc_or = 0;
-#if HERMES_SCHED_DENSE_SIMD
-        if (dense) {
-          masked_sum_dense_avx2(w, m, &wrap_sum, &enc_or);
-        } else
-#endif
-        {
-          for (uint64_t t = w; t != 0; t &= t - 1) {
-            const int64_t v = m[std::countr_zero(t)];
-            wrap_sum += static_cast<uint64_t>(v);
-            enc_or |= static_cast<uint64_t>(v ^ (v >> 63));
-          }
+      if (s == 0) {
+        // Every later stage's column was summed by the previous stage's
+        // walk; the leading stage takes one extra pass over the candidates.
+        for (uint64_t t = w; t != 0; t &= t - 1) {
+          const int64_t v = m[std::countr_zero(t)];
+          wrap_sum += static_cast<uint64_t>(v);
+          enc_or |= static_cast<uint64_t>(v ^ (v >> 63));
         }
       }
       __int128 sum;
@@ -482,7 +455,6 @@ ScheduleResult run_cascade(const int64_t* loop_enter_ns,
     n = count_nonzero_bits(w);
     wrap_sum = wo.wrap_sum;
     enc_or = wo.enc_or;
-    sum_ready = next_m != nullptr;
     switch (st) {
       case FilterStage::Time: res.after_time = n; break;
       case FilterStage::Connections: res.after_conn = n; break;
@@ -523,51 +495,9 @@ ScheduleResult Scheduler::schedule_with_order(const WorkerStatusTable& wst,
   int64_t enter[kMaxWorkersPerGroup];
   int64_t pending[kMaxWorkersPerGroup];
   int64_t conns[kMaxWorkersPerGroup];
-  const int64_t tpm = theta_permille_of(cfg_.theta_ratio);
-  const int64_t hang_ns = cfg_.hang_threshold.ns();
-  const uint64_t all = limit == 64 ? ~uint64_t{0} : ((uint64_t{1} << limit) - 1);
-
-  // With the dense SIMD lane available the post-gather passes are cheap,
-  // so plain gather + cascade wins; the fused scalar pass below is the
-  // fallback when FilterTime leads but the kernels cannot run.
-  if (num_stages == 0 || order[0] != FilterStage::Time ||
-      (limit == 64 && dense_simd_available())) {
-    wst.gather(base, limit, enter, pending, conns);
-    return run_cascade(enter, pending, conns, limit, now.ns(), hang_ns, tpm,
-                       order, num_stages, /*first_stage=*/0, all, 0, 0,
-                       /*sum_ready=*/false, ScheduleResult{});
-  }
-
-  // FilterTime leads (the default order): fuse it into the gather — the
-  // slot walk touches one cache line per worker either way, so the stage-1
-  // keep bits and stage-2 sum ride along on the same pass.
-  const bool next_is_conn =
-      num_stages > 1 && order[1] == FilterStage::Connections;
-  const int64_t now_ns = now.ns();
-  uint64_t out = 0;
-  uint64_t wrap_sum = 0;
-  uint64_t enc_or = 0;
-  for (uint32_t i = 0; i < limit; ++i) {
-    const WorkerSnapshot s = wst.read(base + i);
-    enter[i] = s.loop_enter_ns;
-    pending[i] = s.pending_events;
-    conns[i] = s.connections;
-    const auto keep =
-        static_cast<uint64_t>(!(now_ns - s.loop_enter_ns > hang_ns));
-    out |= keep << i;
-    const int64_t mv = (next_is_conn ? s.connections : s.pending_events) &
-                       -static_cast<int64_t>(keep);
-    wrap_sum += static_cast<uint64_t>(mv);
-    enc_or |= static_cast<uint64_t>(mv ^ (mv >> 63));
-  }
-  ScheduleResult res;
-  res.after_time = count_nonzero_bits(out);
-  return run_cascade(enter, pending, conns, limit, now_ns, hang_ns, tpm,
-                     order, num_stages, /*first_stage=*/1, out, wrap_sum,
-                     enc_or,
-                     /*sum_ready=*/num_stages > 1 &&
-                         order[1] != FilterStage::Time,
-                     res);
+  wst.gather(base, limit, enter, pending, conns);
+  return schedule_gathered(enter, pending, conns, limit, now, order,
+                           num_stages);
 }
 
 ScheduleResult Scheduler::schedule_reference_with_order(
@@ -627,13 +557,10 @@ ScheduleResult Scheduler::schedule_gathered(const int64_t* loop_enter_ns,
                                             uint32_t limit, SimTime now,
                                             const FilterStage* order,
                                             uint32_t num_stages) const {
-  HERMES_CHECK(limit > 0 && limit <= kMaxWorkersPerGroup);
-  const uint64_t all = limit == 64 ? ~uint64_t{0} : ((uint64_t{1} << limit) - 1);
+  HERMES_CHECK(limit <= kMaxWorkersPerGroup);
   return run_cascade(loop_enter_ns, pending_events, connections, limit,
                      now.ns(), cfg_.hang_threshold.ns(),
-                     theta_permille_of(cfg_.theta_ratio), order, num_stages,
-                     /*first_stage=*/0, all, 0, 0,
-                     /*sum_ready=*/false, ScheduleResult{});
+                     theta_permille_of(cfg_.theta_ratio), order, num_stages);
 }
 
 }  // namespace hermes::core

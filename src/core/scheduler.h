@@ -74,7 +74,6 @@ class Scheduler {
   // Live policy updates (PolicyEndpoint / ops tooling). Safe: the
   // scheduler reads its config afresh on every schedule() call.
   HermesConfig& mutable_config() { return cfg_; }
-  void set_theta_ratio(double r) { cfg_.theta_ratio = r; }
 
   SchedPath path() const { return path_; }
   void set_path(SchedPath p) { path_ = p; }
@@ -100,8 +99,9 @@ class Scheduler {
                                                uint32_t limit = 0) const;
 
   // Fast-path core over an already-gathered SoA slice (arrays indexed
-  // 0..limit-1). Exposed so the two-level variant can gather every group's
-  // slots in one WST scan and filter per group from the same arrays.
+  // 0..limit-1), regardless of path(). schedule_with_order's fast branch
+  // is a gather followed by this call; HermesRuntime::schedule_and_sync
+  // calls it directly so the policy's aux refresh reads the same arrays.
   ScheduleResult schedule_gathered(const int64_t* loop_enter_ns,
                                    const int64_t* pending_events,
                                    const int64_t* connections, uint32_t limit,

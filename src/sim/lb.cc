@@ -31,8 +31,7 @@ netsim::NetStack::Config netstack_config(const LbDevice::Config& cfg) {
 LbDevice::LbDevice(Config cfg)
     : cfg_(cfg), rng_(cfg.seed), ns_(netstack_config(cfg)) {
   if (cfg_.observability) {
-    obs_ = std::make_unique<obs::Observability>(cfg_.num_workers,
-                                                cfg_.trace_ring_capacity);
+    obs_ = std::make_unique<obs::Observability>(cfg_.num_workers);
     obs_req_latency_ = &obs_->registry.histogram("request.latency_ns",
                                                  cfg_.num_workers, 3);
     ns_.set_obs(obs_.get());
@@ -189,7 +188,6 @@ void LbDevice::add_conn(netsim::Connection conn, const ConnPlan& plan,
   LiveConn& lc = conns_.emplace(conn.id());
   lc.conn = conn;
   lc.syn_time = syn_time;
-  lc.tenant = plan.tenant;
   lc.remaining = plan.remaining;
   lc.shape = acquire_shape(plan);
 }
@@ -232,7 +230,6 @@ uint32_t LbDevice::acquire_shape(const ConnPlan& plan) {
 LbDevice::ConnPlan LbDevice::plan_of(const LiveConn& lc) const {
   const PlanShape& s = shapes_[lc.shape];
   ConnPlan plan;
-  plan.tenant = lc.tenant;
   plan.remaining = lc.remaining;
   plan.cost_us = s.cost_us;
   plan.bytes = s.bytes;
@@ -244,9 +241,8 @@ LbDevice::ConnPlan LbDevice::plan_of(const LiveConn& lc) const {
 }
 
 LbDevice::ConnPlan LbDevice::plan_from_pattern(const TrafficPattern& p,
-                                               TenantId tenant) {
+                                               TenantId /*tenant*/) {
   ConnPlan plan;
-  plan.tenant = tenant;
   plan.cost_us = p.request_cost_us;
   plan.bytes = p.request_bytes;
   plan.gap_us = p.request_gap_us;
@@ -366,7 +362,7 @@ void LbDevice::run_degradation_sweep() {
       const LiveConn* lc = conns_.find(id);
       if (lc == nullptr) continue;
       ConnPlan plan = plan_of(*lc);
-      const TenantId tenant = plan.tenant;
+      const TenantId tenant = lc->conn.tenant();
       ++totals_.degradation_resets;
       degradation_->stats().resets++;
       close_conn(id);
@@ -421,7 +417,7 @@ Request LbDevice::make_request(LiveConn& lc, SimTime arrival) {
   Request req;
   req.id = next_req_++;
   req.conn = lc.conn.id();
-  req.tenant = lc.tenant;
+  req.tenant = lc.conn.tenant();
   req.arrival = arrival;
   const PlanShape& plan = shapes_[lc.shape];
   if (plan.poison_fraction > 0 && rng_.bernoulli(plan.poison_fraction)) {

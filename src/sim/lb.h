@@ -13,9 +13,10 @@
 // drop accounting, then the connection's row. Only the device's own
 // clients retry a backlog drop, with a newly drawn tuple.
 //
-// Per-connection workload state (tenant, remaining requests, original SYN
-// time) lives in a netsim::ConnTable keyed by the connection's id, i.e. by
-// its slab slot. The rest of a connection's ConnPlan — its four DistSpecs,
+// Per-connection workload state (remaining requests, original SYN time)
+// lives in a netsim::ConnTable keyed by the connection's id, i.e. by its
+// slab slot; its tenant is the slab's, set at admission. The rest of a
+// connection's ConnPlan — its four DistSpecs,
 // poison_fraction and is_probe — is a *plan shape* in a per-device table
 // that rows name by a 32-bit index. An opened plan reuses the most recently
 // used shape when every field is bitwise equal to it (so a NaN still
@@ -90,7 +91,6 @@ class LbDevice {
     // dispatch pipeline (src/obs). On by default — Table 5's claim is that
     // the instrumentation is cheap enough to leave on.
     bool observability = true;
-    size_t trace_ring_capacity = 4096;
     // L7 byte-level data plane (sim/data_plane.h). Off by default: the
     // abstract cost-model path stays byte-identical for existing benches.
     DataPlane::Config data_plane{};
@@ -120,7 +120,6 @@ class LbDevice {
   // ---- workload interface ----------------------------------------------
   // Per-connection request plan, sampled lazily as requests complete.
   struct ConnPlan {
-    TenantId tenant = 0;
     int remaining = 1;
     DistSpec cost_us = DistSpec::constant(200);
     DistSpec bytes = DistSpec::constant(600);
@@ -138,6 +137,8 @@ class LbDevice {
   netsim::ConnId open_connection(TenantId tenant, ConnPlan plan);
 
   // Build a plan from a TrafficPattern (samples per-conn request count).
+  // `tenant` is ignored: a connection's tenant is the one it is opened
+  // under, not part of its plan.
   ConnPlan plan_from_pattern(const TrafficPattern& p, TenantId tenant);
 
   // Start a Poisson connection-arrival process for `pattern` running until
@@ -218,7 +219,7 @@ class LbDevice {
   }
 
  private:
-  // A ConnPlan without its tenant and remaining count, shared by rows.
+  // A ConnPlan without its remaining count, shared by rows.
   struct PlanShape {
     DistSpec cost_us;
     DistSpec bytes;
@@ -232,7 +233,6 @@ class LbDevice {
   struct LiveConn {
     netsim::Connection conn{};
     SimTime syn_time{};   // ORIGINAL SYN (first attempt)
-    TenantId tenant = 0;
     int remaining = 1;
     uint32_t shape = 0;   // index into shapes_
     bool first_delivered = false;

@@ -78,7 +78,6 @@ void TraceReplayer::replay(const Trace& trace, LbDevice& lb, double rate) {
                     static_cast<double>(e.offset_us) / rate));
     lb.eq().schedule_at(at, [&lb, e] {
       LbDevice::ConnPlan plan;
-      plan.tenant = e.tenant;
       plan.remaining = e.requests;
       // Captured per-connection characteristics replay verbatim: the same
       // connection costs the same whether replayed at 1x or 3x.

@@ -71,9 +71,7 @@ void run_keepalive_mix(LbDevice& lb) {
   plan.bytes = DistSpec::constant(700);
   for (int i = 0; i < 16; ++i) {
     lb.eq().schedule_at(SimTime::millis(i), [&lb, plan, i] {
-      LbDevice::ConnPlan p = plan;
-      p.tenant = static_cast<TenantId>(i % 4);
-      lb.open_connection(p.tenant, p);
+      lb.open_connection(static_cast<TenantId>(i % 4), plan);
     });
   }
   lb.eq().run_until(SimTime::seconds(1));
@@ -222,8 +220,7 @@ TEST(DataPlaneTest, ResetMidFlightReturnsBackendConnections) {
   plan.gap_us = DistSpec::constant(200);
   plan.bytes = DistSpec::constant(700);
   for (int i = 0; i < 64; ++i) {
-    plan.tenant = static_cast<TenantId>(i % 4);
-    lb.open_connection(plan.tenant, plan);
+    lb.open_connection(static_cast<TenantId>(i % 4), plan);
   }
   uint64_t closed = 0;
   lb.eq().schedule_at(SimTime::millis(2),
@@ -285,14 +282,13 @@ TEST(DataPlaneTest, StaleRequestNeverTouchesTheSlotsNextConnection) {
   ASSERT_NE(old_id, 0u);
 
   LbDevice::ConnPlan new_plan = old_plan;
-  new_plan.tenant = 1;
   new_plan.remaining = 3;
   new_plan.cost_us = DistSpec::constant(100);
   new_plan.gap_us = DistSpec::constant(10'000);  // requests at ~1, 11, 21 ms
   netsim::ConnId new_id = 0;
   lb.eq().schedule_at(SimTime::millis(1), [&] {
     EXPECT_EQ(lb.close_fraction(1.0), 1u);
-    new_id = lb.open_connection(new_plan.tenant, new_plan);
+    new_id = lb.open_connection(1, new_plan);
   });
   const DataPlane& dp = *lb.data_plane();
   lb.eq().schedule_at(SimTime::millis(15), [&] {
@@ -333,9 +329,8 @@ TEST(DataPlaneTest, ConnectionStoresAgreeThroughAKeepAliveDrain) {
   plan.gap_us = DistSpec::constant(20'000);  // requests at ~0, 20, 40, 60 ms
   plan.bytes = DistSpec::constant(700);
   for (int i = 0; i < 64; ++i) {
-    plan.tenant = static_cast<TenantId>(i % 4);
     plan.remaining = 1 + i % 4;
-    lb.open_connection(plan.tenant, plan);
+    lb.open_connection(static_cast<TenantId>(i % 4), plan);
   }
   const DataPlane& dp = *lb.data_plane();
   // A connection closes when its last request completes, so by 10 ms the
@@ -365,8 +360,7 @@ TEST(DataPlaneTest, BurstSkipsConnectionsThatAlreadySentClose) {
   plan.remaining = 1;
   plan.cost_us = DistSpec::constant(50'000);
   for (int i = 0; i < 4; ++i) {
-    plan.tenant = static_cast<TenantId>(i);
-    lb.open_connection(plan.tenant, plan);
+    lb.open_connection(static_cast<TenantId>(i), plan);
   }
   lb.eq().schedule_at(SimTime::millis(10), [&lb] {
     const uint64_t before = lb.totals().requests_generated;

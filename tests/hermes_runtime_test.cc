@@ -232,6 +232,58 @@ void set_aux_bytes(HermesRuntime& rt, const std::vector<uint8_t>& bytes) {
   }
 }
 
+TEST_F(RuntimeTest, ScheduleAndSyncWritesOnlyItsGroup) {
+  // 130 workers: two full groups of 64 and a partial last group of 2. A
+  // schedule by any worker may store only its own group's bitmap and aux
+  // value; every other group keeps what it held.
+  constexpr uint32_t kBig = 130;
+  HermesRuntime::Options o;
+  o.num_workers = kBig;
+  o.config.workers_per_group = 64;
+  o.policy = PolicyKind::QueueEst;
+  HermesRuntime rt(o);
+  ASSERT_EQ(rt.num_groups(), 3u);
+  ASSERT_NE(rt.aux_map(), nullptr);
+
+  const SimTime now = SimTime::millis(5);
+  for (WorkerId w = 0; w < kBig; ++w) {
+    rt.hooks_for(w).on_loop_enter(now);
+    rt.wst().add_connections(w, (3 * w) % 7);
+    rt.wst().add_pending(w, w % 5);
+  }
+  constexpr uint64_t kSentinel = 0x5a5a5a5a5a5a5a5aull;
+  const uint32_t words = rt.policy().aux_words();
+  const auto aux_of = [&](uint32_t g) {
+    std::vector<uint64_t> v;
+    for (uint32_t k = 0; k < words; ++k) {
+      v.push_back(rt.aux_map()->load_word_u64(g, k));
+    }
+    return v;
+  };
+  std::vector<uint64_t> bitmaps(rt.num_groups(), kSentinel);
+  std::vector<std::vector<uint64_t>> aux(
+      rt.num_groups(), std::vector<uint64_t>(words, kSentinel));
+  for (uint32_t g = 0; g < rt.num_groups(); ++g) {
+    rt.sel_map().store_u64(g, kSentinel);
+    for (uint32_t k = 0; k < words; ++k) {
+      rt.aux_map()->store_word_u64(g, k, kSentinel);
+    }
+  }
+
+  for (uint32_t g = 0; g < rt.num_groups(); ++g) {
+    const ScheduleResult res = rt.schedule_and_sync(g * 64 + 1, now);
+    ASSERT_TRUE(res.published);
+    EXPECT_NE(res.bitmap, kSentinel);
+    EXPECT_NE(aux_of(g), aux[g]) << "group " << g;
+    bitmaps[g] = res.bitmap;
+    aux[g] = aux_of(g);
+    for (uint32_t h = 0; h < rt.num_groups(); ++h) {
+      EXPECT_EQ(rt.kernel_bitmap(h), bitmaps[h]) << "after group " << g;
+      EXPECT_EQ(aux_of(h), aux[h]) << "after group " << g;
+    }
+  }
+}
+
 class PerPortBindTest : public ::testing::TestWithParam<PolicyKind> {};
 
 TEST_P(PerPortBindTest, EveryPortRunsTheImageOnItsOwnMaps) {
@@ -256,8 +308,9 @@ TEST_P(PerPortBindTest, EveryPortRunsTheImageOnItsOwnMaps) {
     rt.hooks_for(w).on_loop_enter(now);
     rt.wst().add_connections(w, (3 * w) % 7);
   }
-  ScheduleResult per_group[2];
-  rt.schedule_all_groups(0, now, per_group);
+  for (uint32_t g = 0; g < rt.num_groups(); ++g) {
+    rt.schedule_and_sync(g * rt.workers_per_group(), now);
+  }
 
   sim::Rng rng(29);
   std::vector<bpf::ReuseportCtx> ctxs(48);

@@ -55,7 +55,6 @@ TEST(LbSimTest, IdleLbOnlyTicksHeartbeats) {
 TEST(LbSimTest, SingleConnectionCompletesWithPlausibleLatency) {
   LbDevice lb(base_config(netsim::DispatchMode::HermesMode));
   LbDevice::ConnPlan plan;
-  plan.tenant = 0;
   plan.remaining = 1;
   plan.cost_us = DistSpec::constant(200);
   ASSERT_NE(lb.open_connection(0, plan), 0u);
@@ -65,6 +64,21 @@ TEST(LbSimTest, SingleConnectionCompletesWithPlausibleLatency) {
   EXPECT_GT(lb.latency().max_value(), SimTime::micros(200).ns());
   EXPECT_LT(lb.latency().max_value(), SimTime::millis(1).ns());
   EXPECT_EQ(lb.live_connections(), 0u);
+}
+
+TEST(LbSimTest, RequestsCarryTheirConnectionsTenant) {
+  // The plan names no tenant: every request belongs to the tenant the
+  // connection was opened under.
+  LbDevice lb(base_config(netsim::DispatchMode::HermesMode));
+  std::vector<TenantId> seen;
+  lb.set_request_done_fn(
+      [&seen](TenantId t, SimTime) { seen.push_back(t); });
+  LbDevice::ConnPlan plan;
+  plan.remaining = 2;
+  plan.gap_us = DistSpec::constant(1000);
+  ASSERT_NE(lb.open_connection(3, plan), 0u);
+  lb.eq().run_until(SimTime::seconds(1));
+  EXPECT_EQ(seen, (std::vector<TenantId>{3, 3}));
 }
 
 TEST(LbSimTest, KeepAliveConnectionRunsAllRequests) {
@@ -471,13 +485,11 @@ TEST(LbSimTest, DegradationResetReopensWithTheSamePlan) {
   plan.cost_us = DistSpec::constant(700);
   plan.gap_us = DistSpec::constant(1'000'000);
   for (int i = 0; i < kConns; ++i) {
-    plan.tenant = static_cast<TenantId>(i);
-    lb.open_connection(plan.tenant, plan);
+    lb.open_connection(static_cast<TenantId>(i), plan);
   }
   lb.eq().run_until(SimTime::millis(50));
 
   LbDevice::ConnPlan poison;
-  poison.tenant = kPoisonTenant;
   poison.cost_us = DistSpec::constant(3'000'000);
   lb.open_connection(kPoisonTenant, poison);
   lb.eq().schedule_at(sweep_at, [&lb] { lb.run_degradation_sweep(); });
