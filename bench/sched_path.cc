@@ -1,12 +1,13 @@
-// Stage-1/2 scheduling hot path microbench: ns per schedule_and_sync call
-// under the two scheduler implementations (DESIGN.md §8).
+// Stage-1/2 scheduling hot path microbench: ns per sync call for the
+// runtime's Stage 2 against the reference cascade (DESIGN.md §8).
 //
-//   reference  per-worker WST read() snapshots, scalar filter loops, and
-//              an unconditional M_sel store per sync
-//   fast       one SoA gather over the group slice, branchless bit-walking
-//              fixed-point filters, and change-suppressed sync (the store
-//              is skipped while the bitmap is unchanged within
-//              sync_refresh_interval)
+//   reference  Scheduler::schedule_reference_with_order (per-worker WST
+//              read() snapshots, scalar filter loops) plus an
+//              unconditional M_sel store per call
+//   fast       HermesRuntime::schedule_and_sync: one SoA gather over the
+//              group slice, branchless bit-walking fixed-point filters,
+//              and change-suppressed sync (the store is skipped while the
+//              bitmap is unchanged within sync_refresh_interval)
 //
 // Scenarios, at 64 workers (one full bitmap word — the paper's group size
 // and the acceptance geometry) unless noted:
@@ -22,9 +23,10 @@
 //
 // Wall-clock metrics carry the _cost_ns / .speedup suffixes and are
 // reported but never gated (bench/bench_gate_check.cc); the gated metrics
-// are deterministic: published/suppressed sync counts and the final bitmap
-// checksum of a scripted virtual-time sweep, which any change to filter
-// semantics or suppression policy would shift.
+// are deterministic: the runtime's published/suppressed sync counts and
+// both legs' final bitmap checksum over a scripted virtual-time sweep,
+// which any change to filter semantics or suppression policy would shift.
+// The bench itself aborts unless both checksums equal kSweepChecksum.
 #include <algorithm>
 #include <cstdio>
 #include <string>
@@ -63,11 +65,32 @@ constexpr int kTimedIters = 100'000;
 // Virtual-time step per call: 1 us, so ~5000 calls fit one 5 ms refresh
 // interval — the sim's own ratio of loop rate to refresh rate.
 constexpr int64_t kStepNs = 1'000;
+// The scripted sweep's bitmap checksum (mod 1e9+7) for the default
+// HermesConfig; both legs must reproduce it.
+constexpr uint64_t kSweepChecksum = 480425346;
 
+enum class Leg { Reference, Fast };
+
+// Every scenario fits one group (<= 64 workers), so the reference leg
+// schedules the whole table and stores into group 0.
 core::HermesRuntime make_runtime(uint32_t workers) {
+  HERMES_CHECK(workers <= core::kMaxWorkersPerGroup);
   core::HermesRuntime::Options opts;
   opts.num_workers = workers;
   return core::HermesRuntime(opts);
+}
+
+// One sync call on `leg`. The reference leg is the cascade oracle plus the
+// M_sel store it would make on every call (no change suppression).
+core::ScheduleResult sync(Leg leg, core::HermesRuntime& rt, WorkerId self,
+                          SimTime now) {
+  if (leg == Leg::Fast) return rt.schedule_and_sync(self, now);
+  const core::HermesConfig& cfg = rt.scheduler().config();
+  const core::ScheduleResult res =
+      rt.scheduler().schedule_reference_with_order(
+          rt.wst(), now, cfg.stage_order, cfg.num_stages);
+  rt.sel_map().store_u64(0, res.bitmap);
+  return res;
 }
 
 void fill_steady(core::HermesRuntime& rt, SimTime now) {
@@ -82,9 +105,8 @@ void fill_steady(core::HermesRuntime& rt, SimTime now) {
 
 // ns per schedule_and_sync over one group of `workers` (a power of two,
 // so the caller rotation is a mask) under the steady load split.
-double steady_cost_ns(core::SchedPath path, uint32_t workers) {
+double steady_cost_ns(Leg leg, uint32_t workers) {
   core::HermesRuntime rt = make_runtime(workers);
-  rt.scheduler().set_path(path);
   const SimTime t0 = SimTime::seconds(1);
   fill_steady(rt, t0);
   int64_t vnow = t0.ns();
@@ -100,8 +122,8 @@ double steady_cost_ns(core::SchedPath path, uint32_t workers) {
             rt.hooks_for(w).on_loop_enter(SimTime::nanos(vnow));
           }
         }
-        (void)rt.schedule_and_sync(static_cast<WorkerId>(i & mask),
-                                   SimTime::nanos(vnow));
+        (void)sync(leg, rt, static_cast<WorkerId>(i & mask),
+                   SimTime::nanos(vnow));
       },
       kTimedIters);
 }
@@ -110,23 +132,20 @@ struct PathResult {
   double steady_cost_ns = 0;
   double steady_32w_cost_ns = 0;
   double churn_cost_ns = 0;
-  uint64_t steady_syncs = 0;
-  uint64_t steady_suppressed = 0;
-  uint64_t churn_syncs = 0;
-  uint64_t churn_suppressed = 0;
+  uint64_t sweep_syncs = 0;  // fast leg only; the reference stores always
+  uint64_t sweep_suppressed = 0;
   uint64_t bitmap_checksum = 0;
 };
 
-PathResult run_path(core::SchedPath path) {
+PathResult run_path(Leg leg) {
   PathResult r;
 
-  r.steady_cost_ns = steady_cost_ns(path, kWorkers);
-  r.steady_32w_cost_ns = steady_cost_ns(path, 32);
+  r.steady_cost_ns = steady_cost_ns(leg, kWorkers);
+  r.steady_32w_cost_ns = steady_cost_ns(leg, 32);
 
   // --- churn scenario --------------------------------------------------
   {
     core::HermesRuntime rt = make_runtime(kWorkers);
-    rt.scheduler().set_path(path);
     const SimTime t0 = SimTime::seconds(1);
     fill_steady(rt, t0);
     int64_t vnow = t0.ns();
@@ -141,8 +160,8 @@ PathResult run_path(core::SchedPath path) {
           // Toggle worker 0 across the pending-events threshold: the
           // bitmap flips every call, so suppression never helps.
           rt.wst().add_pending(0, (i & 1) != 0 ? -1'000 : 1'000);
-          (void)rt.schedule_and_sync(static_cast<WorkerId>(i & 63),
-                                     SimTime::nanos(vnow));
+          (void)sync(leg, rt, static_cast<WorkerId>(i & 63),
+                     SimTime::nanos(vnow));
         },
         kTimedIters);
   }
@@ -152,7 +171,6 @@ PathResult run_path(core::SchedPath path) {
   // checksum must be identical on every machine and every run.
   {
     core::HermesRuntime rt = make_runtime(kWorkers);
-    rt.scheduler().set_path(path);
     sim::Rng rng(42);
     int64_t vnow = SimTime::seconds(1).ns();
     for (WorkerId w = 0; w < kWorkers; ++w) {
@@ -170,26 +188,25 @@ PathResult run_path(core::SchedPath path) {
         const auto w = static_cast<WorkerId>(rng.next_below(kWorkers));
         rt.wst().add_connections(w, 500);
       }
-      const auto res = rt.schedule_and_sync(
-          static_cast<WorkerId>(i & 63), SimTime::nanos(vnow));
+      const auto res = sync(leg, rt, static_cast<WorkerId>(i & 63),
+                            SimTime::nanos(vnow));
       r.bitmap_checksum = r.bitmap_checksum * 1099511628211ull ^ res.bitmap;
     }
-    r.steady_syncs = rt.counters().syncs;
-    r.steady_suppressed = rt.counters().syncs_suppressed;
+    r.sweep_syncs = rt.counters().syncs;
+    r.sweep_suppressed = rt.counters().syncs_suppressed;
   }
   return r;
 }
 
-// Differential spot check inside the bench itself: the two paths must
+// Differential spot check inside the bench itself: the two legs must
 // compute identical bitmaps on the bench's own scenarios, or the timing
 // comparison is between two different schedulers.
 void check_paths_agree() {
   core::HermesRuntime rt = make_runtime(kWorkers);
   const SimTime now = SimTime::seconds(1);
   fill_steady(rt, now);
-  core::Scheduler& s = rt.scheduler();
+  const core::Scheduler& s = rt.scheduler();
   const auto& cfg = s.config();
-  s.set_path(core::SchedPath::Fast);
   const auto fast = s.schedule_with_order(rt.wst(), now, cfg.stage_order,
                                           cfg.num_stages, 0, kWorkers);
   const auto ref = s.schedule_reference_with_order(
@@ -207,8 +224,11 @@ int main_impl(int argc, char** argv) {
 
   check_paths_agree();
 
-  const PathResult ref = run_path(core::SchedPath::Reference);
-  const PathResult fast = run_path(core::SchedPath::Fast);
+  const PathResult ref = run_path(Leg::Reference);
+  const PathResult fast = run_path(Leg::Fast);
+  HERMES_CHECK_MSG(fast.bitmap_checksum % 1'000'000'007 == kSweepChecksum &&
+                       ref.bitmap_checksum % 1'000'000'007 == kSweepChecksum,
+                   "scripted sweep bitmap checksum moved");
 
   std::printf("\n%-12s %16s %16s %20s\n", "path", "steady ns/call",
               "churn ns/call", "steady 32w ns/call");
@@ -224,11 +244,10 @@ int main_impl(int argc, char** argv) {
 
   const double total = 20'000.0;
   std::printf("scripted sweep (20k calls): fast published %llu, suppressed "
-              "%llu (%.1f%%); reference published %llu\n",
-              static_cast<unsigned long long>(fast.steady_syncs),
-              static_cast<unsigned long long>(fast.steady_suppressed),
-              100.0 * static_cast<double>(fast.steady_suppressed) / total,
-              static_cast<unsigned long long>(ref.steady_syncs));
+              "%llu (%.1f%%); reference stores every call\n",
+              static_cast<unsigned long long>(fast.sweep_syncs),
+              static_cast<unsigned long long>(fast.sweep_suppressed),
+              100.0 * static_cast<double>(fast.sweep_suppressed) / total);
 
   std::printf("\npaper says: the per-loop scheduling work must stay in the "
               "noise (Table 5 < 5%%);\nwe measure the fast path keeping it "
@@ -247,12 +266,9 @@ int main_impl(int argc, char** argv) {
   json.metric("reference_steady_32w_cost_ns", ref.steady_32w_cost_ns);
   json.metric("fast_steady_32w_cost_ns", fast.steady_32w_cost_ns);
   // Deterministic: gated against bench/baseline.json.
-  json.metric("fast_sweep_syncs", static_cast<double>(fast.steady_syncs));
+  json.metric("fast_sweep_syncs", static_cast<double>(fast.sweep_syncs));
   json.metric("fast_sweep_suppressed",
-              static_cast<double>(fast.steady_suppressed));
-  json.metric("reference_sweep_syncs", static_cast<double>(ref.steady_syncs));
-  json.metric("reference_sweep_suppressed",
-              static_cast<double>(ref.steady_suppressed));
+              static_cast<double>(fast.sweep_suppressed));
   json.metric("sweep_bitmap_checksum_fast",
               static_cast<double>(fast.bitmap_checksum % 1'000'000'007));
   json.metric("sweep_bitmap_checksum_reference",

@@ -4,22 +4,20 @@
 
 namespace hermes::bpf::analysis {
 
-DispatchProof prove_dispatch(const Program& prog,
-                             std::span<Map* const> maps, uint64_t nr_socks,
-                             const AnalysisOptions& opts) {
+DispatchProof prove_dispatch(const AnalysisResult& analysis,
+                             uint64_t nr_socks) {
   DispatchProof proof;
-  proof.analysis = analyze(prog, maps, opts);
   std::ostringstream os;
-  if (!proof.analysis) {
-    os << "program does not verify: pc " << proof.analysis.error_pc << ": "
-       << proof.analysis.error;
+  if (!analysis) {
+    os << "program does not verify: pc " << analysis.error_pc << ": "
+       << analysis.error;
     proof.detail = os.str();
     return proof;
   }
 
   bool ok = true;
   size_t selects = 0;
-  for (const HelperCallInfo& call : proof.analysis.helper_calls) {
+  for (const HelperCallInfo& call : analysis.helper_calls) {
     if (call.id != HelperId::SkSelectReuseport) continue;
     ++selects;
     if (!call.key_known) {
@@ -42,15 +40,15 @@ DispatchProof prove_dispatch(const Program& prog,
     ok = false;
   }
 
-  if (!proof.analysis.ret_reachable) {
+  if (!analysis.ret_reachable) {
     os << "no reachable exit\n";
     ok = false;
-  } else if (proof.analysis.ret.umax > kRetFallback) {
-    os << "return value " << to_string(proof.analysis.ret)
+  } else if (analysis.ret.umax > kRetFallback) {
+    os << "return value " << to_string(analysis.ret)
        << " not proven to be use-selection (0) or fallback (1)\n";
     ok = false;
   } else {
-    os << "return value " << to_string(proof.analysis.ret)
+    os << "return value " << to_string(analysis.ret)
        << " is always use-selection or fallback\n";
   }
 

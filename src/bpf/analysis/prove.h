@@ -4,11 +4,13 @@
 // value is always kRetUseSelection or kRetFallback (so a failed selection
 // falls back to the kernel's reuseport hash instead of faulting).
 //
-// The proof is not a test over sampled inputs: it is the abstract
+// The proof is not a test over sampled inputs: it reads the abstract
 // interpreter's over-approximation of *all* executions, so `ok == true`
 // means no context contents, map contents, or randomness can produce an
-// out-of-range index. tests/dispatch_prove_test.cc runs it at build time
-// for every supported pool geometry.
+// out-of-range index. It does not analyse the program itself: it checks
+// the facts of an analysis already run — at load, the verifier's own,
+// kept as VerifiedImage::analysis() (bpf/vm.h). tests/dispatch_prove_test.cc
+// runs it for every supported pool geometry and policy.
 #pragma once
 
 #include <cstdint>
@@ -20,18 +22,17 @@ namespace hermes::bpf::analysis {
 
 struct DispatchProof {
   bool ok = false;
-  std::string detail;       // per-callsite facts, or the failure reason
-  AnalysisResult analysis;  // the underlying abstract-interpretation result
+  std::string detail;  // per-callsite facts, or the failure reason
 
   explicit operator bool() const { return ok; }
 };
 
-// Proves, for a program already known to target a reuseport sockarray of
-// `nr_socks` entries, that (a) the program verifies, (b) every
-// SkSelectReuseport key is tracked and bounded below nr_socks, and
-// (c) every exit returns kRetUseSelection (0) or kRetFallback (1).
-DispatchProof prove_dispatch(const Program& prog,
-                             std::span<Map* const> maps, uint64_t nr_socks,
-                             const AnalysisOptions& opts = {});
+// Proves, from the analysis of a program already known to target a
+// reuseport sockarray of `nr_socks` entries, that (a) the program
+// verified, (b) every SkSelectReuseport key is tracked and bounded below
+// nr_socks, and (c) every exit returns kRetUseSelection (0) or
+// kRetFallback (1).
+DispatchProof prove_dispatch(const AnalysisResult& analysis,
+                             uint64_t nr_socks);
 
 }  // namespace hermes::bpf::analysis

@@ -19,6 +19,7 @@ std::unique_ptr<LoadedProgram> Vm::load(Program prog, std::vector<Map*> maps,
   auto image = std::make_shared<VerifiedImage>();
   image->plan_ = compile_plan(prog, maps, vr.analysis);
   image->prog_ = std::move(prog);
+  image->analysis_ = std::move(vr.analysis);
   for (const Map* m : maps) {
     image->shapes_.push_back(VerifiedImage::shape_of(m));
   }

@@ -8,11 +8,14 @@
 // repo, so it aborts).
 //
 // Loading is split in two. A VerifiedImage is the part that is the same
-// for every map set of one shape: the program, its compiled ExecutionPlan
-// (bpf/plan.h) with the map-pointer sites left open, and the shape
-// (type, max_entries, value_size) of each map slot it was verified
-// against. A LoadedProgram binds an image to concrete maps: a copy of the
-// plan's micro-ops with those sites pointing at its own maps. load()
+// for every map set of one shape: the program, the verifier's analysis of
+// it, its compiled ExecutionPlan (bpf/plan.h) with the map-pointer sites
+// left open, and the shape (type, max_entries, value_size) of each map
+// slot it was verified against. The program is analysed once, at load:
+// the plan compiles against that analysis, and prove_dispatch
+// (bpf/analysis/prove.h) checks its facts rather than analysing again.
+// A LoadedProgram binds an image to concrete maps: a copy of the plan's
+// micro-ops with those sites pointing at its own maps. load()
 // verifies, compiles and binds; bind() reuses an image for another map
 // set of the same shape (one reuseport group per port, one image per
 // device), checking every slot's shape and never re-verifying. run()
@@ -42,11 +45,14 @@ namespace hermes::bpf {
 class VerifiedImage {
  public:
   const Program& insns() const { return prog_; }
+  // The verifier's successful analysis of insns() against the load-time
+  // maps: per-callsite helper facts, per-pc access proofs, the exit range.
+  const analysis::AnalysisResult& analysis() const { return analysis_; }
 
  private:
   friend class Vm;
-  // What the verifier and prove_dispatch read of a slot's map; nullopt for
-  // a slot the program never references.
+  // What the verifier reads of a slot's map; nullopt for a slot the
+  // program never references.
   struct MapShape {
     MapType type;
     uint32_t max_entries;
@@ -56,6 +62,7 @@ class VerifiedImage {
   static std::optional<MapShape> shape_of(const Map* m);
 
   Program prog_;
+  analysis::AnalysisResult analysis_;
   std::vector<std::optional<MapShape>> shapes_;
   ExecutionPlan plan_;  // unbound: map sites hold 0
 };
@@ -93,7 +100,8 @@ class Vm {
 
   // Bind an already verified image to another map set. Aborts unless every
   // slot has the shape the image was verified against: the verifier's
-  // proofs (and prove_dispatch's key bound) hold only for that shape.
+  // proofs (and any prove_dispatch over image->analysis()) hold only for
+  // that shape.
   std::unique_ptr<LoadedProgram> bind(
       std::shared_ptr<const VerifiedImage> image,
       std::vector<Map*> maps) const;

@@ -27,21 +27,18 @@ struct HermesConfig {
   // "if n > 1"). kMinWorkersForDispatch = 2 reproduces that check.
   uint32_t min_workers_for_dispatch = 2;
 
-  // epoll_wait timeout: guarantees a scheduling pass at least this often
-  // even with no I/O events (paper §5.3.2 strategy 1).
-  SimTime epoll_wait_timeout = SimTime::millis(5);
-
   // Two-level scheduling (>64 workers): workers per group. 64 fills the
   // bitmap word; smaller values trade balance for cache locality
   // (Appendix C, Fig. A6).
   uint32_t workers_per_group = 64;
 
-  // Change-suppressed sync (DESIGN.md §8): when the fast scheduling path
-  // computes a bitmap identical to the group's last push, the M_sel store
-  // is skipped — unless the last push is at least this old. The forced
-  // refresh bounds the staleness a lost cross-worker race can cause to one
-  // interval; the default matches epoll_wait_timeout, the paper's own
-  // scheduling-pass frequency floor (§5.3.2).
+  // Change-suppressed sync (DESIGN.md §8): when a schedule computes a
+  // bitmap identical to the group's last push, the M_sel store is skipped
+  // — unless the last push is at least this old. The forced refresh
+  // bounds the staleness a lost cross-worker race can cause to one
+  // interval; the default matches the worker loop's 5 ms epoll_wait
+  // timeout (sim::Worker::Config::epoll_timeout), the paper's own
+  // scheduling-pass frequency floor (§5.3.2 strategy 1).
   SimTime sync_refresh_interval = SimTime::millis(5);
 
   // Cascade order (paper default: Time -> Connections -> PendingEvents;

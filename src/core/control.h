@@ -10,8 +10,6 @@
 //   POST /policy/hang-ms?value=50    -> set the hang threshold
 //   POST /policy/order?value=time,conn,event
 //                                    -> set the cascade stage order
-//   POST /policy/degradation?fraction=0.25
-//                                    -> set the reset fraction
 //
 // The host (live demo, ops tooling, tests) terminates the TCP/HTTP side
 // with http::RequestParser and feeds parsed requests in; this type only
@@ -79,12 +77,6 @@ class PolicyEndpoint {
       cfg.num_stages = n;
       return ok(describe());
     }
-    if (req.path == "/policy/degradation") {
-      const auto v = query_double(req, "fraction");
-      if (!v || *v < 0 || *v > 1) return error(400, "fraction out of range");
-      scheduler_.mutable_config().degradation_reset_fraction = *v;
-      return ok(describe());
-    }
     return error(404, "unknown endpoint");
   }
 
@@ -106,8 +98,6 @@ class PolicyEndpoint {
     out += ",\"order\":\"" + order + "\"";
     out += ",\"min_workers_for_dispatch\":" +
            std::to_string(cfg.min_workers_for_dispatch);
-    out += ",\"degradation_reset_fraction\":" +
-           format(cfg.degradation_reset_fraction);
     out += "}";
     return out;
   }

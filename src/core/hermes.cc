@@ -43,12 +43,10 @@ HermesRuntime::HermesRuntime(const Options& opts)
                    ? std::make_unique<bpf::ArrayMap>(
                          num_groups_, policy_->aux_value_bytes())
                    : nullptr),
-      last_sync_ns_(num_groups_),
       last_pushed_bitmap_(num_groups_),
       last_push_ns_(num_groups_) {
   HERMES_CHECK(num_workers_ > 0);
   HERMES_CHECK(policy_->aux_words() <= kMaxWorkersPerGroup);
-  for (auto& t : last_sync_ns_) t.store(-1, std::memory_order_relaxed);
   for (auto& t : last_push_ns_) t.store(-1, std::memory_order_relaxed);
 }
 
@@ -59,15 +57,12 @@ ScheduleResult HermesRuntime::schedule_and_sync(WorkerId self, SimTime now) {
   const uint32_t limit = std::min(wpg_, num_workers_ - base);
 
   // One snapshot of the slice, on the stack (workers schedule
-  // concurrently): the fast cascade and the aux refresh both read it, so
-  // the published bitmap and aux words agree. The reference path reads
-  // the WST itself and gathers only when the policy has aux state.
+  // concurrently): the cascade and the aux refresh both read it, so the
+  // published bitmap and aux words agree.
   int64_t enter[kMaxWorkersPerGroup];
   int64_t pending[kMaxWorkersPerGroup];
   int64_t conns[kMaxWorkersPerGroup];
-  const bool fast = scheduler_.path() == SchedPath::Fast;
   const auto schedule = [&] {
-    if (!fast) return scheduler_.schedule(wst_, now, base, limit);
     wst_.gather(base, limit, enter, pending, conns);
     const HermesConfig& cfg = scheduler_.config();
     return scheduler_.schedule_gathered(enter, pending, conns, limit, now,
@@ -87,7 +82,6 @@ ScheduleResult HermesRuntime::schedule_and_sync(WorkerId self, SimTime now) {
     res = schedule();
   }
   if (aux_map_ != nullptr) {
-    if (!fast) wst_.gather(base, limit, enter, pending, conns);
     refresh_aux(self, group, base, limit, now, res, enter, pending, conns);
   }
   finish_sync(self, group, now, res);
@@ -145,26 +139,22 @@ void HermesRuntime::finish_sync(WorkerId self, uint32_t group, SimTime now,
                        res.bitmap, packed);
   }
 
-  // Change suppression (fast path only, DESIGN.md §8): when the bitmap
-  // equals the group's last push and that push is fresher than
-  // sync_refresh_interval, the store — and its Table-5 "syscall" — is
-  // skipped entirely. Checked before the fault hook: a suppressed sync
-  // never reaches the syscall boundary faults model. The interval bound
-  // (strict <) forces a real publish at least once per interval, which
-  // also repairs any divergence between the cache and the map (delayed
-  // stale syncs, racing workers).
-  if (scheduler_.path() == SchedPath::Fast) {
-    const int64_t prev_push =
-        last_push_ns_[group].load(std::memory_order_relaxed);
-    if (prev_push >= 0 &&
-        now.ns() - prev_push <
-            scheduler_.config().sync_refresh_interval.ns() &&
-        last_pushed_bitmap_[group].load(std::memory_order_relaxed) ==
-            res.bitmap) {
-      ++counters_.syncs_suppressed;
-      if (obs_ != nullptr) obs_->metrics.sched_syncs_suppressed->inc(self);
-      return;
-    }
+  // Change suppression (DESIGN.md §8): when the bitmap equals the
+  // group's last push and that push is fresher than sync_refresh_interval,
+  // the store — and its Table-5 "syscall" — is skipped entirely. Checked
+  // before the fault hook: a suppressed sync never reaches the syscall
+  // boundary faults model. The interval bound (strict <) forces a real
+  // publish at least once per interval, which also repairs any divergence
+  // between the cache and the map (delayed stale syncs, racing workers).
+  const int64_t prev_push =
+      last_push_ns_[group].load(std::memory_order_relaxed);
+  if (prev_push >= 0 &&
+      now.ns() - prev_push < scheduler_.config().sync_refresh_interval.ns() &&
+      last_pushed_bitmap_[group].load(std::memory_order_relaxed) ==
+          res.bitmap) {
+    ++counters_.syncs_suppressed;
+    if (obs_ != nullptr) obs_->metrics.sched_syncs_suppressed->inc(self);
+    return;
   }
 
   // Userspace -> kernel decision sync: one atomic 8-byte store into the
@@ -186,10 +176,8 @@ void HermesRuntime::finish_sync(WorkerId self, uint32_t group, SimTime now,
     obs_->metrics.sync_published->inc(self);
     obs_->metrics.policy_publishes[static_cast<size_t>(policy_->kind())]->inc(
         self);
-    const int64_t prev =
-        last_sync_ns_[group].exchange(now.ns(), std::memory_order_relaxed);
-    const int64_t gap = prev >= 0 ? now.ns() - prev : 0;
-    if (prev >= 0 && gap >= 0) {
+    const int64_t gap = prev_push >= 0 ? now.ns() - prev_push : 0;
+    if (prev_push >= 0 && gap >= 0) {
       obs_->metrics.sync_gap_ns->record(self, static_cast<uint64_t>(gap));
     }
     obs_->traces.write(self, obs::TraceType::BitmapSync, now, group,
@@ -225,20 +213,19 @@ PortAttachment HermesRuntime::attach_port(
     pp.base.workers_per_group = wpg_;
     pp.base.min_workers = scheduler_.config().min_workers_for_dispatch;
     pp.aux_map_slot = 2;
-    bpf::Program prog = policy_->build_program(pp);
+    std::string err;
+    att.program =
+        vm_.load(policy_->build_program(pp), std::move(maps), &err);
+    HERMES_CHECK_MSG(att.program != nullptr, err.c_str());
 
-    // Machine-check the generated program BEFORE load (the
+    // Machine-check the loaded program before any port runs it (the
     // policy-authoring safety contract, DESIGN.md §12): on every path
     // reaching the socket selection the key is proven < the socket
-    // array's capacity. Every port's array has that capacity, which
-    // Vm::bind re-checks.
+    // array's capacity. The proof reads the verifier's own analysis.
+    // Every port's array has that capacity, which Vm::bind re-checks.
     const bpf::analysis::DispatchProof proof = bpf::analysis::prove_dispatch(
-        prog, maps, att.sock_map->max_entries());
+        att.program->image()->analysis(), att.sock_map->max_entries());
     HERMES_CHECK_MSG(proof.ok, proof.detail.c_str());
-
-    std::string err;
-    att.program = vm_.load(std::move(prog), std::move(maps), &err);
-    HERMES_CHECK_MSG(att.program != nullptr, err.c_str());
     image_ = att.program->image();
     ++counters_.program_loads;
   } else {

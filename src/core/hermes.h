@@ -6,24 +6,25 @@
 //
 // The runtime is deliberately kernel-agnostic: it owns the bpf VM, the
 // M_sel map (one u64 bitmap per worker group) and one verified image of
-// the dispatch program (built, proved, verified and compiled once); per
+// the dispatch program (built, verified, compiled and proved once); per
 // port it hands out a ReuseportSockArray plus that image bound to it. The
 // simulator attaches those to netsim reuseport groups; the live demo
 // drives them directly. Both consume identical code paths.
 //
-// The runtime starts on the fast Stage-2 path and the configured policy
-// (Options::policy, cascade by default). The differential oracles are
-// reached by API only: scheduler().set_path(SchedPath::Reference) runs the
-// reference filter, which also turns off change suppression in
-// finish_sync. No environment variable selects either.
+// Each stage has one implementation. Stage 2 always runs the gathered
+// cascade with change suppression; its oracle,
+// Scheduler::schedule_reference_with_order, is a pure function tests call
+// on the same WST. The policy (Options::policy, cascade by default) picks
+// the Stage-2 aux pipeline and the Stage-3 program. No environment
+// variable selects anything.
 //
 // Workers with id >= 64 are handled by the two-level scheme the paper
 // describes (§7): workers are partitioned into groups of
 // `config.workers_per_group`; each group has its own bitmap slot in M_sel,
 // each worker schedules only its own group's slice of the WST, and the
-// dispatch program picks group-by-hash then worker-by-bitmap. On the
-// fast path a schedule gathers its group's slice once; the cascade and
-// the policy's aux refresh both read that snapshot.
+// dispatch program picks group-by-hash then worker-by-bitmap. A schedule
+// gathers its group's slice once; the cascade and the policy's aux
+// refresh both read that snapshot.
 #pragma once
 
 #include <atomic>
@@ -101,21 +102,21 @@ class HermesRuntime {
 
   // Stage 2, executed by worker `self` at the end of its event loop:
   // cascade-filter the worker's own group and atomically publish the
-  // bitmap to the kernel through M_sel. On the fast path the group's WST
-  // slice is gathered once, and the cascade and the policy's aux refresh
-  // both read that one snapshot. Returns the filter result;
-  // result.published says whether the store actually happened (it is
-  // skipped when the fast path sees an unchanged bitmap within
-  // config.sync_refresh_interval, or when fault injection drops it).
+  // bitmap to the kernel through M_sel. The group's WST slice is gathered
+  // once, and the cascade and the policy's aux refresh both read that one
+  // snapshot. Returns the filter result; result.published says whether the
+  // store actually happened (it is skipped when the bitmap is unchanged
+  // within config.sync_refresh_interval, or when fault injection drops
+  // it).
   ScheduleResult schedule_and_sync(WorkerId self, SimTime now);
 
   // Stage-3 attachment for one port: builds the socket map from the given
   // per-worker socket cookies and binds the dispatch program to it. The
-  // first call builds the program, proves it (prove.h), verifies and
-  // compiles it; every later call only binds that image to the new socket
-  // array, which the bind step checks has the verified shape. Aborts if
-  // the program fails the proof or verification — that would be a build
-  // bug.
+  // first call builds and loads the program (verify, compile), then proves
+  // it (prove.h) from the verifier's analysis; every later call only binds
+  // that image to the new socket array, which the bind step checks has the
+  // verified shape. Aborts if the program fails verification or the proof
+  // — that would be a build bug — before any port gets the image.
   PortAttachment attach_port(const std::vector<uint64_t>& worker_cookies);
 
   // Current kernel-visible bitmap of a group (diagnostics/tests).
@@ -161,18 +162,16 @@ class HermesRuntime {
   std::unique_ptr<SchedulingPolicy> policy_;
   std::unique_ptr<bpf::ArrayMap> aux_map_;  // null: policy has no aux state
   // The dispatch program is a pure function of the runtime config, so one
-  // proof, verification and compile covers every port; set by the first
-  // attach_port.
+  // verification, proof and compile covers every port; set by the first
+  // attach_port once the proof holds.
   std::shared_ptr<const bpf::VerifiedImage> image_;
   Counters counters_;
-  // Per-group timestamp of the last completed sync, for the staleness
-  // histogram (sync.gap_ns). Atomic: syncs may race across worker threads.
-  std::vector<std::atomic<int64_t>> last_sync_ns_;
   // Change-suppression cache (DESIGN.md §8): the last bitmap actually
   // stored into M_sel per group, and when. last_push_ns_ < 0 means "no
-  // valid cache". Two separate atomics can momentarily disagree under a
-  // cross-worker race; the forced refresh after sync_refresh_interval
-  // bounds the damage to one interval.
+  // valid cache"; it also dates the previous sync for sync.gap_ns. Two
+  // separate atomics can momentarily disagree under a cross-worker race;
+  // the forced refresh after sync_refresh_interval bounds the damage to
+  // one interval.
   std::vector<std::atomic<uint64_t>> last_pushed_bitmap_;
   std::vector<std::atomic<int64_t>> last_push_ns_;
 };

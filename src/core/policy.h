@@ -9,7 +9,8 @@
 //       per-group auxiliary array map alongside the selection bitmap;
 //   (b) a kernel side — build_program() emits the matching eBPF dispatch
 //       program through the assembler. Every generated program is
-//       machine-checked by bpf/analysis/prove.h before Vm::load (the
+//       machine-checked by bpf/analysis/prove.h, from the analysis
+//       Vm::load's verifier ran, before any port runs it (the
 //       selected key is proven < nr_socks on every path), and each
 //       load-aware program re-checks bitmap membership in-kernel, so a
 //       stale or corrupt aux value can only cause a fallback, never a

@@ -11,7 +11,6 @@ namespace hermes::core {
 
 const char* to_string(SchedPath p) {
   switch (p) {
-    case SchedPath::Reference: return "reference";
     case SchedPath::Fast: return "fast";
   }
   return "?";
@@ -486,12 +485,7 @@ ScheduleResult Scheduler::schedule_with_order(const WorkerStatusTable& wst,
   }
   HERMES_CHECK(limit <= kMaxWorkersPerGroup && base + limit <= wst.num_workers());
 
-  if (path_ == SchedPath::Reference) {
-    return schedule_reference_with_order(wst, now, order, num_stages, base,
-                                         limit);
-  }
-
-  // Fast path: one SoA pass over the slice, then bit-walking filters.
+  // One SoA pass over the slice, then bit-walking filters.
   int64_t enter[kMaxWorkersPerGroup];
   int64_t pending[kMaxWorkersPerGroup];
   int64_t conns[kMaxWorkersPerGroup];

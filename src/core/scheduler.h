@@ -12,16 +12,17 @@
 // The filtering ORDER is a design decision the paper justifies; the
 // ablation bench swaps it to show why. theta = theta_ratio * avg (Fig. 15).
 //
-// Two implementations of the same function (DESIGN.md §8):
-//   * the REFERENCE path — per-worker read() snapshots, scalar loops over
-//     all slots; structurally the obviously-correct transcription of
-//     Algo. 1, kept as the differential oracle;
-//   * the FAST path — one SoA gather over the group slice, then branchless
-//     bit-walking (`w &= w - 1`) over surviving candidates only.
+// One production implementation plus its oracle (DESIGN.md §8):
+//   * schedule() / schedule_gathered() — one SoA gather over the group
+//     slice, then branchless bit-walking (`w &= w - 1`) over surviving
+//     candidates only. This is the only path a runtime runs;
+//   * schedule_reference_with_order() — per-worker read() snapshots,
+//     scalar loops over all slots; structurally the obviously-correct
+//     transcription of Algo. 1, kept as a pure function for differential
+//     tests and bench/sched_path.
 // Both use exact 128-bit fixed-point threshold math (see theta_permille),
 // so their bitmaps are identical bit for bit; tests/sched_fast_test.cc
-// proves it. Every Scheduler starts on the fast path; the reference path
-// is reached only by API (set_path, schedule_reference_with_order).
+// proves it.
 //
 // Single O(n) pass per filter over at most 64 workers; no allocation on the
 // hot path.
@@ -48,16 +49,15 @@ struct ScheduleResult {
   bool published = false;
 };
 
-// Which schedule() implementation runs (both compute the same bitmaps).
+// The Stage-2 implementation a runtime runs. There is one; the enum is
+// kept only because the repository benchmark prints it on its config line
+// (perfbench/src/main.cc).
 enum class SchedPath : uint8_t {
-  Reference,  // scalar loops over per-worker snapshots (the oracle)
-  Fast,       // SoA gather + branchless bit-walking (the default)
+  Fast,  // SoA gather + branchless bit-walking
 };
 
 const char* to_string(SchedPath p);
 
-// The path every Scheduler starts on. Kept only because the repository
-// benchmark prints it on its config line (perfbench/src/main.cc).
 constexpr SchedPath default_sched_path() { return SchedPath::Fast; }
 
 // theta_ratio quantized to permille for the exact integer threshold
@@ -75,9 +75,6 @@ class Scheduler {
   // scheduler reads its config afresh on every schedule() call.
   HermesConfig& mutable_config() { return cfg_; }
 
-  SchedPath path() const { return path_; }
-  void set_path(SchedPath p) { path_ = p; }
-
   // Run Algo. 1 over the first `limit` workers of the WST starting at
   // `base` (group slicing for >64-worker machines); limit <= 64.
   ScheduleResult schedule(const WorkerStatusTable& wst, SimTime now,
@@ -89,8 +86,8 @@ class Scheduler {
                                      uint32_t num_stages, WorkerId base = 0,
                                      uint32_t limit = 0) const;
 
-  // The retained reference implementation, callable regardless of path()
-  // (differential tests, bench). Same semantics as schedule_with_order.
+  // The retained reference implementation (differential tests, bench).
+  // Same semantics as schedule_with_order.
   ScheduleResult schedule_reference_with_order(const WorkerStatusTable& wst,
                                                SimTime now,
                                                const FilterStage* order,
@@ -98,10 +95,10 @@ class Scheduler {
                                                WorkerId base = 0,
                                                uint32_t limit = 0) const;
 
-  // Fast-path core over an already-gathered SoA slice (arrays indexed
-  // 0..limit-1), regardless of path(). schedule_with_order's fast branch
-  // is a gather followed by this call; HermesRuntime::schedule_and_sync
-  // calls it directly so the policy's aux refresh reads the same arrays.
+  // The cascade over an already-gathered SoA slice (arrays indexed
+  // 0..limit-1). schedule_with_order is a gather followed by this call;
+  // HermesRuntime::schedule_and_sync calls it directly so the policy's
+  // aux refresh reads the same arrays.
   ScheduleResult schedule_gathered(const int64_t* loop_enter_ns,
                                    const int64_t* pending_events,
                                    const int64_t* connections, uint32_t limit,
@@ -115,7 +112,6 @@ class Scheduler {
 
  private:
   HermesConfig cfg_;
-  SchedPath path_ = SchedPath::Fast;
 };
 
 }  // namespace hermes::core

@@ -100,7 +100,6 @@ LbDevice::LbDevice(Config cfg)
     Worker::Config wc = cfg_.worker;
     wc.id = w;
     if (w < cfg_.worker_speeds.size()) wc.speed = cfg_.worker_speeds[w];
-    if (user_dispatcher) wc.accepts_enabled = false;
     workers_.push_back(std::make_unique<Worker>(
         wc, eq_, ns_, host, hermes_ ? &*hermes_ : nullptr));
   }

@@ -3,9 +3,10 @@
 // runtime wired into it. The benches and examples drive this type.
 //
 // Every variant a test compares against is a Config field: the policy
-// (Config::policy), the forwarding mode (data_plane.zero_copy). The
-// scheduler path is set on the runtime (hermes()->scheduler().set_path).
-// The device reads no environment variable.
+// (Config::policy), the forwarding mode (data_plane.zero_copy). Stage 2
+// has one path; its oracle is a pure function tests call
+// (Scheduler::schedule_reference_with_order). The device reads no
+// environment variable.
 //
 // Every SYN, from the device's own clients or routed by a Fleet's front
 // tier, goes through one admission step (admit): rate limit, the

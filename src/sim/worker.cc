@@ -17,7 +17,7 @@ Worker::Worker(Config cfg, EventQueue& eq, netsim::NetStack& ns, Host host,
 void Worker::attach_sockets() { sockets_ = ns_.sockets_of(cfg_.id); }
 
 void Worker::start() {
-  HERMES_CHECK_MSG(!sockets_.empty() || !cfg_.accepts_enabled,
+  HERMES_CHECK_MSG(!sockets_.empty() || !accepts(),
                    "attach_sockets() before start()");
   if (hooks_) hooks_->on_loop_enter(eq_.now());
   block();
@@ -91,7 +91,7 @@ size_t Worker::collect_batch() {
   }
   // One accept per ready listening socket per iteration (Fig. A1's
   // accept_handler dequeues a single connection per event).
-  if (!cfg_.accepts_enabled) return n;
+  if (!accepts()) return n;
   for (netsim::ListeningSocket* sock : sockets_) {
     if (n >= static_cast<size_t>(cfg_.max_batch)) break;
     if (!sock->accept_queue().empty()) {
@@ -189,7 +189,7 @@ void Worker::end_iteration() {
   if (hooks_) hooks_->on_loop_enter(eq_.now());
 
   bool ready = !pending_requests_.empty();
-  if (!ready && cfg_.accepts_enabled) {
+  if (!ready && accepts()) {
     for (netsim::ListeningSocket* sock : sockets_) {
       if (!sock->accept_queue().empty()) {
         ready = true;

@@ -49,9 +49,6 @@ class Worker final : public netsim::Waiter {
     // every loop iteration (the paper's design); large values degrade the
     // closed loop toward a static (sk_lookup-style) steering table.
     SimTime min_sync_interval = SimTime::zero();
-    // UserDispatcher mode: the worker does not accept from listening
-    // sockets itself; connections arrive via adopt_connection().
-    bool accepts_enabled = true;
     // Relative core speed for heterogeneous-fleet scenarios: request and
     // accept costs are divided by this factor (2.0 = twice as fast). 1.0
     // keeps the cost model byte-identical to the homogeneous path.
@@ -117,6 +114,11 @@ class Worker final : public netsim::Waiter {
   void finish_event();
   void end_iteration();
   size_t collect_batch();
+  // False in UserDispatcher mode: the worker does not accept from
+  // listening sockets itself; connections arrive via adopt_connection().
+  bool accepts() const {
+    return ns_.config().mode != netsim::DispatchMode::UserDispatcher;
+  }
 
   Config cfg_;
   EventQueue& eq_;

@@ -62,13 +62,6 @@ TEST_F(ControlTest, SetShorterCascade) {
   EXPECT_EQ(scheduler_.config().num_stages, 1u);
 }
 
-TEST_F(ControlTest, SetDegradationFraction) {
-  const auto resp =
-      send("POST /policy/degradation?fraction=0.4 HTTP/1.1\r\n\r\n");
-  EXPECT_EQ(resp.status, 200);
-  EXPECT_DOUBLE_EQ(scheduler_.config().degradation_reset_fraction, 0.4);
-}
-
 TEST_F(ControlTest, RejectsBadValues) {
   EXPECT_EQ(send("POST /policy/theta?value=-1 HTTP/1.1\r\n\r\n").status, 400);
   EXPECT_EQ(send("POST /policy/theta?value=abc HTTP/1.1\r\n\r\n").status, 400);
@@ -76,9 +69,6 @@ TEST_F(ControlTest, RejectsBadValues) {
   EXPECT_EQ(send("POST /policy/hang-ms?value=0 HTTP/1.1\r\n\r\n").status, 400);
   EXPECT_EQ(send("POST /policy/order?value=bogus HTTP/1.1\r\n\r\n").status,
             400);
-  EXPECT_EQ(
-      send("POST /policy/degradation?fraction=1.5 HTTP/1.1\r\n\r\n").status,
-      400);
   // Config unchanged by the rejects.
   EXPECT_DOUBLE_EQ(scheduler_.config().theta_ratio, 0.5);
 }
@@ -121,12 +111,6 @@ TEST_F(ControlTest, AcceptsExactRangeBoundaries) {
             200);
   EXPECT_EQ(send("POST /policy/hang-ms?value=60001 HTTP/1.1\r\n\r\n").status,
             400);
-  EXPECT_EQ(
-      send("POST /policy/degradation?fraction=1 HTTP/1.1\r\n\r\n").status,
-      200);
-  EXPECT_EQ(
-      send("POST /policy/degradation?fraction=0 HTTP/1.1\r\n\r\n").status,
-      200);
 }
 
 TEST_F(ControlTest, OrderRejectsEmptyAndPartialTokens) {

@@ -132,13 +132,15 @@ TEST_F(RuntimeTest, StaleBitmapRefreshedByNextSync) {
 }
 
 TEST_F(RuntimeTest, CountersTrackSchedulesAndSyncs) {
-  // Reference path: every sync publishes, even a back-to-back identical one.
-  runtime_.scheduler().set_path(core::SchedPath::Reference);
+  // Two identical bitmaps one refresh interval apart: the second is not
+  // suppressed, so both syncs publish.
   const SimTime now = SimTime::millis(5);
   all_alive(now);
   auto res = runtime_.schedule_and_sync(0, now);
   EXPECT_TRUE(res.published);
-  res = runtime_.schedule_and_sync(1, now);
+  const SimTime later = now + runtime_.config().sync_refresh_interval;
+  all_alive(later);
+  res = runtime_.schedule_and_sync(1, later);
   EXPECT_TRUE(res.published);
   EXPECT_EQ(runtime_.counters().schedules, 2u);
   EXPECT_EQ(runtime_.counters().syncs, 2u);
@@ -147,7 +149,6 @@ TEST_F(RuntimeTest, CountersTrackSchedulesAndSyncs) {
 }
 
 TEST_F(RuntimeTest, FastPathSuppressesUnchangedSyncWithinRefreshInterval) {
-  runtime_.scheduler().set_path(core::SchedPath::Fast);
   const SimTime now = SimTime::millis(5);
   all_alive(now);
   auto res = runtime_.schedule_and_sync(0, now);

@@ -9,12 +9,14 @@
 // 64}, mixing metric magnitudes up to ~2^60 so the >2^53 range — where the
 // old double-precision filter misclassified — is covered continuously.
 //
-// One level up, RuntimeFastMatchesReferenceEverySync drives two whole
-// HermesRuntimes, one per path, through the same script. There the fast
-// path also skips unchanged-bitmap syncs, so the test pins what the
-// kernel sees after every schedule_and_sync.
+// One level up, RuntimeFastMatchesReferenceEverySync drives a whole
+// HermesRuntime through a seeded script and checks every
+// schedule_and_sync against the reference on the same WST. The runtime
+// also skips unchanged-bitmap syncs, so the test pins what the kernel
+// sees after every sync.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -31,7 +33,6 @@ namespace {
 using core::FilterStage;
 using core::ScheduleResult;
 using core::Scheduler;
-using core::SchedPath;
 using core::WorkerStatusTable;
 
 // All 6 permutations of the three cascade stages.
@@ -86,7 +87,6 @@ TEST(SchedFastDifferentialTest, FastMatchesReferenceBitForBit) {
           core::HermesConfig cfg;
           cfg.theta_ratio = theta;
           Scheduler sched(cfg);
-          sched.set_path(SchedPath::Fast);
           const ScheduleResult fast =
               sched.schedule_with_order(wst, now, order, 3, 0, limit);
           const ScheduleResult ref = sched.schedule_reference_with_order(
@@ -102,6 +102,22 @@ TEST(SchedFastDifferentialTest, FastMatchesReferenceBitForBit) {
     }
   }
   EXPECT_GE(snapshots, 10000u);
+}
+
+// Both implementations of one scheduler over one WST: schedule() and the
+// reference, labelled for failure messages.
+struct BothResults {
+  const char* name;
+  ScheduleResult res;
+};
+std::vector<BothResults> schedule_both(const Scheduler& sched,
+                                       const WorkerStatusTable& wst,
+                                       SimTime now) {
+  const core::HermesConfig& cfg = sched.config();
+  return {{"fast", sched.schedule(wst, now)},
+          {"reference",
+           sched.schedule_reference_with_order(wst, now, cfg.stage_order,
+                                               cfg.num_stages)}};
 }
 
 // Regression for the latent double-rounding bug the fixed-point rewrite
@@ -124,15 +140,13 @@ TEST(SchedFastDifferentialTest, Above2Pow53OverThresholdWorkerIsFiltered) {
 
   core::HermesConfig cfg;
   cfg.theta_ratio = 0.0;
-  Scheduler sched(cfg);
-  for (SchedPath p : {SchedPath::Fast, SchedPath::Reference}) {
-    sched.set_path(p);
-    const ScheduleResult res = sched.schedule(wst, now);
-    EXPECT_TRUE(core::bitmap_test(res.bitmap, 0)) << to_string(p);
-    EXPECT_TRUE(core::bitmap_test(res.bitmap, 1)) << to_string(p);
+  const Scheduler sched(cfg);
+  for (const auto& [name, res] : schedule_both(sched, wst, now)) {
+    EXPECT_TRUE(core::bitmap_test(res.bitmap, 0)) << name;
+    EXPECT_TRUE(core::bitmap_test(res.bitmap, 1)) << name;
     EXPECT_FALSE(core::bitmap_test(res.bitmap, 2))
-        << to_string(p) << ": over-threshold worker passed via rounding";
-    EXPECT_EQ(res.selected, 2u) << to_string(p);
+        << name << ": over-threshold worker passed via rounding";
+    EXPECT_EQ(res.selected, 2u) << name;
   }
 }
 
@@ -150,24 +164,23 @@ TEST(SchedFastDifferentialTest, AllEqualHugeMetricsKeepEveryone) {
   }
   core::HermesConfig cfg;
   cfg.theta_ratio = 0.0;
-  Scheduler sched(cfg);
-  for (SchedPath p : {SchedPath::Fast, SchedPath::Reference}) {
-    sched.set_path(p);
-    const ScheduleResult res = sched.schedule(wst, now);
-    EXPECT_EQ(res.selected, kWorkers) << to_string(p);
+  const Scheduler sched(cfg);
+  for (const auto& [name, res] : schedule_both(sched, wst, now)) {
+    EXPECT_EQ(res.selected, kWorkers) << name;
   }
 }
 
-// The runtime-level differential: two HermesRuntimes, one on each path,
-// replay one seeded script of heartbeats, connection and pending-event
-// deltas and hangs. Steps advance time by under 2 ms, so several syncs
-// land inside one sync_refresh_interval and the fast runtime's change
-// suppression is exercised on both changed and unchanged bitmaps. After
-// every schedule_and_sync the two must agree on the filter result and on
-// every group's kernel-visible bitmap. Worker counts cover one partial
-// group, one full group, a full group plus a one-worker group, and two
-// full groups; every policy runs, since aux policies take their own
-// gather before the sync.
+// The runtime-level differential: one HermesRuntime replays a seeded
+// script of heartbeats, connection and pending-event deltas and hangs.
+// Steps advance time by under 2 ms, so several syncs land inside one
+// sync_refresh_interval and change suppression is exercised on both
+// changed and unchanged bitmaps. After every schedule_and_sync the result
+// must equal schedule_reference_with_order on the same WST slice, and
+// every group's kernel-visible bitmap must equal that group's last
+// reference bitmap: a suppressed store is only correct when the map
+// already holds it. Worker counts cover one partial group, one full
+// group, a full group plus a one-worker group, and two full groups; every
+// policy runs, since aux policies refresh from the same gather.
 TEST(SchedFastDifferentialTest, RuntimeFastMatchesReferenceEverySync) {
   constexpr int kSteps = 1500;
   for (uint32_t workers : {8u, 63u, 64u, 65u, 128u}) {
@@ -178,11 +191,10 @@ TEST(SchedFastDifferentialTest, RuntimeFastMatchesReferenceEverySync) {
       core::HermesRuntime::Options opts;
       opts.num_workers = workers;
       opts.policy = kind;
-      core::HermesRuntime fast(opts);
-      core::HermesRuntime ref(opts);
-      ref.scheduler().set_path(SchedPath::Reference);
-      ASSERT_EQ(fast.scheduler().path(), SchedPath::Fast);
-      core::HermesRuntime* const both[] = {&fast, &ref};
+      core::HermesRuntime rt(opts);
+      const Scheduler& sched = rt.scheduler();
+      const core::HermesConfig& cfg = sched.config();
+      std::vector<core::WorkerBitmap> last_ref(rt.num_groups(), 0);
 
       sim::Rng rng(0x5c41ed00 + workers * 8 + k);
       std::vector<int64_t> conns(workers, 0);
@@ -193,21 +205,21 @@ TEST(SchedFastDifferentialTest, RuntimeFastMatchesReferenceEverySync) {
         now = now + SimTime::micros(static_cast<int64_t>(rng.next_below(2000)));
         for (WorkerId w = 0; w < workers; ++w) {
           if (now >= hung_until[w] && rng.bernoulli(0.5)) {
-            for (auto* rt : both) rt->wst().update_avail(w, now);
+            rt.wst().update_avail(w, now);
           }
           if (rng.bernoulli(0.2)) {
             const int64_t d =
                 static_cast<int64_t>(rng.next_below(7)) - 3;
             const int64_t dc = conns[w] + d < 0 ? -conns[w] : d;
             conns[w] += dc;
-            for (auto* rt : both) rt->wst().add_connections(w, dc);
+            rt.wst().add_connections(w, dc);
           }
           if (rng.bernoulli(0.3)) {
             const int64_t d =
                 static_cast<int64_t>(rng.next_below(9)) - 4;
             const int64_t dp = pending[w] + d < 0 ? -pending[w] : d;
             pending[w] += dp;
-            for (auto* rt : both) rt->wst().add_pending(w, dp);
+            rt.wst().add_pending(w, dp);
           }
         }
         // A hang of 20-120 ms: past the 50 ms threshold, FilterTime drops
@@ -220,29 +232,29 @@ TEST(SchedFastDifferentialTest, RuntimeFastMatchesReferenceEverySync) {
         }
 
         const WorkerId self = static_cast<WorkerId>(rng.next_below(workers));
-        const ScheduleResult a = fast.schedule_and_sync(self, now);
-        const ScheduleResult b = ref.schedule_and_sync(self, now);
+        const uint32_t group = self / rt.workers_per_group();
+        const WorkerId base = group * rt.workers_per_group();
+        const uint32_t limit =
+            std::min(rt.workers_per_group(), workers - base);
+        const ScheduleResult a = rt.schedule_and_sync(self, now);
+        const ScheduleResult b = sched.schedule_reference_with_order(
+            rt.wst(), now, cfg.stage_order, cfg.num_stages, base, limit);
+        last_ref[group] = b.bitmap;
         ASSERT_EQ(a.bitmap, b.bitmap) << "step=" << step;
         ASSERT_EQ(a.after_time, b.after_time) << "step=" << step;
         ASSERT_EQ(a.after_conn, b.after_conn) << "step=" << step;
         ASSERT_EQ(a.after_event, b.after_event) << "step=" << step;
         ASSERT_EQ(a.selected, b.selected) << "step=" << step;
-        // The reference path publishes every sync; the fast path may skip
-        // one only when the map already holds the bitmap, which the
-        // per-group comparison below checks.
-        ASSERT_TRUE(b.published) << "step=" << step;
-        for (uint32_t g = 0; g < fast.num_groups(); ++g) {
-          ASSERT_EQ(fast.kernel_bitmap(g), ref.kernel_bitmap(g))
+        for (uint32_t g = 0; g < rt.num_groups(); ++g) {
+          ASSERT_EQ(rt.kernel_bitmap(g), last_ref[g])
               << "step=" << step << " group=" << g;
         }
       }
-      const auto& fc = fast.counters();
-      const auto& rc = ref.counters();
-      EXPECT_EQ(fc.schedules, rc.schedules);
-      EXPECT_EQ(rc.syncs_suppressed, 0u);
-      EXPECT_GT(fc.syncs_suppressed, 0u);
-      EXPECT_GT(fc.syncs, 0u);
-      EXPECT_EQ(fc.syncs + fc.syncs_suppressed, rc.syncs);
+      const auto& c = rt.counters();
+      EXPECT_EQ(c.schedules, static_cast<uint64_t>(kSteps));
+      EXPECT_GT(c.syncs_suppressed, 0u);
+      EXPECT_GT(c.syncs, 0u);
+      EXPECT_EQ(c.syncs + c.syncs_suppressed, c.schedules);
     }
   }
 }

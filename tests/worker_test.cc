@@ -9,12 +9,14 @@
 namespace hermes::sim {
 namespace {
 
-// Minimal harness around one worker on a reuseport netstack.
+// Minimal harness around one worker on a netstack (reuseport by default).
 class WorkerHarness {
  public:
-  explicit WorkerHarness(Worker::Config wc, uint32_t workers = 1) {
+  explicit WorkerHarness(
+      Worker::Config wc, uint32_t workers = 1,
+      netsim::DispatchMode mode = netsim::DispatchMode::Reuseport) {
     netsim::NetStack::Config nc;
-    nc.mode = netsim::DispatchMode::Reuseport;
+    nc.mode = mode;
     nc.num_workers = workers;
     ns_.emplace(nc);
     ns_->add_port(80);
@@ -101,16 +103,18 @@ TEST(WorkerTest, AcceptsFromOwnSocket) {
 }
 
 TEST(WorkerTest, AdoptConnectionBypassesAcceptPath) {
-  Worker::Config wc;
-  wc.accepts_enabled = false;
-  WorkerHarness h(wc);
+  // UserDispatcher mode: the worker never accepts from the shared socket
+  // itself, so a queued SYN stays there until the dispatcher takes it.
+  WorkerHarness h(Worker::Config{}, 1, netsim::DispatchMode::UserDispatcher);
   netsim::FourTuple t{1, 2, 3, 80};
   const netsim::Connection conn =
       h.ns_->on_connection_request(t, 0, h.eq_.now());
   ASSERT_TRUE(conn.valid());
+  h.eq_.run_until(SimTime::millis(12));
+  EXPECT_EQ(h.accepted_, 0);
+  EXPECT_EQ(h.worker_->accepts_done(), 0u);
   // Simulate the dispatcher's accept + handoff.
-  const netsim::Connection acc =
-      h.ns_->accept(*h.ns_->worker_socket(80, 0), 0);
+  const netsim::Connection acc = h.ns_->accept(*h.ns_->shared_socket(80), 0);
   ASSERT_EQ(acc, conn);
   h.worker_->adopt_connection(acc);
   EXPECT_EQ(h.accepted_, 1);
