@@ -109,7 +109,7 @@ struct Interp {
 
   alignas(8) uint8_t stack[kStackSize] = {};
   uint64_t regs[kNumRegs] = {};
-  RefResult out;
+  RefResult out{};
   size_t pc = 0;
 
   RefResult trap(const std::string& why) {

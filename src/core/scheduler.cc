@@ -213,8 +213,12 @@ WalkOut walk_stage(uint64_t cand, KeepFn&& keep_of, const int64_t* next_metric) 
 //
 // The build targets baseline x86-64, so the dense kernels are compiled
 // per-function for AVX2 and selected once at runtime; every other machine
-// (and every group slice narrower than 64) takes the scalar walks above.
-// Semantics are identical: the lane masks below expand candidate bits so
+// takes the scalar walks above. A slice of `limit` workers is ceil(limit/4)
+// blocks of four lanes. Full blocks load plainly; a partial tail block loads
+// through _mm256_maskload_epi64 under its candidate lanes, and lanes at or
+// past `limit` are never candidates, so no lane past the slice is ever read
+// (schedule_gathered's arrays hold exactly `limit` entries). Semantics are
+// identical to the walks: the lane masks below expand candidate bits so
 // non-candidates contribute neither keep bits nor sum terms.
 #if defined(__x86_64__) && defined(__GNUC__)
 #define HERMES_SCHED_DENSE_SIMD 1
@@ -243,7 +247,7 @@ constexpr LaneMaskTable make_lane_masks() {
 constexpr LaneMaskTable kLaneMasks = make_lane_masks();
 
 __attribute__((target("avx2"))) inline __m256i lane_mask(uint64_t cand,
-                                                         int block) {
+                                                         uint32_t block) {
   return _mm256_load_si256(reinterpret_cast<const __m256i*>(
       kLaneMasks.v[(cand >> (4 * block)) & 15]));
 }
@@ -268,85 +272,104 @@ __attribute__((target("avx2"))) inline uint64_t hor_epi64(__m256i v) {
          static_cast<uint64_t>(_mm_extract_epi64(s, 1));
 }
 
-// FilterTime over all 64 lanes: keep = !(now - enter > hang), same wrapped
-// subtract as the scalar walk, plus the next stage's masked sum.
-template <bool kAccumulate>
-__attribute__((target("avx2"))) WalkOut
-time_stage_dense_avx2(uint64_t cand, const int64_t* enter, int64_t now_ns,
-                      int64_t hang_ns, const int64_t* next_metric) {
-  const __m256i nowv = _mm256_set1_epi64x(now_ns);
-  const __m256i hangv = _mm256_set1_epi64x(hang_ns);
-  __m256i acc = _mm256_setzero_si256();
-  __m256i tag = _mm256_setzero_si256();
-  uint64_t out = 0;
-  for (int b = 0; b < 16; ++b) {
-    const __m256i e =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(enter + 4 * b));
+// Keep masks of the two stage kinds over one block, limited to `lanes`.
+struct TimeKeep {  // !(now - enter > hang), the scalar walk's wrapped subtract
+  int64_t now_ns, hang_ns;
+  __attribute__((target("avx2"))) __m256i operator()(__m256i e,
+                                                     __m256i lanes) const {
     const __m256i hung =
-        _mm256_cmpgt_epi64(_mm256_sub_epi64(nowv, e), hangv);
-    const __m256i keep = _mm256_andnot_si256(hung, lane_mask(cand, b));
+        _mm256_cmpgt_epi64(_mm256_sub_epi64(_mm256_set1_epi64x(now_ns), e),
+                           _mm256_set1_epi64x(hang_ns));
+    return _mm256_andnot_si256(hung, lanes);
+  }
+};
+struct CountKeep {  // ((v <= below) & any) | ((v == equal) & eq_valid)
+  const CountThreshold& th;
+  __attribute__((target("avx2"))) __m256i operator()(__m256i v,
+                                                     __m256i lanes) const {
+    const __m256i keep = _mm256_or_si256(
+        _mm256_andnot_si256(
+            _mm256_cmpgt_epi64(v, _mm256_set1_epi64x(th.below)),
+            _mm256_set1_epi64x(-static_cast<int64_t>(th.any_below))),
+        _mm256_and_si256(
+            _mm256_cmpeq_epi64(v, _mm256_set1_epi64x(th.equal)),
+            _mm256_set1_epi64x(-static_cast<int64_t>(th.eq_valid))));
+    return _mm256_and_si256(keep, lanes);
+  }
+};
+
+// Running state of one dense stage: survivor bits plus the next stage's
+// masked sum and magnitude tags.
+template <bool kAccumulate>
+struct DenseAcc {
+  __m256i sum, tag;
+  uint64_t out = 0;
+
+  __attribute__((target("avx2"))) DenseAcc()
+      : sum(_mm256_setzero_si256()), tag(_mm256_setzero_si256()) {}
+
+  // Block `b`: `v` holds its metric lanes and `lanes` its candidates. The
+  // partial tail block loads the next metric only under the keep mask, so
+  // no lane past the slice is read.
+  template <bool kTail, typename Keep>
+  __attribute__((target("avx2"), always_inline)) void block(
+      uint32_t b, __m256i v, __m256i lanes, const Keep& keep_of,
+      const int64_t* next_metric) {
+    const __m256i keep = keep_of(v, lanes);
     out |= static_cast<uint64_t>(static_cast<uint32_t>(
                _mm256_movemask_pd(_mm256_castsi256_pd(keep))))
            << (4 * b);
     if constexpr (kAccumulate) {
-      const __m256i mv = _mm256_and_si256(
-          _mm256_loadu_si256(
-              reinterpret_cast<const __m256i*>(next_metric + 4 * b)),
-          keep);
-      acc = _mm256_add_epi64(acc, mv);
+      const int64_t* p = next_metric + 4 * b;
+      const __m256i nv =
+          kTail ? _mm256_maskload_epi64(reinterpret_cast<const long long*>(p),
+                                        keep)
+                : _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p));
+      const __m256i mv = _mm256_and_si256(nv, keep);
+      sum = _mm256_add_epi64(sum, mv);
       tag = _mm256_or_si256(tag, mag_tag(mv));
     }
   }
+};
+
+// One cascade step over the ceil(limit/4) blocks of the slice: the keep
+// mask of every candidate lane, plus the next stage's masked sum. Full
+// blocks load plainly; the partial tail block, if any, loads under its
+// candidate lanes.
+template <bool kAccumulate, typename Keep>
+__attribute__((target("avx2"))) WalkOut
+dense_stage_avx2(uint64_t cand, uint32_t limit, const int64_t* m, Keep keep_of,
+                 const int64_t* next_metric) {
+  DenseAcc<kAccumulate> acc;
+  const uint32_t full = limit / 4;
+  for (uint32_t b = 0; b < full; ++b) {
+    acc.template block<false>(
+        b, _mm256_loadu_si256(reinterpret_cast<const __m256i*>(m + 4 * b)),
+        lane_mask(cand, b), keep_of, next_metric);
+  }
+  if (limit % 4 != 0) {
+    const __m256i lanes = lane_mask(cand, full);
+    acc.template block<true>(
+        full,
+        _mm256_maskload_epi64(reinterpret_cast<const long long*>(m + 4 * full),
+                              lanes),
+        lanes, keep_of, next_metric);
+  }
   WalkOut wo;
-  wo.out = out;
+  wo.out = acc.out;
   if constexpr (kAccumulate) {
-    wo.wrap_sum = hsum_epi64(acc);
-    wo.enc_or = hor_epi64(tag);
+    wo.wrap_sum = hsum_epi64(acc.sum);
+    wo.enc_or = hor_epi64(acc.tag);
   }
   return wo;
 }
 
-// FilterCount keep pass over all 64 lanes: keep = ((v <= below) & any) |
-// ((v == equal) & eq_valid), candidates masked per lane.
-template <bool kAccumulate>
-__attribute__((target("avx2"))) WalkOut
-count_stage_dense_avx2(uint64_t cand, const int64_t* m,
-                       const CountThreshold& th, const int64_t* next_metric) {
-  const __m256i below = _mm256_set1_epi64x(th.below);
-  const __m256i equal = _mm256_set1_epi64x(th.equal);
-  const __m256i anym =
-      _mm256_set1_epi64x(-static_cast<int64_t>(th.any_below));
-  const __m256i eqm = _mm256_set1_epi64x(-static_cast<int64_t>(th.eq_valid));
-  __m256i acc = _mm256_setzero_si256();
-  __m256i tag = _mm256_setzero_si256();
-  uint64_t out = 0;
-  for (int b = 0; b < 16; ++b) {
-    const __m256i v =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(m + 4 * b));
-    __m256i keep =
-        _mm256_andnot_si256(_mm256_cmpgt_epi64(v, below), anym);
-    keep = _mm256_or_si256(
-        keep, _mm256_and_si256(_mm256_cmpeq_epi64(v, equal), eqm));
-    keep = _mm256_and_si256(keep, lane_mask(cand, b));
-    out |= static_cast<uint64_t>(static_cast<uint32_t>(
-               _mm256_movemask_pd(_mm256_castsi256_pd(keep))))
-           << (4 * b);
-    if constexpr (kAccumulate) {
-      const __m256i mv = _mm256_and_si256(
-          _mm256_loadu_si256(
-              reinterpret_cast<const __m256i*>(next_metric + 4 * b)),
-          keep);
-      acc = _mm256_add_epi64(acc, mv);
-      tag = _mm256_or_si256(tag, mag_tag(mv));
-    }
-  }
-  WalkOut wo;
-  wo.out = out;
-  if constexpr (kAccumulate) {
-    wo.wrap_sum = hsum_epi64(acc);
-    wo.enc_or = hor_epi64(tag);
-  }
-  return wo;
+template <typename Keep>
+WalkOut dense_stage(uint64_t cand, uint32_t limit, const int64_t* m,
+                    Keep keep_of, const int64_t* next_metric) {
+  return next_metric != nullptr
+             ? dense_stage_avx2<true>(cand, limit, m, keep_of, next_metric)
+             : dense_stage_avx2<false>(cand, limit, m, keep_of, nullptr);
 }
 
 #else
@@ -371,9 +394,11 @@ ScheduleResult run_cascade(const int64_t* loop_enter_ns,
     return nullptr;
   };
 
-  // Dense SIMD kernels process all 64 lanes of a full-width group; sparse
-  // survivor sets and narrower slices take the scalar bit-walks.
-  const bool dense_ok = limit == 64 && dense_simd_available();
+  // Dense SIMD kernels cost one pass over the slice's ceil(limit/4) blocks;
+  // the scalar walks cost one step per candidate. Dense wins once there is
+  // at least one candidate per block (DESIGN.md §8 has the measurement).
+  const bool dense_ok = dense_simd_available();
+  const uint32_t blocks = (limit + 3) / 4;
   const int64_t narrow_cap = (INT64_MAX - 1) / (1000 + tpm);
 
   ScheduleResult res;
@@ -385,18 +410,15 @@ ScheduleResult run_cascade(const int64_t* loop_enter_ns,
     const FilterStage st = order[s];
     const int64_t* next_m =
         s + 1 < num_stages ? column(order[s + 1]) : nullptr;
-    const bool dense = dense_ok && n >= 16;
+    const bool dense = dense_ok && n >= blocks;
 
     WalkOut wo;
     if (st == FilterStage::Time) {
       // Same predicate as is_hung(), evaluated branchlessly per set bit.
 #if HERMES_SCHED_DENSE_SIMD
       if (dense) {
-        wo = next_m != nullptr
-                 ? time_stage_dense_avx2<true>(w, loop_enter_ns, now_ns,
-                                               hang_ns, next_m)
-                 : time_stage_dense_avx2<false>(w, loop_enter_ns, now_ns,
-                                                hang_ns, nullptr);
+        wo = dense_stage(w, limit, loop_enter_ns, TimeKeep{now_ns, hang_ns},
+                         next_m);
       } else
 #endif
       {
@@ -433,9 +455,7 @@ ScheduleResult run_cascade(const int64_t* loop_enter_ns,
       const CountThreshold th = count_threshold(sum, n, tpm, narrow_cap);
 #if HERMES_SCHED_DENSE_SIMD
       if (dense) {
-        wo = next_m != nullptr
-                 ? count_stage_dense_avx2<true>(w, m, th, next_m)
-                 : count_stage_dense_avx2<false>(w, m, th, nullptr);
+        wo = dense_stage(w, limit, m, CountKeep{th}, next_m);
       } else
 #endif
       {

@@ -14,8 +14,10 @@
 //
 // One production implementation plus its oracle (DESIGN.md §8):
 //   * schedule() / schedule_gathered() — one SoA gather over the group
-//     slice, then branchless bit-walking (`w &= w - 1`) over surviving
-//     candidates only. This is the only path a runtime runs;
+//     slice, then per stage either branchless bit-walking (`w &= w - 1`)
+//     over surviving candidates or, on AVX2 with at least one candidate
+//     per 4-lane block, a dense vector pass at any group width. This is
+//     the only path a runtime runs;
 //   * schedule_reference_with_order() — per-worker read() snapshots,
 //     scalar loops over all slots; structurally the obviously-correct
 //     transcription of Algo. 1, kept as a pure function for differential
@@ -95,8 +97,8 @@ class Scheduler {
                                                WorkerId base = 0,
                                                uint32_t limit = 0) const;
 
-  // The cascade over an already-gathered SoA slice (arrays indexed
-  // 0..limit-1). schedule_with_order is a gather followed by this call;
+  // The cascade over an already-gathered SoA slice (arrays of exactly
+  // `limit` entries; nothing past them is read). schedule_with_order is a gather followed by this call;
   // HermesRuntime::schedule_and_sync calls it directly so the policy's
   // aux refresh reads the same arrays.
   ScheduleResult schedule_gathered(const int64_t* loop_enter_ns,

@@ -3,7 +3,8 @@
 //
 // Layout and concurrency discipline follow the paper exactly:
 //   * the table is partitioned by worker — each worker writes only its own
-//     cache-line-aligned slot, so writers never contend;
+//     cache-line-aligned slot, so writers never contend, and each counter
+//     update is a relaxed load and store rather than an atomic RMW;
 //   * each metric is an independent atomic word: a reader may observe a
 //     *set* of metrics mid-update (no seqlock, no reader/writer locks), but
 //     never a torn individual value — the paper argues (§5.3.1) that
@@ -22,6 +23,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <new>
+#include <type_traits>
 
 #include "util/check.h"
 #include "util/types.h"
@@ -76,15 +78,20 @@ class WorkerStatusTable {
   uint32_t num_workers() const { return header_->num_workers; }
 
   // ---- writer side (each worker touches only its own slot) -------------
+  // One writer per slot, so the counters are a relaxed load plus a relaxed
+  // store, not a lock-prefixed fetch_add: no other writer can interleave,
+  // and readers still see untorn words (the obs::Counter::add discipline).
+  // Two threads writing one slot would lose updates.
   void update_avail(WorkerId w, SimTime now) {
-    slot(w).loop_enter_ns.store(now.ns(), std::memory_order_release);
-    slot(w).loop_iterations.fetch_add(1, std::memory_order_relaxed);
+    WorkerSlot& s = slot(w);
+    s.loop_enter_ns.store(now.ns(), std::memory_order_release);
+    bump(s.loop_iterations, uint64_t{1});
   }
   void add_pending(WorkerId w, int64_t delta) {
-    slot(w).pending_events.fetch_add(delta, std::memory_order_relaxed);
+    bump(slot(w).pending_events, delta);
   }
   void add_connections(WorkerId w, int64_t delta) {
-    slot(w).connections.fetch_add(delta, std::memory_order_relaxed);
+    bump(slot(w).connections, delta);
   }
 
   // ---- reader side (any worker's embedded scheduler) -------------------
@@ -123,6 +130,15 @@ class WorkerStatusTable {
  private:
   WorkerStatusTable(Header* h, WorkerSlot* slots)
       : header_(h), slots_(slots) {}
+
+  // Wrapping add, as fetch_add is; only the slot's own worker calls it.
+  template <typename T>
+  static void bump(std::atomic<T>& v, T delta) {
+    using U = std::make_unsigned_t<T>;
+    v.store(static_cast<T>(static_cast<U>(v.load(std::memory_order_relaxed)) +
+                           static_cast<U>(delta)),
+            std::memory_order_relaxed);
+  }
 
   WorkerSlot& slot(WorkerId w) {
     HERMES_DCHECK(w < header_->num_workers);

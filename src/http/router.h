@@ -35,7 +35,7 @@ struct Rule {
   std::string host;
   // Path match: prefix ("/static/") or exact ("=/health").
   std::string path_prefix;
-  std::optional<Method> method;  // nullopt = any
+  std::optional<Method> method{};  // nullopt = any
   uint32_t backend_pool = 0;
   Actions actions{};
 };

@@ -206,11 +206,16 @@ class IoSegment {
   void retain() { ++refs_; }
   void release() {
     HERMES_DCHECK(refs_ > 0);
-    if (--refs_ == 0) {
-      ++iobuf_stats().segments_freed;
-      this->~IoSegment();
-      ::operator delete(static_cast<void*>(this));
-    }
+    if (--refs_ == 0) destroy(this);
+  }
+  // The last reference's free path, out of line: it is release()'s cold
+  // end, and keeping the deallocation out of callers that inline
+  // release() leaves GCC's -Wuse-after-free, which cannot follow the
+  // reference count, no false path to report.
+  [[gnu::cold, gnu::noinline]] static void destroy(IoSegment* seg) {
+    ++iobuf_stats().segments_freed;
+    seg->~IoSegment();
+    ::operator delete(static_cast<void*>(seg));
   }
 
   uint32_t refs_ = 1;

@@ -115,8 +115,8 @@ INSTANTIATE_TEST_SUITE_P(
                     return static_cast<uint32_t>(
                         static_cast<int32_t>(lo(x)) >> (y & 31));
                   }}),
-    [](const ::testing::TestParamInfo<Alu32Case>& info) {
-      return info.param.name;
+    [](const ::testing::TestParamInfo<Alu32Case>& case_info) {
+      return case_info.param.name;
     });
 
 TEST(Alu32Test, Neg32ZeroExtends) {

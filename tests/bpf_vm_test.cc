@@ -435,8 +435,8 @@ INSTANTIATE_TEST_SUITE_P(
                   return static_cast<uint64_t>(static_cast<int64_t>(x) >>
                                                (y & 63));
                 }}),
-    [](const ::testing::TestParamInfo<AluCase>& info) {
-      return info.param.name;
+    [](const ::testing::TestParamInfo<AluCase>& case_info) {
+      return case_info.param.name;
     });
 
 }  // namespace

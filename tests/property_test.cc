@@ -46,7 +46,9 @@ TEST_P(SchedulerPropertyTest, InvariantsHoldOnRandomTables) {
 
   // 1. No hung worker is ever selected.
   for (WorkerId w = 0; w < workers; ++w) {
-    if (hung[w]) EXPECT_FALSE(core::bitmap_test(res.bitmap, w));
+    if (hung[w]) {
+      EXPECT_FALSE(core::bitmap_test(res.bitmap, w));
+    }
   }
   // 2. Bitmap never names workers beyond the table.
   for (WorkerId w = workers; w < 64; ++w) {

@@ -5,9 +5,14 @@
 // 128-bit fixed-point threshold math, differing only in traversal (scalar
 // loops over per-worker snapshots vs one SoA gather + set-bit walking).
 // The differential sweep here crosses >=10k randomized WST snapshots with
-// all 6 stage orders, theta in {0, 0.1, 0.5} and group limits {1, 2, 63,
-// 64}, mixing metric magnitudes up to ~2^60 so the >2^53 range — where the
-// old double-precision filter misclassified — is covered continuously.
+// all 6 stage orders, theta in {0, 0.1, 0.5} and group limits from 1 to 64
+// (full and partial 4-lane tail blocks of the dense lane), mixing metric
+// magnitudes up to ~2^60 so the >2^53 range — where the old
+// double-precision filter misclassified — is covered continuously. The
+// share of live workers varies per snapshot, so later stages see candidate
+// counts on both sides of the dense/scalar crossover (one candidate per
+// block). DenseTailReadsNoLanePastLimit puts each gathered column against
+// an unmapped page, so a read past `limit` faults in any build.
 //
 // One level up, RuntimeFastMatchesReferenceEverySync drives a whole
 // HermesRuntime through a seeded script and checks every
@@ -15,6 +20,8 @@
 // also skips unchanged-bitmap syncs, so the test pins what the kernel
 // sees after every sync.
 #include <gtest/gtest.h>
+#include <sys/mman.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <cstdint>
@@ -26,6 +33,7 @@
 #include "core/wst.h"
 #include "simcore/rng.h"
 #include "test_util.h"
+#include "util/check.h"
 
 namespace hermes {
 namespace {
@@ -45,7 +53,9 @@ constexpr FilterStage kOrders[6][3] = {
     {FilterStage::PendingEvents, FilterStage::Connections, FilterStage::Time},
 };
 constexpr double kThetas[] = {0.0, 0.1, 0.5};
-constexpr uint32_t kLimits[] = {1, 2, 63, 64};
+constexpr uint32_t kLimits[] = {1, 2, 16, 17, 30, 31, 32, 33, 48, 63, 64};
+// Per-snapshot share of workers with a fresh heartbeat.
+constexpr double kLiveShares[] = {0.05, 0.3, 0.7, 1.0};
 
 // A metric value of varied magnitude: mostly small counts, sometimes huge
 // (beyond 2^53, where double rounding is lossy).
@@ -68,14 +78,20 @@ TEST(SchedFastDifferentialTest, FastMatchesReferenceBitForBit) {
     auto buf = testing::wst_buffer(limit);
     for (int iter = 0; iter < 2500; ++iter) {
       auto wst = WorkerStatusTable::init(buf.data(), limit);
+      const double live = kLiveShares[iter % 4];
       for (WorkerId w = 0; w < limit; ++w) {
-        // Heartbeats spread across [now - 100ms, now]: both sides of the
-        // 50 ms hang threshold, plus never-started workers.
-        if (rng.bernoulli(0.1)) {
+        // Live heartbeats in [now - 50ms, now] (50 ms is the hang
+        // threshold, still alive); stale ones in (now - 100ms, now - 50ms)
+        // or never started.
+        if (rng.bernoulli(live)) {
+          wst.update_avail(
+              w, now - SimTime::millis(static_cast<int64_t>(rng.next_below(51))));
+        } else if (rng.bernoulli(0.2)) {
           wst.update_avail(w, SimTime::zero());
         } else {
           wst.update_avail(
-              w, now - SimTime::millis(static_cast<int64_t>(rng.next_below(100))));
+              w, now - SimTime::millis(
+                           51 + static_cast<int64_t>(rng.next_below(49))));
         }
         wst.add_connections(w, random_metric(rng));
         wst.add_pending(w, random_metric(rng));
@@ -102,6 +118,63 @@ TEST(SchedFastDifferentialTest, FastMatchesReferenceBitForBit) {
     }
   }
   EXPECT_GE(snapshots, 10000u);
+}
+
+// One column of `n` int64 values ending exactly at an unmapped page.
+class GuardedColumn {
+ public:
+  explicit GuardedColumn(uint32_t n) {
+    page_ = static_cast<size_t>(sysconf(_SC_PAGESIZE));
+    base_ = mmap(nullptr, 2 * page_, PROT_READ | PROT_WRITE,
+                 MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    HERMES_CHECK(base_ != MAP_FAILED);
+    HERMES_CHECK(mprotect(static_cast<char*>(base_) + page_, page_,
+                          PROT_NONE) == 0);
+    data_ = reinterpret_cast<int64_t*>(static_cast<char*>(base_) + page_) - n;
+  }
+  ~GuardedColumn() { munmap(base_, 2 * page_); }
+  GuardedColumn(const GuardedColumn&) = delete;
+  GuardedColumn& operator=(const GuardedColumn&) = delete;
+  int64_t* data() { return data_; }
+
+ private:
+  size_t page_ = 0;
+  void* base_ = nullptr;
+  int64_t* data_ = nullptr;
+};
+
+// schedule_gathered reads arrays of exactly `limit`: at every width, with
+// each column flush against a PROT_NONE page, the cascade (dense or
+// scalar, every stage order) must run without faulting and match the
+// reference on the same values.
+TEST(SchedFastDifferentialTest, DenseTailReadsNoLanePastLimit) {
+  sim::Rng rng(0x7a11);
+  const SimTime now = SimTime::seconds(100);
+  for (uint32_t limit = 1; limit <= 64; ++limit) {
+    GuardedColumn enter(limit), pending(limit), conns(limit);
+    auto buf = testing::wst_buffer(limit);
+    for (int iter = 0; iter < 20; ++iter) {
+      auto wst = WorkerStatusTable::init(buf.data(), limit);
+      for (WorkerId w = 0; w < limit; ++w) {
+        wst.update_avail(
+            w, rng.bernoulli(0.8) ? now : now - SimTime::millis(60));
+        wst.add_connections(w, static_cast<int64_t>(rng.next_below(20)));
+        wst.add_pending(w, static_cast<int64_t>(rng.next_below(20)));
+      }
+      wst.gather(0, limit, enter.data(), pending.data(), conns.data());
+      Scheduler sched(core::HermesConfig{});
+      for (const auto& order : kOrders) {
+        const ScheduleResult fast = sched.schedule_gathered(
+            enter.data(), pending.data(), conns.data(), limit, now, order, 3);
+        const ScheduleResult ref =
+            sched.schedule_reference_with_order(wst, now, order, 3, 0, limit);
+        ASSERT_EQ(fast.bitmap, ref.bitmap) << "limit=" << limit;
+        ASSERT_EQ(fast.after_time, ref.after_time);
+        ASSERT_EQ(fast.after_conn, ref.after_conn);
+        ASSERT_EQ(fast.after_event, ref.after_event);
+      }
+    }
+  }
 }
 
 // Both implementations of one scheduler over one WST: schedule() and the

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <optional>
+#include <vector>
 
 #include "sim/worker.h"
 
@@ -14,15 +15,19 @@ class WorkerHarness {
  public:
   explicit WorkerHarness(
       Worker::Config wc, uint32_t workers = 1,
-      netsim::DispatchMode mode = netsim::DispatchMode::Reuseport) {
+      netsim::DispatchMode mode = netsim::DispatchMode::Reuseport,
+      const std::vector<PortId>& ports = {80}) {
     netsim::NetStack::Config nc;
     nc.mode = mode;
     nc.num_workers = workers;
     ns_.emplace(nc);
-    ns_->add_port(80);
+    for (PortId p : ports) ns_->add_port(p);
 
     Worker::Host host;
-    host.on_accepted = [this](Worker&, netsim::Connection) { ++accepted_; };
+    host.on_accepted = [this](Worker&, netsim::Connection c) {
+      ++accepted_;
+      accepted_ports_.push_back(c.port());
+    };
     host.on_request_done = [this](Worker&, const Request& r) {
       done_.push_back(r.id);
     };
@@ -48,6 +53,7 @@ class WorkerHarness {
   std::optional<netsim::NetStack> ns_;
   std::optional<Worker> worker_;
   int accepted_ = 0;
+  std::vector<PortId> accepted_ports_;
   std::vector<RequestId> done_;
 };
 
@@ -100,6 +106,29 @@ TEST(WorkerTest, AcceptsFromOwnSocket) {
   EXPECT_EQ(h.accepted_, 1);
   EXPECT_EQ(h.worker_->live_connections(), 1);
   EXPECT_EQ(h.worker_->accepts_done(), 1u);
+}
+
+// collect_batch takes one accept per ready socket in port (bind) order,
+// whatever order the SYNs arrived in: 70 ports, bound in an order unlike
+// their numbers, each get one SYN in reverse bind order; every fifth port
+// stays idle.
+TEST(WorkerTest, AcceptsInPortOrder) {
+  std::vector<PortId> ports;
+  for (uint32_t i = 0; i < 70; ++i) {
+    ports.push_back(static_cast<PortId>(1000 + (i * 37) % 70));
+  }
+  WorkerHarness h(Worker::Config{}, 1, netsim::DispatchMode::Reuseport,
+                  ports);
+  std::vector<PortId> expected;
+  for (size_t i = 0; i < ports.size(); ++i) {
+    if (i % 5 != 4) expected.push_back(ports[i]);
+  }
+  for (auto it = expected.rbegin(); it != expected.rend(); ++it) {
+    netsim::FourTuple t{1, 2, static_cast<uint16_t>(*it), *it};
+    ASSERT_TRUE(h.ns_->on_connection_request(t, 0, h.eq_.now()).valid());
+  }
+  h.eq_.run_until(SimTime::millis(5));
+  EXPECT_EQ(h.accepted_ports_, expected);
 }
 
 TEST(WorkerTest, AdoptConnectionBypassesAcceptPath) {
