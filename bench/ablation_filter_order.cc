@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "bench/bench_common.h"
+#include "simcore/histogram.h"
 
 using namespace hermes;
 using namespace hermes::bench;

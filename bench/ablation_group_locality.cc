@@ -8,6 +8,7 @@
 #include <set>
 
 #include "bench/bench_common.h"
+#include "simcore/histogram.h"
 
 using namespace hermes;
 using namespace hermes::bench;

@@ -6,6 +6,7 @@
 #include <cstdio>
 
 #include "bench/bench_common.h"
+#include "simcore/histogram.h"
 
 using namespace hermes;
 using namespace hermes::bench;

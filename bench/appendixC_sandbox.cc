@@ -24,7 +24,7 @@ struct PhaseStats {
 };
 
 PhaseStats run_phase(sim::Fleet& fleet, bool attack, SimTime dur) {
-  sim::Histogram victims{5};
+  obs::Histogram victims{5};
   for (size_t d = 0; d < fleet.device_count(); ++d) {
     fleet.device(d).set_request_done_fn(
         [&victims](TenantId tenant, SimTime latency) {

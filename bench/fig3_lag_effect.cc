@@ -43,7 +43,7 @@ void run_mode(netsim::DispatchMode mode, BenchJson& json) {
   for (int sec = 1; sec <= 9; ++sec) {
     lb.eq().run_until(SimTime::seconds(sec));
     auto window = lb.take_window_latency();
-    if (window.count() == 0) {
+    if (window.count == 0) {
       std::printf("     idle |");
     } else {
       const double p999_ms = static_cast<double>(window.p999()) / 1e6;

@@ -31,11 +31,12 @@ int main(int argc, char** argv) {
     std::printf("W%-8u %8ld %8ld %8ld %8ld %8.2f %10lu\n", w,
                 static_cast<long>(h.p50()), static_cast<long>(h.p90()),
                 static_cast<long>(h.p99()), static_cast<long>(h.max_value()),
-                h.mean(), static_cast<unsigned long>(h.count()));
-    const std::string prefix = "w" + std::to_string(w);
+                h.mean(), static_cast<unsigned long>(h.count));
+    std::string prefix = "w";
+    prefix += std::to_string(w);
     json.metric(prefix + ".events_p99", static_cast<double>(h.p99()));
     json.metric(prefix + ".events_mean", h.mean());
-    json.metric(prefix + ".waits", static_cast<double>(h.count()));
+    json.metric(prefix + ".waits", static_cast<double>(h.count));
   }
   std::printf("\nShape: the LIFO-favoured worker (highest id) collects far"
               " more events per\nwait than its siblings — the skew of paper"

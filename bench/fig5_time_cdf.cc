@@ -34,8 +34,9 @@ int main(int argc, char** argv) {
                 static_cast<double>(h.p90()) / 1e3,
                 static_cast<double>(h.p99()) / 1e3,
                 static_cast<double>(h.max_value()) / 1e3);
-    json.metric("w" + std::to_string(w) + ".proc_p99_us",
-                static_cast<double>(h.p99()) / 1e3);
+    std::string prefix = "w";
+    prefix += std::to_string(w);
+    json.metric(prefix + ".proc_p99_us", static_cast<double>(h.p99()) / 1e3);
   }
 
   subheader("(b) epoll_wait blocking time (ms; timeout = 5 ms)");
@@ -53,7 +54,8 @@ int main(int argc, char** argv) {
         static_cast<double>(
             std::max<uint64_t>(1, lb.worker(w).loop_iterations()));
     std::printf(" %11.1f%%\n", wasted_pct);
-    const std::string prefix = "w" + std::to_string(w);
+    std::string prefix = "w";
+    prefix += std::to_string(w);
     json.metric(prefix + ".block_p50_ms",
                 static_cast<double>(h.p50()) / 1e6);
     json.metric(prefix + ".wasted_pct", wasted_pct);

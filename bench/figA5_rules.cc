@@ -9,6 +9,7 @@
 #include "bench/bench_common.h"
 #include "http/cost_model.h"
 #include "http/router.h"
+#include "simcore/histogram.h"
 
 using namespace hermes;
 using namespace hermes::bench;
@@ -38,25 +39,32 @@ int main(int argc, char** argv) {
   http::CostModel cost_model;
   std::printf("%-12s %16s %14s\n", "#rules", "rules examined",
               "est. cost (us)");
+  const auto host = [](size_t i) {
+    std::string h = "t";
+    h += std::to_string(i);
+    h += ".example.com";
+    return h;
+  };
   for (size_t n : {1, 10, 50, 200, 1000}) {
     http::RouteTable rt;
     for (size_t i = 0; i < n; ++i) {
-      rt.add_rule({.host = "t" + std::to_string(i) + ".example.com",
+      rt.add_rule({.host = host(i),
                    .path_prefix = "/",
                    .backend_pool = static_cast<uint32_t>(i)});
     }
     http::Request req;
     req.method = http::Method::Get;
     req.path = "/index";
-    req.headers.add("Host", "t" + std::to_string(n - 1) + ".example.com");
+    req.headers.add("Host", host(n - 1));
     const auto m = rt.match(req);
     http::RequestShape shape;
     shape.bytes = 2048;
     shape.rules_examined = m.rules_examined;
     std::printf("%-12zu %16zu %14.1f\n", n, m.rules_examined,
                 cost_model.cost(shape).us_f());
-    json.metric("rules" + std::to_string(n) + ".cost_us",
-                cost_model.cost(shape).us_f());
+    std::string key = "rules";
+    key += std::to_string(n);
+    json.metric(key + ".cost_us", cost_model.cost(shape).us_f());
   }
   std::printf("\nShape: rule counts are heavy-tailed across ports, and"
               " per-request routing\ncost scales with the examined rules —"

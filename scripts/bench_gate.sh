@@ -25,8 +25,9 @@
 #   proxy_path        zero-copy L7 forwarding vs the copy oracle; gates
 #                     bytes-memcpy'd/request, stream-match flags,
 #                     allocs/request, and the sim leg's data-plane counts
-#                     (the >=2x speedup check is enforced by the bench
-#                     binary itself, which exits non-zero on miss)
+#                     (stream match, zero memcpy and the allocation drop
+#                     are also enforced by the bench binary itself, which
+#                     exits non-zero on a miss; the speedup is printed)
 #   fig11_cluster     canary release on a Fleet (2 epoll-exclusive devices,
 #                     then 2 Hermes devices added and the old pair
 #                     drained); gates the per-day delayed-probe rate and

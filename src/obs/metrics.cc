@@ -1,15 +1,60 @@
 #include "obs/metrics.h"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 
 #include "obs/json.h"
 
 namespace hermes::obs {
 
+uint64_t Histogram::bucket_lower(size_t idx, uint32_t bits) {
+  const uint64_t sub_count = 1ull << bits;
+  const uint64_t group = idx / sub_count;
+  const uint64_t sub = idx % sub_count;
+  if (group == 0) return sub;
+  return (sub_count + sub) << (group - 1);
+}
+
+uint64_t Histogram::bucket_upper(size_t idx, uint32_t bits) {
+  const uint64_t sub_count = 1ull << bits;
+  const uint64_t group = idx / sub_count;
+  if (group == 0) return idx % sub_count;
+  return bucket_lower(idx, bits) + ((1ull << (group - 1)) - 1);
+}
+
+uint64_t Histogram::quantile(double q) const {
+  if (count == 0) return 0;
+  HERMES_DCHECK(q >= 0.0 && q <= 1.0);
+  auto target = static_cast<uint64_t>(
+      std::ceil(q * static_cast<double>(count)));
+  if (target == 0) target = 1;
+  uint64_t seen = 0;
+  for (size_t i = 0; i < buckets.size(); ++i) {
+    seen += buckets[i];
+    if (seen >= target) return std::min(bucket_upper(i, sub_bits), max);
+  }
+  return max;
+}
+
+void Histogram::merge(const Histogram& o) {
+  HERMES_CHECK(sub_bits == o.sub_bits && buckets.size() == o.buckets.size());
+  for (size_t i = 0; i < buckets.size(); ++i) buckets[i] += o.buckets[i];
+  count += o.count;
+  sum += o.sum;
+  max = std::max(max, o.max);
+}
+
+void Histogram::reset() {
+  std::fill(buckets.begin(), buckets.end(), 0);
+  count = 0;
+  sum = 0;
+  max = 0;
+}
+
 LogHistogram::LogHistogram(uint32_t shards, uint32_t sub_bits)
-    : n_(shards), sub_bits_(sub_bits), num_buckets_(bucket_count(sub_bits)) {
+    : n_(shards),
+      sub_bits_(sub_bits),
+      num_buckets_(Histogram::bucket_count(sub_bits)) {
   HERMES_CHECK(shards > 0 && sub_bits >= 1 && sub_bits <= 8);
   // Pad the per-shard stride to a whole number of cache lines so adjacent
   // shards never share one.
@@ -20,75 +65,24 @@ LogHistogram::LogHistogram(uint32_t shards, uint32_t sub_bits)
   for (size_t i = 0; i < stride_ * n_; ++i) {
     buckets_[i].store(0, std::memory_order_relaxed);
   }
-  sums_ = std::make_unique<PaddedSum[]>(n_);
+  totals_ = std::make_unique<ShardTotals[]>(n_);
 }
 
-size_t LogHistogram::bucket_index(uint64_t v, uint32_t sub_bits) {
-  const uint64_t sub_count = 1ull << sub_bits;
-  if (v < sub_count) return static_cast<size_t>(v);
-  const int msb = 63 - std::countl_zero(v);
-  const auto bucket = static_cast<uint32_t>(msb) - sub_bits + 1;
-  const uint64_t sub = (v >> (static_cast<uint32_t>(msb) - sub_bits)) &
-                       (sub_count - 1);
-  return static_cast<size_t>(bucket) * sub_count + static_cast<size_t>(sub);
-}
-
-uint64_t LogHistogram::bucket_lower(size_t idx, uint32_t sub_bits) {
-  const uint64_t sub_count = 1ull << sub_bits;
-  const uint64_t bucket = idx / sub_count;
-  const uint64_t sub = idx % sub_count;
-  if (bucket == 0) return sub;
-  const uint32_t shift = static_cast<uint32_t>(bucket) - 1;
-  return (sub_count + sub) << shift;
-}
-
-uint64_t LogHistogram::bucket_upper(size_t idx, uint32_t sub_bits) {
-  const uint64_t sub_count = 1ull << sub_bits;
-  const uint64_t bucket = idx / sub_count;
-  const uint64_t sub = idx % sub_count;
-  if (bucket == 0) return sub;
-  const uint32_t shift = static_cast<uint32_t>(bucket) - 1;
-  const uint64_t base = (sub_count + sub) << shift;
-  return base + ((1ull << shift) - 1);
-}
-
-uint64_t LogHistogram::Snapshot::quantile(double q) const {
-  if (count == 0) return 0;
-  HERMES_DCHECK(q >= 0.0 && q <= 1.0);
-  auto target = static_cast<uint64_t>(
-      std::ceil(q * static_cast<double>(count)));
-  if (target == 0) target = 1;
-  uint64_t seen = 0;
-  for (size_t i = 0; i < buckets.size(); ++i) {
-    seen += buckets[i];
-    if (seen >= target) return bucket_upper(i, sub_bits);
-  }
-  return bucket_upper(buckets.size() - 1, sub_bits);
-}
-
-void LogHistogram::Snapshot::merge(const Snapshot& o) {
-  HERMES_CHECK(sub_bits == o.sub_bits && buckets.size() == o.buckets.size());
-  for (size_t i = 0; i < buckets.size(); ++i) buckets[i] += o.buckets[i];
-  count += o.count;
-  sum += o.sum;
-}
-
-LogHistogram::Snapshot LogHistogram::shard_snapshot(uint32_t shard) const {
+Histogram LogHistogram::shard_snapshot(uint32_t shard) const {
   HERMES_DCHECK(shard < n_);
-  Snapshot s;
-  s.sub_bits = sub_bits_;
-  s.buckets.resize(num_buckets_);
+  Histogram s(sub_bits_);
   const size_t base = static_cast<size_t>(shard) * stride_;
   for (uint32_t i = 0; i < num_buckets_; ++i) {
     s.buckets[i] = buckets_[base + i].load(std::memory_order_relaxed);
     s.count += s.buckets[i];
   }
-  s.sum = sums_[shard].v.load(std::memory_order_relaxed);
+  s.sum = totals_[shard].sum.load(std::memory_order_relaxed);
+  s.max = totals_[shard].max.load(std::memory_order_relaxed);
   return s;
 }
 
-LogHistogram::Snapshot LogHistogram::snapshot() const {
-  Snapshot merged = shard_snapshot(0);
+Histogram LogHistogram::snapshot() const {
+  Histogram merged = shard_snapshot(0);
   for (uint32_t s = 1; s < n_; ++s) merged.merge(shard_snapshot(s));
   return merged;
 }

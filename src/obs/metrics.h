@@ -2,9 +2,16 @@
 // for the dispatch pipeline (paper Table 5 — instrumentation must stay in
 // the noise of the event-loop hot path).
 //
+// Histogram is the repository's one log-linear histogram: a plain value
+// type holding the bucket geometry and the quantile routine. The simulator
+// records its own distributions into it (sim::LbDevice latency, the
+// per-worker Figs. 4/5 series), and LogHistogram, the sharded recorder
+// below, returns one from every snapshot.
+//
 // Hot-path discipline:
 //   * integer-only updates — one relaxed load+store pair, no floats, no
-//     branches beyond the bucket index. Each shard has a single writer
+//     branches beyond the bucket index and a histogram shard's max
+//     compare. Each shard has a single writer
 //     (the owning worker), so no lock-prefixed RMW is needed: a plain
 //     add compiles out of the load/store pair, exactly the WST's
 //     single-writer-slot argument (§5.3.1). Atomics are for the readers —
@@ -21,6 +28,7 @@
 #pragma once
 
 #include <atomic>
+#include <bit>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -89,58 +97,91 @@ class Gauge {
 };
 
 // Log-linear histogram over uint64 values: 2^sub_bits linear sub-buckets
-// per power of two (same scheme as sim::Histogram, but integer-only atomic
-// buckets and per-worker shards). Relative error <= 2^-sub_bits.
+// per power of two, so the relative error is <= 2^-sub_bits. A plain value
+// type (see the file comment), so snapshots merge in any association order.
+struct Histogram {
+  Histogram() : Histogram(5) {}
+  explicit Histogram(uint32_t bits)
+      : buckets(bucket_count(bits), 0), sub_bits(bits) {}
+
+  std::vector<uint64_t> buckets;
+  uint64_t count = 0;
+  uint64_t sum = 0;
+  uint64_t max = 0;  // largest recorded value; every quantile is clamped to it
+  uint32_t sub_bits = 0;
+
+  void record(uint64_t v) {
+    ++buckets[bucket_index(v, sub_bits)];
+    ++count;
+    sum += v;
+    if (v > max) max = v;
+  }
+  // A negative duration records as 0.
+  void record(SimTime t) {
+    record(static_cast<uint64_t>(t.ns() < 0 ? 0 : t.ns()));
+  }
+
+  double mean() const {
+    return count ? static_cast<double>(sum) / static_cast<double>(count) : 0;
+  }
+  uint64_t max_value() const { return max; }
+  // Upper edge of the bucket holding the ceil(q*count)-th smallest value,
+  // clamped to max; q in [0,1], 0 when empty.
+  uint64_t quantile(double q) const;
+  uint64_t p50() const { return quantile(0.50); }
+  uint64_t p90() const { return quantile(0.90); }
+  uint64_t p99() const { return quantile(0.99); }
+  uint64_t p999() const { return quantile(0.999); }
+  void merge(const Histogram& o);
+  void reset();
+  friend bool operator==(const Histogram&, const Histogram&) = default;
+
+  // ---- bucket geometry -------------------------------------------------
+  // Power-of-two groups 0..64-sub_bits (group g>0 covers msb == g-1+sub_bits,
+  // group 64-sub_bits covers msb == 63), each with 2^sub_bits sub-buckets.
+  static uint32_t bucket_count(uint32_t bits) { return (65 - bits) << bits; }
+  static size_t bucket_index(uint64_t v, uint32_t bits) {
+    const uint64_t sub_count = 1ull << bits;
+    if (v < sub_count) return static_cast<size_t>(v);
+    const auto msb = static_cast<uint32_t>(63 - std::countl_zero(v));
+    const uint64_t sub = (v >> (msb - bits)) & (sub_count - 1);
+    return static_cast<size_t>(msb - bits + 1) * sub_count +
+           static_cast<size_t>(sub);
+  }
+  // Inclusive value range covered by bucket `idx`.
+  static uint64_t bucket_lower(size_t idx, uint32_t bits);
+  static uint64_t bucket_upper(size_t idx, uint32_t bits);
+};
+
+// The sharded recorder over Histogram: integer-only atomic buckets, a sum
+// and a max per worker shard.
 class LogHistogram {
  public:
+  using Snapshot = Histogram;  // the name perfbench reads snapshots by
+
   explicit LogHistogram(uint32_t shards, uint32_t sub_bits = 2);
 
   // Same single-writer-per-shard contract as Counter.
   void record(uint32_t shard, uint64_t v) {
     HERMES_DCHECK(shard < n_);
     const size_t base = static_cast<size_t>(shard) * stride_;
-    auto& bucket = buckets_[base + bucket_index(v, sub_bits_)];
+    auto& bucket = buckets_[base + Histogram::bucket_index(v, sub_bits_)];
     bucket.store(bucket.load(std::memory_order_relaxed) + 1,
                  std::memory_order_relaxed);
-    auto& sum = sums_[shard].v;
-    sum.store(sum.load(std::memory_order_relaxed) + v,
-              std::memory_order_relaxed);
+    auto& totals = totals_[shard];
+    totals.sum.store(totals.sum.load(std::memory_order_relaxed) + v,
+                     std::memory_order_relaxed);
+    if (v > totals.max.load(std::memory_order_relaxed)) {
+      totals.max.store(v, std::memory_order_relaxed);
+    }
   }
 
   uint32_t shards() const { return n_; }
   uint32_t sub_bits() const { return sub_bits_; }
   uint32_t num_buckets() const { return num_buckets_; }
 
-  // ---- bucket geometry (exposed for the boundary property tests) -------
-  // Power-of-two groups 0..64-sub_bits (group g>0 covers msb == g-1+sub_bits,
-  // group 64-sub_bits covers msb == 63), each with 2^sub_bits sub-buckets.
-  static uint32_t bucket_count(uint32_t sub_bits) {
-    return (65 - sub_bits) << sub_bits;
-  }
-  static size_t bucket_index(uint64_t v, uint32_t sub_bits);
-  // Inclusive value range covered by bucket `idx`.
-  static uint64_t bucket_lower(size_t idx, uint32_t sub_bits);
-  static uint64_t bucket_upper(size_t idx, uint32_t sub_bits);
-
-  // A merged (or per-shard) read-side view. Plain integers — snapshots are
-  // value types the tests can merge in any association order.
-  struct Snapshot {
-    std::vector<uint64_t> buckets;
-    uint64_t count = 0;
-    uint64_t sum = 0;
-    uint32_t sub_bits = 0;
-
-    double mean() const {
-      return count ? static_cast<double>(sum) / static_cast<double>(count) : 0;
-    }
-    // Representative (upper-edge) value at quantile q in [0,1].
-    uint64_t quantile(double q) const;
-    uint64_t p50() const { return quantile(0.50); }
-    uint64_t p99() const { return quantile(0.99); }
-    void merge(const Snapshot& o);
-  };
-  Snapshot snapshot() const;               // all shards merged
-  Snapshot shard_snapshot(uint32_t shard) const;
+  Histogram snapshot() const;  // all shards merged
+  Histogram shard_snapshot(uint32_t shard) const;
 
  private:
   uint32_t n_;
@@ -148,10 +189,11 @@ class LogHistogram {
   uint32_t num_buckets_;
   size_t stride_;  // bucket entries per shard, padded to a cache line
   std::unique_ptr<std::atomic<uint64_t>[]> buckets_;
-  struct alignas(64) PaddedSum {
-    std::atomic<uint64_t> v{0};
+  struct alignas(64) ShardTotals {
+    std::atomic<uint64_t> sum{0};
+    std::atomic<uint64_t> max{0};
   };
-  std::unique_ptr<PaddedSum[]> sums_;
+  std::unique_ptr<ShardTotals[]> totals_;
 };
 
 // Named-metric registry. Creation is idempotent per name; returned

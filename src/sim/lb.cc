@@ -3,6 +3,7 @@
 #include <bit>
 #include <cmath>
 
+#include "simcore/histogram.h"
 #include "util/check.h"
 
 namespace hermes::sim {

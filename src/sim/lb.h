@@ -25,6 +25,11 @@
 // freed when the last row naming it is erased, so the table never holds
 // more shapes than there are live connections (trace replay, where every
 // plan differs) and usually holds one per traffic pattern.
+//
+// Request latencies go into two obs::Histograms (the repository's one
+// log-linear histogram): latency() over the whole run and
+// take_window_latency() per reporting window. With a metrics registry
+// wired, its sharded request.latency_ns records the same values per worker.
 #pragma once
 
 #include <cstdint>
@@ -40,7 +45,6 @@
 #include "sim/data_plane.h"
 #include "obs/observability.h"
 #include "simcore/event_queue.h"
-#include "simcore/histogram.h"
 #include "simcore/rng.h"
 #include "sim/request.h"
 #include "sim/dispatcher.h"
@@ -184,12 +188,12 @@ class LbDevice {
   // Per-request observer (tenant, latency) — per-tenant SLO tooling.
   using RequestDoneFn = std::function<void(TenantId, SimTime)>;
   void set_request_done_fn(RequestDoneFn fn) { request_done_ = std::move(fn); }
-  Histogram& latency() { return latency_; }        // all request latencies
+  obs::Histogram& latency() { return latency_; }   // all request latencies
   // Latency histogram since the last take_window_latency() call (timeline
   // plots like Fig. 3).
-  Histogram take_window_latency() {
-    Histogram out = std::move(window_latency_);
-    window_latency_ = Histogram{5};
+  obs::Histogram take_window_latency() {
+    obs::Histogram out = std::move(window_latency_);
+    window_latency_ = obs::Histogram{5};
     return out;
   }
   uint64_t delayed_probes() const { return delayed_probes_; }
@@ -299,8 +303,8 @@ class LbDevice {
   uint64_t degradation_salt_ = 0;
 
   Totals totals_;
-  Histogram latency_{5};
-  Histogram window_latency_{5};
+  obs::Histogram latency_{5};
+  obs::Histogram window_latency_{5};
   uint64_t delayed_probes_ = 0;
   RequestDoneFn request_done_;
 

@@ -114,7 +114,7 @@ void Worker::start_iteration() {
   }
 
   const size_t n = collect_batch();
-  events_per_wait_.record(static_cast<int64_t>(n));
+  events_per_wait_.record(n);
   if (hooks_) hooks_->on_events_returned(static_cast<int64_t>(n));
   if (n == 0) ++wasted_wakeups_;
 

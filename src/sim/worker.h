@@ -13,6 +13,10 @@
 // A "hang" needs no special machinery: a poison request simply has a huge
 // cost, so the worker stays inside the iteration and its avail timestamp
 // goes stale — which is precisely how production hangs look to Hermes.
+//
+// The worker records the per-worker distributions of Figs. 4 and 5 —
+// events per epoll_wait, per-event processing time, blocking time — into
+// obs::Histogram, the repository's one log-linear histogram.
 #pragma once
 
 #include <deque>
@@ -22,8 +26,8 @@
 
 #include "core/hermes.h"
 #include "netsim/netstack.h"
+#include "obs/metrics.h"
 #include "simcore/event_queue.h"
-#include "simcore/histogram.h"
 #include "sim/request.h"
 
 namespace hermes::sim {
@@ -100,9 +104,9 @@ class Worker final : public netsim::Waiter {
   uint64_t wasted_wakeups() const { return wasted_wakeups_; }
 
   // Per-worker distributions for Figs. 4 and 5.
-  Histogram& events_per_wait() { return events_per_wait_; }
-  Histogram& event_processing_time() { return event_proc_time_; }
-  Histogram& blocking_time() { return blocking_time_; }
+  obs::Histogram& events_per_wait() { return events_per_wait_; }
+  obs::Histogram& event_processing_time() { return event_proc_time_; }
+  obs::Histogram& blocking_time() { return blocking_time_; }
 
  private:
   enum class State : uint8_t { Blocked, Woken, Running };
@@ -144,9 +148,9 @@ class Worker final : public netsim::Waiter {
   uint64_t loop_iterations_ = 0;
   uint64_t wasted_wakeups_ = 0;
 
-  Histogram events_per_wait_{3};
-  Histogram event_proc_time_{4};
-  Histogram blocking_time_{4};
+  obs::Histogram events_per_wait_{3};
+  obs::Histogram event_proc_time_{4};
+  obs::Histogram blocking_time_{4};
 };
 
 }  // namespace hermes::sim

@@ -1,116 +1,18 @@
-// Latency/size recording with percentile queries.
+// Summary statistics: exact small-sample quantiles for bench tables
+// (SampleSet) and running mean/stddev (RunningStat, Welford) used for the
+// paper's SD-of-CPU and SD-of-connections metrics (Fig. 13).
 //
-// Histogram: log-bucketed (HdrHistogram-style) over a configurable range,
-// constant memory, ~1% relative error — good for P50/P90/P99/P999 queries
-// over millions of samples.
-//
-// Also provides exact small-sample quantiles (SampleSet) and running
-// mean/stddev (RunningStat, Welford) used for the paper's SD-of-CPU and
-// SD-of-connections metrics (Fig. 13).
+// Bucketed distributions (request latency, the Figs. 4/5 per-worker
+// series) are obs::Histogram (obs/metrics.h), the repository's one
+// log-linear histogram.
 #pragma once
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <vector>
 
-#include "util/check.h"
-#include "util/types.h"
-
 namespace hermes::sim {
-
-// Log-linear histogram: values are bucketed with `sub_bits` linear sub-buckets
-// per power of two. With sub_bits=5 the relative error is <= 1/32.
-class Histogram {
- public:
-  explicit Histogram(int sub_bits = 5)
-      : sub_bits_(sub_bits), sub_count_(1u << sub_bits) {
-    buckets_.resize((64 - sub_bits_) * sub_count_, 0);
-  }
-
-  void record(int64_t value) {
-    if (value < 0) value = 0;
-    ++count_;
-    sum_ += static_cast<double>(value);
-    if (value > max_) max_ = value;
-    if (count_ == 1 || value < min_) min_ = value;
-    buckets_[index_of(static_cast<uint64_t>(value))]++;
-  }
-
-  void record(SimTime t) { record(t.ns()); }
-
-  uint64_t count() const { return count_; }
-  double mean() const { return count_ ? sum_ / static_cast<double>(count_) : 0; }
-  int64_t max_value() const { return max_; }
-  int64_t min_value() const { return count_ ? min_ : 0; }
-
-  // Value at quantile q in [0, 1]; returns a representative value of the
-  // containing bucket (its upper edge, clamped to observed max).
-  int64_t quantile(double q) const {
-    if (count_ == 0) return 0;
-    HERMES_DCHECK(q >= 0.0 && q <= 1.0);
-    uint64_t target = static_cast<uint64_t>(std::ceil(q * static_cast<double>(count_)));
-    if (target == 0) target = 1;
-    uint64_t seen = 0;
-    for (size_t i = 0; i < buckets_.size(); ++i) {
-      seen += buckets_[i];
-      if (seen >= target) {
-        return std::min(bucket_upper(i), max_);
-      }
-    }
-    return max_;
-  }
-
-  int64_t p50() const { return quantile(0.50); }
-  int64_t p90() const { return quantile(0.90); }
-  int64_t p99() const { return quantile(0.99); }
-  int64_t p999() const { return quantile(0.999); }
-
-  void merge(const Histogram& o) {
-    HERMES_CHECK(o.buckets_.size() == buckets_.size());
-    for (size_t i = 0; i < buckets_.size(); ++i) buckets_[i] += o.buckets_[i];
-    count_ += o.count_;
-    sum_ += o.sum_;
-    max_ = std::max(max_, o.max_);
-    if (o.count_) min_ = count_ == o.count_ ? o.min_ : std::min(min_, o.min_);
-  }
-
-  void reset() {
-    std::fill(buckets_.begin(), buckets_.end(), 0);
-    count_ = 0;
-    sum_ = 0;
-    max_ = 0;
-    min_ = 0;
-  }
-
- private:
-  size_t index_of(uint64_t v) const {
-    if (v < sub_count_) return static_cast<size_t>(v);
-    const int msb = 63 - std::countl_zero(v);
-    const int bucket = msb - sub_bits_ + 1;
-    const uint64_t sub = (v >> (msb - sub_bits_)) & (sub_count_ - 1);
-    return static_cast<size_t>(bucket) * sub_count_ + static_cast<size_t>(sub);
-  }
-
-  int64_t bucket_upper(size_t idx) const {
-    const uint64_t bucket = idx / sub_count_;
-    const uint64_t sub = idx % sub_count_;
-    if (bucket == 0) return static_cast<int64_t>(sub);
-    const int shift = static_cast<int>(bucket) - 1;
-    const uint64_t base = (sub_count_ + sub) << shift;
-    const uint64_t width = 1ull << shift;
-    return static_cast<int64_t>(base + width - 1);
-  }
-
-  int sub_bits_;
-  uint64_t sub_count_;
-  std::vector<uint64_t> buckets_;
-  uint64_t count_ = 0;
-  double sum_ = 0;
-  int64_t max_ = 0;
-  int64_t min_ = 0;
-};
 
 // Exact quantiles for small sample sets (per-bench summary rows).
 class SampleSet {

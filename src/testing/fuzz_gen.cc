@@ -26,6 +26,13 @@ constexpr R kUsable[] = {bpf::r7, bpf::r8, bpf::r9};
 
 R pick_usable(Rng& rng) { return kUsable[rng.next_below(3)]; }
 
+// A label unique within one program: `prefix` plus a running number.
+std::string fresh_label(char prefix, int& label_n) {
+  std::string label(1, prefix);
+  label += std::to_string(label_n++);
+  return label;
+}
+
 // Mixed-magnitude immediates: small constants, powers of two, full-width.
 int64_t rand_imm(Rng& rng) {
   switch (rng.next_below(4)) {
@@ -120,7 +127,7 @@ void emit_lookup_atom(Assembler& a, Rng& rng, const GenOptions& opt,
                       int& label_n) {
   // Key sometimes out of range: exercises the lookup-returns-null path.
   const auto key = static_cast<int32_t>(rng.next_below(opt.array_entries + 2));
-  const std::string skip = "g" + std::to_string(label_n++);
+  const std::string skip = fresh_label('g', label_n);
   a.st_w(r10, -4, key);
   a.ld_map_fd(r1, 0);
   a.mov(r2, r10);
@@ -193,7 +200,7 @@ void emit_range_access_atom(Assembler& a, Rng& rng, int& label_n) {
       break;
     }
     case 1: {  // branch-guard-bounded stack access
-      const std::string skip = "r" + std::to_string(label_n++);
+      const std::string skip = fresh_label('r', label_n);
       a.mov(r4, idx);
       a.jgt(r4, 15, skip);
       a.mov(r5, r10);
@@ -204,7 +211,7 @@ void emit_range_access_atom(Assembler& a, Rng& rng, int& label_n) {
       break;
     }
     default: {  // mask-bounded access into a null-checked map value
-      const std::string skip = "r" + std::to_string(label_n++);
+      const std::string skip = fresh_label('r', label_n);
       a.st_w(r10, -4, 0);
       a.ld_map_fd(r1, 0);
       a.mov(r2, r10);
@@ -225,7 +232,7 @@ void emit_range_access_atom(Assembler& a, Rng& rng, int& label_n) {
 // constant, the body does scalar work on the usable registers. The
 // verifier accepts it via per-iteration loop analysis.
 void emit_loop_atom(Assembler& a, Rng& rng, int& label_n) {
-  const std::string top = "l" + std::to_string(label_n++);
+  const std::string top = fresh_label('l', label_n);
   const auto trips = static_cast<int64_t>(1 + rng.next_below(8));
   const R d = pick_usable(rng);
   const R s = pick_usable(rng);
@@ -264,14 +271,14 @@ void emit_wild_atom(Assembler& a, Rng& rng, int& label_n) {
       break;
     }
     case 7: {  // no-progress loop: rejected at the abstract fixpoint
-      const std::string top = "w" + std::to_string(label_n++);
+      const std::string top = fresh_label('w', label_n);
       a.label(top);
       a.add(d, 1);
       a.ja(top);
       break;
     }
     default: {  // terminating loop, but past the analysis trip bound
-      const std::string top = "w" + std::to_string(label_n++);
+      const std::string top = fresh_label('w', label_n);
       a.mov(r5, 0);
       a.label(top);
       a.add(r5, 1);
@@ -351,7 +358,7 @@ bpf::Program gen_program(sim::Rng& rng, const GenOptions& opt,
     // both paths stay verifiable because atoms only write scalar state.
     std::string guard;
     if (rng.bernoulli(opt.jump_prob)) {
-      guard = "j" + std::to_string(label_n++);
+      guard = fresh_label('j', label_n);
       emit_cond_jump(a, rng, guard);
     }
     emit_atom(a, rng, opt, label_n, st);

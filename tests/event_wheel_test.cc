@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "simcore/event_queue.h"
+#include "heap_event_queue.h"
 
 namespace hermes::sim {
 namespace {

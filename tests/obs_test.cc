@@ -14,6 +14,8 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
+#include <cstdint>
 #include <string>
 #include <thread>
 #include <vector>
@@ -65,7 +67,9 @@ TEST(CounterTest, ShardedMergeUnderInterleaving) {
                            : SchedulePolicy::BoundedPreemption;
     InterleavingExplorer ex(opts);
     for (uint32_t t = 0; t < 4; ++t) {
-      auto& script = ex.thread("w" + std::to_string(t));
+      std::string name = "w";
+      name += std::to_string(t);
+      auto& script = ex.thread(name);
       script.repeat(8, [&c, t](InterleavingExplorer::ThreadScript& s,
                                uint32_t i) {
         s.step("add", [&c, t, i] { c.add(t, i + 1); });
@@ -103,12 +107,12 @@ TEST(LogHistogramTest, BucketBoundaries) {
     size_t prev_idx = 0;
     uint64_t prev_v = 0;
     for (uint64_t v : vals) {
-      const size_t idx = LogHistogram::bucket_index(v, sub_bits);
-      ASSERT_LT(idx, LogHistogram::bucket_count(sub_bits))
+      const size_t idx = Histogram::bucket_index(v, sub_bits);
+      ASSERT_LT(idx, Histogram::bucket_count(sub_bits))
           << "v=" << v << " sub_bits=" << sub_bits;
-      EXPECT_LE(LogHistogram::bucket_lower(idx, sub_bits), v)
+      EXPECT_LE(Histogram::bucket_lower(idx, sub_bits), v)
           << "v=" << v << " sub_bits=" << sub_bits;
-      EXPECT_GE(LogHistogram::bucket_upper(idx, sub_bits), v)
+      EXPECT_GE(Histogram::bucket_upper(idx, sub_bits), v)
           << "v=" << v << " sub_bits=" << sub_bits;
       if (v >= prev_v) {
         EXPECT_GE(idx, prev_idx) << "bucket index not monotone at v=" << v;
@@ -125,13 +129,13 @@ TEST(LogHistogramTest, BucketContainsValueProperty) {
     // Mix magnitudes: small counts, latencies in ns, and full-range values.
     const uint64_t v = rng.next_u64() >> (rng.next_u64() % 64);
     for (uint32_t sub_bits : {1u, 2u, 3u}) {
-      const size_t idx = LogHistogram::bucket_index(v, sub_bits);
-      ASSERT_LE(LogHistogram::bucket_lower(idx, sub_bits), v);
-      ASSERT_GE(LogHistogram::bucket_upper(idx, sub_bits), v);
+      const size_t idx = Histogram::bucket_index(v, sub_bits);
+      ASSERT_LE(Histogram::bucket_lower(idx, sub_bits), v);
+      ASSERT_GE(Histogram::bucket_upper(idx, sub_bits), v);
       // The bucket's relative width bounds the quantile error: upper/lower
       // <= 1 + 2^-sub_bits for lower >= 2^sub_bits.
-      const uint64_t lo = LogHistogram::bucket_lower(idx, sub_bits);
-      const uint64_t hi = LogHistogram::bucket_upper(idx, sub_bits);
+      const uint64_t lo = Histogram::bucket_lower(idx, sub_bits);
+      const uint64_t hi = Histogram::bucket_upper(idx, sub_bits);
       if (lo >= (1ull << sub_bits)) {
         ASSERT_LE(static_cast<double>(hi - lo) / static_cast<double>(lo),
                   1.0 / static_cast<double>(1ull << sub_bits) + 1e-9)
@@ -157,14 +161,75 @@ TEST(LogHistogramTest, RecordAndQuantiles) {
   EXPECT_EQ(s0.sum + s1.sum, s.sum);
 }
 
+// A quantile is the upper edge of a bucket, clamped to the largest recorded
+// value: 32 at sub_bits 4 sits in bucket [32, 33], and p99 must not report
+// a 33 that was never recorded (a 32-worker filter.selected would then
+// name a survivor count the device cannot have).
+TEST(LogHistogramTest, QuantileNeverExceedsRecordedMax) {
+  LogHistogram h(2, /*sub_bits=*/4);
+  h.record(1, 32);
+  EXPECT_EQ(h.snapshot().max, 32u);
+  EXPECT_EQ(h.snapshot().p99(), 32u);
+  EXPECT_EQ(h.shard_snapshot(1).p99(), 32u);
+  EXPECT_EQ(h.shard_snapshot(0).p99(), 0u);  // empty shard
+}
+
+// Property: every quantile equals a sorted-vector reference — the upper
+// edge of the bucket holding the ceil(q*n)-th smallest sample, clamped to
+// the largest sample — over random streams, half of which include 0 and
+// INT64_MAX (an upper bucket edge itself, so those streams never need the
+// clamp; the other half's largest sample almost never is one).
+TEST(HistogramTest, QuantilesMatchSortedReferenceProperty) {
+  sim::Rng rng(0x9a17);
+  for (uint32_t sub_bits : {2u, 3u, 4u, 5u}) {
+    for (int trial = 0; trial < 40; ++trial) {
+      Histogram h(sub_bits);
+      std::vector<uint64_t> ref;
+      if (trial % 2 == 0) ref = {0, INT64_MAX};
+      const uint64_t n = 1 + rng.next_below(600);
+      for (uint64_t i = 0; i < n; ++i) {
+        // Mix magnitudes: small counts, latencies, and full-range values.
+        ref.push_back((rng.next_u64() >> 1) >> rng.next_below(63));
+      }
+      uint64_t sum = 0;
+      for (uint64_t v : ref) {
+        h.record(v);
+        sum += v;  // wraps exactly as the histogram's sum does
+      }
+      std::sort(ref.begin(), ref.end());
+      ASSERT_EQ(h.count, ref.size());
+      ASSERT_EQ(h.sum, sum);
+      ASSERT_EQ(h.max, ref.back());
+
+      std::vector<double> qs = {0.0, 0.001, 0.25, 0.5, 0.9, 0.99, 0.999, 1.0};
+      for (int k = 0; k < 8; ++k) qs.push_back(rng.next_double());
+      for (double q : qs) {
+        auto rank = static_cast<uint64_t>(
+            std::ceil(q * static_cast<double>(ref.size())));
+        rank = std::max<uint64_t>(rank, 1);
+        const uint64_t sample = ref[rank - 1];
+        const uint64_t want = std::min(
+            Histogram::bucket_upper(Histogram::bucket_index(sample, sub_bits),
+                                    sub_bits),
+            ref.back());
+        ASSERT_EQ(h.quantile(q), want)
+            << "q=" << q << " n=" << ref.size() << " sub_bits=" << sub_bits;
+      }
+    }
+  }
+}
+
 // Merging snapshots is associative and commutative: any merge tree over the
-// same shard set yields bit-identical buckets, count, and sum.
+// same shard set yields bit-identical buckets, count, sum and max, and that
+// is exactly the histogram of the whole stream recorded into one value.
 TEST(LogHistogramTest, SnapshotMergeAssociativityProperty) {
   sim::Rng rng(0x5eed);
   LogHistogram h(4, /*sub_bits=*/2);
+  Histogram whole(2);
   for (int i = 0; i < 5000; ++i) {
-    h.record(static_cast<uint32_t>(rng.next_below(4)),
-             rng.next_u64() >> (rng.next_u64() % 48));
+    const uint64_t v = rng.next_u64() >> (rng.next_u64() % 48);
+    h.record(static_cast<uint32_t>(rng.next_below(4)), v);
+    whole.record(v);
   }
   std::vector<LogHistogram::Snapshot> shards;
   for (uint32_t s = 0; s < 4; ++s) shards.push_back(h.shard_snapshot(s));
@@ -189,9 +254,11 @@ TEST(LogHistogramTest, SnapshotMergeAssociativityProperty) {
   pairs.merge(pairs2);
 
   const auto merged = h.snapshot();
+  EXPECT_TRUE(merged == whole);
   for (const auto* v : {&left, &right, &pairs}) {
     EXPECT_EQ(v->count, merged.count);
     EXPECT_EQ(v->sum, merged.sum);
+    EXPECT_EQ(v->max, merged.max);
     EXPECT_EQ(v->buckets, merged.buckets);
   }
   EXPECT_EQ(left.p99(), merged.p99());

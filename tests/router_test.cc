@@ -76,7 +76,10 @@ TEST(RouteTableTest, NoMatchReturnsNull) {
 TEST(RouteTableTest, RulesExaminedCountsFullScan) {
   RouteTable rt;
   for (int i = 0; i < 25; ++i) {
-    rt.add_rule({.host = "h" + std::to_string(i) + ".com",
+    std::string host = "h";
+    host += std::to_string(i);
+    host += ".com";
+    rt.add_rule({.host = host,
                  .path_prefix = "/",
                  .backend_pool = static_cast<uint32_t>(i)});
   }

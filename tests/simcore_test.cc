@@ -4,6 +4,7 @@
 #include <cmath>
 #include <vector>
 
+#include "obs/metrics.h"
 #include "simcore/event_queue.h"
 #include "simcore/histogram.h"
 #include "simcore/rng.h"
@@ -222,24 +223,27 @@ TEST(ZipfTest, TopHeavySkewLikePaperTenants) {
 }
 
 // -------------------------------------------------------------- Histogram
+// The simulator records its distributions into obs::Histogram.
+
+using obs::Histogram;
 
 TEST(HistogramTest, ExactForSmallValues) {
   Histogram h;
-  for (int i = 1; i <= 10; ++i) h.record(i);
-  EXPECT_EQ(h.count(), 10u);
-  EXPECT_EQ(h.min_value(), 1);
-  EXPECT_EQ(h.max_value(), 10);
+  for (uint64_t i = 1; i <= 10; ++i) h.record(i);
+  EXPECT_EQ(h.count, 10u);
+  EXPECT_EQ(h.quantile(0), 1u);
+  EXPECT_EQ(h.max_value(), 10u);
   EXPECT_DOUBLE_EQ(h.mean(), 5.5);
-  EXPECT_EQ(h.quantile(0.5), 5);
-  EXPECT_EQ(h.quantile(1.0), 10);
+  EXPECT_EQ(h.quantile(0.5), 5u);
+  EXPECT_EQ(h.quantile(1.0), 10u);
 }
 
 TEST(HistogramTest, QuantileRelativeErrorBounded) {
   Histogram h;
   Rng rng(31);
-  std::vector<int64_t> vals;
+  std::vector<uint64_t> vals;
   for (int i = 0; i < 50000; ++i) {
-    const auto v = static_cast<int64_t>(rng.lognormal(std::log(1e6), 1.0));
+    const auto v = static_cast<uint64_t>(rng.lognormal(std::log(1e6), 1.0));
     vals.push_back(v);
     h.record(v);
   }
@@ -255,7 +259,7 @@ TEST(HistogramTest, QuantileRelativeErrorBounded) {
 TEST(HistogramTest, RecordsSimTime) {
   Histogram h;
   h.record(SimTime::millis(5));
-  EXPECT_EQ(h.quantile(1.0), SimTime::millis(5).ns());
+  EXPECT_EQ(h.quantile(1.0), static_cast<uint64_t>(SimTime::millis(5).ns()));
 }
 
 TEST(HistogramTest, MergeCombinesCounts) {
@@ -264,21 +268,23 @@ TEST(HistogramTest, MergeCombinesCounts) {
   b.record(200);
   b.record(300);
   a.merge(b);
-  EXPECT_EQ(a.count(), 3u);
-  EXPECT_EQ(a.max_value(), 300);
-  EXPECT_EQ(a.min_value(), 100);
+  EXPECT_EQ(a.count, 3u);
+  EXPECT_EQ(a.max_value(), 300u);
+  // The lowest quantile lands in the smallest value's bucket.
+  EXPECT_EQ(Histogram::bucket_index(a.quantile(0), a.sub_bits),
+            Histogram::bucket_index(100, a.sub_bits));
 }
 
 TEST(HistogramTest, NegativeClampsToZero) {
   Histogram h;
-  h.record(-5);
-  EXPECT_EQ(h.quantile(1.0), 0);
+  h.record(SimTime::nanos(-5));
+  EXPECT_EQ(h.quantile(1.0), 0u);
 }
 
 TEST(HistogramTest, EmptyQuantileIsZero) {
   Histogram h;
-  EXPECT_EQ(h.quantile(0.99), 0);
-  EXPECT_EQ(h.count(), 0u);
+  EXPECT_EQ(h.quantile(0.99), 0u);
+  EXPECT_EQ(h.count, 0u);
 }
 
 TEST(SampleSetTest, ExactQuantiles) {

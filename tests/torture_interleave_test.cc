@@ -198,7 +198,9 @@ ExploreResult run_one(const RunSpec& spec, ExploreOptions opts) {
   Harness h(spec.workers, spec.wpg);
   InterleavingExplorer ex(opts);
   for (WorkerId w = 0; w < spec.workers; ++w) {
-    ex.thread("w" + std::to_string(w))
+    std::string name = "w";
+    name += std::to_string(w);
+    ex.thread(name)
         .repeat(spec.iters,
                 [&h, w](InterleavingExplorer::ThreadScript& t, uint32_t i) {
                   add_worker_iteration(t, h, w, i);
@@ -287,7 +289,9 @@ TEST(TortureInterleave, FailingSeedYieldsIdenticalReplayableReport) {
     Harness h(spec.workers, spec.wpg);
     InterleavingExplorer ex({.seed = seed});
     for (WorkerId w = 0; w < spec.workers; ++w) {
-      ex.thread("w" + std::to_string(w))
+      std::string name = "w";
+      name += std::to_string(w);
+      ex.thread(name)
           .repeat(spec.iters,
                   [&h, w](InterleavingExplorer::ThreadScript& t, uint32_t i) {
                     add_worker_iteration(t, h, w, i);

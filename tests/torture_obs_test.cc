@@ -3,7 +3,9 @@
 //
 // Two protocols, the same single-writer disciplines the paper's WST uses:
 //   * sharded counters / histograms — each shard has one writer; merged
-//     reads may interleave anywhere and must stay monotone and bounded;
+//     reads may interleave anywhere and must stay monotone and bounded
+//     (count and max), and once the writers finish, every merge order
+//     of the shard snapshots must equal the merged snapshot;
 //   * the trace ring's seqlock-style reader — any snapshot taken between
 //     any two writer steps must be a contiguous, in-order, untorn window
 //     of the written sequence.
@@ -51,7 +53,10 @@ uint64_t explore_counters(uint64_t seed, SchedulePolicy policy) {
   uint64_t expected_total = 0;
   uint64_t expected_records = 0;
   uint64_t last_count = 0;
+  uint64_t last_max = 0;
   uint64_t last_value = 0;
+  // Each writer records (t << 20) + i for i < 6: writer 3's last is largest.
+  const uint64_t expected_max = (3ull << 20) + 5;
   std::string err;
 
   ExploreOptions opts;
@@ -61,7 +66,9 @@ uint64_t explore_counters(uint64_t seed, SchedulePolicy policy) {
   InterleavingExplorer ex(opts);
 
   for (uint32_t t = 0; t < 4; ++t) {
-    auto& script = ex.thread("w" + std::to_string(t));
+    std::string name = "w";
+    name += std::to_string(t);
+    auto& script = ex.thread(name);
     script.repeat(6, [&, t](InterleavingExplorer::ThreadScript& s,
                             uint32_t i) {
       s.step("count", [&c, t, i] { c.add(t, (t + 1) * (i + 1)); });
@@ -96,7 +103,13 @@ uint64_t explore_counters(uint64_t seed, SchedulePolicy policy) {
     if (bsum != snap.count) {
       return std::string("bucket totals diverge from count");
     }
+    if (snap.max < last_max) return std::string("histogram max went backwards");
+    if (snap.max > expected_max) return std::string("histogram max too large");
+    if (snap.quantile(1.0) > snap.max) {
+      return std::string("quantile above the recorded max");
+    }
     last_count = snap.count;
+    last_max = snap.max;
     return std::string();
   });
   ex.invariant("step-errors", [&err] { return err; });
@@ -112,6 +125,26 @@ uint64_t explore_counters(uint64_t seed, SchedulePolicy policy) {
     }
     return s;
   }()) << "seed " << seed;
+  EXPECT_EQ(h.snapshot().max, expected_max) << "seed " << seed;
+
+  // Every merge order and association of the shard snapshots reproduces
+  // snapshot(), max included: left folds over all 24 shard orders, and
+  // (a+b)+(c+d) pairings.
+  const Histogram merged = h.snapshot();
+  std::vector<Histogram> shard;
+  for (uint32_t t = 0; t < 4; ++t) shard.push_back(h.shard_snapshot(t));
+  std::vector<uint32_t> order = {0, 1, 2, 3};
+  do {
+    Histogram fold = shard[order[0]];
+    for (size_t k = 1; k < order.size(); ++k) fold.merge(shard[order[k]]);
+    Histogram ab = shard[order[0]];
+    ab.merge(shard[order[1]]);
+    Histogram cd = shard[order[2]];
+    cd.merge(shard[order[3]]);
+    ab.merge(cd);
+    EXPECT_TRUE(fold == merged) << "seed " << seed;
+    EXPECT_TRUE(ab == merged) << "seed " << seed;
+  } while (std::next_permutation(order.begin(), order.end()));
   return r.trace_hash;
 }
 
