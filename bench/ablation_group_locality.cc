@@ -41,7 +41,7 @@ Outcome run_groups(uint32_t workers_per_group, uint64_t seed) {
   // Locality: how many distinct workers served each destination port.
   std::map<PortId, std::set<WorkerId>> dest_workers;
   for (uint32_t pt = 0; pt < cfg.num_ports; ++pt) {
-    const auto port = static_cast<PortId>(cfg.first_port + pt);
+    const auto port = static_cast<PortId>(sim::LbDevice::kFirstPort + pt);
     for (WorkerId w = 0; w < cfg.num_workers; ++w) {
       auto* sock = lb.netstack().worker_socket(port, w);
       if (sock != nullptr && sock->accept_queue().high_watermark() > 0) {

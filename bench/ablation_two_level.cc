@@ -43,7 +43,7 @@ Row run(uint32_t workers, uint32_t wpg, uint64_t seed) {
   uint64_t sel = 0;
   for (uint32_t pt = 0; pt < cfg.num_ports; ++pt) {
     sel += lb.netstack()
-               .group(static_cast<PortId>(cfg.first_port + pt))
+               .group(static_cast<PortId>(sim::LbDevice::kFirstPort + pt))
                ->stats()
                .bpf_selections;
   }

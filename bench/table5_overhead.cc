@@ -153,10 +153,11 @@ void print_sim_overhead(bench::BenchJson& json) {
         static_cast<double>(c.syncs) * 1000 / total_core_ns * 100;
     uint64_t bpf_insns = 0;
     for (uint32_t p = 0; p < cfg.num_ports; ++p) {
-      bpf_insns += lb.netstack()
-                       .group(static_cast<PortId>(cfg.first_port + p))
-                       ->stats()
-                       .bpf_insns;
+      bpf_insns +=
+          lb.netstack()
+              .group(static_cast<PortId>(sim::LbDevice::kFirstPort + p))
+              ->stats()
+              .bpf_insns;
     }
     const double dispatcher_pct =
         static_cast<double>(bpf_insns) * 3 / total_core_ns * 100;

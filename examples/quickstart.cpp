@@ -61,9 +61,10 @@ int main() {
               (unsigned long)lb.hermes()->counters().schedules,
               (unsigned long)lb.hermes()->counters().syncs);
 
-  const auto* group = lb.netstack().group(cfg.first_port);
+  const auto* group = lb.netstack().group(sim::LbDevice::kFirstPort);
   std::printf("port %u dispatch: %lu by eBPF program, %lu fallbacks\n",
-              cfg.first_port, (unsigned long)group->stats().bpf_selections,
+              sim::LbDevice::kFirstPort,
+              (unsigned long)group->stats().bpf_selections,
               (unsigned long)group->stats().bpf_fallbacks);
   return 0;
 }

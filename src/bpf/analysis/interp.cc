@@ -13,6 +13,16 @@ namespace {
 
 constexpr uint64_t kU32Max = 0xffffffffull;
 
+// Iterations within which a backward edge must become infeasible.
+constexpr uint32_t kMaxTripCount = 128;
+// Global abstract-step budget. Every concrete instruction an accepted
+// program executes is at least one abstract step, so this also bounds its
+// concrete execution.
+constexpr uint64_t kMaxAnalysisSteps = uint64_t{1} << 18;
+static_assert(kMaxAnalysisSteps < kMaxInsnsExecuted);
+// Merges into one pc before the join is widened.
+constexpr uint32_t kWidenAfter = 32;
+
 ValueRange unknown32() { return ValueRange::bounded(0, kU32Max); }
 
 // Range of a zero-extended `size`-byte load.
@@ -222,9 +232,8 @@ bool is_cond_jump(Op op) {
 
 class Analyzer {
  public:
-  Analyzer(const Program& prog, std::span<Map* const> maps,
-           const AnalysisOptions& opts)
-      : prog_(prog), maps_(maps), opts_(opts) {}
+  Analyzer(const Program& prog, std::span<Map* const> maps)
+      : prog_(prog), maps_(maps) {}
 
   AnalysisResult run() {
     AnalysisResult res;
@@ -418,7 +427,7 @@ class Analyzer {
         continue;
       }
       if (states_[pc].reachable) {
-        if (++steps_ > opts_.max_analysis_steps) {
+        if (++steps_ > kMaxAnalysisSteps) {
           err_pc_ = pc;
           return "analysis step budget exceeded";
         }
@@ -443,11 +452,11 @@ class Analyzer {
     AbsState header_state = states_[h];
     LoopFrame frame{h, end, AbsState{}};
     for (uint32_t trip = 0;; ++trip) {
-      if (trip >= opts_.max_trip_count) {
+      if (trip >= kMaxTripCount) {
         err_pc_ = h;
         return "backward edge: cannot prove the loop exits within the "
                "trip bound (" +
-               std::to_string(opts_.max_trip_count) + " iterations)";
+               std::to_string(kMaxTripCount) + " iterations)";
       }
       for (size_t p = h; p <= end; ++p) {
         states_[p] = AbsState{};
@@ -483,7 +492,7 @@ class Analyzer {
       }
       HERMES_CHECK_MSG(false, "bpf analysis: back edge without open frame");
     }
-    const bool widen = ++merge_counts_[target] > opts_.widen_after;
+    const bool widen = ++merge_counts_[target] > kWidenAfter;
     merge_into(states_[target], st, widen);
   }
 
@@ -1064,7 +1073,6 @@ class Analyzer {
 
   const Program& prog_;
   std::span<Map* const> maps_;
-  const AnalysisOptions opts_;
 
   std::vector<AbsState> states_;
   std::vector<uint32_t> merge_counts_;
@@ -1139,9 +1147,8 @@ std::string to_string(const RegState& r) {
   return os.str();
 }
 
-AnalysisResult analyze(const Program& prog, std::span<Map* const> maps,
-                       const AnalysisOptions& opts) {
-  Analyzer a(prog, maps, opts);
+AnalysisResult analyze(const Program& prog, std::span<Map* const> maps) {
+  Analyzer a(prog, maps);
   return a.run();
 }
 

@@ -7,16 +7,16 @@
 // states; states merge (with widening) at join points.
 //
 // Control flow follows post-5.3 kernel semantics: backward edges are
-// accepted iff the abstract state proves the loop exits within a
-// configurable trip bound. Loops are required to be properly nested
-// regions entered only through their header; each region is re-analyzed
-// per abstract iteration — the header state of iteration k+1 is the
-// back-edge state of iteration k (no cross-iteration merge), and the loop
-// is accepted when the back edge becomes infeasible. Because every
+// accepted iff the abstract state proves the loop exits within a fixed
+// trip bound (kMaxTripCount in interp.cc). Loops are required to be
+// properly nested regions entered only through their header; each region
+// is re-analyzed per abstract iteration — the header state of iteration
+// k+1 is the back-edge state of iteration k (no cross-iteration merge),
+// and the loop is accepted when the back edge becomes infeasible. Because every
 // concrete instruction executed inside a loop corresponds to at least one
-// abstract step, `max_analysis_steps` (default 2^18) also bounds the
-// concrete instruction count of accepted programs below the VM's 2^20
-// execution budget.
+// abstract step, the global step budget (2^18) also bounds the concrete
+// instruction count of accepted programs below the VM's 2^20 execution
+// budget.
 #pragma once
 
 #include <array>
@@ -88,16 +88,6 @@ struct AbsState {
   bool operator==(const AbsState&) const = default;
 };
 
-struct AnalysisOptions {
-  // Iterations within which a backward edge must become infeasible.
-  uint32_t max_trip_count = 128;
-  // Global abstract-step budget; also bounds accepted programs' concrete
-  // loop execution (must stay below bpf::kMaxInsnsExecuted).
-  uint64_t max_analysis_steps = uint64_t{1} << 18;
-  // Merges into one pc before the join is widened.
-  uint32_t widen_after = 32;
-};
-
 struct HelperCallInfo {
   size_t pc = 0;
   HelperId id{};
@@ -140,7 +130,6 @@ struct AnalysisResult {
   explicit operator bool() const { return ok; }
 };
 
-AnalysisResult analyze(const Program& prog, std::span<Map* const> maps,
-                       const AnalysisOptions& opts = {});
+AnalysisResult analyze(const Program& prog, std::span<Map* const> maps);
 
 }  // namespace hermes::bpf::analysis

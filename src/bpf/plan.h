@@ -8,11 +8,11 @@
 // id, and the popcount / rank-select idioms that
 // core/dispatch_prog.cc emits fused into superinstructions (19-insn
 // Hamming weight -> 1 micro-op, 3-insn clear-lowest-bit -> 1, 4-insn
-// isolate-lowest-bit -> 1). Dispatch uses computed goto where the compiler
-// supports it. Runtime bounds checks are elided at accesses the abstract
-// interpreter (bpf/analysis/) proved in-bounds for every execution — which,
-// for a verified program, is every access it visited; accesses the
-// analysis range-pruned as dead keep the checked micro-op.
+// isolate-lowest-bit -> 1). Dispatch uses computed goto. Runtime bounds
+// checks are elided at accesses the abstract interpreter (bpf/analysis/)
+// proved in-bounds for every execution — which, for a verified program,
+// is every access it visited; accesses the analysis range-pruned as dead
+// keep the checked micro-op.
 //
 // Semantics match the trapping reference interpreter (bpf::ref_run,
 // bpf/ref_interpreter.h) by construction and by test: a fused micro-op

@@ -1,8 +1,8 @@
 // Direct-threaded micro-op interpreter for ExecutionPlan (see plan.h).
 //
-// Dispatch is computed goto on GCC/Clang (one indirect branch per
-// micro-op, no bounds re-check, no per-op decode) with a portable switch
-// fallback. Handler bodies are shared between both modes via the
+// Dispatch is computed goto (one indirect branch per micro-op, no bounds
+// re-check, no per-op decode), a GNU C extension the tree already relies
+// on elsewhere (__int128, __builtin_ctzll). Handlers are written with the
 // OPC/OPX/NEXT/JUMP macros. Semantics per handler mirror the reference
 // interpreter (bpf/ref_interpreter.cc) instruction for instruction; fused
 // handlers reproduce the exact final register state and instruction count
@@ -32,12 +32,6 @@ static_assert(static_cast<uint16_t>(Op::Exit) == 88);
 static_assert(kOpCount == 89);
 static_assert(kUopCodeCount == kOpCount + 24);
 
-#if defined(__GNUC__) || defined(__clang__)
-#define HERMES_THREADED_DISPATCH 1
-#else
-#define HERMES_THREADED_DISPATCH 0
-#endif
-
 ExecutionPlan::ExecResult ExecutionPlan::execute(
     ReuseportCtx& ctx, const std::function<uint64_t()>& time_fn,
     const std::function<uint32_t()>& rand_fn) const {
@@ -65,7 +59,7 @@ ExecutionPlan::ExecResult ExecutionPlan::execute(
   const MicroOp* const base = ops_.data();
   const MicroOp* ip = base;
 
-// Handler-body plumbing, shared by both dispatch modes. D/S are the dst/src
+// Handler-body plumbing. D/S are the dst/src
 // registers of the current micro-op; UIMM/SIMM its immediate in its
 // unsigned and signed flavors.
 #define D regs[ip->dst]
@@ -76,7 +70,6 @@ ExecutionPlan::ExecResult ExecutionPlan::execute(
   HERMES_CHECK_MSG(insns < kMaxInsnsExecuted,           \
                    "bpf vm: instruction budget exceeded")
 
-#if HERMES_THREADED_DISPATCH
 #define OPC(name) lbl_##name:
 #define OPX(name) lbl_##name:
 #define NEXT                 \
@@ -134,25 +127,6 @@ ExecutionPlan::ExecResult ExecutionPlan::execute(
 
   goto *kLabels[ip->code];
 
-#else  // switch fallback
-
-#define OPC(name) case static_cast<uint16_t>(Op::name):
-#define OPX(name) case static_cast<uint16_t>(UExt::name):
-#define NEXT          \
-  do {                \
-    ++ip;             \
-    goto dispatch;    \
-  } while (0)
-#define JUMP(t)       \
-  do {                \
-    CHECK_BUDGET();   \
-    ip = base + (t);  \
-    goto dispatch;    \
-  } while (0)
-
-dispatch:
-  switch (ip->code) {
-#endif
 
 #define ALU(name, stmt) \
   OPC(name) {           \
@@ -533,12 +507,6 @@ dispatch:
     ++insns;
     NEXT;
   }
-
-#if !HERMES_THREADED_DISPATCH
-    default:
-      HERMES_CHECK_MSG(false, "bpf plan: bad micro-op code");
-  }
-#endif
 
 #undef ALU
 #undef COND_JUMP

@@ -25,11 +25,10 @@ std::string disasm_window(const Program& prog, size_t err_pc) {
 
 }  // namespace
 
-VerifyResult verify(const Program& prog, std::span<Map* const> maps,
-                    const analysis::AnalysisOptions& opts) {
+VerifyResult verify(const Program& prog, std::span<Map* const> maps) {
   VerifyResult res;
   res.insn_count = prog.size();
-  analysis::AnalysisResult a = analysis::analyze(prog, maps, opts);
+  analysis::AnalysisResult a = analysis::analyze(prog, maps);
   res.dead_insns = a.dead_insns;
   res.dead_edges = a.dead_edges;
   res.max_loop_trips = a.max_loop_trips;

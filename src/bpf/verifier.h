@@ -71,7 +71,6 @@ struct VerifyResult {
 
 // `maps` is the load-time map table the program's LdMapFd slots refer to
 // (may contain nullptr only if the program never references that slot).
-VerifyResult verify(const Program& prog, std::span<Map* const> maps,
-                    const analysis::AnalysisOptions& opts = {});
+VerifyResult verify(const Program& prog, std::span<Map* const> maps);
 
 }  // namespace hermes::bpf

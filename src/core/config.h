@@ -1,5 +1,7 @@
 // Tunables of the Hermes control loop, with the paper's production values
-// as defaults.
+// as defaults. They stay settable because the paper's experiments vary
+// them: Fig. 15 sweeps θ, the ablations swap the filter order and group
+// width, and the control plane (core/control.h) retunes them live.
 #pragma once
 
 #include <cstdint>
@@ -37,8 +39,8 @@ struct HermesConfig {
   // — unless the last push is at least this old. The forced refresh
   // bounds the staleness a lost cross-worker race can cause to one
   // interval; the default matches the worker loop's 5 ms epoll_wait
-  // timeout (sim::Worker::Config::epoll_timeout), the paper's own
-  // scheduling-pass frequency floor (§5.3.2 strategy 1).
+  // timeout (sim::Worker::kEpollTimeout), the paper's own scheduling-pass
+  // frequency floor (§5.3.2 strategy 1).
   SimTime sync_refresh_interval = SimTime::millis(5);
 
   // Cascade order (paper default: Time -> Connections -> PendingEvents;

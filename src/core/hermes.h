@@ -62,8 +62,9 @@ class HermesRuntime {
     // 64-byte aligned, >= WorkerStatusTable::required_bytes(num_workers)).
     // When null the runtime allocates private memory (single-process use).
     void* wst_memory = nullptr;
-    // Optional fault-injection hooks (tests only; not owned). Null means
-    // every hook site is a branch-not-taken.
+    // Optional fault-injection hooks: a test seam the torture tests plant
+    // faults through (not owned). Null means every hook site is a
+    // branch-not-taken.
     FaultInjector* faults = nullptr;
     // Optional observability sinks (metrics + trace rings; not owned).
     // Null disables all instrumentation at zero cost.

@@ -67,7 +67,6 @@ Connection NetStack::on_connection_request(const FourTuple& tuple,
 
   if (sock->accept_queue().size() >= sock->accept_queue().backlog()) {
     // Backlog overflow: drop the SYN without ever allocating a slab row.
-    sock->accept_queue().note_drop();
     ++stats_.drops;
     if (obs_ != nullptr) {
       obs_->metrics.accept_dropped->inc(shard);
@@ -78,7 +77,7 @@ Connection NetStack::on_connection_request(const FourTuple& tuple,
   }
 
   const Connection c = conns_.create(tuple, port, tenant, now);
-  HERMES_CHECK(sock->accept_queue().push(c));
+  sock->accept_queue().push(c);
   ++stats_.connections;
   if (obs_ != nullptr) {
     obs_->metrics.accept_enqueued->inc(shard);

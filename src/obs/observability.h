@@ -13,10 +13,13 @@
 namespace hermes::obs {
 
 struct Observability {
-  explicit Observability(uint32_t workers, size_t ring_capacity = 4096)
+  // Records each worker's trace ring keeps.
+  static constexpr size_t kRingCapacity = 4096;
+
+  explicit Observability(uint32_t workers)
       : registry(workers),
         metrics(registry, workers),
-        traces(workers, ring_capacity) {}
+        traces(workers, kRingCapacity) {}
 
   Registry registry;
   PipelineMetrics metrics;

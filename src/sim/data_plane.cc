@@ -121,10 +121,19 @@ DataPlane::DataPlane(const Config& cfg, uint32_t num_workers,
         pc.num_workers = num_workers;
         return pc;
       }()) {
-  std::vector<core::BackendId> backends;
-  backends.reserve(cfg_.num_backends);
-  for (uint32_t b = 0; b < cfg_.num_backends; ++b) backends.push_back(b);
-  rr_.update_backends(std::move(backends), cfg_.seed);
+  std::vector<core::BackendId> backends(kNumBackends);
+  for (uint32_t b = 0; b < kNumBackends; ++b) backends[b] = b;
+  rr_.update_backends(std::move(backends), kRoundRobinSeed);
+}
+
+DataPlane::Totals DataPlane::totals() const {
+  Totals t = totals_;
+  const core::BackendConnectionPool::Stats& s = pool_.stats();
+  t.pool_hits = s.hits;
+  t.pool_misses = s.misses;
+  t.pool_expiries = s.expiries;
+  t.pool_evictions = s.evictions;
+  return t;
 }
 
 http::ConnState& DataPlane::conn_state(netsim::ConnId id) {
@@ -133,21 +142,6 @@ http::ConnState& DataPlane::conn_state(netsim::ConnId id) {
   cc.zero_copy = cfg_.zero_copy;
   cc.capture_body = false;  // bodies travel only in the wire chain
   return conns_.emplace(id, cc);
-}
-
-void DataPlane::sync_pool_stats(WorkerId w) {
-  if (obs_ == nullptr) return;
-  const auto& s = pool_.stats();
-  auto& m = obs_->metrics;
-  if (s.hits > pool_seen_.hits) m.pool_hits->add(w, s.hits - pool_seen_.hits);
-  if (s.misses > pool_seen_.misses) {
-    m.pool_misses->add(w, s.misses - pool_seen_.misses);
-  }
-  if (s.expiries > pool_seen_.expiries) {
-    m.pool_expiries->add(w, s.expiries - pool_seen_.expiries);
-  }
-  pool_seen_ = s;
-  m.pool_occupancy->set(static_cast<int64_t>(pool_.idle_total()));
 }
 
 SimTime DataPlane::on_request(WorkerId w, const Request& req,
@@ -175,13 +169,9 @@ SimTime DataPlane::on_request(WorkerId w, const Request& req,
 
   // Pick a backend and take (or establish) a connection to it.
   const core::BackendId b = rr_.pick(w);
+  const uint64_t expiries_before = pool_.stats().expiries;
   const auto pooled = pool_.acquire(w, b, now);
   pending_.put(req.id, Pending{b, pooled ? pooled->id : 0});
-
-  totals_.pool_hits = pool_.stats().hits;
-  totals_.pool_misses = pool_.stats().misses;
-  totals_.pool_expiries = pool_.stats().expiries;
-  totals_.pool_evictions = pool_.stats().evictions;
 
   if (obs_ != nullptr) {
     auto& m = obs_->metrics;
@@ -191,12 +181,13 @@ SimTime DataPlane::on_request(WorkerId w, const Request& req,
     } else {
       m.http_bytes_copied->add(w, wire_bytes);
     }
+    (pooled ? m.pool_hits : m.pool_misses)->inc(w);
+    if (const uint64_t expired = pool_.stats().expiries - expiries_before) {
+      m.pool_expiries->add(w, expired);
+    }
+    m.pool_occupancy->set(static_cast<int64_t>(pool_.idle_total()));
   }
-  sync_pool_stats(w);
-
-  const SimTime byte_cost{cfg_.per_byte_cost.ns() *
-                          static_cast<int64_t>(req.bytes)};
-  return byte_cost + (pooled ? SimTime{} : cfg_.backend_handshake_cost);
+  return pooled ? SimTime{} : kBackendHandshakeCost;
 }
 
 void DataPlane::on_response(WorkerId w, const Request& req, SimTime now) {
@@ -210,9 +201,11 @@ void DataPlane::on_response(WorkerId w, const Request& req, SimTime now) {
 
   if (Pending p; pending_.take(req.id, &p)) {
     pool_.release(w, p.backend, p.pooled_id, now);
+    if (obs_ != nullptr) {
+      obs_->metrics.pool_occupancy->set(
+          static_cast<int64_t>(pool_.idle_total()));
+    }
   }
-  totals_.pool_evictions = pool_.stats().evictions;
-  sync_pool_stats(w);
 }
 
 void DataPlane::egress_response(WorkerId w, const Request& req,

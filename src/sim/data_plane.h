@@ -5,9 +5,10 @@
 // synthesizes the request's actual HTTP/1.1 wire bytes, admits them into
 // the connection's http::ConnState (keep-alive + pipelining over iobuf
 // chains), re-parses them exactly as the LB would, and forwards the wire
-// chain to a backend picked round-robin — reusing a pooled backend
-// connection when one is warm, else charging the handshake cost into the
-// request's service time. The response path encodes a deterministic
+// chain to one of kNumBackends backends picked round-robin — reusing a
+// pooled backend connection when one is warm, else charging
+// kBackendHandshakeCost into the request's service time. Byte counts
+// alone cost no simulated CPU. The response path encodes a deterministic
 // backend reply into one segment of exactly its wire size and egresses it
 // to the client through the same zero-copy-or-oracle machinery.
 //
@@ -55,18 +56,17 @@ class DataPlane {
     // Splice-style forwarding (references into admitted segments) vs the
     // copy oracle. Only differential tests turn it off.
     bool zero_copy = true;
-    uint32_t num_backends = 8;
+    // Settable because tests age connections out faster than the default
+    // idle expiry (num_workers is overwritten with the device's).
     core::BackendConnectionPool::Config pool{};
-    // Charged into a request's service time on a pool miss (the TCP/TLS
-    // handshake to the backend the paper's §7 pools exist to avoid).
-    SimTime backend_handshake_cost = SimTime::micros(50);
-    // Body-size-dependent service cost: every request additionally costs
-    // per_byte_cost * Request::bytes (parse + forward work scales with the
-    // wire size). Zero by default — the abstract cost model stays
-    // byte-identical unless a scenario opts in.
-    SimTime per_byte_cost{};
-    uint64_t seed = 42;  // round-robin start offsets
   };
+
+  static constexpr uint32_t kNumBackends = 8;
+  // Charged into a request's service time on a pool miss (the TCP/TLS
+  // handshake to the backend the paper's §7 pools exist to avoid).
+  static constexpr SimTime kBackendHandshakeCost = SimTime::micros(50);
+  // Seeds the per-worker round-robin start offsets.
+  static constexpr uint64_t kRoundRobinSeed = 42;
 
   struct Totals {
     uint64_t requests_forwarded = 0;
@@ -75,6 +75,7 @@ class DataPlane {
     uint64_t bytes_out = 0;            // LB→client bytes
     uint64_t bytes_zero_copied = 0;    // forwarded by reference
     uint64_t bytes_copied = 0;         // forwarded by memcpy (oracle)
+    // The pool's own counts (BackendConnectionPool::Stats).
     uint64_t pool_hits = 0;
     uint64_t pool_misses = 0;
     uint64_t pool_expiries = 0;
@@ -93,16 +94,18 @@ class DataPlane {
 
   // Client request admitted on `req.conn`, to be served by worker `w`.
   // Synthesizes + parses + forwards the request's wire bytes. Returns
-  // the extra service cost (backend handshake on a pool miss).
+  // the extra service cost: kBackendHandshakeCost on a pool miss, else 0.
   SimTime on_request(WorkerId w, const Request& req, bool last_on_conn,
                      SimTime now);
 
-  // Request served: encode the backend response and egress it.
+  // Request served: encode the backend response, egress it if its client
+  // connection is still open, and return the request's backend connection
+  // to the pool. A request this data plane never forwarded is a no-op.
   void on_response(WorkerId w, const Request& req, SimTime now);
 
   void on_conn_close(netsim::ConnId id);
 
-  const Totals& totals() const { return totals_; }
+  Totals totals() const;
   const Config& config() const { return cfg_; }
   const core::BackendConnectionPool& pool() const { return pool_; }
   size_t live_conn_states() const { return conns_.size(); }
@@ -160,20 +163,18 @@ class DataPlane {
 
   http::ConnState& conn_state(netsim::ConnId id);
   void egress_response(WorkerId w, const Request& req, http::ConnState& cs);
-  void sync_pool_stats(WorkerId w);
 
   Config cfg_;
   uint32_t num_workers_;
   obs::Observability* obs_;
   core::RoundRobinBackends rr_;
   core::BackendConnectionPool pool_;
-  core::BackendConnectionPool::Stats pool_seen_{};  // last obs-synced stats
   netsim::ConnTable<http::ConnState> conns_;
   // Keyed by request, not connection: an entry outlives a connection reset
   // while its request is in flight.
   PendingTable pending_;
   std::string scratch_;
-  Totals totals_;
+  Totals totals_;  // pool_* stay 0: totals() reads them from pool_
 };
 
 }  // namespace hermes::sim

@@ -18,22 +18,23 @@ namespace hermes::sim {
 
 class Dispatcher final : public netsim::Waiter {
  public:
-  struct Config {
-    // Per-connection cost on the dispatcher's core: accept() + picking a
-    // worker + handing the fd over (pipe/queue write + wakeup).
-    SimTime dispatch_cost = SimTime::micros(18);
-    SimTime wakeup_cost = SimTime::micros(2);
-    SimTime idle_timeout = SimTime::millis(5);
-    int max_batch = 64;
-  };
+  // Per-connection cost on the dispatcher's core: accept() + picking a
+  // worker + handing the fd over (pipe/queue write + wakeup).
+  static constexpr SimTime kDispatchCost = SimTime::micros(18);
+  // epoll_wait return path, as Worker::Config::wakeup_cost.
+  static constexpr SimTime kWakeupCost = SimTime::micros(2);
+  // epoll_wait timeout, the same 5 ms as the workers' loop.
+  static constexpr SimTime kIdleTimeout = SimTime::millis(5);
+  // Connections accepted per wakeup.
+  static constexpr int kMaxBatch = 64;
 
   // Forward an accepted connection to worker `target`.
   using ForwardFn = std::function<void(WorkerId, netsim::Connection)>;
 
-  Dispatcher(Config cfg, EventQueue& eq, netsim::NetStack& ns,
+  Dispatcher(EventQueue& eq, netsim::NetStack& ns,
              uint32_t num_serving_workers, ForwardFn forward)
-      : cfg_(cfg), eq_(eq), ns_(ns),
-        num_serving_(num_serving_workers), forward_(std::move(forward)) {}
+      : eq_(eq), ns_(ns), num_serving_(num_serving_workers),
+        forward_(std::move(forward)) {}
 
   void attach_sockets() { sockets_ = ns_.sockets_of(0); }
 
@@ -58,7 +59,7 @@ class Dispatcher final : public netsim::Waiter {
 
   void block() {
     state_ = State::Blocked;
-    timeout_ = eq_.schedule_after(cfg_.idle_timeout, [this] {
+    timeout_ = eq_.schedule_after(kIdleTimeout, [this] {
       state_ = State::Woken;
       run();
     });
@@ -66,24 +67,24 @@ class Dispatcher final : public netsim::Waiter {
 
   void run() {
     state_ = State::Running;
-    busy_time_ += cfg_.wakeup_cost;
+    busy_time_ += kWakeupCost;
     // Drain up to a batch of pending connections across all ports,
     // charging the per-connection dispatch cost serially (the critical
     // path that makes the dispatcher the bottleneck).
     int taken = 0;
-    SimTime spent = cfg_.wakeup_cost;
+    SimTime spent = kWakeupCost;
     for (netsim::ListeningSocket* sock : sockets_) {
-      while (taken < cfg_.max_batch && !sock->accept_queue().empty()) {
+      while (taken < kMaxBatch && !sock->accept_queue().empty()) {
         const netsim::Connection conn = ns_.accept(*sock, next_worker_);
         if (!conn) break;
         pending_.push_back({conn, next_worker_});
         next_worker_ = 1 + (next_worker_ % num_serving_);  // RR over 1..N-1
         ++taken;
-        spent += cfg_.dispatch_cost;
+        spent += kDispatchCost;
       }
-      if (taken >= cfg_.max_batch) break;
+      if (taken >= kMaxBatch) break;
     }
-    busy_time_ += spent - cfg_.wakeup_cost;
+    busy_time_ += spent - kWakeupCost;
     dispatched_ += static_cast<uint64_t>(taken);
 
     // Deliver after the dispatch processing time has elapsed.
@@ -102,7 +103,6 @@ class Dispatcher final : public netsim::Waiter {
     });
   }
 
-  Config cfg_;
   EventQueue& eq_;
   netsim::NetStack& ns_;
   uint32_t num_serving_;

@@ -8,7 +8,7 @@
 namespace hermes::sim {
 
 Fleet::Fleet(Config cfg)
-    : cfg_(cfg), maglev_(cfg.maglev_size), rng_(cfg.seed ^ 0xf1ee7f1ee7ull) {
+    : cfg_(cfg), rng_(cfg.seed ^ 0xf1ee7f1ee7ull) {
   HERMES_CHECK(cfg_.num_lbs > 0);
   devices_.reserve(cfg_.num_lbs);
   for (uint32_t i = 0; i < cfg_.num_lbs; ++i) add_device(cfg_.device.mode);
@@ -70,7 +70,7 @@ size_t Fleet::open_burst(TenantId tenant, const LbDevice::ConnPlan& plan,
   // port layout is identical across devices (same Config), so tuple
   // generation does not depend on the routing decision.
   const auto dport = static_cast<PortId>(
-      cfg_.device.first_port + tenant % cfg_.device.num_ports);
+      LbDevice::kFirstPort + tenant % cfg_.device.num_ports);
   size_t established = 0;
   for (size_t i = 0; i < count; ++i) {
     const netsim::FourTuple t = draw_client_tuple(rng_, dport);
@@ -206,7 +206,7 @@ DataPlane::Totals Fleet::data_plane_totals() const {
   for (const auto& d : devices_) {
     const DataPlane* dp = d->data_plane();
     if (dp == nullptr) continue;
-    const DataPlane::Totals& s = dp->totals();
+    const DataPlane::Totals s = dp->totals();
     t.requests_forwarded += s.requests_forwarded;
     t.responses_returned += s.responses_returned;
     t.bytes_in += s.bytes_in;

@@ -87,7 +87,6 @@ class Fleet {
   struct Config {
     uint32_t num_lbs = 4;
     LbDevice::Config device{};    // per-device seed derived from seed + index
-    uint32_t maglev_size = 65537; // prime
     uint64_t seed = 1;
   };
 

@@ -44,7 +44,7 @@ LbDevice::LbDevice(Config cfg)
   if (cfg_.rate_limit.rate_per_sec > 0) limiter_.emplace(cfg_.rate_limit);
   // Ports first (sockets exist before workers attach).
   for (uint32_t p = 0; p < cfg_.num_ports; ++p) {
-    ns_.add_port(static_cast<PortId>(cfg_.first_port + p));
+    ns_.add_port(static_cast<PortId>(kFirstPort + p));
   }
 
   if (cfg_.mode == netsim::DispatchMode::HermesMode) {
@@ -71,7 +71,7 @@ LbDevice::LbDevice(Config cfg)
     degradation_.emplace(cfg_.hermes);
     // Stage-3 attachment per port.
     for (uint32_t p = 0; p < cfg_.num_ports; ++p) {
-      const auto port = static_cast<PortId>(cfg_.first_port + p);
+      const auto port = static_cast<PortId>(kFirstPort + p);
       std::vector<uint64_t> cookies;
       cookies.reserve(cfg_.num_workers);
       for (WorkerId w = 0; w < cfg_.num_workers; ++w) {
@@ -115,7 +115,7 @@ LbDevice::LbDevice(Config cfg)
     // workers 1..N-1 round-robin.
     HERMES_CHECK(cfg_.num_workers >= 2);
     dispatcher_.emplace(
-        Dispatcher::Config{}, eq_, ns_, cfg_.num_workers - 1,
+        eq_, ns_, cfg_.num_workers - 1,
         [this](WorkerId target, netsim::Connection conn) {
           workers_[target]->adopt_connection(conn);
         });
@@ -464,26 +464,20 @@ void LbDevice::on_request_done(Worker& w, const Request& req) {
   }
   if (request_done_) request_done_(req.tenant, latency);
 
+  // Even a request reset while in flight (degradation, close_fraction)
+  // returns its backend connection; a synthetic probe was never
+  // forwarded, so this is a no-op for it.
+  if (dp_) dp_->on_response(w.id(), req, eq_.now());
+
   LiveConn* lc = conns_.find(req.conn);
   // A probe rides a probe-plan connection or is a synthetic per-core
   // probe, whose id names no connection.
   const bool probe = lc != nullptr ? shapes_[lc->shape].is_probe
                                    : req.conn >= kProbeConnBase;
   if (probe && latency > SimTime::millis(200)) ++delayed_probes_;
-  if (lc == nullptr) {
-    // Reset while in flight (degradation, close_fraction): nobody to
-    // answer, but the request's backend connection must still return.
-    if (!probe && dp_) dp_->on_response(w.id(), req, eq_.now());
-    return;
-  }
-  if (dp_) dp_->on_response(w.id(), req, eq_.now());
-  lc->remaining -= 1;
-  if (lc->remaining <= 0) {
-    w.note_conn_closed();
-    const netsim::Connection conn = lc->conn;
-    if (dp_) dp_->on_conn_close(req.conn);
-    erase_conn(req.conn, *lc);
-    ns_.close(conn);
+  if (lc == nullptr) return;
+  if (--lc->remaining <= 0) {
+    close_conn(req.conn);
     return;
   }
   // Schedule the next request on this connection after the think gap.

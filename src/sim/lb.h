@@ -67,11 +67,13 @@ inline netsim::FourTuple draw_client_tuple(Rng& rng, PortId dport) {
 
 class LbDevice {
  public:
+  // Tenant ports are kFirstPort .. kFirstPort + num_ports - 1.
+  static constexpr PortId kFirstPort = 1024;
+
   struct Config {
     netsim::DispatchMode mode = netsim::DispatchMode::HermesMode;
     uint32_t num_workers = 8;
     uint32_t num_ports = 16;
-    PortId first_port = 1024;
     size_t backlog = 1024;
     Worker::Config worker{};           // id is overwritten per worker
     core::HermesConfig hermes{};
@@ -89,8 +91,9 @@ class LbDevice {
     // retry amplification that deepens overload collapse.
     int syn_retries = 0;
     SimTime syn_retry_timeout = SimTime::seconds(1);
-    // Fault-injection hooks for the embedded Hermes runtime (torture tests;
-    // not owned, may be null). See core/fault_injection.h.
+    // Fault-injection hooks for the embedded Hermes runtime: a test seam
+    // the torture tests plant faults through (not owned, may be null).
+    // See core/fault_injection.h.
     core::FaultInjector* faults = nullptr;
     // Observability: metrics registry + per-worker trace rings across the
     // dispatch pipeline (src/obs). On by default — Table 5's claim is that
@@ -270,7 +273,7 @@ class LbDevice {
   ConnPlan plan_of(const LiveConn& lc) const;
 
   PortId port_of(TenantId tenant) const {
-    return static_cast<PortId>(cfg_.first_port + tenant % cfg_.num_ports);
+    return static_cast<PortId>(kFirstPort + tenant % cfg_.num_ports);
   }
   void on_accepted(Worker& w, netsim::Connection conn);
   void on_request_done(Worker& w, const Request& req);

@@ -6,7 +6,7 @@
 
 #include <cstdint>
 
-#include "netsim/connection.h"
+#include "netsim/conn_slab.h"
 #include "util/types.h"
 
 namespace hermes::netsim {
@@ -25,8 +25,8 @@ struct Request {
   SimTime arrival{};     // when it reached the kernel (SYN time for the
                          // first request of a connection)
   SimTime cost{};        // CPU time the worker will spend on it
-  uint64_t bytes = 0;    // wire size; with the data plane enabled it also
-                         // scales service time (DataPlane per_byte_cost)
+  uint64_t bytes = 0;    // wire size; the data plane synthesizes a request
+                         // of about this size and a response body of it
   bool is_poison = false;  // hang-inducing (stuck edge-triggered read)
 };
 

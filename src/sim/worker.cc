@@ -67,7 +67,7 @@ void Worker::block() {
   state_ = State::Blocked;
   blocked_since_ = eq_.now();
   timeout_handle_ =
-      eq_.schedule_after(cfg_.epoll_timeout, [this] { on_timeout(); });
+      eq_.schedule_after(kEpollTimeout, [this] { on_timeout(); });
 }
 
 void Worker::on_timeout() {
@@ -81,7 +81,7 @@ size_t Worker::collect_batch() {
   size_t n = 0;
   // Connection events first (they were triggered earlier in real time).
   while (!pending_requests_.empty() &&
-         n < static_cast<size_t>(cfg_.max_batch)) {
+         n < static_cast<size_t>(kMaxBatch)) {
     WorkerEvent ev;
     ev.kind = WorkerEvent::Kind::Request;
     ev.request = pending_requests_.front();
@@ -93,7 +93,7 @@ size_t Worker::collect_batch() {
   // accept_handler dequeues a single connection per event).
   if (!accepts()) return n;
   for (netsim::ListeningSocket* sock : sockets_) {
-    if (n >= static_cast<size_t>(cfg_.max_batch)) break;
+    if (n >= static_cast<size_t>(kMaxBatch)) break;
     if (!sock->accept_queue().empty()) {
       WorkerEvent ev;
       ev.kind = WorkerEvent::Kind::Accept;

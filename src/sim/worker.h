@@ -34,17 +34,22 @@ namespace hermes::sim {
 
 class Worker final : public netsim::Waiter {
  public:
+  // epoll_wait timeout: an idle worker re-enters its loop this often
+  // (core::HermesConfig's hang threshold and sync refresh build on it).
+  static constexpr SimTime kEpollTimeout = SimTime::millis(5);
+  // Most events one epoll_wait returns.
+  static constexpr int kMaxBatch = 64;
+
   struct Config {
     WorkerId id = 0;
-    SimTime epoll_timeout = SimTime::millis(5);
-    // Cost model of the loop machinery itself.
+    // Cost model of the loop machinery itself. Settable so an analytic
+    // queueing oracle (M/M/1, M/M/N) can zero every cost but service.
     SimTime wakeup_cost = SimTime::micros(2);       // epoll_wait return path
     SimTime accept_cost = SimTime::micros(3);       // accept() + epoll_ctl ADD
     SimTime per_listen_socket_cost = SimTime::nanos(300);  // O(#ports) scan
     // Hermes stage-2 costs (Table 5 accounting).
     SimTime scheduler_cost_per_worker = SimTime::nanos(60);
     SimTime sync_syscall_cost = SimTime::micros(1);
-    int max_batch = 64;
     // Ablation (paper §5.3.2): run the scheduler at the START of the loop
     // iteration instead of the end — observes stale status and overloads
     // apparently-idle workers.

@@ -166,7 +166,7 @@ TEST(SyncIntervalTest, StaleBitmapKeepsFeedingWedgedWorker) {
     for (uint32_t p = 0; p < lb.config().num_ports; ++p) {
       queued += lb.netstack()
                     .worker_socket(
-                        static_cast<PortId>(lb.config().first_port + p), hung)
+                        static_cast<PortId>(LbDevice::kFirstPort + p), hung)
                     ->accept_queue()
                     .size();
     }

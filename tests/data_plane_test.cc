@@ -375,59 +375,47 @@ TEST(DataPlaneTest, BurstSkipsConnectionsThatAlreadySentClose) {
   EXPECT_EQ(lb.live_connections(), 0u);
 }
 
-TEST(DataPlaneTest, PerByteCostScalesServiceTimeWithBodySize) {
-  // Body-size-dependent service costs: on_request charges exactly
-  // per_byte_cost * Request::bytes on top of any handshake.
+TEST(DataPlaneTest, PoolMissCostsHandshakeAndHitCostsNothingAtAnySize) {
+  // A request's extra service cost comes from the backend pool alone: a
+  // miss charges kBackendHandshakeCost, a hit charges nothing, whatever
+  // the request's size.
   DataPlane::Config dc;
   dc.enabled = true;
-  dc.num_backends = 1;  // force the second request onto the warm conn
-  dc.per_byte_cost = SimTime::nanos(100);
-  DataPlane dp(dc, /*num_workers=*/2, /*obs=*/nullptr);
+  DataPlane dp(dc, /*num_workers=*/1, /*obs=*/nullptr);
+  constexpr uint64_t kSizes[] = {1, 700, 64 * 1024, 1 << 20};
   Request req;
-  req.id = 1;
   req.conn = 7;
-  req.bytes = 700;
-  // First request: pool miss (handshake) + the 700-byte bill.
-  const SimTime first = dp.on_request(0, req, /*last_on_conn=*/false,
-                                      SimTime::zero());
-  EXPECT_EQ(first.ns(), dc.backend_handshake_cost.ns() + 700ll * 100);
-  dp.on_response(0, req, SimTime::micros(10));
-  // Second request reuses the warm backend: the byte bill alone remains.
-  req.id = 2;
-  req.bytes = 40;
-  const SimTime second = dp.on_request(0, req, /*last_on_conn=*/true,
-                                       SimTime::micros(20));
-  EXPECT_EQ(second.ns(), 40ll * 100);
-
-  // And the default stays free: byte counts alone never cost CPU.
-  DataPlane::Config free_cfg;
-  free_cfg.enabled = true;
-  DataPlane free_dp(free_cfg, 2, nullptr);
-  Request fr;
-  fr.id = 3;
-  fr.conn = 9;
-  fr.bytes = 5000;
-  const SimTime f =
-      free_dp.on_request(0, fr, /*last_on_conn=*/true, SimTime::zero());
-  EXPECT_EQ(f.ns(), free_cfg.backend_handshake_cost.ns());
+  SimTime now{};
+  // Worker 0 visits every backend once per round: cold, then warm.
+  for (int round = 0; round < 2; ++round) {
+    for (uint32_t b = 0; b < DataPlane::kNumBackends; ++b) {
+      ++req.id;
+      req.bytes = kSizes[(b + static_cast<uint32_t>(round)) % 4];
+      now += SimTime::micros(10);
+      const SimTime cost = dp.on_request(0, req, /*last_on_conn=*/false, now);
+      EXPECT_EQ(cost, round == 0 ? DataPlane::kBackendHandshakeCost
+                                 : SimTime{})
+          << "round " << round << ", " << req.bytes << " bytes";
+      dp.on_response(0, req, now);
+    }
+  }
+  EXPECT_EQ(dp.totals().pool_misses, DataPlane::kNumBackends);
+  EXPECT_EQ(dp.totals().pool_hits, DataPlane::kNumBackends);
 }
 
 TEST(DataPlaneTest, PoolReusesWarmBackendConnections) {
-  LbDevice::Config cfg = dp_config(/*zero_copy=*/true);
-  cfg.data_plane.num_backends = 1;  // every request hits the same backend
-  LbDevice lb(cfg);
+  LbDevice lb(dp_config(/*zero_copy=*/true));
   run_keepalive_mix(lb);
   const DataPlane::Totals& t = lb.data_plane()->totals();
   EXPECT_EQ(t.pool_hits + t.pool_misses, t.requests_forwarded);
-  // Sequential keep-alive requests on one backend: the first request per
-  // idle period establishes, nearly everything after reuses.
+  // Sequential keep-alive requests: a backend's first request per idle
+  // period establishes, nearly everything after reuses.
   EXPECT_GT(t.pool_hits, t.pool_misses);
   EXPECT_GE(t.pool_misses, 1u);
 }
 
 TEST(DataPlaneTest, PoolExpiryReflectsIdleTimeout) {
   LbDevice::Config cfg = dp_config(/*zero_copy=*/true);
-  cfg.data_plane.num_backends = 1;
   cfg.data_plane.pool.idle_expiry = SimTime::micros(100);  // aggressive
   LbDevice lb(cfg);
   run_keepalive_mix(lb);  // request gaps are 500µs > expiry
@@ -506,6 +494,66 @@ TEST(DataPlaneTest, ObservabilityCountersMirrorTotals) {
   EXPECT_EQ(m.pool_hits->value(), static_cast<int64_t>(t.pool_hits));
   EXPECT_EQ(m.pool_misses->value(), static_cast<int64_t>(t.pool_misses));
   EXPECT_EQ(m.ratelimit_drops->value(), 0);
+}
+
+TEST(DataPlaneTest, PoolShardsMatchPoolCountsUnderFastExpiry) {
+  // The registry's pool.* counters are bumped per acquire by the worker
+  // that forwarded the request; pool.occupancy tracks the idle count.
+  LbDevice::Config cfg = dp_config(/*zero_copy=*/true);
+  cfg.data_plane.pool.idle_expiry = SimTime::micros(100);
+  LbDevice lb(cfg);
+  run_keepalive_mix(lb);
+  const DataPlane& dp = *lb.data_plane();
+  const core::BackendConnectionPool::Stats& s = dp.pool().stats();
+  ASSERT_GT(s.expiries, 0u);
+  ASSERT_GT(s.hits, 0u);
+  const obs::PipelineMetrics& m = lb.obs()->metrics;
+  uint64_t hits = 0, misses = 0, expiries = 0;
+  for (WorkerId w = 0; w < lb.num_workers(); ++w) {
+    EXPECT_EQ(m.pool_hits->shard_value(w) + m.pool_misses->shard_value(w),
+              m.http_requests_forwarded->shard_value(w))
+        << "worker " << w;
+    hits += m.pool_hits->shard_value(w);
+    misses += m.pool_misses->shard_value(w);
+    expiries += m.pool_expiries->shard_value(w);
+  }
+  EXPECT_EQ(hits, s.hits);
+  EXPECT_EQ(misses, s.misses);
+  EXPECT_EQ(expiries, s.expiries);
+  EXPECT_EQ(m.pool_occupancy->value(),
+            static_cast<int64_t>(dp.pool().idle_total()));
+  EXPECT_EQ(dp.totals().pool_expiries, s.expiries);
+  EXPECT_EQ(dp.totals().pool_evictions, s.evictions);
+}
+
+TEST(DataPlaneTest, SyntheticProbeLeavesTheDataPlaneUntouched) {
+  // A per-core probe completes on its worker like any request, but was
+  // never forwarded: the data plane's pool, pending table and streams
+  // stay as they were.
+  LbDevice lb(dp_config(/*zero_copy=*/true));
+  run_keepalive_mix(lb);
+  const DataPlane& dp = *lb.data_plane();
+  const DataPlane::Totals before = dp.totals();
+  const uint64_t idle_before = dp.pool().idle_total();
+  const uint64_t completed = lb.totals().requests_completed;
+  ASSERT_EQ(dp.pending_requests(), 0u);
+
+  lb.inject_core_probe(1);
+  lb.eq().run_until(SimTime::seconds(2));
+
+  ASSERT_EQ(lb.totals().requests_completed, completed + 1);
+  const DataPlane::Totals after = dp.totals();
+  EXPECT_EQ(after.requests_forwarded, before.requests_forwarded);
+  EXPECT_EQ(after.responses_returned, before.responses_returned);
+  EXPECT_EQ(after.bytes_out, before.bytes_out);
+  EXPECT_EQ(after.backend_stream_hash, before.backend_stream_hash);
+  EXPECT_EQ(after.client_stream_hash, before.client_stream_hash);
+  EXPECT_EQ(after.pool_hits, before.pool_hits);
+  EXPECT_EQ(after.pool_misses, before.pool_misses);
+  EXPECT_EQ(after.pool_expiries, before.pool_expiries);
+  EXPECT_EQ(after.pool_evictions, before.pool_evictions);
+  EXPECT_EQ(dp.pool().idle_total(), idle_before);
+  EXPECT_EQ(dp.pending_requests(), 0u);
 }
 
 }  // namespace

@@ -152,8 +152,8 @@ TEST(LbSimTest, HermesSpreadsConnectionsTighter) {
   const auto conns = conns_per_worker(lb);
   const auto [mn, mx] = std::minmax_element(conns.begin(), conns.end());
   EXPECT_LE(*mx - *mn, 30);
-  EXPECT_GT(lb.netstack().group(lb.config().first_port)->stats().bpf_selections,
-            0u);
+  EXPECT_GT(
+      lb.netstack().group(LbDevice::kFirstPort)->stats().bpf_selections, 0u);
 }
 
 TEST(LbSimTest, HermesBypassesHungWorker) {
@@ -215,14 +215,14 @@ TEST(LbSimTest, ReuseportKeepsFeedingHungWorker) {
   lb.eq().run_until(SimTime::millis(400));
   // Stateless hashing still queues connections on the hung worker's socket.
   const size_t queued =
-      lb.netstack().worker_socket(lb.config().first_port, hung) == nullptr
+      lb.netstack().worker_socket(LbDevice::kFirstPort, hung) == nullptr
           ? 0
           : [&] {
               size_t total = 0;
               for (uint32_t p = 0; p < lb.config().num_ports; ++p) {
                 total += lb.netstack()
                              .worker_socket(static_cast<PortId>(
-                                                lb.config().first_port + p),
+                                                LbDevice::kFirstPort + p),
                                             hung)
                              ->accept_queue()
                              .size();

@@ -56,26 +56,28 @@ TEST(AcceptQueueTest, FifoOrder) {
   AcceptQueue q(4);
   const Connection c1 = slab.create(FourTuple{}, 80, 0, SimTime::zero());
   const Connection c2 = slab.create(FourTuple{}, 80, 0, SimTime::zero());
-  EXPECT_TRUE(q.push(c1));
-  EXPECT_TRUE(q.push(c2));
+  q.push(c1);
+  q.push(c2);
   EXPECT_EQ(q.pop().id(), 1u);
   EXPECT_EQ(q.pop().id(), 2u);
   EXPECT_FALSE(q.pop().valid());
 }
 
-TEST(AcceptQueueTest, BacklogOverflowDrops) {
+// NetStack drops a SYN before it allocates a connection when the backlog
+// is full (NetStackTest.BacklogOverflowDropsAndCounts), so a push past the
+// backlog is a program error.
+TEST(AcceptQueueTest, PushPastBacklogIsAProgramError) {
   ConnSlab slab;
   AcceptQueue q(2);
   Connection c[3];
   for (int i = 0; i < 3; ++i) {
     c[i] = slab.create(FourTuple{}, 80, 0, SimTime::zero());
   }
-  EXPECT_TRUE(q.push(c[0]));
-  EXPECT_TRUE(q.push(c[1]));
-  EXPECT_FALSE(q.push(c[2]));
-  EXPECT_EQ(q.dropped(), 1u);
+  q.push(c[0]);
+  q.push(c[1]);
   EXPECT_EQ(q.size(), 2u);
   EXPECT_EQ(q.high_watermark(), 2u);
+  EXPECT_DEATH(q.push(c[2]), "backlog full");
 }
 
 // ------------------------------------------------------------- WaitQueue
@@ -312,6 +314,9 @@ TEST(NetStackTest, BacklogOverflowDropsAndCounts) {
   EXPECT_EQ(ns.stats().drops, 3u);
   EXPECT_EQ(ns.stats().connections, 2u);
   EXPECT_EQ(ns.live_connections(), 2u);
+  const AcceptQueue& q = ns.worker_socket(80, 0)->accept_queue();
+  EXPECT_EQ(q.size(), 2u);
+  EXPECT_EQ(q.high_watermark(), 2u);
 }
 
 TEST(NetStackTest, CloseReleasesConnection) {

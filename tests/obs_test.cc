@@ -451,7 +451,7 @@ TEST(RegistryTest, ExportsContainRecordedMetrics) {
 }
 
 TEST(ObservabilityTest, PipelineMetricsAllWired) {
-  Observability obs(4, 64);
+  Observability obs(4);
   const PipelineMetrics& m = obs.metrics;
   for (Counter* c :
        {m.wst_avail_updates, m.wst_pending_updates, m.wst_conn_updates,
@@ -467,7 +467,7 @@ TEST(ObservabilityTest, PipelineMetricsAllWired) {
   ASSERT_NE(m.accept_depth, nullptr);
   EXPECT_EQ(m.dispatch_picks->shards(), 4u);
   EXPECT_EQ(obs.traces.workers(), 4u);
-  EXPECT_EQ(obs.traces.ring(0).capacity(), 64u);
+  EXPECT_EQ(obs.traces.ring(0).capacity(), Observability::kRingCapacity);
 }
 
 TEST(TraceExportTest, ChromeTraceAndTextFormats) {

@@ -58,9 +58,8 @@ class WorkerHarness {
 };
 
 TEST(WorkerTest, IdleLoopTicksAtEpollTimeout) {
-  Worker::Config wc;
-  wc.epoll_timeout = SimTime::millis(5);
-  WorkerHarness h(wc);
+  static_assert(Worker::kEpollTimeout == SimTime::millis(5));
+  WorkerHarness h(Worker::Config{});
   h.eq_.run_until(SimTime::millis(51));
   // One iteration per 5 ms timeout: ~10, all of them empty wakeups.
   EXPECT_NEAR(static_cast<double>(h.worker_->loop_iterations()), 10, 1);
@@ -77,17 +76,17 @@ TEST(WorkerTest, RequestsProcessedInFifoOrder) {
 }
 
 TEST(WorkerTest, BatchCappedAtMaxBatch) {
-  Worker::Config wc;
-  wc.max_batch = 4;
-  WorkerHarness h(wc);
-  for (RequestId i = 1; i <= 10; ++i) {
+  WorkerHarness h(Worker::Config{});
+  constexpr RequestId kRequests = 3 * Worker::kMaxBatch;
+  for (RequestId i = 1; i <= kRequests; ++i) {
     h.worker_->deliver_request(h.make_request(SimTime::micros(10), i));
   }
-  h.eq_.run_until(SimTime::millis(5));
+  h.eq_.run_until(SimTime::millis(10));
   // All requests complete (across multiple iterations)...
-  EXPECT_EQ(h.done_.size(), 10u);
-  // ...but no epoll_wait returned more than max_batch events.
-  EXPECT_LE(h.worker_->events_per_wait().max_value(), 4);
+  EXPECT_EQ(h.done_.size(), kRequests);
+  // ...and the fullest epoll_wait returned exactly kMaxBatch events.
+  EXPECT_EQ(h.worker_->events_per_wait().max_value(),
+            static_cast<uint64_t>(Worker::kMaxBatch));
 }
 
 TEST(WorkerTest, BusyTimeAccountsForProcessing) {
