@@ -75,7 +75,7 @@ int main() {
               (unsigned long)lb.totals().degradation_resets);
   std::printf("requests completed: %lu, latency P99 %.2f ms\n",
               (unsigned long)lb.totals().requests_completed,
-              (double)lb.latency().p99() / 1e6);
+              (double)lb.take_window_latency().p99() / 1e6);
   std::printf("\nReading: the bitmap loses one bit within ~50 ms of the"
               " wedge, its\nconnections shrink after the resets, and the"
               " bit returns once the worker\nre-enters its event loop.\n");

@@ -38,9 +38,9 @@ int main() {
   std::printf("requests completed:   %lu (%.1f kRPS)\n",
               (unsigned long)lb.totals().requests_completed,
               lb.throughput_krps(end));
+  const auto latency = lb.take_window_latency();  // the whole run
   std::printf("latency avg / P99:    %.3f ms / %.3f ms\n",
-              lb.latency().mean() / 1e6,
-              (double)lb.latency().p99() / 1e6);
+              latency.mean() / 1e6, (double)latency.p99() / 1e6);
 
   std::printf("\nper-worker state (the WST the schedulers read):\n");
   auto& wst = lb.hermes()->wst();

@@ -37,9 +37,10 @@ void run_mode(netsim::DispatchMode mode) {
     ns.group(80)->attach_program(&rt.vm(), att.program.get());
   }
 
-  // Workers: W1..W3 in paper numbering = 0..2 here. Under the shared-socket
-  // (exclusive) mode, an always-idle waiter stub reports which worker the
-  // kernel picked.
+  // Workers: W1..W3 in paper numbering = 0..2 here. A waiter stub per
+  // worker reports which worker the kernel woke: on the shared socket
+  // (exclusive mode) the first idle one in LIFO order, on a per-worker
+  // socket (reuseport, Hermes) its owner.
   struct Stub final : netsim::Waiter {
     WorkerId id;
     bool busy = false;
@@ -52,16 +53,12 @@ void run_mode(netsim::DispatchMode mode) {
   };
   WorkerId last_woken = kInvalidWorker;
   Stub stubs[3];
-  if (!netsim::uses_per_worker_sockets(mode)) {
-    for (WorkerId w = 0; w < 3; ++w) {
-      stubs[w].id = w;
-      stubs[w].last = &last_woken;
-      ns.register_waiter(&stubs[w]);  // W3 (id 2) ends up at the head
-    }
+  for (WorkerId w = 0; w < 3; ++w) {
+    stubs[w].id = w;
+    stubs[w].last = &last_woken;
+    // On the shared socket W3 (id 2) ends up at the head.
+    ns.register_waiter(w, &stubs[w]);
   }
-  WorkerId notified = kInvalidWorker;
-  ns.set_socket_ready_fn(
-      [&](WorkerId w, netsim::ListeningSocket&) { notified = w; });
 
   const SimTime t = SimTime::millis(1);
   for (WorkerId w = 0; w < 3; ++w) rt.hooks_for(w).on_loop_enter(t);
@@ -75,12 +72,10 @@ void run_mode(netsim::DispatchMode mode) {
                             (uint16_t)(20000 + i * 131), 80};
     const netsim::Connection conn = ns.on_connection_request(tuple, 0, t);
 
-    WorkerId assigned = kInvalidWorker;
+    const WorkerId assigned = last_woken;
     if (netsim::uses_per_worker_sockets(mode)) {
-      assigned = notified;
       ns.accept(*ns.worker_socket(80, assigned), assigned);
     } else {
-      assigned = last_woken;
       ns.accept(*ns.shared_socket(80), assigned);
       stubs[assigned].busy = true;  // now processing; cleared when done
     }

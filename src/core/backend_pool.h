@@ -124,13 +124,6 @@ class BackendConnectionPool {
     ++idle_total_;
   }
 
-  // Proactively expires idle connections across all partitions.
-  void expire_idle(SimTime now) {
-    for (auto& part : idle_) {
-      for (auto& [b, dq] : part) expire_bucket(dq, now);
-    }
-  }
-
   struct Stats {
     uint64_t hits = 0;
     uint64_t misses = 0;  // == new handshakes

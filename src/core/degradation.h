@@ -7,8 +7,9 @@
 // prioritize the eventual success of their requests ... even at the expense
 // of L4 connection stability."
 //
-// Pure decision logic: the host (simulator or live demo) supplies the hung
-// worker's connection ids and applies the resets it returns.
+// Pure decision logic with no state of its own: the host (simulator or
+// live demo) supplies the hung worker's connection ids, applies the resets
+// it returns, and counts them (LbDevice::Totals::degradation_resets).
 #pragma once
 
 #include <cstdint>
@@ -51,16 +52,8 @@ class DegradationPolicy {
     return out;
   }
 
-  struct Stats {
-    uint64_t degradations = 0;  // times a worker was degraded
-    uint64_t resets = 0;        // connections reset in total
-  };
-  Stats& stats() { return stats_; }
-  const Stats& stats() const { return stats_; }
-
  private:
   HermesConfig cfg_;
-  Stats stats_;
 };
 
 }  // namespace hermes::core

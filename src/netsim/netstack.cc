@@ -27,12 +27,8 @@ void NetStack::add_port(PortId port) {
   port_order_.push_back(port);
 }
 
-void NetStack::register_waiter(Waiter* w) {
-  HERMES_CHECK_MSG(!uses_per_worker_sockets(cfg_.mode),
-                   "waiters only exist in shared-socket modes");
-  for (auto& [port, entry] : ports_) {
-    entry.shared->wait_queue().add(w);
-  }
+void NetStack::register_waiter(WorkerId w, Waiter* waiter) {
+  for (ListeningSocket* sock : sockets_of(w)) sock->wait_queue().add(waiter);
 }
 
 void NetStack::set_obs(obs::Observability* obs) {
@@ -78,7 +74,6 @@ Connection NetStack::on_connection_request(const FourTuple& tuple,
 
   const Connection c = conns_.create(tuple, port, tenant, now);
   sock->accept_queue().push(c);
-  ++stats_.connections;
   if (obs_ != nullptr) {
     obs_->metrics.accept_enqueued->inc(shard);
     obs_->metrics.accept_depth->record(shard, sock->accept_queue().size());
@@ -86,22 +81,19 @@ Connection NetStack::on_connection_request(const FourTuple& tuple,
                        sock->accept_queue().size());
   }
 
-  if (uses_per_worker_sockets(cfg_.mode)) {
-    // The owning worker's epoll reports the socket readable.
-    if (socket_ready_) socket_ready_(sock->owner(), *sock);
-  } else {
-    const WakePolicy policy =
-        cfg_.mode == DispatchMode::EpollWakeAll   ? WakePolicy::WakeAll
-        : cfg_.mode == DispatchMode::EpollRr      ? WakePolicy::ExclusiveRr
-        : cfg_.mode == DispatchMode::IoUringFifo  ? WakePolicy::ExclusiveFifo
-                                                  : WakePolicy::ExclusiveLifo;
-    const auto ws = sock->wait_queue().wake(*sock, policy);
-    stats_.wasted_wakeups += static_cast<uint64_t>(ws.wasted_wakeups);
-    if (ws.woken == 0) {
-      // All waiters busy: the event stays ready; the next epoll_wait
-      // caller will pick it up (kernel semantics, nothing lost).
-      ++stats_.unnotified;
-    }
+  // A per-worker socket's queue holds only its owner, so every exclusive
+  // policy wakes the same waiter there.
+  const WakePolicy policy =
+      cfg_.mode == DispatchMode::EpollWakeAll   ? WakePolicy::WakeAll
+      : cfg_.mode == DispatchMode::EpollRr      ? WakePolicy::ExclusiveRr
+      : cfg_.mode == DispatchMode::IoUringFifo  ? WakePolicy::ExclusiveFifo
+                                                : WakePolicy::ExclusiveLifo;
+  const auto ws = sock->wait_queue().wake(*sock, policy);
+  stats_.wasted_wakeups += static_cast<uint64_t>(ws.wasted_wakeups);
+  if (ws.woken == 0) {
+    // Every waiter busy: the event stays ready; the next epoll_wait
+    // caller will pick it up (kernel semantics, nothing lost).
+    ++stats_.unnotified;
   }
   return c;
 }

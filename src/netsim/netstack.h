@@ -5,10 +5,12 @@
 // The sim layer feeds SYNs in one at a time (on_connection_request) and
 // accept()s connections out; everything in between — socket selection,
 // accept-queue backpressure, wait-queue wakeups — happens here with kernel
-// semantics.
+// semantics. As in Linux, a SYN wakes its waiters one way in every mode:
+// through the wait queue of the socket it was queued on. The modes differ
+// only in which socket that is (the one shared socket, or the reuseport
+// pick) and in who waits there (every worker, or the socket's owner).
 #pragma once
 
-#include <functional>
 #include <memory>
 #include <unordered_map>
 #include <vector>
@@ -58,11 +60,6 @@ class NetStack {
     size_t backlog = 1024;
   };
 
-  // In per-worker-socket modes the kernel "wakes" the owning worker by
-  // marking its socket readable; the sim worker hooks this to schedule its
-  // epoll_wait return.
-  using SocketReadyFn = std::function<void(WorkerId, ListeningSocket&)>;
-
   explicit NetStack(Config cfg);
 
   const Config& config() const { return cfg_; }
@@ -72,12 +69,12 @@ class NetStack {
   // the reuseport group, depending on mode.
   void add_port(PortId port);
 
-  // Shared-socket modes: register a worker's waiter on every port's wait
-  // queue. Registration order matters (LIFO!): the last registered worker
-  // sits at the head of every wait queue, exactly as with epoll_ctl.
-  void register_waiter(Waiter* w);
-
-  void set_socket_ready_fn(SocketReadyFn fn) { socket_ready_ = std::move(fn); }
+  // epoll_ctl for worker `w`: add `waiter` to the wait queue of every
+  // socket in sockets_of(w). A per-worker socket's queue then holds only
+  // its owner. On shared sockets registration order matters (LIFO!): the
+  // last registered worker sits at the head of every wait queue, exactly
+  // as with epoll_ctl. The waiter is not owned and must outlive the stack.
+  void register_waiter(WorkerId w, Waiter* waiter);
 
   // Observability sinks (nullable; not owned). Applies to already-bound
   // ports and to every port bound afterwards. Instruments socket selection
@@ -108,7 +105,6 @@ class NetStack {
   std::vector<ListeningSocket*> sockets_of(WorkerId worker);
 
   struct Stats {
-    uint64_t connections = 0;
     uint64_t drops = 0;             // backlog overflow
     uint64_t wasted_wakeups = 0;    // thundering-herd overhead
     uint64_t unnotified = 0;        // queued while every waiter was busy
@@ -131,7 +127,6 @@ class NetStack {
   std::unordered_map<PortId, PortEntry> ports_;
   std::vector<PortId> port_order_;
   ConnSlab conns_;
-  SocketReadyFn socket_ready_;
   obs::Observability* obs_ = nullptr;  // nullable; not owned
   Stats stats_;
 };

@@ -5,13 +5,19 @@
 // network LB's dispatcher sits on the critical path and saturates under
 // high CPS: its single core caps the whole device's connection rate.
 //
-// The dispatcher consumes one core; serving workers are ids 1..N-1.
+// The dispatcher consumes worker 0's core and is the only waiter on the
+// shared sockets (it registers as worker 0); serving workers are ids
+// 1..N-1, and it hands each connection to one by calling its
+// adopt_connection directly.
 #pragma once
 
-#include <functional>
+#include <memory>
+#include <vector>
 
 #include "netsim/netstack.h"
 #include "simcore/event_queue.h"
+#include "sim/worker.h"
+#include "util/check.h"
 #include "util/types.h"
 
 namespace hermes::sim {
@@ -28,18 +34,18 @@ class Dispatcher final : public netsim::Waiter {
   // Connections accepted per wakeup.
   static constexpr int kMaxBatch = 64;
 
-  // Forward an accepted connection to worker `target`.
-  using ForwardFn = std::function<void(WorkerId, netsim::Connection)>;
-
+  // `workers` is the device's worker vector (not owned; outlives the
+  // dispatcher). Worker 0 is this dispatcher's core and serves nothing.
   Dispatcher(EventQueue& eq, netsim::NetStack& ns,
-             uint32_t num_serving_workers, ForwardFn forward)
-      : eq_(eq), ns_(ns), num_serving_(num_serving_workers),
-        forward_(std::move(forward)) {}
+             const std::vector<std::unique_ptr<Worker>>& workers)
+      : eq_(eq), ns_(ns), workers_(workers) {
+    HERMES_CHECK(workers_.size() >= 2);
+  }
 
   void attach_sockets() { sockets_ = ns_.sockets_of(0); }
 
   void start() {
-    ns_.register_waiter(this);
+    ns_.register_waiter(0, this);
     block();
   }
 
@@ -78,7 +84,9 @@ class Dispatcher final : public netsim::Waiter {
         const netsim::Connection conn = ns_.accept(*sock, next_worker_);
         if (!conn) break;
         pending_.push_back({conn, next_worker_});
-        next_worker_ = 1 + (next_worker_ % num_serving_);  // RR over 1..N-1
+        // Round-robin over the serving workers 1..N-1.
+        next_worker_ =
+            1 + next_worker_ % static_cast<WorkerId>(workers_.size() - 1);
         ++taken;
         spent += kDispatchCost;
       }
@@ -89,7 +97,9 @@ class Dispatcher final : public netsim::Waiter {
 
     // Deliver after the dispatch processing time has elapsed.
     eq_.schedule_after(spent, [this] {
-      for (auto& [conn, target] : pending_) forward_(target, conn);
+      for (auto& [conn, target] : pending_) {
+        workers_[target]->adopt_connection(conn);
+      }
       pending_.clear();
       // More queued? immediately re-run; else block.
       for (netsim::ListeningSocket* sock : sockets_) {
@@ -105,8 +115,7 @@ class Dispatcher final : public netsim::Waiter {
 
   EventQueue& eq_;
   netsim::NetStack& ns_;
-  uint32_t num_serving_;
-  ForwardFn forward_;
+  const std::vector<std::unique_ptr<Worker>>& workers_;
 
   std::vector<netsim::ListeningSocket*> sockets_;
   std::vector<std::pair<netsim::Connection, WorkerId>> pending_;

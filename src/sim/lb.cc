@@ -96,7 +96,6 @@ LbDevice::LbDevice(Config cfg)
     on_request_done(w, r);
   };
 
-  const bool user_dispatcher = cfg_.mode == netsim::DispatchMode::UserDispatcher;
   for (WorkerId w = 0; w < cfg_.num_workers; ++w) {
     Worker::Config wc = cfg_.worker;
     wc.id = w;
@@ -105,25 +104,16 @@ LbDevice::LbDevice(Config cfg)
         wc, eq_, ns_, host, hermes_ ? &*hermes_ : nullptr));
   }
 
-  if (netsim::uses_per_worker_sockets(cfg_.mode)) {
-    ns_.set_socket_ready_fn([this](WorkerId w, netsim::ListeningSocket& s) {
-      workers_[w]->on_socket_ready(s);
-    });
-  } else if (user_dispatcher) {
+  if (cfg_.mode == netsim::DispatchMode::UserDispatcher) {
     // §2.2 baseline: worker 0's core hosts the dispatcher; it is the sole
-    // waiter on the shared sockets and forwards accepted connections to
+    // waiter on the shared sockets and hands accepted connections to
     // workers 1..N-1 round-robin.
-    HERMES_CHECK(cfg_.num_workers >= 2);
-    dispatcher_.emplace(
-        eq_, ns_, cfg_.num_workers - 1,
-        [this](WorkerId target, netsim::Connection conn) {
-          workers_[target]->adopt_connection(conn);
-        });
+    dispatcher_.emplace(eq_, ns_, workers_);
   } else {
-    // Registration order defines the LIFO preference: worker 0 first, so
-    // the highest-id worker sits at every wait-queue head — matching the
-    // "most recently added via epoll_ctl" behaviour.
-    for (auto& w : workers_) ns_.register_waiter(w.get());
+    // Registration order defines the LIFO preference on shared sockets:
+    // worker 0 first, so the highest-id worker sits at every wait-queue
+    // head — matching the "most recently added via epoll_ctl" behaviour.
+    for (auto& w : workers_) ns_.register_waiter(w->id(), w.get());
   }
 
   for (auto& w : workers_) {
@@ -207,8 +197,7 @@ uint32_t LbDevice::acquire_shape(const ConnPlan& plan) {
     if (same_bits(s.cost_us, plan.cost_us) &&
         same_bits(s.bytes, plan.bytes) && same_bits(s.gap_us, plan.gap_us) &&
         same_bits(s.poison_cost_us, plan.poison_cost_us) &&
-        same_bits(s.poison_fraction, plan.poison_fraction) &&
-        s.is_probe == plan.is_probe) {
+        same_bits(s.poison_fraction, plan.poison_fraction)) {
       ++s.live;
       return last_shape_;
     }
@@ -220,10 +209,9 @@ uint32_t LbDevice::acquire_shape(const ConnPlan& plan) {
     last_shape_ = free_shapes_.back();
     free_shapes_.pop_back();
   }
-  shapes_[last_shape_] = PlanShape{plan.cost_us,         plan.bytes,
-                                   plan.gap_us,          plan.poison_cost_us,
-                                   plan.poison_fraction, plan.is_probe,
-                                   /*live=*/1};
+  shapes_[last_shape_] = PlanShape{plan.cost_us,        plan.bytes,
+                                   plan.gap_us,         plan.poison_cost_us,
+                                   plan.poison_fraction, /*live=*/1};
   return last_shape_;
 }
 
@@ -236,7 +224,6 @@ LbDevice::ConnPlan LbDevice::plan_of(const LiveConn& lc) const {
   plan.gap_us = s.gap_us;
   plan.poison_fraction = s.poison_fraction;
   plan.poison_cost_us = s.poison_cost_us;
-  plan.is_probe = s.is_probe;
   return plan;
 }
 
@@ -354,7 +341,6 @@ void LbDevice::run_degradation_sweep() {
       }
     });
     const auto resets = degradation_->pick_resets(ids, degradation_salt_++);
-    degradation_->stats().degradations += resets.empty() ? 0 : 1;
     for (uint64_t id : resets) {
       // RST: the client reconnects immediately; remaining requests carry
       // over to the new connection, which the (healthy-workers) bitmap
@@ -364,7 +350,6 @@ void LbDevice::run_degradation_sweep() {
       ConnPlan plan = plan_of(*lc);
       const TenantId tenant = lc->conn.tenant();
       ++totals_.degradation_resets;
-      degradation_->stats().resets++;
       close_conn(id);
       if (plan.remaining > 0) open_connection(tenant, std::move(plan));
     }
@@ -398,7 +383,6 @@ LbDevice::Sample LbDevice::sample_now() {
   s.cpu_min = cmin;
   s.cpu_max = cmax;
   s.cpu_avg = csum / cfg_.num_workers;
-  s.total_utilization = s.cpu_avg;
   samples_.push_back(s);
   return s;
 }
@@ -438,23 +422,21 @@ Request LbDevice::make_request(LiveConn& lc, SimTime arrival) {
 }
 
 void LbDevice::on_accepted(Worker& w, netsim::Connection conn) {
+  // A connection is accepted exactly once, and close_conn sheds only
+  // Accepted connections, so its row is still here.
   LiveConn* lc = conns_.find(conn.id());
-  if (lc == nullptr) return;  // closed while queued (shouldn't happen)
-  if (!lc->first_delivered) {
-    lc->first_delivered = true;
-    // The client's first request was already on the wire: its latency clock
-    // started at SYN time, so accept-queue waiting counts (this is what
-    // punishes reuseport's dispatch-to-hung-worker behaviour).
-    Request req = make_request(*lc, lc->syn_time);
-    ++totals_.requests_generated;
-    w.deliver_request(req);
-  }
+  HERMES_CHECK(lc != nullptr);
+  // The client's first request was already on the wire: its latency clock
+  // started at SYN time, so accept-queue waiting counts (this is what
+  // punishes reuseport's dispatch-to-hung-worker behaviour).
+  Request req = make_request(*lc, lc->syn_time);
+  ++totals_.requests_generated;
+  w.deliver_request(req);
 }
 
 void LbDevice::on_request_done(Worker& w, const Request& req) {
   ++totals_.requests_completed;
   const SimTime latency = eq_.now() - req.arrival;
-  latency_.record(latency);
   window_latency_.record(latency);
   if (obs_) {
     obs_req_latency_->record(w.id(), static_cast<uint64_t>(latency.ns()));
@@ -470,12 +452,14 @@ void LbDevice::on_request_done(Worker& w, const Request& req) {
   if (dp_) dp_->on_response(w.id(), req, eq_.now());
 
   LiveConn* lc = conns_.find(req.conn);
-  // A probe rides a probe-plan connection or is a synthetic per-core
-  // probe, whose id names no connection.
-  const bool probe = lc != nullptr ? shapes_[lc->shape].is_probe
-                                   : req.conn >= kProbeConnBase;
-  if (probe && latency > SimTime::millis(200)) ++delayed_probes_;
-  if (lc == nullptr) return;
+  if (lc == nullptr) {
+    // A per-core probe, whose id names no connection, or a request whose
+    // connection was reset while it was in flight.
+    if (req.conn >= kProbeConnBase && latency > SimTime::millis(200)) {
+      ++delayed_probes_;
+    }
+    return;
+  }
   if (--lc->remaining <= 0) {
     close_conn(req.conn);
     return;

@@ -14,11 +14,15 @@
 // drop accounting, then the connection's row. Only the device's own
 // clients retry a backlog drop, with a newly drawn tuple.
 //
+// The SYN then wakes a waiter through its socket's wait queue, in every
+// mode: the device registers each worker on the sockets it watches (or,
+// under UserDispatcher, only the dispatcher on the shared sockets).
+//
 // Per-connection workload state (remaining requests, original SYN time)
 // lives in a netsim::ConnTable keyed by the connection's id, i.e. by its
 // slab slot; its tenant is the slab's, set at admission. The rest of a
-// connection's ConnPlan — its four DistSpecs,
-// poison_fraction and is_probe — is a *plan shape* in a per-device table
+// connection's ConnPlan — its four DistSpecs and
+// poison_fraction — is a *plan shape* in a per-device table
 // that rows name by a 32-bit index. An opened plan reuses the most recently
 // used shape when every field is bitwise equal to it (so a NaN still
 // shares) and otherwise takes a free slot: no hashing, no search. A slot is
@@ -26,10 +30,11 @@
 // more shapes than there are live connections (trace replay, where every
 // plan differs) and usually holds one per traffic pattern.
 //
-// Request latencies go into two obs::Histograms (the repository's one
-// log-linear histogram): latency() over the whole run and
-// take_window_latency() per reporting window. With a metrics registry
-// wired, its sharded request.latency_ns records the same values per worker.
+// Request latencies go into one obs::Histogram (the repository's one
+// log-linear histogram), read and reset by take_window_latency(). With a
+// metrics registry wired, its sharded request.latency_ns records the same
+// values per worker. A delayed probe is a per-core probe
+// (inject_core_probe) that took over 200 ms.
 #pragma once
 
 #include <cstdint>
@@ -134,7 +139,6 @@ class LbDevice {
     DistSpec gap_us = DistSpec::exponential(10'000);
     double poison_fraction = 0;
     DistSpec poison_cost_us = DistSpec::constant(500'000);
-    bool is_probe = false;
   };
 
   // Open a connection for `tenant` (port chosen by tenant id). Returns the
@@ -191,9 +195,8 @@ class LbDevice {
   // Per-request observer (tenant, latency) — per-tenant SLO tooling.
   using RequestDoneFn = std::function<void(TenantId, SimTime)>;
   void set_request_done_fn(RequestDoneFn fn) { request_done_ = std::move(fn); }
-  obs::Histogram& latency() { return latency_; }   // all request latencies
-  // Latency histogram since the last take_window_latency() call (timeline
-  // plots like Fig. 3).
+  // Request latencies since the previous call; the whole run on the first
+  // call (timeline plots like Fig. 3 take one per window).
   obs::Histogram take_window_latency() {
     obs::Histogram out = std::move(window_latency_);
     window_latency_ = obs::Histogram{5};
@@ -213,7 +216,6 @@ class LbDevice {
     double cpu_sd = 0;          // SD of per-worker utilization in [0,1]
     double conn_sd = 0;         // SD of per-worker live connections
     double cpu_max = 0, cpu_min = 0, cpu_avg = 0;
-    double total_utilization = 0;
   };
   // Samples utilization over the window since the previous call.
   Sample sample_now();
@@ -234,7 +236,6 @@ class LbDevice {
     DistSpec gap_us;
     DistSpec poison_cost_us;
     double poison_fraction = 0;
-    bool is_probe = false;
     uint32_t live = 0;  // rows naming this shape; 0 = free slot
   };
 
@@ -243,7 +244,6 @@ class LbDevice {
     SimTime syn_time{};   // ORIGINAL SYN (first attempt)
     int remaining = 1;
     uint32_t shape = 0;   // index into shapes_
-    bool first_delivered = false;
     // The request carrying Connection: close is out: the client sends
     // nothing more on this connection.
     bool close_sent = false;
@@ -306,7 +306,6 @@ class LbDevice {
   uint64_t degradation_salt_ = 0;
 
   Totals totals_;
-  obs::Histogram latency_{5};
   obs::Histogram window_latency_{5};
   uint64_t delayed_probes_ = 0;
   RequestDoneFn request_done_;

@@ -23,7 +23,14 @@ void Worker::start() {
   block();
 }
 
-bool Worker::try_wake(netsim::ListeningSocket&) {
+bool Worker::try_wake(netsim::ListeningSocket&) { return wake(); }
+
+void Worker::deliver_request(const Request& req) {
+  pending_requests_.push_back(req);
+  wake();
+}
+
+bool Worker::wake() {
   if (state_ != State::Blocked) return false;
   state_ = State::Woken;
   eq_.cancel(timeout_handle_);
@@ -32,26 +39,13 @@ bool Worker::try_wake(netsim::ListeningSocket&) {
   return true;
 }
 
-void Worker::on_socket_ready(netsim::ListeningSocket& sock) {
-  // Per-worker sockets: only the owner is notified.
-  HERMES_DCHECK(sock.owner() == cfg_.id);
-  (void)sock;
-  try_wake(sock);
-}
-
-void Worker::deliver_request(const Request& req) {
-  pending_requests_.push_back(req);
-  if (state_ == State::Blocked) {
-    state_ = State::Woken;
-    eq_.cancel(timeout_handle_);
-    blocking_time_.record(eq_.now() - blocked_since_);
-    eq_.schedule_after(SimTime::zero(), [this] { start_iteration(); });
-  }
-}
-
 void Worker::adopt_connection(netsim::Connection conn) {
   HERMES_DCHECK(conn.valid() && conn.state() == netsim::ConnState::Accepted);
   conn.set_owner(cfg_.id);
+  note_accepted(conn);
+}
+
+void Worker::note_accepted(netsim::Connection conn) {
   ++accepts_done_;
   ++live_conns_;
   if (hooks_) hooks_->on_conn_open();
@@ -155,12 +149,7 @@ void Worker::finish_event() {
   if (hooks_) hooks_->on_event_processed();
   if (in_service_.kind == WorkerEvent::Kind::Accept) {
     const netsim::Connection conn = ns_.accept(*in_service_.socket, cfg_.id);
-    if (conn) {  // may have been drained by a sibling (herd)
-      ++accepts_done_;
-      ++live_conns_;
-      if (hooks_) hooks_->on_conn_open();
-      if (host_.on_accepted) host_.on_accepted(*this, conn);
-    }
+    if (conn) note_accepted(conn);  // a sibling may have drained it (herd)
   } else {
     ++requests_done_;
     if (host_.on_request_done) {

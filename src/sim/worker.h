@@ -84,10 +84,9 @@ class Worker final : public netsim::Waiter {
   void start();
 
   // --- kernel-side notifications ---------------------------------------
-  // Shared-socket modes (exclusive/rr/wakeall): wait-queue wakeup.
+  // Wait-queue wakeup from a socket this worker registered on (the shared
+  // sockets, or its own per-worker sockets).
   bool try_wake(netsim::ListeningSocket& source) override;
-  // Per-worker-socket modes (reuseport/hermes): socket became readable.
-  void on_socket_ready(netsim::ListeningSocket& sock);
 
   // A request arrived on one of this worker's established connections.
   void deliver_request(const Request& req);
@@ -116,6 +115,10 @@ class Worker final : public netsim::Waiter {
  private:
   enum class State : uint8_t { Blocked, Woken, Running };
 
+  // Leaves epoll_wait if blocked in it; false if already awake.
+  bool wake();
+  // An accepted or adopted connection is now this worker's.
+  void note_accepted(netsim::Connection conn);
   void block();
   void on_timeout();
   void start_iteration();

@@ -156,19 +156,6 @@ TEST(PoolTest, IdleConnectionsExpireFromColdEnd) {
   EXPECT_FALSE(pool.acquire(0, 1, SimTime::millis(12)).has_value());
 }
 
-TEST(PoolTest, ExpireIdleSweepsAllPartitions) {
-  BackendConnectionPool::Config cfg;
-  cfg.shared = false;
-  cfg.num_workers = 4;
-  cfg.idle_expiry = SimTime::millis(5);
-  BackendConnectionPool pool(cfg);
-  for (WorkerId w = 0; w < 4; ++w) pool.release(w, 7, 0, SimTime::zero());
-  EXPECT_EQ(pool.idle_total(), 4u);
-  pool.expire_idle(SimTime::millis(6));
-  EXPECT_EQ(pool.idle_total(), 0u);
-  EXPECT_EQ(pool.stats().expiries, 4u);
-}
-
 TEST(PoolTest, MaxIdleBoundEvictsColdest) {
   BackendConnectionPool::Config cfg;
   cfg.max_idle_per_backend = 2;

@@ -39,7 +39,22 @@ class RuntimeTest : public ::testing::Test {
     }
     attachment_ = runtime_.attach_port(cookies);
     ns_->group(80)->attach_program(&runtime_.vm(), attachment_.program.get());
+    for (WorkerId w = 0; w < kWorkers; ++w) {
+      waiters_[w].self = w;
+      ns_->register_waiter(w, &waiters_[w]);
+    }
   }
+
+  // Counts the wakeups its worker's sockets deliver; always idle.
+  struct CountingWaiter final : netsim::Waiter {
+    WorkerId self = 0;
+    std::map<WorkerId, int>* got = nullptr;
+    bool try_wake(netsim::ListeningSocket& s) override {
+      EXPECT_EQ(s.owner(), self);
+      if (got != nullptr) ++(*got)[self];
+      return true;
+    }
+  };
 
   static HermesRuntime::Options make_options() {
     HermesRuntime::Options o;
@@ -56,17 +71,18 @@ class RuntimeTest : public ::testing::Test {
   std::map<WorkerId, int> drive_connections(int n, uint64_t seed) {
     sim::Rng rng(seed);
     std::map<WorkerId, int> got;
-    ns_->set_socket_ready_fn(
-        [&](WorkerId w, netsim::ListeningSocket&) { ++got[w]; });
+    for (CountingWaiter& w : waiters_) w.got = &got;
     for (int i = 0; i < n; ++i) {
       ns_->on_connection_request(rand_tuple(rng, 80), 0, SimTime::zero());
     }
+    for (CountingWaiter& w : waiters_) w.got = nullptr;
     return got;
   }
 
   HermesRuntime runtime_;
   std::optional<netsim::NetStack> ns_;
   PortAttachment attachment_;
+  CountingWaiter waiters_[kWorkers];
 };
 
 TEST_F(RuntimeTest, FullLoopDispatchesOnlyToSelectedWorkers) {

@@ -61,8 +61,9 @@ TEST(LbSimTest, SingleConnectionCompletesWithPlausibleLatency) {
   lb.eq().run_until(SimTime::seconds(1));
   EXPECT_EQ(lb.totals().requests_completed, 1u);
   // Latency = accept wakeup + accept cost + processing, well under 1 ms.
-  EXPECT_GT(lb.latency().max_value(), SimTime::micros(200).ns());
-  EXPECT_LT(lb.latency().max_value(), SimTime::millis(1).ns());
+  const auto latency = lb.take_window_latency();
+  EXPECT_GT(latency.max_value(), SimTime::micros(200).ns());
+  EXPECT_LT(latency.max_value(), SimTime::millis(1).ns());
   EXPECT_EQ(lb.live_connections(), 0u);
 }
 
@@ -252,7 +253,8 @@ TEST(LbSimTest, DeterministicForSeed) {
     lb.start_pattern(case_pattern(3, 4, 1.0), 0, 4, SimTime::seconds(1));
     lb.eq().run_until(SimTime::seconds(2));
     return std::tuple{lb.totals().requests_completed,
-                      lb.totals().conns_opened, lb.latency().p99()};
+                      lb.totals().conns_opened,
+                      lb.take_window_latency().p99()};
   };
   EXPECT_EQ(run(7), run(7));
   EXPECT_NE(run(7), run(8));
@@ -292,27 +294,76 @@ TEST(LbSimTest, BurstDeliversToAllLiveConnections) {
 
 TEST(LbSimTest, ProbeCountsDelayedProbes) {
   LbDevice lb(base_config(netsim::DispatchMode::Reuseport));
-  // Wedge all workers with poison, then probe every 100 ms for 2 s.
+  // Wedge all workers with poison, then probe one wedged worker's core
+  // every 100 ms for 2 s, round-robin over the workers.
   LbDevice::ConnPlan poison;
   poison.remaining = 1;
   poison.cost_us = DistSpec::constant(3'000'000);
   for (int i = 0; i < 16; ++i) {
     lb.open_connection(static_cast<TenantId>(i % 4), poison);
   }
-  LbDevice::ConnPlan probe;
-  probe.cost_us = DistSpec::constant(50);
-  probe.bytes = DistSpec::constant(64);
-  probe.is_probe = true;
+  lb.eq().run_until(SimTime::millis(50));
+  for (WorkerId w = 0; w < lb.num_workers(); ++w) {
+    ASSERT_GT(lb.worker(w).live_connections(), 0) << "worker " << w;
+  }
   constexpr int kProbes = 20;
   for (int i = 1; i <= kProbes; ++i) {
-    lb.eq().schedule_at(SimTime::millis(100 * i), [&lb, probe] {
-      EXPECT_NE(lb.open_connection(0, probe), 0u);
+    lb.eq().schedule_at(SimTime::millis(100 * i), [&lb, i] {
+      lb.inject_core_probe(static_cast<WorkerId>(i % lb.num_workers()));
     });
   }
   // A probe is counted when it completes: run until the wedge drains.
   lb.eq().run_until(SimTime::seconds(30));
   EXPECT_EQ(lb.totals().requests_completed, 16u + kProbes);
   EXPECT_EQ(lb.delayed_probes(), static_cast<uint64_t>(kProbes));
+}
+
+TEST(LbSimTest, DispatcherHandsConnectionsRoundRobinToServingWorkers) {
+  LbDevice lb(base_config(netsim::DispatchMode::UserDispatcher));
+  ASSERT_NE(lb.dispatcher(), nullptr);
+  LbDevice::ConnPlan plan;
+  plan.remaining = 1;
+  plan.cost_us = DistSpec::constant(100);
+  // One burst, drained by one dispatcher run: 31 connections over the
+  // serving workers 1..3, starting at worker 1.
+  constexpr int kConns = 31;
+  for (int i = 0; i < kConns; ++i) {
+    ASSERT_NE(lb.open_connection(static_cast<TenantId>(i % 4), plan), 0u);
+  }
+  lb.eq().run_until(SimTime::seconds(1));
+  EXPECT_EQ(lb.dispatcher()->dispatched(), static_cast<uint64_t>(kConns));
+  // Worker 0's core runs the dispatcher: it adopts nothing.
+  EXPECT_EQ(lb.worker(0).accepts_done(), 0u);
+  EXPECT_EQ(lb.worker(0).requests_done(), 0u);
+  EXPECT_EQ(lb.worker(1).accepts_done(), 11u);
+  EXPECT_EQ(lb.worker(2).accepts_done(), 10u);
+  EXPECT_EQ(lb.worker(3).accepts_done(), 10u);
+  EXPECT_EQ(lb.totals().requests_completed, static_cast<uint64_t>(kConns));
+}
+
+TEST(LbSimTest, FirstLatencyTakeCoversTheWholeRun) {
+  LbDevice lb(base_config(netsim::DispatchMode::HermesMode));
+  LbDevice::ConnPlan plan;
+  plan.remaining = 1;
+  plan.cost_us = DistSpec::constant(200);
+  auto open = [&lb, &plan](int n) {
+    for (int i = 0; i < n; ++i) {
+      ASSERT_NE(lb.open_connection(static_cast<TenantId>(i % 4), plan), 0u);
+    }
+  };
+  open(5);
+  lb.eq().run_until(SimTime::seconds(1));
+  open(3);
+  lb.eq().run_until(SimTime::seconds(2));
+  // Nothing was taken before: the first take holds every request so far.
+  const auto first = lb.take_window_latency();
+  EXPECT_EQ(first.count, 8u);
+  EXPECT_EQ(first.count, lb.totals().requests_completed);
+  // Each later take holds only what completed since the previous one.
+  open(2);
+  lb.eq().run_until(SimTime::seconds(3));
+  EXPECT_EQ(lb.take_window_latency().count, 2u);
+  EXPECT_EQ(lb.take_window_latency().count, 0u);
 }
 
 TEST(LbSimTest, DegradationSweepMovesConnectionsOffHungWorker) {
@@ -369,7 +420,8 @@ TEST(LbSimTest, SynRetransmissionRecoversDroppedConnections) {
   EXPECT_EQ(lb.totals().requests_completed, 6u);
   // The late connections' latency includes the retry backoff: well over
   // the 100 ms first backoff, measured from the ORIGINAL SYN.
-  EXPECT_GT(lb.latency().max_value(), SimTime::millis(100).ns());
+  EXPECT_GT(lb.take_window_latency().max_value(),
+            SimTime::millis(100).ns());
 }
 
 TEST(LbSimTest, SynRetriesExhaustAndGiveUp) {

@@ -2,7 +2,6 @@
 // selection, and NetStack dispatch across all modes.
 #include <gtest/gtest.h>
 
-#include <map>
 #include <set>
 #include <vector>
 
@@ -235,9 +234,9 @@ TEST(NetStackTest, ExclusiveModeSharedSocketDispatch) {
 
   NotifyingWaiter w0, w1, w2;
   // Register in order w0, w1, w2 => w2 at wait-queue heads.
-  ns.register_waiter(&w0);
-  ns.register_waiter(&w1);
-  ns.register_waiter(&w2);
+  ns.register_waiter(0, &w0);
+  ns.register_waiter(1, &w1);
+  ns.register_waiter(2, &w2);
 
   const Connection c = ns.on_connection_request(tuple_of(1, 1000, 80), 0,
                                                 SimTime::zero());
@@ -262,8 +261,8 @@ TEST(NetStackTest, ExclusiveAllBusyCountsUnnotified) {
   ns.add_port(80);
   NotifyingWaiter w0, w1;
   w0.idle = w1.idle = false;
-  ns.register_waiter(&w0);
-  ns.register_waiter(&w1);
+  ns.register_waiter(0, &w0);
+  ns.register_waiter(1, &w1);
   ASSERT_TRUE(ns.on_connection_request(tuple_of(1, 1, 80), 0,
                                        SimTime::zero())
                   .valid());
@@ -279,25 +278,59 @@ TEST(NetStackTest, ReuseportModeNotifiesOwningWorker) {
   NetStack ns(cfg);
   ns.add_port(443);
 
-  std::map<WorkerId, int> notified;
-  ns.set_socket_ready_fn(
-      [&](WorkerId w, ListeningSocket& s) {
-        EXPECT_EQ(s.owner(), w);
-        ++notified[w];
-      });
+  NotifyingWaiter waiters[4];
+  for (WorkerId w = 0; w < 4; ++w) ns.register_waiter(w, &waiters[w]);
 
   sim::Rng rng(3);
   for (int i = 0; i < 400; ++i) {
-    ns.on_connection_request(
+    const Connection c = ns.on_connection_request(
         tuple_of(static_cast<uint32_t>(rng.next_u64()),
                  static_cast<uint16_t>(rng.next_u64()), 443),
         0, SimTime::zero());
+    ASSERT_TRUE(c.valid());
+    // Exactly the owner of the socket the SYN was queued on wakes.
+    size_t woken = 0;
+    for (WorkerId w = 0; w < 4; ++w) {
+      const size_t queued = ns.worker_socket(443, w)->accept_queue().size();
+      EXPECT_EQ(waiters[w].woken_on.size(), queued) << "worker " << w;
+      woken += waiters[w].woken_on.size();
+    }
+    EXPECT_EQ(woken, static_cast<size_t>(i + 1));
   }
   // Hashing spreads notifications over all four workers.
-  EXPECT_EQ(notified.size(), 4u);
-  int total = 0;
-  for (auto& [w, n] : notified) total += n;
-  EXPECT_EQ(total, 400);
+  for (WorkerId w = 0; w < 4; ++w) EXPECT_GT(waiters[w].woken_on.size(), 0u);
+  EXPECT_EQ(ns.stats().unnotified, 0u);
+}
+
+TEST(NetStackTest, ReuseportBusyOwnerCountsUnnotifiedAndKeepsTheSyn) {
+  NetStack::Config cfg;
+  cfg.mode = DispatchMode::Reuseport;
+  cfg.num_workers = 2;
+  NetStack ns(cfg);
+  ns.add_port(80);
+  NotifyingWaiter waiters[2];
+  for (WorkerId w = 0; w < 2; ++w) ns.register_waiter(w, &waiters[w]);
+
+  // A first SYN finds its owner idle; the owner accepts it and is now
+  // busy processing.
+  const FourTuple t = tuple_of(9, 9, 80);
+  ASSERT_TRUE(ns.on_connection_request(t, 0, SimTime::zero()).valid());
+  const WorkerId owner = waiters[0].woken_on.empty() ? 1 : 0;
+  ASSERT_EQ(waiters[owner].woken_on.size(), 1u);
+  ListeningSocket& sock = *ns.worker_socket(80, owner);
+  ASSERT_TRUE(ns.accept(sock, owner).valid());
+  waiters[owner].idle = false;
+  EXPECT_EQ(ns.stats().unnotified, 0u);
+
+  // The same tuple hashes to the same socket: its busy owner cannot take
+  // the wakeup, and the idle sibling is not woken in its place.
+  ASSERT_TRUE(ns.on_connection_request(t, 0, SimTime::zero()).valid());
+  EXPECT_EQ(ns.stats().unnotified, 1u);
+  EXPECT_EQ(ns.stats().wasted_wakeups, 0u);
+  EXPECT_TRUE(waiters[1 - owner].woken_on.empty());
+  // The SYN waits in the owner's queue for its next epoll_wait.
+  EXPECT_EQ(sock.accept_queue().size(), 1u);
+  EXPECT_EQ(ns.worker_socket(80, 1 - owner)->accept_queue().size(), 0u);
 }
 
 TEST(NetStackTest, BacklogOverflowDropsAndCounts) {
@@ -312,7 +345,6 @@ TEST(NetStackTest, BacklogOverflowDropsAndCounts) {
                              SimTime::zero());
   }
   EXPECT_EQ(ns.stats().drops, 3u);
-  EXPECT_EQ(ns.stats().connections, 2u);
   EXPECT_EQ(ns.live_connections(), 2u);
   const AcceptQueue& q = ns.worker_socket(80, 0)->accept_queue();
   EXPECT_EQ(q.size(), 2u);
@@ -371,13 +403,18 @@ TEST(NetStackTest, HermesModeWithoutProgramFallsBackToHash) {
   cfg.num_workers = 2;
   NetStack ns(cfg);
   ns.add_port(80);
-  int notified = 0;
-  ns.set_socket_ready_fn([&](WorkerId, ListeningSocket&) { ++notified; });
+  NotifyingWaiter waiters[2];
+  for (WorkerId w = 0; w < 2; ++w) ns.register_waiter(w, &waiters[w]);
   ASSERT_TRUE(ns.on_connection_request(tuple_of(7, 7, 80), 0,
                                        SimTime::zero())
                   .valid());
-  EXPECT_EQ(notified, 1);
   EXPECT_EQ(ns.group(80)->stats().hash_selections, 1u);
+  // Only the owner of the hashed socket wakes.
+  for (WorkerId w = 0; w < 2; ++w) {
+    EXPECT_EQ(waiters[w].woken_on.size(),
+              ns.worker_socket(80, w)->accept_queue().size());
+  }
+  EXPECT_EQ(waiters[0].woken_on.size() + waiters[1].woken_on.size(), 1u);
 }
 
 }  // namespace

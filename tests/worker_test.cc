@@ -33,9 +33,11 @@ class WorkerHarness {
     };
     wc.id = 0;
     worker_.emplace(wc, eq_, *ns_, host, nullptr);
-    ns_->set_socket_ready_fn([this](WorkerId, netsim::ListeningSocket& s) {
-      worker_->on_socket_ready(s);
-    });
+    // As LbDevice: under UserDispatcher only the dispatcher waits on the
+    // sockets, and the worker receives connections by adoption.
+    if (mode != netsim::DispatchMode::UserDispatcher) {
+      ns_->register_waiter(0, &*worker_);
+    }
     worker_->attach_sockets();
     worker_->start();
   }
