@@ -8,7 +8,9 @@
 // The dispatcher consumes worker 0's core and is the only waiter on the
 // shared sockets (it registers as worker 0); serving workers are ids
 // 1..N-1, and it hands each connection to one by calling its
-// adopt_connection directly.
+// adopt_connection directly. Until that hand-off a connection has no
+// owner; one closed meanwhile (LbDevice::close_fraction) is dropped from
+// the hand-off, so no worker ever accepts it.
 #pragma once
 
 #include <memory>
@@ -81,7 +83,7 @@ class Dispatcher final : public netsim::Waiter {
     SimTime spent = kWakeupCost;
     for (netsim::ListeningSocket* sock : sockets_) {
       while (taken < kMaxBatch && !sock->accept_queue().empty()) {
-        const netsim::Connection conn = ns_.accept(*sock, next_worker_);
+        const netsim::Connection conn = ns_.accept(*sock, kInvalidWorker);
         if (!conn) break;
         pending_.push_back({conn, next_worker_});
         // Round-robin over the serving workers 1..N-1.
@@ -98,7 +100,7 @@ class Dispatcher final : public netsim::Waiter {
     // Deliver after the dispatch processing time has elapsed.
     eq_.schedule_after(spent, [this] {
       for (auto& [conn, target] : pending_) {
-        workers_[target]->adopt_connection(conn);
+        if (conn.valid()) workers_[target]->adopt_connection(conn);
       }
       pending_.clear();
       // More queued? immediately re-run; else block.

@@ -289,8 +289,10 @@ void LbDevice::start_tenant_mix(const TenantModel& tm, double total_cps,
 
 void LbDevice::burst_all_connections(const DistSpec& cost_us, int k) {
   conns_.for_each([&](netsim::ConnId, LiveConn& lc) {
-    // A client that already sent Connection: close sends nothing more.
-    if (lc.conn.state() != netsim::ConnState::Accepted || lc.close_sent) {
+    // A client that already sent Connection: close sends nothing more,
+    // and one still in the dispatcher's hand-off has no worker yet.
+    if (lc.conn.state() != netsim::ConnState::Accepted || lc.close_sent ||
+        lc.conn.owner() == kInvalidWorker) {
       return;
     }
     lc.remaining += k;
@@ -422,8 +424,9 @@ Request LbDevice::make_request(LiveConn& lc, SimTime arrival) {
 }
 
 void LbDevice::on_accepted(Worker& w, netsim::Connection conn) {
-  // A connection is accepted exactly once, and close_conn sheds only
-  // Accepted connections, so its row is still here.
+  // A connection is accepted exactly once, close_conn sheds only Accepted
+  // connections, and the dispatcher hands over no connection closed in
+  // its hand-off, so the row is still here.
   LiveConn* lc = conns_.find(conn.id());
   HERMES_CHECK(lc != nullptr);
   // The client's first request was already on the wire: its latency clock

@@ -341,6 +341,31 @@ TEST(LbSimTest, DispatcherHandsConnectionsRoundRobinToServingWorkers) {
   EXPECT_EQ(lb.totals().requests_completed, static_cast<uint64_t>(kConns));
 }
 
+TEST(LbSimTest, ConnectionClosedDuringDispatcherHandOffIsNeverAccepted) {
+  LbDevice lb(base_config(netsim::DispatchMode::UserDispatcher));
+  LbDevice::ConnPlan plan;
+  plan.remaining = 1;
+  constexpr int kConns = 32;
+  for (int i = 0; i < kConns; ++i) {
+    ASSERT_NE(lb.open_connection(static_cast<TenantId>(i % 4), plan), 0u);
+  }
+  // The dispatcher accepts the burst at once but hands it over only after
+  // 32 x kDispatchCost; every connection is closed in between.
+  uint64_t closed = 0;
+  lb.eq().schedule_at(SimTime::micros(100),
+                      [&lb, &closed] { closed = lb.close_fraction(1.0); });
+  lb.eq().run_until(SimTime::seconds(1));
+  EXPECT_EQ(closed, static_cast<uint64_t>(kConns));
+  EXPECT_EQ(lb.dispatcher()->dispatched(), static_cast<uint64_t>(kConns));
+  for (WorkerId w = 0; w < lb.num_workers(); ++w) {
+    EXPECT_EQ(lb.worker(w).accepts_done(), 0u) << "worker " << w;
+    EXPECT_EQ(lb.worker(w).live_connections(), 0) << "worker " << w;
+  }
+  EXPECT_EQ(lb.totals().requests_generated, 0u);
+  EXPECT_EQ(lb.live_connections(), 0u);
+  EXPECT_EQ(lb.netstack().live_connections(), 0u);
+}
+
 TEST(LbSimTest, FirstLatencyTakeCoversTheWholeRun) {
   LbDevice lb(base_config(netsim::DispatchMode::HermesMode));
   LbDevice::ConnPlan plan;
