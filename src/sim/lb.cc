@@ -209,9 +209,12 @@ uint32_t LbDevice::acquire_shape(const ConnPlan& plan) {
     last_shape_ = free_shapes_.back();
     free_shapes_.pop_back();
   }
-  shapes_[last_shape_] = PlanShape{plan.cost_us,        plan.bytes,
-                                   plan.gap_us,         plan.poison_cost_us,
-                                   plan.poison_fraction, /*live=*/1};
+  shapes_[last_shape_] = PlanShape{plan.cost_us,
+                                   plan.bytes,
+                                   plan.gap_us,
+                                   plan.poison_cost_us,
+                                   plan.poison_fraction,
+                                   /*live=*/1};
   return last_shape_;
 }
 
