@@ -2,10 +2,11 @@
 // must leave every one of these runs bit-identical.
 //
 // Each scenario is a short seeded run (at most 2 simulated seconds) that
-// covers one path end to end: every dispatch mode's wakeup on case 1, the
-// byte-level data plane, each dispatch policy, a device wider than one
-// 64-worker group, a hung worker with the degradation sweep, and a fleet
-// with a drain and a tenant pin. After the run the test digests, per
+// covers one path end to end: every dispatch mode's wakeup on case 1, every
+// non-Hermes mode on case 3's long-lived connections, the byte-level data
+// plane, each dispatch policy, narrow Hermes groups, a device wider than
+// one 64-worker group, a hung worker with the degradation sweep, and a
+// fleet with a drain and a tenant pin. After the run the test digests, per
 // metric family:
 //
 //   * every registry counter shard, gauge and histogram shard (buckets,
@@ -224,8 +225,9 @@ std::string run_case(LbDevice::Config cfg, int case_id, double seconds) {
   return d.line();
 }
 
-std::string run_mode(netsim::DispatchMode mode) {
-  return run_case(device_config(mode), 1, 1.0);
+// Case 1 for one second; case 3's connections are sparser, so two.
+std::string run_mode(netsim::DispatchMode mode, int case_id) {
+  return run_case(device_config(mode), case_id, case_id == 3 ? 2.0 : 1.0);
 }
 
 std::string run_policy(core::PolicyKind kind) {
@@ -373,31 +375,56 @@ using netsim::DispatchMode;
 
 TEST(ScenarioGoldenTest, ModeWakeAllCase1) {
   check_scenario("mode_wakeall_case1",
-                 [] { return run_mode(DispatchMode::EpollWakeAll); });
+                 [] { return run_mode(DispatchMode::EpollWakeAll, 1); });
 }
 TEST(ScenarioGoldenTest, ModeExclusiveCase1) {
   check_scenario("mode_exclusive_case1",
-                 [] { return run_mode(DispatchMode::EpollExclusive); });
+                 [] { return run_mode(DispatchMode::EpollExclusive, 1); });
 }
 TEST(ScenarioGoldenTest, ModeRrCase1) {
   check_scenario("mode_rr_case1",
-                 [] { return run_mode(DispatchMode::EpollRr); });
+                 [] { return run_mode(DispatchMode::EpollRr, 1); });
 }
 TEST(ScenarioGoldenTest, ModeFifoCase1) {
   check_scenario("mode_fifo_case1",
-                 [] { return run_mode(DispatchMode::IoUringFifo); });
+                 [] { return run_mode(DispatchMode::IoUringFifo, 1); });
 }
 TEST(ScenarioGoldenTest, ModeDispatcherCase1) {
   check_scenario("mode_dispatcher_case1",
-                 [] { return run_mode(DispatchMode::UserDispatcher); });
+                 [] { return run_mode(DispatchMode::UserDispatcher, 1); });
 }
 TEST(ScenarioGoldenTest, ModeReuseportCase1) {
   check_scenario("mode_reuseport_case1",
-                 [] { return run_mode(DispatchMode::Reuseport); });
+                 [] { return run_mode(DispatchMode::Reuseport, 1); });
 }
 TEST(ScenarioGoldenTest, ModeHermesCase1) {
   check_scenario("mode_hermes_case1",
-                 [] { return run_mode(DispatchMode::HermesMode); });
+                 [] { return run_mode(DispatchMode::HermesMode, 1); });
+}
+
+TEST(ScenarioGoldenTest, ModeWakeAllCase3) {
+  check_scenario("mode_wakeall_case3",
+                 [] { return run_mode(DispatchMode::EpollWakeAll, 3); });
+}
+TEST(ScenarioGoldenTest, ModeExclusiveCase3) {
+  check_scenario("mode_exclusive_case3",
+                 [] { return run_mode(DispatchMode::EpollExclusive, 3); });
+}
+TEST(ScenarioGoldenTest, ModeRrCase3) {
+  check_scenario("mode_rr_case3",
+                 [] { return run_mode(DispatchMode::EpollRr, 3); });
+}
+TEST(ScenarioGoldenTest, ModeFifoCase3) {
+  check_scenario("mode_fifo_case3",
+                 [] { return run_mode(DispatchMode::IoUringFifo, 3); });
+}
+TEST(ScenarioGoldenTest, ModeDispatcherCase3) {
+  check_scenario("mode_dispatcher_case3",
+                 [] { return run_mode(DispatchMode::UserDispatcher, 3); });
+}
+TEST(ScenarioGoldenTest, ModeReuseportCase3) {
+  check_scenario("mode_reuseport_case3",
+                 [] { return run_mode(DispatchMode::Reuseport, 3); });
 }
 
 TEST(ScenarioGoldenTest, HermesCase3DataPlane) {
@@ -405,6 +432,19 @@ TEST(ScenarioGoldenTest, HermesCase3DataPlane) {
     LbDevice::Config cfg = device_config(DispatchMode::HermesMode);
     cfg.data_plane.enabled = true;
     return run_case(cfg, 3, 1.0);
+  });
+}
+
+// Narrow groups as bench/ablation_group_locality sets them: four groups of
+// two workers, and singleton selections allowed, so a connection stays
+// inside its group.
+TEST(ScenarioGoldenTest, HermesGroupLocalityCase3) {
+  check_scenario("hermes_group_locality_case3", [] {
+    LbDevice::Config cfg = device_config(DispatchMode::HermesMode);
+    cfg.num_ports = 16;
+    cfg.hermes.workers_per_group = 2;
+    cfg.hermes.min_workers_for_dispatch = 1;
+    return run_case(cfg, 3, 2.0);
   });
 }
 
