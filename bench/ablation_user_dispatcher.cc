@@ -44,9 +44,10 @@ Row run(netsim::DispatchMode mode, double cps, uint64_t seed) {
   Row r;
   r.thr_kcps = static_cast<double>(done) / 3.0 / 1000.0;
   r.p99_ms = static_cast<double>(window.p99()) / 1e6;
+  // Under UserDispatcher worker 0's loop is the dispatcher.
   r.dispatcher_util =
-      lb.dispatcher() != nullptr
-          ? static_cast<double>(lb.dispatcher()->busy_time().ns()) /
+      mode == netsim::DispatchMode::UserDispatcher
+          ? static_cast<double>(lb.worker(0).busy_time().ns()) /
                 static_cast<double>(end.ns())
           : 0.0;
   return r;

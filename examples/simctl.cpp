@@ -220,11 +220,13 @@ int main(int argc, char** argv) {
                 (unsigned long)dt.backend_stream_hash,
                 (unsigned long)dt.client_stream_hash);
   }
-  if (lb.dispatcher() != nullptr) {
+  if (cfg.mode == netsim::DispatchMode::UserDispatcher) {
+    // Worker 0's loop is the dispatcher; its events are the connections
+    // it accepted and handed off.
+    sim::Worker& d = lb.worker(0);
     std::printf("dispatcher : %lu dispatched, core %.0f%% busy\n",
-                (unsigned long)lb.dispatcher()->dispatched(),
-                100.0 * (double)lb.dispatcher()->busy_time().ns() /
-                    (double)end.ns());
+                (unsigned long)d.events_per_wait().sum,
+                100.0 * (double)d.busy_time().ns() / (double)end.ns());
   }
 
   if (lb.obs() != nullptr) {

@@ -8,7 +8,8 @@
 // semantics. As in Linux, a SYN wakes its waiters one way in every mode:
 // through the wait queue of the socket it was queued on. The modes differ
 // only in which socket that is (the one shared socket, or the reuseport
-// pick) and in who waits there (every worker, or the socket's owner).
+// pick) and in who waits there (every worker, the socket's owner, or —
+// under UserDispatcher — worker 0 alone, whose loop is the dispatcher).
 #pragma once
 
 #include <memory>

@@ -95,6 +95,9 @@ LbDevice::LbDevice(Config cfg)
   host.on_request_done = [this](Worker& w, const Request& r) {
     on_request_done(w, r);
   };
+  host.hand_off = [this](WorkerId to, netsim::Connection c) {
+    workers_[to]->adopt_connection(c);
+  };
 
   for (WorkerId w = 0; w < cfg_.num_workers; ++w) {
     Worker::Config wc = cfg_.worker;
@@ -104,25 +107,18 @@ LbDevice::LbDevice(Config cfg)
         wc, eq_, ns_, host, hermes_ ? &*hermes_ : nullptr));
   }
 
-  if (cfg_.mode == netsim::DispatchMode::UserDispatcher) {
-    // §2.2 baseline: worker 0's core hosts the dispatcher; it is the sole
-    // waiter on the shared sockets and hands accepted connections to
-    // workers 1..N-1 round-robin.
-    dispatcher_.emplace(eq_, ns_, workers_);
-  } else {
-    // Registration order defines the LIFO preference on shared sockets:
-    // worker 0 first, so the highest-id worker sits at every wait-queue
-    // head — matching the "most recently added via epoll_ctl" behaviour.
-    for (auto& w : workers_) ns_.register_waiter(w->id(), w.get());
-  }
-
-  for (auto& w : workers_) {
-    w->attach_sockets();
-    w->start();
-  }
-  if (dispatcher_) {
-    dispatcher_->attach_sockets();
-    dispatcher_->start();
+  // Registration order defines the LIFO preference on shared sockets:
+  // worker 0 first, so the highest-id worker sits at every wait-queue
+  // head — matching the "most recently added via epoll_ctl" behaviour.
+  // Under UserDispatcher worker 0's loop is the dispatcher (§2.2): the
+  // sole waiter, started after the serving workers 1..N-1.
+  const bool user_dispatcher =
+      cfg_.mode == netsim::DispatchMode::UserDispatcher;
+  for (WorkerId i = 0; i < cfg_.num_workers; ++i) {
+    Worker& w = *workers_[user_dispatcher ? (i + 1) % cfg_.num_workers : i];
+    if (!user_dispatcher || w.id() == 0) ns_.register_waiter(w.id(), &w);
+    w.attach_sockets();
+    w.start();
   }
   last_busy_.assign(cfg_.num_workers, SimTime::zero());
 }
@@ -293,7 +289,7 @@ void LbDevice::start_tenant_mix(const TenantModel& tm, double total_cps,
 void LbDevice::burst_all_connections(const DistSpec& cost_us, int k) {
   conns_.for_each([&](netsim::ConnId, LiveConn& lc) {
     // A client that already sent Connection: close sends nothing more,
-    // and one still in the dispatcher's hand-off has no worker yet.
+    // and one still in worker 0's dispatch hand-off has no worker yet.
     if (lc.conn.state() != netsim::ConnState::Accepted || lc.close_sent ||
         lc.conn.owner() == kInvalidWorker) {
       return;
@@ -428,8 +424,8 @@ Request LbDevice::make_request(LiveConn& lc, SimTime arrival) {
 
 void LbDevice::on_accepted(Worker& w, netsim::Connection conn) {
   // A connection is accepted exactly once, close_conn sheds only Accepted
-  // connections, and the dispatcher hands over no connection closed in
-  // its hand-off, so the row is still here.
+  // connections, and the dispatcher (worker 0 under UserDispatcher) hands
+  // over no connection closed in its hand-off, so the row is still here.
   LiveConn* lc = conns_.find(conn.id());
   HERMES_CHECK(lc != nullptr);
   // The client's first request was already on the wire: its latency clock

@@ -16,7 +16,8 @@
 //
 // The SYN then wakes a waiter through its socket's wait queue, in every
 // mode: the device registers each worker on the sockets it watches (or,
-// under UserDispatcher, only the dispatcher on the shared sockets).
+// under UserDispatcher, only worker 0, whose loop is the dispatcher, on
+// the shared sockets).
 //
 // Per-connection workload state (remaining requests, original SYN time)
 // lives in a netsim::ConnTable keyed by the connection's id, i.e. by its
@@ -52,7 +53,6 @@
 #include "simcore/event_queue.h"
 #include "simcore/rng.h"
 #include "sim/request.h"
-#include "sim/dispatcher.h"
 #include "sim/worker.h"
 #include "sim/workload.h"
 
@@ -120,7 +120,6 @@ class LbDevice {
   core::HermesRuntime* hermes() { return hermes_ ? &*hermes_ : nullptr; }
   // The device's observability layer (null when Config::observability off).
   obs::Observability* obs() { return obs_.get(); }
-  Dispatcher* dispatcher() { return dispatcher_ ? &*dispatcher_ : nullptr; }
   Worker& worker(WorkerId w) { return *workers_[w]; }
   uint32_t num_workers() const { return cfg_.num_workers; }
   // The byte-level L7 data plane (null when Config::data_plane.enabled off).
@@ -290,7 +289,6 @@ class LbDevice {
   std::optional<core::DegradationPolicy> degradation_;
   std::unique_ptr<DataPlane> dp_;
   std::optional<core::ClientRateLimiter> limiter_;
-  std::optional<Dispatcher> dispatcher_;
   std::vector<core::PortAttachment> attachments_;
   std::vector<std::unique_ptr<Worker>> workers_;
 

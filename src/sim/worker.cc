@@ -8,7 +8,15 @@ namespace hermes::sim {
 
 Worker::Worker(Config cfg, EventQueue& eq, netsim::NetStack& ns, Host host,
                core::HermesRuntime* hermes)
-    : cfg_(cfg), eq_(eq), ns_(ns), host_(std::move(host)), hermes_(hermes) {
+    : cfg_(cfg),
+      role_(ns.config().mode != netsim::DispatchMode::UserDispatcher
+                ? Role::Accept
+                : (cfg.id == 0 ? Role::Dispatch : Role::Serve)),
+      eq_(eq),
+      ns_(ns),
+      host_(std::move(host)),
+      hermes_(hermes) {
+  HERMES_CHECK(role_ != Role::Dispatch || ns_.config().num_workers >= 2);
   if (hermes_ != nullptr) {
     hooks_.emplace(hermes_->hooks_for(cfg_.id));
   }
@@ -17,7 +25,7 @@ Worker::Worker(Config cfg, EventQueue& eq, netsim::NetStack& ns, Host host,
 void Worker::attach_sockets() { sockets_ = ns_.sockets_of(cfg_.id); }
 
 void Worker::start() {
-  HERMES_CHECK_MSG(!sockets_.empty() || !accepts(),
+  HERMES_CHECK_MSG(!sockets_.empty() || role_ == Role::Serve,
                    "attach_sockets() before start()");
   if (hooks_) hooks_->on_loop_enter(eq_.now());
   block();
@@ -85,7 +93,7 @@ size_t Worker::collect_batch() {
   }
   // One accept per ready listening socket per iteration (Fig. A1's
   // accept_handler dequeues a single connection per event).
-  if (!accepts()) return n;
+  if (role_ != Role::Accept) return n;
   for (netsim::ListeningSocket* sock : sockets_) {
     if (n >= static_cast<size_t>(kMaxBatch)) break;
     if (!sock->accept_queue().empty()) {
@@ -102,6 +110,10 @@ size_t Worker::collect_batch() {
 void Worker::start_iteration() {
   state_ = State::Running;
   ++loop_iterations_;
+  if (role_ == Role::Dispatch) {
+    dispatch();
+    return;
+  }
 
   if (cfg_.schedule_at_loop_start && hermes_ != nullptr) {
     hermes_->schedule_and_sync(cfg_.id, eq_.now());
@@ -121,6 +133,40 @@ void Worker::start_iteration() {
   }
   busy_time_ += overhead;
   eq_.schedule_after(overhead, [this] { process_next(); });
+}
+
+void Worker::dispatch() {
+  // Drain up to a batch of pending connections across all ports, charging
+  // the per-connection dispatch cost serially: the critical path that
+  // makes the dispatcher's core the device's bottleneck.
+  size_t n = 0;
+  for (netsim::ListeningSocket* sock : sockets_) {
+    while (n < static_cast<size_t>(kMaxBatch) &&
+           !sock->accept_queue().empty()) {
+      const netsim::Connection conn = ns_.accept(*sock, kInvalidWorker);
+      if (!conn) break;
+      hand_offs_.push_back(conn);
+      ++n;
+    }
+    if (n >= static_cast<size_t>(kMaxBatch)) break;
+  }
+  events_per_wait_.record(n);
+  if (n == 0) ++wasted_wakeups_;
+
+  const SimTime span =
+      cfg_.wakeup_cost + kDispatchCost * static_cast<int64_t>(n);
+  busy_time_ += span;
+  eq_.schedule_after(span, [this] {
+    // Targets follow accept order, so a connection closed during the span
+    // still uses up its turn.
+    const auto serving = static_cast<WorkerId>(ns_.config().num_workers - 1);
+    for (const netsim::Connection& conn : hand_offs_) {
+      if (conn.valid()) host_.hand_off(next_target_, conn);
+      next_target_ = 1 + next_target_ % serving;
+    }
+    hand_offs_.clear();
+    end_iteration();
+  });
 }
 
 void Worker::process_next() {
@@ -178,7 +224,7 @@ void Worker::end_iteration() {
   if (hooks_) hooks_->on_loop_enter(eq_.now());
 
   bool ready = !pending_requests_.empty();
-  if (!ready && accepts()) {
+  if (!ready && role_ != Role::Serve) {
     for (netsim::ListeningSocket* sock : sockets_) {
       if (!sock->accept_queue().empty()) {
         ready = true;

@@ -14,6 +14,15 @@
 // cost, so the worker stays inside the iteration and its avail timestamp
 // goes stale — which is precisely how production hangs look to Hermes.
 //
+// Under DispatchMode::UserDispatcher (paper §2.2) the same loop is the
+// userspace dispatcher on worker 0's core: it is the only waiter on the
+// shared sockets, and each iteration accepts up to kMaxBatch connections,
+// spends kDispatchCost on each as one span, then hands each connection
+// still open to the serving workers 1..N-1 in turn (Host::hand_off, which
+// LbDevice wires to the target's adopt_connection). The serving workers
+// accept nothing themselves. Until the hand-off a connection has no owner;
+// one closed meanwhile is skipped, so no worker ever accepts it.
+//
 // The worker records the per-worker distributions of Figs. 4 and 5 —
 // events per epoll_wait, per-event processing time, blocking time — into
 // obs::Histogram, the repository's one log-linear histogram.
@@ -37,8 +46,11 @@ class Worker final : public netsim::Waiter {
   // epoll_wait timeout: an idle worker re-enters its loop this often
   // (core::HermesConfig's hang threshold and sync refresh build on it).
   static constexpr SimTime kEpollTimeout = SimTime::millis(5);
-  // Most events one epoll_wait returns.
+  // Most events one epoll_wait returns (connections, for the dispatcher).
   static constexpr int kMaxBatch = 64;
+  // UserDispatcher: the dispatcher's cost per connection, accept() +
+  // picking a worker + handing the fd over (pipe/queue write + wakeup).
+  static constexpr SimTime kDispatchCost = SimTime::micros(18);
 
   struct Config {
     WorkerId id = 0;
@@ -70,6 +82,8 @@ class Worker final : public netsim::Waiter {
     std::function<void(Worker&, netsim::Connection)> on_accepted;
     // A request finished processing at `now`.
     std::function<void(Worker&, const Request&)> on_request_done;
+    // UserDispatcher: the dispatcher hands a connection to worker `to`.
+    std::function<void(WorkerId to, netsim::Connection)> hand_off;
   };
 
   Worker(Config cfg, EventQueue& eq, netsim::NetStack& ns, Host host,
@@ -92,7 +106,7 @@ class Worker final : public netsim::Waiter {
   void deliver_request(const Request& req);
 
   // UserDispatcher mode: take ownership of a connection the dispatcher
-  // accepted on our behalf (counts as an accept for this worker).
+  // (worker 0) accepted on our behalf; counts as an accept for this worker.
   void adopt_connection(netsim::Connection conn);
 
   // Immediate connection close bookkeeping (run from request completion).
@@ -114,6 +128,12 @@ class Worker final : public netsim::Waiter {
 
  private:
   enum class State : uint8_t { Blocked, Woken, Running };
+  // How new connections reach this worker, fixed by mode and id.
+  enum class Role : uint8_t {
+    Accept,    // accept()s from its listening sockets (every kernel mode)
+    Dispatch,  // UserDispatcher's worker 0: accepts and hands off
+    Serve,     // UserDispatcher's workers 1..N-1: adopt hand-offs
+  };
 
   // Leaves epoll_wait if blocked in it; false if already awake.
   bool wake();
@@ -126,13 +146,11 @@ class Worker final : public netsim::Waiter {
   void finish_event();
   void end_iteration();
   size_t collect_batch();
-  // False in UserDispatcher mode: the worker does not accept from
-  // listening sockets itself; connections arrive via adopt_connection().
-  bool accepts() const {
-    return ns_.config().mode != netsim::DispatchMode::UserDispatcher;
-  }
+  // The dispatcher's iteration body (Role::Dispatch).
+  void dispatch();
 
   Config cfg_;
+  Role role_;
   EventQueue& eq_;
   netsim::NetStack& ns_;
   Host host_;
@@ -143,6 +161,10 @@ class Worker final : public netsim::Waiter {
   std::deque<Request> pending_requests_;  // conn events not yet in a batch
   std::deque<WorkerEvent> batch_;
   WorkerEvent in_service_;  // popped by process_next, done at finish_event
+  // Dispatcher: this iteration's accepts, in accept order, and the next
+  // serving worker in the round-robin.
+  std::vector<netsim::Connection> hand_offs_;
+  WorkerId next_target_ = 1;
 
   State state_ = State::Running;  // until start()
   EventQueue::Handle timeout_handle_{};

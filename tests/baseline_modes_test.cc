@@ -38,8 +38,9 @@ TEST(UserDispatcherTest, DispatchesRoundRobinAcrossServingWorkers) {
   lb.eq().run_until(SimTime::seconds(1));
 
   EXPECT_EQ(lb.totals().requests_completed, 300u);
-  EXPECT_EQ(lb.dispatcher()->dispatched(), 300u);
-  // Worker 0 hosts the dispatcher and serves nothing.
+  // Worker 0's loop is the dispatcher: it accepts every connection and
+  // serves none.
+  EXPECT_EQ(lb.worker(0).events_per_wait().sum, 300u);
   EXPECT_EQ(lb.worker(0).accepts_done(), 0u);
   // Workers 1..3 share evenly (round-robin).
   for (WorkerId w = 1; w < 4; ++w) {
@@ -62,10 +63,10 @@ TEST(UserDispatcherTest, DispatcherSaturatesUnderHighCps) {
   lb.eq().run_until(SimTime::seconds(1));
 
   const double dispatch_rate =
-      static_cast<double>(lb.dispatcher()->dispatched()) / 1.0;
+      static_cast<double>(lb.worker(0).events_per_wait().sum) / 1.0;
   EXPECT_LT(dispatch_rate, 70'000);  // capped well below the offered 150k
-  // Dispatcher core is pegged.
-  EXPECT_GT(lb.dispatcher()->busy_time().s_f(), 0.9);
+  // Dispatcher core (worker 0) is pegged.
+  EXPECT_GT(lb.worker(0).busy_time().s_f(), 0.9);
 }
 
 TEST(UserDispatcherTest, HermesSustainsTheSameLoadDispatcherCannot) {

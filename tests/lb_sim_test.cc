@@ -320,7 +320,6 @@ TEST(LbSimTest, ProbeCountsDelayedProbes) {
 
 TEST(LbSimTest, DispatcherHandsConnectionsRoundRobinToServingWorkers) {
   LbDevice lb(base_config(netsim::DispatchMode::UserDispatcher));
-  ASSERT_NE(lb.dispatcher(), nullptr);
   LbDevice::ConnPlan plan;
   plan.remaining = 1;
   plan.cost_us = DistSpec::constant(100);
@@ -331,8 +330,10 @@ TEST(LbSimTest, DispatcherHandsConnectionsRoundRobinToServingWorkers) {
     ASSERT_NE(lb.open_connection(static_cast<TenantId>(i % 4), plan), 0u);
   }
   lb.eq().run_until(SimTime::seconds(1));
-  EXPECT_EQ(lb.dispatcher()->dispatched(), static_cast<uint64_t>(kConns));
-  // Worker 0's core runs the dispatcher: it adopts nothing.
+  // Worker 0's loop is the dispatcher: its events are the connections it
+  // accepted, and it adopts none of them.
+  EXPECT_EQ(lb.worker(0).events_per_wait().sum,
+            static_cast<uint64_t>(kConns));
   EXPECT_EQ(lb.worker(0).accepts_done(), 0u);
   EXPECT_EQ(lb.worker(0).requests_done(), 0u);
   EXPECT_EQ(lb.worker(1).accepts_done(), 11u);
@@ -350,13 +351,14 @@ TEST(LbSimTest, ConnectionClosedDuringDispatcherHandOffIsNeverAccepted) {
     ASSERT_NE(lb.open_connection(static_cast<TenantId>(i % 4), plan), 0u);
   }
   // The dispatcher accepts the burst at once but hands it over only after
-  // 32 x kDispatchCost; every connection is closed in between.
+  // 32 x Worker::kDispatchCost; every connection is closed in between.
   uint64_t closed = 0;
   lb.eq().schedule_at(SimTime::micros(100),
                       [&lb, &closed] { closed = lb.close_fraction(1.0); });
   lb.eq().run_until(SimTime::seconds(1));
   EXPECT_EQ(closed, static_cast<uint64_t>(kConns));
-  EXPECT_EQ(lb.dispatcher()->dispatched(), static_cast<uint64_t>(kConns));
+  EXPECT_EQ(lb.worker(0).events_per_wait().sum,
+            static_cast<uint64_t>(kConns));
   for (WorkerId w = 0; w < lb.num_workers(); ++w) {
     EXPECT_EQ(lb.worker(w).accepts_done(), 0u) << "worker " << w;
     EXPECT_EQ(lb.worker(w).live_connections(), 0) << "worker " << w;
@@ -364,6 +366,61 @@ TEST(LbSimTest, ConnectionClosedDuringDispatcherHandOffIsNeverAccepted) {
   EXPECT_EQ(lb.totals().requests_generated, 0u);
   EXPECT_EQ(lb.live_connections(), 0u);
   EXPECT_EQ(lb.netstack().live_connections(), 0u);
+}
+
+// Worker 0's loop is the dispatcher, so core 0's busy time is exactly
+// the dispatch work (an epoll return per iteration, kDispatchCost per
+// connection) and the device's CPU samples include it.
+TEST(LbSimTest, DispatcherWorkIsWorkerZerosBusyTime) {
+  LbDevice lb(base_config(netsim::DispatchMode::UserDispatcher));
+  TrafficPattern p;
+  p.cps = 20'000;
+  p.requests_per_conn = DistSpec::constant(1);
+  // 10 us per connection on each of three serving workers: the
+  // dispatcher's 18 us makes core 0 the busiest.
+  p.request_cost_us = DistSpec::constant(30);
+  lb.start_pattern(p, 0, lb.config().num_ports, SimTime::seconds(1));
+
+  const Worker& d = lb.worker(0);
+  const auto dispatch_work = [&lb] {
+    Worker& w0 = lb.worker(0);
+    return lb.config().worker.wakeup_cost *
+               static_cast<int64_t>(w0.loop_iterations()) +
+           Worker::kDispatchCost *
+               static_cast<int64_t>(w0.events_per_wait().sum);
+  };
+  lb.eq().run_until(SimTime::millis(200));
+  lb.sample_now();
+  EXPECT_EQ(d.busy_time(), dispatch_work());
+  std::vector<SimTime> before;
+  for (WorkerId w = 0; w < lb.num_workers(); ++w) {
+    before.push_back(lb.worker(w).busy_time());
+  }
+
+  lb.eq().run_until(SimTime::millis(700));
+  const LbDevice::Sample s = lb.sample_now();
+  EXPECT_EQ(d.busy_time(), dispatch_work());
+  EXPECT_GT(lb.worker(0).events_per_wait().sum, 10'000u);
+  EXPECT_EQ(d.accepts_done(), 0u);
+  EXPECT_EQ(d.requests_done(), 0u);
+
+  // Each core's share of the 500 ms window, as sample_now computes it.
+  double sum = 0, busiest = 0;
+  for (WorkerId w = 0; w < lb.num_workers(); ++w) {
+    const double util =
+        static_cast<double>((lb.worker(w).busy_time() - before[w]).ns()) /
+        static_cast<double>(SimTime::millis(500).ns());
+    sum += util;
+    busiest = std::max(busiest, util);
+  }
+  const double core0 =
+      static_cast<double>((d.busy_time() - before[0]).ns()) /
+      static_cast<double>(SimTime::millis(500).ns());
+  // 20k CPS, mostly one connection per iteration: 20k x (18 + 2) us.
+  EXPECT_NEAR(core0, 0.40, 0.02);
+  EXPECT_EQ(busiest, core0);
+  EXPECT_DOUBLE_EQ(s.cpu_max, core0);
+  EXPECT_DOUBLE_EQ(s.cpu_avg, sum / lb.num_workers());
 }
 
 TEST(LbSimTest, FirstLatencyTakeCoversTheWholeRun) {

@@ -14,7 +14,7 @@
 //     bpf, dispatch, ...); the wall-clock sched.fast_path_ns is skipped;
 //   * "totals": LbDevice::Totals and the delayed-probe count;
 //   * "workers": per-worker busy time, loop, request, accept and
-//     wasted-wakeup counts, live connections (and the dispatcher's);
+//     wasted-wakeup counts, live connections;
 //   * "latency": the device's request-latency histogram buckets;
 //   * "dataplane" and "streams": DataPlane::Totals and its two chained
 //     stream digests;
@@ -175,10 +175,6 @@ void digest_device(Digest& d, LbDevice& lb) {
           static_cast<uint64_t>(wk.live_connections())}) {
       d.add("workers", v);
     }
-  }
-  if (lb.dispatcher() != nullptr) {
-    d.add("workers", static_cast<uint64_t>(lb.dispatcher()->busy_time().ns()));
-    d.add("workers", lb.dispatcher()->dispatched());
   }
 
   // The first take covers the whole run: no scenario takes one earlier.

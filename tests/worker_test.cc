@@ -31,12 +31,11 @@ class WorkerHarness {
     host.on_request_done = [this](Worker&, const Request& r) {
       done_.push_back(r.id);
     };
-    wc.id = 0;
     worker_.emplace(wc, eq_, *ns_, host, nullptr);
-    // As LbDevice: under UserDispatcher only the dispatcher waits on the
-    // sockets, and the worker receives connections by adoption.
-    if (mode != netsim::DispatchMode::UserDispatcher) {
-      ns_->register_waiter(0, &*worker_);
+    // As LbDevice: under UserDispatcher only worker 0, the dispatcher,
+    // waits on the sockets; the others receive connections by adoption.
+    if (mode != netsim::DispatchMode::UserDispatcher || wc.id == 0) {
+      ns_->register_waiter(wc.id, &*worker_);
     }
     worker_->attach_sockets();
     worker_->start();
@@ -133,9 +132,12 @@ TEST(WorkerTest, AcceptsInPortOrder) {
 }
 
 TEST(WorkerTest, AdoptConnectionBypassesAcceptPath) {
-  // UserDispatcher mode: the worker never accepts from the shared socket
-  // itself, so a queued SYN stays there until the dispatcher takes it.
-  WorkerHarness h(Worker::Config{}, 1, netsim::DispatchMode::UserDispatcher);
+  // UserDispatcher mode: a serving worker never accepts from the shared
+  // socket itself, so a queued SYN stays there until the dispatcher (worker
+  // 0, absent here) takes it.
+  Worker::Config wc;
+  wc.id = 1;
+  WorkerHarness h(wc, 2, netsim::DispatchMode::UserDispatcher);
   netsim::FourTuple t{1, 2, 3, 80};
   const netsim::Connection conn =
       h.ns_->on_connection_request(t, 0, h.eq_.now());
