@@ -21,18 +21,13 @@ HermesRuntime::HermesRuntime(const Options& opts)
     : num_workers_(opts.num_workers),
       wpg_(std::min(opts.config.workers_per_group, kMaxWorkersPerGroup)),
       num_groups_(groups_for(opts.num_workers, wpg_)),
-      owned_wst_(),
+      wst_memory_(WorkerStatusTable::required_bytes(opts.num_workers) + 64),
       wst_([&] {
-        void* mem = opts.wst_memory;
-        if (mem == nullptr) {
-          const size_t bytes =
-              WorkerStatusTable::required_bytes(opts.num_workers);
-          // 64-byte alignment for the cache-line slot layout.
-          owned_wst_.resize(bytes + 64);
-          auto addr = reinterpret_cast<uintptr_t>(owned_wst_.data());
-          mem = reinterpret_cast<void*>((addr + 63) & ~uintptr_t{63});
-        }
-        return WorkerStatusTable::init(mem, opts.num_workers);
+        // 64-byte alignment for the cache-line slot layout.
+        const auto addr = reinterpret_cast<uintptr_t>(wst_memory_.data());
+        return WorkerStatusTable::init(
+            reinterpret_cast<void*>((addr + 63) & ~uintptr_t{63}),
+            opts.num_workers);
       }()),
       faults_(opts.faults),
       obs_(opts.obs),

@@ -58,10 +58,6 @@ class HermesRuntime {
   struct Options {
     HermesConfig config{};
     uint32_t num_workers = 4;
-    // Optional externally-owned WST memory (e.g. shm::ShmRegion::data(),
-    // 64-byte aligned, >= WorkerStatusTable::required_bytes(num_workers)).
-    // When null the runtime allocates private memory (single-process use).
-    void* wst_memory = nullptr;
     // Optional fault-injection hooks: a test seam the torture tests plant
     // faults through (not owned). Null means every hook site is a
     // branch-not-taken.
@@ -153,7 +149,7 @@ class HermesRuntime {
   uint32_t num_workers_;
   uint32_t wpg_;
   uint32_t num_groups_;
-  std::vector<uint8_t> owned_wst_;  // empty when external memory is used
+  std::vector<uint8_t> wst_memory_;  // the WST's bytes, 64 spare to align
   WorkerStatusTable wst_;
   FaultInjector* faults_;       // nullable; not owned
   obs::Observability* obs_;     // nullable; not owned

@@ -414,22 +414,5 @@ TEST(PerPortBindLifetimeTest, LaterPortOutlivesTheFirstAttachment) {
   EXPECT_GT(selections, 0);
 }
 
-TEST(RuntimeShmTest, ExternalMemoryBacksWst) {
-  std::vector<uint8_t> buf(WorkerStatusTable::required_bytes(4) + 64);
-  const auto addr = reinterpret_cast<uintptr_t>(buf.data());
-  void* mem = reinterpret_cast<void*>((addr + 63) & ~uintptr_t{63});
-
-  HermesRuntime::Options o;
-  o.num_workers = 4;
-  o.wst_memory = mem;
-  HermesRuntime rt(o);
-  rt.wst().add_connections(2, 7);
-
-  // Another attach to the same bytes sees the update (the multi-process
-  // path; full fork()-based coverage lives in wst_test).
-  auto other = WorkerStatusTable::attach(mem);
-  EXPECT_EQ(other.connections(2), 7);
-}
-
 }  // namespace
 }  // namespace hermes::core
