@@ -150,7 +150,7 @@ class Worker final : public netsim::Waiter {
   void dispatch();
 
   Config cfg_;
-  Role role_;
+  const Role role_;
   EventQueue& eq_;
   netsim::NetStack& ns_;
   Host host_;
