@@ -166,6 +166,7 @@ int main(int argc, char** argv) {
   lb.eq().run_until(end);
   const auto sample = lb.sample_now();
   const uint64_t done = lb.totals().requests_completed - completed0;
+  const SimTime core0_busy = lb.worker(0).busy_time_spent();
   lb.eq().run_until(end + SimTime::seconds(1));
   auto window = lb.take_window_latency();
 
@@ -226,7 +227,7 @@ int main(int argc, char** argv) {
     sim::Worker& d = lb.worker(0);
     std::printf("dispatcher : %lu dispatched, core %.0f%% busy\n",
                 (unsigned long)d.events_per_wait().sum,
-                100.0 * (double)d.busy_time().ns() / (double)end.ns());
+                100.0 * (double)core0_busy.ns() / (double)end.ns());
   }
 
   if (lb.obs() != nullptr) {

@@ -131,13 +131,12 @@ ReuseportGroup* NetStack::group(PortId port) {
 
 std::vector<ListeningSocket*> NetStack::sockets_of(WorkerId worker) {
   std::vector<ListeningSocket*> out;
+  if (cfg_.mode == DispatchMode::UserDispatcher && worker != 0) return out;
   for (PortId port : port_order_) {
     PortEntry& entry = ports_.at(port);
-    if (uses_per_worker_sockets(cfg_.mode)) {
-      out.push_back(entry.per_worker[worker].get());
-    } else {
-      out.push_back(entry.shared.get());
-    }
+    out.push_back(uses_per_worker_sockets(cfg_.mode)
+                      ? entry.per_worker[worker].get()
+                      : entry.shared.get());
   }
   return out;
 }

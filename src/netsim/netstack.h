@@ -10,6 +10,7 @@
 // only in which socket that is (the one shared socket, or the reuseport
 // pick) and in who waits there (every worker, the socket's owner, or —
 // under UserDispatcher — worker 0 alone, whose loop is the dispatcher).
+// sockets_of(w) alone says which sockets worker w watches.
 #pragma once
 
 #include <memory>
@@ -102,7 +103,11 @@ class NetStack {
   ReuseportGroup* group(PortId port);
   const std::vector<PortId>& ports() const { return port_order_; }
 
-  // All sockets a given worker's epoll instance watches.
+  // All sockets a given worker's epoll instance watches, in port order:
+  // its own socket per port under reuseport, else every shared socket —
+  // except under UserDispatcher, where worker 0 (the dispatcher) watches
+  // them all and workers 1..N-1 watch none. sim::Worker takes its list
+  // from here.
   std::vector<ListeningSocket*> sockets_of(WorkerId worker);
 
   struct Stats {

@@ -42,7 +42,7 @@ LbDevice::LbDevice(Config cfg)
                                       obs_.get());
   }
   if (cfg_.rate_limit.rate_per_sec > 0) limiter_.emplace(cfg_.rate_limit);
-  // Ports first (sockets exist before workers attach).
+  // Ports first: a worker takes its sockets when it is built.
   for (uint32_t p = 0; p < cfg_.num_ports; ++p) {
     ns_.add_port(static_cast<PortId>(kFirstPort + p));
   }
@@ -99,26 +99,16 @@ LbDevice::LbDevice(Config cfg)
     workers_[to]->adopt_connection(c);
   };
 
+  // Each worker registers on its sockets as it starts, worker 0 first, so
+  // the highest-id worker sits at every shared wait-queue head — matching
+  // the "most recently added via epoll_ctl" behaviour (LIFO).
   for (WorkerId w = 0; w < cfg_.num_workers; ++w) {
     Worker::Config wc = cfg_.worker;
     wc.id = w;
     if (w < cfg_.worker_speeds.size()) wc.speed = cfg_.worker_speeds[w];
     workers_.push_back(std::make_unique<Worker>(
         wc, eq_, ns_, host, hermes_ ? &*hermes_ : nullptr));
-  }
-
-  // Registration order defines the LIFO preference on shared sockets:
-  // worker 0 first, so the highest-id worker sits at every wait-queue
-  // head — matching the "most recently added via epoll_ctl" behaviour.
-  // Under UserDispatcher worker 0's loop is the dispatcher (§2.2): the
-  // sole waiter, started after the serving workers 1..N-1.
-  const bool user_dispatcher =
-      cfg_.mode == netsim::DispatchMode::UserDispatcher;
-  for (WorkerId i = 0; i < cfg_.num_workers; ++i) {
-    Worker& w = *workers_[user_dispatcher ? (i + 1) % cfg_.num_workers : i];
-    if (!user_dispatcher || w.id() == 0) ns_.register_waiter(w.id(), &w);
-    w.attach_sockets();
-    w.start();
+    workers_.back()->start();
   }
   last_busy_.assign(cfg_.num_workers, SimTime::zero());
 }

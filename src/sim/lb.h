@@ -15,9 +15,10 @@
 // clients retry a backlog drop, with a newly drawn tuple.
 //
 // The SYN then wakes a waiter through its socket's wait queue, in every
-// mode: the device registers each worker on the sockets it watches (or,
-// under UserDispatcher, only worker 0, whose loop is the dispatcher, on
-// the shared sockets).
+// mode: each worker registers on the sockets NetStack::sockets_of gives
+// it as the device starts it, worker 0 first (under UserDispatcher that
+// is worker 0 alone, whose loop is the dispatcher, on the shared
+// sockets). The device itself makes no per-mode choice of sockets.
 //
 // Per-connection workload state (remaining requests, original SYN time)
 // lives in a netsim::ConnTable keyed by the connection's id, i.e. by its

@@ -1,17 +1,15 @@
-// Request and per-connection workload state shared between the workload
-// generator, the LB device, and workers. Request::conn is the connection's
-// slab handle (netsim::ConnId); LbDevice and DataPlane find a connection's
-// state from it through their netsim::ConnTables.
+// One application-layer request, as the workload generator makes it, the
+// LB device delivers it and a worker queues and serves it (a worker keeps
+// its requests in one arrival-ordered queue; a new connection is no
+// Request but an accept on a listening socket). Request::conn is the
+// connection's slab handle (netsim::ConnId); LbDevice and DataPlane find a
+// connection's state from it through their netsim::ConnTables.
 #pragma once
 
 #include <cstdint>
 
 #include "netsim/conn_slab.h"
 #include "util/types.h"
-
-namespace hermes::netsim {
-class ListeningSocket;  // netsim/netstack.h
-}
 
 namespace hermes::sim {
 
@@ -28,15 +26,6 @@ struct Request {
   uint64_t bytes = 0;    // wire size; the data plane synthesizes a request
                          // of about this size and a response body of it
   bool is_poison = false;  // hang-inducing (stuck edge-triggered read)
-};
-
-// What a worker pulled out of epoll_wait: either a new-connection event on
-// a listening socket or a request on an established connection.
-struct WorkerEvent {
-  enum class Kind : uint8_t { Accept, Request };
-  Kind kind = Kind::Request;
-  netsim::ListeningSocket* socket = nullptr;  // Accept
-  Request request{};                          // Request
 };
 
 }  // namespace hermes::sim

@@ -1,5 +1,6 @@
 #include "sim/worker.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "util/check.h"
@@ -9,24 +10,29 @@ namespace hermes::sim {
 Worker::Worker(Config cfg, EventQueue& eq, netsim::NetStack& ns, Host host,
                core::HermesRuntime* hermes)
     : cfg_(cfg),
-      role_(ns.config().mode != netsim::DispatchMode::UserDispatcher
-                ? Role::Accept
-                : (cfg.id == 0 ? Role::Dispatch : Role::Serve)),
       eq_(eq),
       ns_(ns),
       host_(std::move(host)),
-      hermes_(hermes) {
-  HERMES_CHECK(role_ != Role::Dispatch || ns_.config().num_workers >= 2);
+      hermes_(hermes),
+      sockets_(ns.sockets_of(cfg.id)),
+      dispatcher_(ns.config().mode == netsim::DispatchMode::UserDispatcher &&
+                  cfg.id == 0),
+      // The dispatcher's kDispatchCost covers its whole accept path.
+      epoll_return_cost_(
+          cfg.wakeup_cost +
+          (dispatcher_ || netsim::uses_per_worker_sockets(ns.config().mode)
+               ? SimTime::zero()
+               : cfg.per_listen_socket_cost *
+                     static_cast<int64_t>(sockets_.size()))) {
+  HERMES_CHECK_MSG(!ns_.ports().empty(), "bind ports before building workers");
+  HERMES_CHECK(!dispatcher_ || ns_.config().num_workers >= 2);
   if (hermes_ != nullptr) {
     hooks_.emplace(hermes_->hooks_for(cfg_.id));
   }
 }
 
-void Worker::attach_sockets() { sockets_ = ns_.sockets_of(cfg_.id); }
-
 void Worker::start() {
-  HERMES_CHECK_MSG(!sockets_.empty() || role_ == Role::Serve,
-                   "attach_sockets() before start()");
+  ns_.register_waiter(cfg_.id, this);
   if (hooks_) hooks_->on_loop_enter(eq_.now());
   block();
 }
@@ -34,7 +40,7 @@ void Worker::start() {
 bool Worker::try_wake(netsim::ListeningSocket&) { return wake(); }
 
 void Worker::deliver_request(const Request& req) {
-  pending_requests_.push_back(req);
+  requests_.push_back(req);
   wake();
 }
 
@@ -79,41 +85,9 @@ void Worker::on_timeout() {
   start_iteration();
 }
 
-size_t Worker::collect_batch() {
-  size_t n = 0;
-  // Connection events first (they were triggered earlier in real time).
-  while (!pending_requests_.empty() &&
-         n < static_cast<size_t>(kMaxBatch)) {
-    WorkerEvent ev;
-    ev.kind = WorkerEvent::Kind::Request;
-    ev.request = pending_requests_.front();
-    pending_requests_.pop_front();
-    batch_.push_back(ev);
-    ++n;
-  }
-  // One accept per ready listening socket per iteration (Fig. A1's
-  // accept_handler dequeues a single connection per event).
-  if (role_ != Role::Accept) return n;
-  for (netsim::ListeningSocket* sock : sockets_) {
-    if (n >= static_cast<size_t>(kMaxBatch)) break;
-    if (!sock->accept_queue().empty()) {
-      WorkerEvent ev;
-      ev.kind = WorkerEvent::Kind::Accept;
-      ev.socket = sock;
-      batch_.push_back(ev);
-      ++n;
-    }
-  }
-  return n;
-}
-
 void Worker::start_iteration() {
   state_ = State::Running;
   ++loop_iterations_;
-  if (role_ == Role::Dispatch) {
-    dispatch();
-    return;
-  }
 
   if (cfg_.schedule_at_loop_start && hermes_ != nullptr) {
     hermes_->schedule_and_sync(cfg_.id, eq_.now());
@@ -124,83 +98,84 @@ void Worker::start_iteration() {
   if (hooks_) hooks_->on_events_returned(static_cast<int64_t>(n));
   if (n == 0) ++wasted_wakeups_;
 
-  // epoll_wait return overhead; shared-socket modes pay per watched port
-  // (the O(#ports) dispatch factor of Table 3 case 1).
-  SimTime overhead = cfg_.wakeup_cost;
-  if (!netsim::uses_per_worker_sockets(ns_.config().mode)) {
-    overhead += cfg_.per_listen_socket_cost *
-                static_cast<int64_t>(sockets_.size());
-  }
+  // The dispatcher's accepts are one serial span, the critical path that
+  // makes its core the device's bottleneck.
+  const SimTime overhead =
+      epoll_return_cost_ +
+      kDispatchCost * static_cast<int64_t>(hand_offs_.size());
   busy_time_ += overhead;
-  eq_.schedule_after(overhead, [this] { process_next(); });
-}
-
-void Worker::dispatch() {
-  // Drain up to a batch of pending connections across all ports, charging
-  // the per-connection dispatch cost serially: the critical path that
-  // makes the dispatcher's core the device's bottleneck.
-  size_t n = 0;
-  for (netsim::ListeningSocket* sock : sockets_) {
-    while (n < static_cast<size_t>(kMaxBatch) &&
-           !sock->accept_queue().empty()) {
-      const netsim::Connection conn = ns_.accept(*sock, kInvalidWorker);
-      if (!conn) break;
-      hand_offs_.push_back(conn);
-      ++n;
-    }
-    if (n >= static_cast<size_t>(kMaxBatch)) break;
-  }
-  events_per_wait_.record(n);
-  if (n == 0) ++wasted_wakeups_;
-
-  const SimTime span =
-      cfg_.wakeup_cost + kDispatchCost * static_cast<int64_t>(n);
-  busy_time_ += span;
-  eq_.schedule_after(span, [this] {
-    // Targets follow accept order, so a connection closed during the span
-    // still uses up its turn.
-    const auto serving = static_cast<WorkerId>(ns_.config().num_workers - 1);
-    for (const netsim::Connection& conn : hand_offs_) {
-      if (conn.valid()) host_.hand_off(next_target_, conn);
-      next_target_ = 1 + next_target_ % serving;
-    }
-    hand_offs_.clear();
-    end_iteration();
+  busy_until_ = eq_.now() + overhead;
+  eq_.schedule_after(overhead, [this] {
+    if (!hand_offs_.empty()) hand_off();
+    process_next();
   });
 }
 
+size_t Worker::collect_batch() {
+  // Connection events first (they were triggered earlier in real time).
+  batch_requests_ = std::min(requests_.size(), kMaxBatch);
+  size_t n = batch_requests_;
+  // One accept per ready listening socket (Fig. A1's accept_handler
+  // dequeues a single connection per event); the dispatcher drains each.
+  for (netsim::ListeningSocket* sock : sockets_) {
+    while (n < kMaxBatch && !sock->accept_queue().empty()) {
+      ++n;
+      if (!dispatcher_) {
+        batch_accepts_.push_back(sock);
+        break;
+      }
+      hand_offs_.push_back(ns_.accept(*sock, kInvalidWorker));
+    }
+    if (n >= kMaxBatch) break;
+  }
+  return n;
+}
+
+void Worker::hand_off() {
+  // Targets follow accept order, so a connection closed during the span
+  // still uses up its turn.
+  const auto serving = static_cast<WorkerId>(ns_.config().num_workers - 1);
+  for (const netsim::Connection& conn : hand_offs_) {
+    if (conn.valid()) host_.hand_off(next_target_, conn);
+    next_target_ = 1 + next_target_ % serving;
+  }
+  hand_offs_.clear();
+}
+
 void Worker::process_next() {
-  if (batch_.empty()) {
+  SimTime cost;
+  if (batch_requests_ > 0) {
+    cost = requests_.front().cost;
+  } else if (next_accept_ < batch_accepts_.size()) {
+    cost = cfg_.accept_cost;
+  } else {
+    batch_accepts_.clear();
+    next_accept_ = 0;
     end_iteration();
     return;
   }
-  in_service_ = batch_.front();
-  batch_.pop_front();
-
-  SimTime cost = in_service_.kind == WorkerEvent::Kind::Accept
-                     ? cfg_.accept_cost
-                     : in_service_.request.cost;
   if (cfg_.speed != 1.0) {
     cost = SimTime{static_cast<int64_t>(
         std::llround(static_cast<double>(cost.ns()) / cfg_.speed))};
   }
   busy_time_ += cost;
+  busy_until_ = eq_.now() + cost;
   event_proc_time_.record(cost);
-  // Capturing only `this` keeps the closure inside std::function's inline
-  // buffer: one event is in service at a time, so it waits in a member.
   eq_.schedule_after(cost, [this] { finish_event(); });
 }
 
 void Worker::finish_event() {
   if (hooks_) hooks_->on_event_processed();
-  if (in_service_.kind == WorkerEvent::Kind::Accept) {
-    const netsim::Connection conn = ns_.accept(*in_service_.socket, cfg_.id);
-    if (conn) note_accepted(conn);  // a sibling may have drained it (herd)
-  } else {
+  if (batch_requests_ > 0) {
+    --batch_requests_;
     ++requests_done_;
-    if (host_.on_request_done) {
-      host_.on_request_done(*this, in_service_.request);
-    }
+    // Deliveries during the callback append, which leaves the head alone.
+    if (host_.on_request_done) host_.on_request_done(*this, requests_.front());
+    requests_.pop_front();
+  } else {
+    netsim::ListeningSocket& sock = *batch_accepts_[next_accept_++];
+    const netsim::Connection conn = ns_.accept(sock, cfg_.id);
+    if (conn) note_accepted(conn);  // a sibling may have drained it (herd)
   }
   process_next();
 }
@@ -223,15 +198,12 @@ void Worker::end_iteration() {
   // ready) or block in epoll_wait.
   if (hooks_) hooks_->on_loop_enter(eq_.now());
 
-  bool ready = !pending_requests_.empty();
-  if (!ready && role_ != Role::Serve) {
-    for (netsim::ListeningSocket* sock : sockets_) {
-      if (!sock->accept_queue().empty()) {
-        ready = true;
-        break;
-      }
-    }
-  }
+  const bool ready =
+      !requests_.empty() ||
+      std::any_of(sockets_.begin(), sockets_.end(),
+                  [](const netsim::ListeningSocket* sock) {
+                    return !sock->accept_queue().empty();
+                  });
   if (ready) {
     blocking_time_.record(0);
     eq_.schedule_after(SimTime::zero(), [this] { start_iteration(); });

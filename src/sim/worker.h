@@ -1,33 +1,44 @@
 // Simulated userspace worker process: a run-to-completion epoll event loop
 // (paper Fig. 9 / Fig. A1) driven by the discrete-event queue.
 //
-// Loop structure per iteration, exactly mirroring the paper:
+// A worker watches the listening sockets NetStack::sockets_of gives it,
+// taken at construction and registered on in start(), and keeps one
+// arrival-ordered queue of the requests on its connections. Loop
+// structure per iteration, exactly mirroring the paper:
 //   on_loop_enter(now)                  <- avail heartbeat (hang detection)
-//   batch = epoll_wait()                <- collect ready accepts + requests
+//   batch = epoll_wait()                <- the first kMaxBatch queued
+//                                          requests, then one accept per
+//                                          ready socket in port order
 //   busy += |batch|
 //   for each event: process (costs CPU time); busy -= 1 after each
 //   schedule_and_sync()                 <- Hermes stage 2 (at loop END — the
 //                                          placement §5.3.2 argues for)
 //   if nothing ready: block with the 5 ms timeout, else loop immediately
+// A request is served from the head of the queue and popped when it
+// completes. Each iteration pays wakeup_cost, plus, on shared sockets,
+// per_listen_socket_cost per watched port (fixed at construction).
 //
 // A "hang" needs no special machinery: a poison request simply has a huge
 // cost, so the worker stays inside the iteration and its avail timestamp
 // goes stale — which is precisely how production hangs look to Hermes.
 //
 // Under DispatchMode::UserDispatcher (paper §2.2) the same loop is the
-// userspace dispatcher on worker 0's core: it is the only waiter on the
-// shared sockets, and each iteration accepts up to kMaxBatch connections,
-// spends kDispatchCost on each as one span, then hands each connection
-// still open to the serving workers 1..N-1 in turn (Host::hand_off, which
-// LbDevice wires to the target's adopt_connection). The serving workers
-// accept nothing themselves. Until the hand-off a connection has no owner;
-// one closed meanwhile is skipped, so no worker ever accepts it.
+// userspace dispatcher on worker 0's core: sockets_of gives it every
+// shared socket and the serving workers 1..N-1 none. Its batch accepts up
+// to kMaxBatch connections at once, after any queued requests; its epoll
+// return spends kDispatchCost on each as one span (in place of the port
+// scan), then hands each connection still open to the serving workers in
+// turn (Host::hand_off, which LbDevice wires to the target's
+// adopt_connection), and then it serves its requests like any worker.
+// Until the hand-off a connection has no owner; one closed meanwhile is
+// skipped, so no worker ever accepts it.
 //
 // The worker records the per-worker distributions of Figs. 4 and 5 —
 // events per epoll_wait, per-event processing time, blocking time — into
 // obs::Histogram, the repository's one log-linear histogram.
 #pragma once
 
+#include <algorithm>
 #include <deque>
 #include <optional>
 #include <functional>
@@ -46,8 +57,8 @@ class Worker final : public netsim::Waiter {
   // epoll_wait timeout: an idle worker re-enters its loop this often
   // (core::HermesConfig's hang threshold and sync refresh build on it).
   static constexpr SimTime kEpollTimeout = SimTime::millis(5);
-  // Most events one epoll_wait returns (connections, for the dispatcher).
-  static constexpr int kMaxBatch = 64;
+  // Most events one epoll_wait returns.
+  static constexpr size_t kMaxBatch = 64;
   // UserDispatcher: the dispatcher's cost per connection, accept() +
   // picking a worker + handing the fd over (pipe/queue write + wakeup).
   static constexpr SimTime kDispatchCost = SimTime::micros(18);
@@ -86,20 +97,20 @@ class Worker final : public netsim::Waiter {
     std::function<void(WorkerId to, netsim::Connection)> hand_off;
   };
 
+  // Takes the sockets NetStack::sockets_of(cfg.id) names, so every port
+  // must be bound first.
   Worker(Config cfg, EventQueue& eq, netsim::NetStack& ns, Host host,
          core::HermesRuntime* hermes);
 
   WorkerId id() const { return cfg_.id; }
 
-  // Must be called once after all ports are bound.
-  void attach_sockets();
-
-  // Start the event loop (enter epoll_wait).
+  // epoll_ctl on the watched sockets, then enter epoll_wait. Shared
+  // sockets wake their last registered waiter first (LIFO), so the start
+  // order of the workers is their wakeup preference.
   void start();
 
   // --- kernel-side notifications ---------------------------------------
-  // Wait-queue wakeup from a socket this worker registered on (the shared
-  // sockets, or its own per-worker sockets).
+  // Wait-queue wakeup from a socket this worker registered on.
   bool try_wake(netsim::ListeningSocket& source) override;
 
   // A request arrived on one of this worker's established connections.
@@ -115,7 +126,12 @@ class Worker final : public netsim::Waiter {
   // --- state ------------------------------------------------------------
   bool blocked() const { return state_ == State::Blocked; }
   int64_t live_connections() const { return live_conns_; }
+  // Busy time charged so far: a span's whole cost is charged when it
+  // starts. busy_time_spent() leaves out the rest of the span in progress.
   SimTime busy_time() const { return busy_time_; }
+  SimTime busy_time_spent() const {
+    return busy_time_ - std::max(SimTime::zero(), busy_until_ - eq_.now());
+  }
   uint64_t requests_done() const { return requests_done_; }
   uint64_t accepts_done() const { return accepts_done_; }
   uint64_t loop_iterations() const { return loop_iterations_; }
@@ -128,12 +144,6 @@ class Worker final : public netsim::Waiter {
 
  private:
   enum class State : uint8_t { Blocked, Woken, Running };
-  // How new connections reach this worker, fixed by mode and id.
-  enum class Role : uint8_t {
-    Accept,    // accept()s from its listening sockets (every kernel mode)
-    Dispatch,  // UserDispatcher's worker 0: accepts and hands off
-    Serve,     // UserDispatcher's workers 1..N-1: adopt hand-offs
-  };
 
   // Leaves epoll_wait if blocked in it; false if already awake.
   bool wake();
@@ -142,26 +152,34 @@ class Worker final : public netsim::Waiter {
   void block();
   void on_timeout();
   void start_iteration();
+  size_t collect_batch();
+  // Dispatcher: hands this batch's connections to the serving workers.
+  void hand_off();
   void process_next();
   void finish_event();
   void end_iteration();
-  size_t collect_batch();
-  // The dispatcher's iteration body (Role::Dispatch).
-  void dispatch();
 
   Config cfg_;
-  const Role role_;
   EventQueue& eq_;
   netsim::NetStack& ns_;
   Host host_;
   core::HermesRuntime* hermes_;          // null in non-Hermes modes
   std::optional<core::EventLoopHooks> hooks_;
+  const std::vector<netsim::ListeningSocket*> sockets_;
+  // UserDispatcher's worker 0: accepts for the serving workers.
+  const bool dispatcher_;
+  // wakeup_cost plus, on shared sockets, the O(#ports) scan (the
+  // dispatch factor of Table 3 case 1).
+  const SimTime epoll_return_cost_;
 
-  std::vector<netsim::ListeningSocket*> sockets_;
-  std::deque<Request> pending_requests_;  // conn events not yet in a batch
-  std::deque<WorkerEvent> batch_;
-  WorkerEvent in_service_;  // popped by process_next, done at finish_event
-  // Dispatcher: this iteration's accepts, in accept order, and the next
+  // Requests in arrival order; the head is in service, or next.
+  std::deque<Request> requests_;
+  // This batch: its requests still at the head of requests_, then the
+  // sockets to accept one connection from, in port order.
+  size_t batch_requests_ = 0;
+  std::vector<netsim::ListeningSocket*> batch_accepts_;
+  size_t next_accept_ = 0;
+  // Dispatcher: this batch's accepts, in accept order, and the next
   // serving worker in the round-robin.
   std::vector<netsim::Connection> hand_offs_;
   WorkerId next_target_ = 1;
@@ -173,6 +191,7 @@ class Worker final : public netsim::Waiter {
 
   int64_t live_conns_ = 0;
   SimTime busy_time_{};
+  SimTime busy_until_{};  // end of the last span charged
   uint64_t requests_done_ = 0;
   uint64_t accepts_done_ = 0;
   uint64_t loop_iterations_ = 0;

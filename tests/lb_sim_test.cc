@@ -644,5 +644,44 @@ TEST(LbSimTest, DegradationResetReopensWithTheSamePlan) {
             lb.totals().degradation_resets - 1);
 }
 
+// The serving workers watch no socket, so an iteration costs them the
+// epoll return alone: no per-port scan, however many ports are bound.
+TEST(LbSimTest, ServingWorkersPayNoPortScan) {
+  LbDevice::Config cfg = base_config(netsim::DispatchMode::UserDispatcher);
+  cfg.num_ports = 32;
+  LbDevice lb(cfg);
+  LbDevice::ConnPlan plan;
+  plan.remaining = 3;
+  plan.cost_us = DistSpec::constant(100);
+  plan.gap_us = DistSpec::constant(2'000);
+  for (int i = 0; i < 30; ++i) {
+    ASSERT_NE(lb.open_connection(static_cast<TenantId>(i), plan), 0u);
+  }
+  lb.eq().run_until(SimTime::millis(500));
+  EXPECT_EQ(lb.totals().requests_completed, 90u);
+  for (WorkerId w = 1; w < lb.num_workers(); ++w) {
+    Worker& s = lb.worker(w);
+    EXPECT_EQ(s.requests_done(), 30u) << "worker " << w;
+    EXPECT_EQ(s.busy_time().ns(),
+              cfg.worker.wakeup_cost.ns() *
+                      static_cast<int64_t>(s.loop_iterations()) +
+                  static_cast<int64_t>(s.event_processing_time().sum))
+        << "worker " << w;
+  }
+}
+
+// A request delivered to the dispatcher's core (a per-core probe) is
+// served by worker 0's loop like any other, and the loop then blocks.
+TEST(LbSimTest, DispatcherServesACoreProbe) {
+  LbDevice lb(base_config(netsim::DispatchMode::UserDispatcher));
+  lb.inject_core_probe(0);
+  lb.eq().run_until(SimTime::millis(20));
+  EXPECT_EQ(lb.totals().requests_completed, 1u);
+  EXPECT_EQ(lb.worker(0).requests_done(), 1u);
+  // One iteration serves the probe; the rest are 5 ms epoll timeouts.
+  EXPECT_LE(lb.worker(0).loop_iterations(), 6u);
+  EXPECT_TRUE(lb.worker(0).blocked());
+}
+
 }  // namespace
 }  // namespace hermes::sim

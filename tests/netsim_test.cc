@@ -395,6 +395,21 @@ TEST(NetStackTest, SocketsOfWorkerPerMode) {
     EXPECT_EQ(w0[0]->owner(), 0u);
     EXPECT_EQ(w1[0]->owner(), 1u);
   }
+  {
+    NetStack::Config cfg;
+    cfg.mode = DispatchMode::UserDispatcher;
+    cfg.num_workers = 3;
+    NetStack ns(cfg);
+    ns.add_port(80);
+    ns.add_port(81);
+    // Worker 0's loop is the dispatcher: it alone watches the shared
+    // sockets; the serving workers get connections by hand-off.
+    EXPECT_EQ(ns.sockets_of(0), (std::vector<ListeningSocket*>{
+                                    ns.shared_socket(80),
+                                    ns.shared_socket(81)}));
+    EXPECT_TRUE(ns.sockets_of(1).empty());
+    EXPECT_TRUE(ns.sockets_of(2).empty());
+  }
 }
 
 TEST(NetStackTest, HermesModeWithoutProgramFallsBackToHash) {

@@ -32,12 +32,6 @@ class WorkerHarness {
       done_.push_back(r.id);
     };
     worker_.emplace(wc, eq_, *ns_, host, nullptr);
-    // As LbDevice: under UserDispatcher only worker 0, the dispatcher,
-    // waits on the sockets; the others receive connections by adoption.
-    if (mode != netsim::DispatchMode::UserDispatcher || wc.id == 0) {
-      ns_->register_waiter(wc.id, &*worker_);
-    }
-    worker_->attach_sockets();
     worker_->start();
   }
 
