@@ -40,7 +40,7 @@ Row run(netsim::DispatchMode mode, double cps, uint64_t seed) {
   const uint64_t done = lb.totals().requests_completed - before;
   // Under UserDispatcher worker 0's loop is the dispatcher: its share of
   // [0, end], read before the drain adds to it.
-  const SimTime dispatcher_busy = lb.worker(0).busy_time_spent();
+  const SimTime dispatcher_busy = lb.worker(0).busy_time();
   lb.eq().run_until(end + SimTime::seconds(1));
   auto window = lb.take_window_latency();
 

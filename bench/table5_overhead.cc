@@ -141,16 +141,23 @@ void print_sim_overhead(bench::BenchJson& json) {
     }
     const double total_core_ns =
         static_cast<double>(end.ns()) * cfg.num_workers;
-    // Per-op costs: counter ~15ns x 3 updates/event; scheduler ~60ns/worker
-    // scan; sync ~1us per syscall; dispatcher = bpf insns x ~3ns.
+    // Per-op costs: counter ~15ns x 3 updates/event; dispatcher = bpf
+    // insns x ~3ns. Scheduler and syscall are what the simulated cores
+    // were charged for Stage 2: the same formula at the group's width.
     const double counter_pct = events * 3 * 15 / total_core_ns * 100;
-    const double sched_pct = static_cast<double>(c.schedules) * 8 * 60 /
-                             total_core_ns * 100;
+    const uint32_t width = lb.hermes()->group_width(0);
+    const auto stage2_pct = [&](uint64_t schedules, uint64_t publishes) {
+      return static_cast<double>(
+                 sim::Worker::stage2_cost(cfg.worker, width, schedules,
+                                          publishes)
+                     .ns()) /
+             total_core_ns * 100;
+    };
+    const double sched_pct = stage2_pct(c.schedules, 0);
     // c.syncs counts only *published* stores: change-suppressed syncs
     // (c.syncs_suppressed) never reach the syscall boundary and are
     // charged nothing here — that is the point of the suppression.
-    const double sync_pct =
-        static_cast<double>(c.syncs) * 1000 / total_core_ns * 100;
+    const double sync_pct = stage2_pct(0, c.syncs);
     uint64_t bpf_insns = 0;
     for (uint32_t p = 0; p < cfg.num_ports; ++p) {
       bpf_insns +=

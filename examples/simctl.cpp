@@ -166,7 +166,7 @@ int main(int argc, char** argv) {
   lb.eq().run_until(end);
   const auto sample = lb.sample_now();
   const uint64_t done = lb.totals().requests_completed - completed0;
-  const SimTime core0_busy = lb.worker(0).busy_time_spent();
+  const SimTime core0_busy = lb.worker(0).busy_time();
   lb.eq().run_until(end + SimTime::seconds(1));
   auto window = lb.take_window_latency();
 

@@ -49,7 +49,7 @@ ScheduleResult HermesRuntime::schedule_and_sync(WorkerId self, SimTime now) {
   HERMES_CHECK(self < num_workers_);
   const uint32_t group = self / wpg_;
   const WorkerId base = group * wpg_;
-  const uint32_t limit = std::min(wpg_, num_workers_ - base);
+  const uint32_t limit = group_width(self);
 
   // One snapshot of the slice, on the stack (workers schedule
   // concurrently): the cascade and the aux refresh both read it, so the

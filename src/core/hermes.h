@@ -27,6 +27,7 @@
 // refresh both read that snapshot.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <memory>
@@ -78,6 +79,10 @@ class HermesRuntime {
   uint32_t num_workers() const { return num_workers_; }
   uint32_t num_groups() const { return num_groups_; }
   uint32_t workers_per_group() const { return wpg_; }
+  // Workers in `w`'s group: the slice of the WST its Stage 2 scans.
+  uint32_t group_width(WorkerId w) const {
+    return std::min(wpg_, num_workers_ - w / wpg_ * wpg_);
+  }
   const HermesConfig& config() const { return scheduler_.config(); }
 
   WorkerStatusTable& wst() { return wst_; }

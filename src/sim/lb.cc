@@ -359,7 +359,7 @@ LbDevice::Sample LbDevice::sample_now() {
     if (window.ns() > 0) {
       util = static_cast<double>((busy - last_busy_[w]).ns()) /
              static_cast<double>(window.ns());
-      util = std::min(util, 1.0);
+      HERMES_CHECK(util <= 1.0);
     }
     last_busy_[w] = busy;
     cpu.add(util);

@@ -85,13 +85,18 @@ void Worker::on_timeout() {
   start_iteration();
 }
 
+template <class F>
+void Worker::spend(SimTime cost, F then) {
+  busy_time_ += cost;
+  busy_until_ = eq_.now() + cost;
+  eq_.schedule_after(cost, std::move(then));
+}
+
 void Worker::start_iteration() {
   state_ = State::Running;
   ++loop_iterations_;
 
-  if (cfg_.schedule_at_loop_start && hermes_ != nullptr) {
-    hermes_->schedule_and_sync(cfg_.id, eq_.now());
-  }
+  const SimTime stage2 = run_stage2(/*at_start=*/true);  // §5.3.2 ablation
 
   const size_t n = collect_batch();
   events_per_wait_.record(n);
@@ -102,10 +107,8 @@ void Worker::start_iteration() {
   // makes its core the device's bottleneck.
   const SimTime overhead =
       epoll_return_cost_ +
-      kDispatchCost * static_cast<int64_t>(hand_offs_.size());
-  busy_time_ += overhead;
-  busy_until_ = eq_.now() + overhead;
-  eq_.schedule_after(overhead, [this] {
+      kDispatchCost * static_cast<int64_t>(hand_offs_.size()) + stage2;
+  spend(overhead, [this] {
     if (!hand_offs_.empty()) hand_off();
     process_next();
   });
@@ -158,10 +161,8 @@ void Worker::process_next() {
     cost = SimTime{static_cast<int64_t>(
         std::llround(static_cast<double>(cost.ns()) / cfg_.speed))};
   }
-  busy_time_ += cost;
-  busy_until_ = eq_.now() + cost;
   event_proc_time_.record(cost);
-  eq_.schedule_after(cost, [this] { finish_event(); });
+  spend(cost, [this] { finish_event(); });
 }
 
 void Worker::finish_event() {
@@ -180,22 +181,27 @@ void Worker::finish_event() {
   process_next();
 }
 
-void Worker::end_iteration() {
-  // Hermes stage 2 at the end of the loop body.
-  if (hermes_ != nullptr && !cfg_.schedule_at_loop_start &&
-      (last_sync_.ns() < 0 ||
-       eq_.now() - last_sync_ >= cfg_.min_sync_interval)) {
-    busy_time_ += cfg_.scheduler_cost_per_worker *
-                  static_cast<int64_t>(hermes_->workers_per_group());
-    const auto res = hermes_->schedule_and_sync(cfg_.id, eq_.now());
-    // The map-update "syscall" (Table 5) is only paid when the bitmap was
-    // actually stored — change-suppressed syncs skip it.
-    if (res.published) busy_time_ += cfg_.sync_syscall_cost;
-    last_sync_ = eq_.now();
+SimTime Worker::run_stage2(bool at_start) {
+  if (hermes_ == nullptr || at_start != cfg_.schedule_at_loop_start ||
+      eq_.now() < next_sync_) {
+    return SimTime::zero();
   }
+  next_sync_ = eq_.now() + cfg_.min_sync_interval;
+  const bool published =
+      hermes_->schedule_and_sync(cfg_.id, eq_.now()).published;
+  return stage2_cost(cfg_, hermes_->group_width(cfg_.id), 1, published);
+}
 
-  // Next loop entry: heartbeat, then either immediately re-run (events
-  // ready) or block in epoll_wait.
+void Worker::end_iteration() {
+  // Hermes stage 2 at the end of the loop body, a span of its own.
+  const SimTime stage2 = run_stage2(/*at_start=*/false);
+  if (stage2 == SimTime::zero()) return enter_loop(false);
+  spend(stage2, [this] { enter_loop(true); });
+}
+
+void Worker::enter_loop(bool after_span) {
+  // Heartbeat, then either re-run at once (events ready) or block in
+  // epoll_wait. A Stage-2 span's completion starts the next iteration.
   if (hooks_) hooks_->on_loop_enter(eq_.now());
 
   const bool ready =
@@ -204,13 +210,11 @@ void Worker::end_iteration() {
                   [](const netsim::ListeningSocket* sock) {
                     return !sock->accept_queue().empty();
                   });
-  if (ready) {
-    blocking_time_.record(0);
-    eq_.schedule_after(SimTime::zero(), [this] { start_iteration(); });
-    state_ = State::Woken;
-  } else {
-    block();
-  }
+  if (!ready) return block();
+  blocking_time_.record(0);
+  state_ = State::Woken;
+  if (after_span) return start_iteration();
+  eq_.schedule_after(SimTime::zero(), [this] { start_iteration(); });
 }
 
 }  // namespace hermes::sim

@@ -12,11 +12,13 @@
 //   busy += |batch|
 //   for each event: process (costs CPU time); busy -= 1 after each
 //   schedule_and_sync()                 <- Hermes stage 2 (at loop END — the
-//                                          placement §5.3.2 argues for)
+//                                          placement §5.3.2 argues for), a
+//                                          span of stage2_cost()
 //   if nothing ready: block with the 5 ms timeout, else loop immediately
 // A request is served from the head of the queue and popped when it
 // completes. Each iteration pays wakeup_cost, plus, on shared sockets,
-// per_listen_socket_cost per watched port (fixed at construction).
+// per_listen_socket_cost per watched port (fixed at construction). Every
+// cost is a span of simulated time, one after another on this core.
 //
 // A "hang" needs no special machinery: a poison request simply has a huge
 // cost, so the worker stays inside the iteration and its avail timestamp
@@ -97,6 +99,14 @@ class Worker final : public netsim::Waiter {
     std::function<void(WorkerId to, netsim::Connection)> hand_off;
   };
 
+  // Simulated CPU of `schedules` Stage-2 runs over a group `width` workers
+  // wide, `publishes` of which stored the bitmap (Table 5's shares).
+  static SimTime stage2_cost(const Config& cfg, uint32_t width,
+                             int64_t schedules, int64_t publishes) {
+    return cfg.scheduler_cost_per_worker * (width * schedules) +
+           cfg.sync_syscall_cost * publishes;
+  }
+
   // Takes the sockets NetStack::sockets_of(cfg.id) names, so every port
   // must be bound first.
   Worker(Config cfg, EventQueue& eq, netsim::NetStack& ns, Host host,
@@ -126,10 +136,9 @@ class Worker final : public netsim::Waiter {
   // --- state ------------------------------------------------------------
   bool blocked() const { return state_ == State::Blocked; }
   int64_t live_connections() const { return live_conns_; }
-  // Busy time charged so far: a span's whole cost is charged when it
-  // starts. busy_time_spent() leaves out the rest of the span in progress.
-  SimTime busy_time() const { return busy_time_; }
-  SimTime busy_time_spent() const {
+  // Busy time spent so far: the spans charged, less the rest of the span
+  // in progress, so never more than the simulated time elapsed.
+  SimTime busy_time() const {
     return busy_time_ - std::max(SimTime::zero(), busy_until_ - eq_.now());
   }
   uint64_t requests_done() const { return requests_done_; }
@@ -157,7 +166,13 @@ class Worker final : public netsim::Waiter {
   void hand_off();
   void process_next();
   void finish_event();
+  // Runs a span of `cost` on this core, then `then`.
+  template <class F> void spend(SimTime cost, F then);
+  // Hermes stage 2, if `at_start` is its placement and min_sync_interval
+  // has passed since the last; returns its cost (zero if it did not run).
+  SimTime run_stage2(bool at_start);
   void end_iteration();
+  void enter_loop(bool after_span);
 
   Config cfg_;
   EventQueue& eq_;
@@ -187,7 +202,7 @@ class Worker final : public netsim::Waiter {
   State state_ = State::Running;  // until start()
   EventQueue::Handle timeout_handle_{};
   SimTime blocked_since_{};
-  SimTime last_sync_ = SimTime::nanos(-1);
+  SimTime next_sync_{};  // min_sync_interval after the last Stage 2
 
   int64_t live_conns_ = 0;
   SimTime busy_time_{};

@@ -683,5 +683,112 @@ TEST(LbSimTest, DispatcherServesACoreProbe) {
   EXPECT_TRUE(lb.worker(0).blocked());
 }
 
+// ---- Stage 2 is a span of the worker loop ---------------------------------
+
+// A Hermes worker's busy time at a quiet moment, from its own counts: an
+// epoll return per iteration, its events, and per Stage-2 run 60 ns for
+// each worker of its group's `width`, plus 1 us per bitmap it published.
+SimTime expected_hermes_busy(LbDevice& lb, WorkerId w, int64_t width) {
+  Worker& wk = lb.worker(w);
+  const obs::PipelineMetrics& m = lb.obs()->metrics;
+  return SimTime::micros(2) * static_cast<int64_t>(wk.loop_iterations()) +
+         SimTime{static_cast<int64_t>(wk.event_processing_time().sum)} +
+         SimTime::nanos(60) *
+             (width * static_cast<int64_t>(m.filter_runs->shard_value(w))) +
+         SimTime::micros(1) *
+             static_cast<int64_t>(m.sync_published->shard_value(w));
+}
+
+LbDevice::Config hermes_config(uint32_t workers) {
+  LbDevice::Config cfg = base_config(netsim::DispatchMode::HermesMode);
+  cfg.num_workers = workers;
+  return cfg;
+}
+
+// A 50 us probe on an idle worker at 1 ms; returns when it was served.
+SimTime serve_probe(LbDevice& lb, WorkerId w) {
+  const SimTime t0 = SimTime::millis(1);
+  lb.eq().run_until(t0);
+  EXPECT_TRUE(lb.worker(w).blocked());
+  EXPECT_EQ(lb.worker(w).busy_time(), SimTime::zero());
+  lb.inject_core_probe(w, SimTime::micros(50));
+  return t0 + SimTime::micros(2) + SimTime::micros(50);
+}
+
+// Stage 2 runs after the last event, for 8 x 60 ns (+1 us if it
+// publishes), and the next loop entry's heartbeat comes after it.
+TEST(LbSimTest, Stage2IsASpanBeforeTheNextLoopEntry) {
+  LbDevice lb(hermes_config(8));
+  Worker& w = lb.worker(3);
+  const SimTime served = serve_probe(lb, 3);
+  lb.eq().run_until(served + SimTime::nanos(100));
+  EXPECT_FALSE(w.blocked());
+  EXPECT_EQ(w.busy_time(), SimTime::micros(52) + SimTime::nanos(100));
+  EXPECT_EQ(lb.hermes()->wst().read(3).loop_enter_ns, 0);  // start()'s
+
+  lb.eq().run_until(SimTime::millis(2));
+  ASSERT_TRUE(w.blocked());
+  const SimTime stage2 = expected_hermes_busy(lb, 3, 8) - SimTime::micros(52);
+  EXPECT_GE(stage2, SimTime::nanos(8 * 60));
+  EXPECT_LE(stage2, SimTime::nanos(8 * 60) + SimTime::micros(1));
+  EXPECT_EQ(lb.hermes()->wst().read(3).loop_enter_ns, (served + stage2).ns());
+  EXPECT_EQ(w.busy_time(), SimTime::micros(52) + stage2);
+}
+
+// Under traffic, every Hermes worker's busy time is exactly the costs it
+// ran: epoll returns, events, and Stage 2 at the group's 8 workers.
+TEST(LbSimTest, HermesBusyTimeIsEveryCostItRan) {
+  LbDevice lb(hermes_config(8));
+  lb.start_pattern(case_pattern(1, 8, 1.0), 0, lb.config().num_ports,
+                   SimTime::millis(200));
+  lb.eq().run_until(SimTime::millis(300));
+  EXPECT_GT(lb.totals().requests_completed, 1000u);
+  for (WorkerId w = 0; w < lb.num_workers(); ++w) {
+    ASSERT_TRUE(lb.worker(w).blocked()) << "worker " << w;  // no span open
+    EXPECT_EQ(lb.worker(w).busy_time(), expected_hermes_busy(lb, w, 8))
+        << "worker " << w;
+  }
+}
+
+// The §5.3.2 ablation runs Stage 2 at the loop start: it pays the same
+// span there, and it too waits out min_sync_interval.
+TEST(LbSimTest, Stage2AtLoopStartPaysTheSameSpan) {
+  LbDevice::Config cfg = hermes_config(8);
+  cfg.worker.schedule_at_loop_start = true;
+  cfg.worker.min_sync_interval = SimTime::millis(10);
+  LbDevice lb(cfg);
+  lb.start_pattern(case_pattern(1, 8, 1.0), 0, cfg.num_ports,
+                   SimTime::millis(200));
+  lb.eq().run_until(SimTime::millis(300));
+  EXPECT_GT(lb.totals().requests_completed, 1000u);
+  for (WorkerId w = 0; w < lb.num_workers(); ++w) {
+    const uint64_t schedules = lb.obs()->metrics.filter_runs->shard_value(w);
+    // At least 10 ms apart over [0, 300 ms], against an iteration every
+    // 5 ms even when idle.
+    EXPECT_GT(schedules, 0u) << "worker " << w;
+    EXPECT_LE(schedules, 31u) << "worker " << w;
+    EXPECT_GT(lb.worker(w).loop_iterations(), 60u) << "worker " << w;
+    ASSERT_TRUE(lb.worker(w).blocked()) << "worker " << w;
+    EXPECT_EQ(lb.worker(w).busy_time(), expected_hermes_busy(lb, w, 8))
+        << "worker " << w;
+  }
+}
+
+// On 96 workers the second group holds 32: its Stage 2 scans 32 workers,
+// not the configured 64.
+TEST(LbSimTest, Stage2CostsTheGroupsLiveWidth) {
+  LbDevice lb(hermes_config(96));
+  EXPECT_EQ(lb.hermes()->group_width(5), 64u);
+  EXPECT_EQ(lb.hermes()->group_width(70), 32u);
+  serve_probe(lb, 70);
+  lb.eq().run_until(SimTime::millis(2));
+  ASSERT_TRUE(lb.worker(70).blocked());
+  EXPECT_EQ(lb.obs()->metrics.filter_runs->shard_value(70), 1u);
+  const SimTime busy = lb.worker(70).busy_time();
+  EXPECT_EQ(busy, expected_hermes_busy(lb, 70, 32));
+  EXPECT_GE(busy, SimTime::micros(52) + SimTime::nanos(32 * 60));
+  EXPECT_LE(busy, SimTime::micros(53) + SimTime::nanos(32 * 60));
+}
+
 }  // namespace
 }  // namespace hermes::sim

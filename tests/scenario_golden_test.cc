@@ -28,10 +28,16 @@
 // scenarios.actual/<name>.txt in the test's working directory; TESTING.md
 // says how a behaviour-changing change regenerates the golden file from
 // those.
+//
+// BusyClockTest runs the same scenarios once more, checking every
+// millisecond that no worker was busy for longer than the time that
+// passed.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cinttypes>
 #include <cstdio>
+#include <deque>
 #include <filesystem>
 #include <fstream>
 #include <functional>
@@ -196,6 +202,13 @@ void digest_device(Digest& d, LbDevice& lb) {
 
 // ---- scenarios --------------------------------------------------------
 
+// Called on every device a scenario builds, before it runs (may be empty).
+using Watch = std::function<void(LbDevice&)>;
+
+void watch_device(const Watch& watch, LbDevice& lb) {
+  if (watch) watch(lb);
+}
+
 constexpr uint32_t kWorkers = 8;
 constexpr uint32_t kPorts = 32;
 
@@ -210,8 +223,10 @@ LbDevice::Config device_config(netsim::DispatchMode mode) {
 
 // simctl's shape: one case pattern over every port for `seconds`, then a
 // quarter second of drain so in-flight requests finish.
-std::string run_case(LbDevice::Config cfg, int case_id, double seconds) {
+std::string run_case(LbDevice::Config cfg, int case_id, double seconds,
+                     const Watch& watch) {
   LbDevice lb(cfg);
+  watch_device(watch, lb);
   const SimTime end = SimTime::from_seconds_f(seconds);
   lb.start_pattern(case_pattern(case_id, cfg.num_workers, 1.0), 0,
                    cfg.num_ports, end);
@@ -222,16 +237,18 @@ std::string run_case(LbDevice::Config cfg, int case_id, double seconds) {
 }
 
 // Case 1 for one second; case 3's connections are sparser, so two.
-std::string run_mode(netsim::DispatchMode mode, int case_id) {
-  return run_case(device_config(mode), case_id, case_id == 3 ? 2.0 : 1.0);
+std::string run_mode(netsim::DispatchMode mode, int case_id,
+                     const Watch& watch) {
+  return run_case(device_config(mode), case_id, case_id == 3 ? 2.0 : 1.0,
+                  watch);
 }
 
-std::string run_policy(core::PolicyKind kind) {
+std::string run_policy(core::PolicyKind kind, const Watch& watch) {
   LbDevice::Config cfg = device_config(netsim::DispatchMode::HermesMode);
   cfg.policy = kind;
   // Unequal cores, so the weighted policy's capacity weights differ.
   cfg.worker_speeds = {1.0, 1.0, 2.0, 1.0, 0.5, 1.0, 1.5, 1.0};
-  return run_case(cfg, 1, 1.0);
+  return run_case(cfg, 1, 1.0, watch);
 }
 
 // Hermes with poison requests that wedge workers for up to 0.6 s, a
@@ -239,12 +256,13 @@ std::string run_policy(core::PolicyKind kind) {
 // rate overflows a wedged worker's socket before the closed loop steers
 // around it, and case 3's long-lived connections give the sweep something
 // to reset.
-std::string run_hang_degradation() {
+std::string run_hang_degradation(const Watch& watch) {
   LbDevice::Config cfg = device_config(netsim::DispatchMode::HermesMode);
   cfg.backlog = 8;
   cfg.hermes.degradation_after = SimTime::millis(150);
   cfg.hermes.degradation_reset_fraction = 0.5;
   LbDevice lb(cfg);
+  watch_device(watch, lb);
   const SimTime end = SimTime::millis(1500);
   for (int case_id : {1, 3}) {
     TrafficPattern p = case_pattern(case_id, kWorkers, 1.0);
@@ -270,7 +288,7 @@ std::string run_hang_degradation() {
 
 // Three Hermes devices behind the Maglev front tier. Device 1 drains at
 // 300 ms; tenant 7 is pinned to it (the sandbox) from 500 ms on.
-std::string run_fleet() {
+std::string run_fleet(const Watch& watch) {
   Fleet::Config fc;
   fc.num_lbs = 3;
   fc.device = device_config(netsim::DispatchMode::HermesMode);
@@ -279,6 +297,9 @@ std::string run_fleet() {
   fc.device.data_plane.enabled = true;
   fc.seed = 5;
   Fleet fleet(fc);
+  for (size_t i = 0; i < fleet.device_count(); ++i) {
+    watch_device(watch, fleet.device(i));
+  }
   LbDevice::ConnPlan plan;
   plan.remaining = 3;
   plan.cost_us = DistSpec::lognormal(200, 0.5);
@@ -309,6 +330,70 @@ std::string run_fleet() {
   return d.line();
 }
 
+using netsim::DispatchMode;
+
+// A scenario's run: builds and runs its devices, returns the digest line.
+using Run = std::function<std::string(const Watch&)>;
+
+// Every golden scenario by name.
+const std::map<std::string, Run>& scenarios() {
+  const auto mode = [](DispatchMode m, int case_id) -> Run {
+    return [m, case_id](const Watch& w) { return run_mode(m, case_id, w); };
+  };
+  const auto policy = [](core::PolicyKind kind) -> Run {
+    return [kind](const Watch& w) { return run_policy(kind, w); };
+  };
+  static const std::map<std::string, Run> all = {
+      {"mode_wakeall_case1", mode(DispatchMode::EpollWakeAll, 1)},
+      {"mode_exclusive_case1", mode(DispatchMode::EpollExclusive, 1)},
+      {"mode_rr_case1", mode(DispatchMode::EpollRr, 1)},
+      {"mode_fifo_case1", mode(DispatchMode::IoUringFifo, 1)},
+      {"mode_dispatcher_case1", mode(DispatchMode::UserDispatcher, 1)},
+      {"mode_reuseport_case1", mode(DispatchMode::Reuseport, 1)},
+      {"mode_hermes_case1", mode(DispatchMode::HermesMode, 1)},
+      {"mode_wakeall_case3", mode(DispatchMode::EpollWakeAll, 3)},
+      {"mode_exclusive_case3", mode(DispatchMode::EpollExclusive, 3)},
+      {"mode_rr_case3", mode(DispatchMode::EpollRr, 3)},
+      {"mode_fifo_case3", mode(DispatchMode::IoUringFifo, 3)},
+      {"mode_dispatcher_case3", mode(DispatchMode::UserDispatcher, 3)},
+      {"mode_reuseport_case3", mode(DispatchMode::Reuseport, 3)},
+      {"hermes_case3_data_plane",
+       [](const Watch& w) {
+         LbDevice::Config cfg = device_config(DispatchMode::HermesMode);
+         cfg.data_plane.enabled = true;
+         return run_case(cfg, 3, 1.0, w);
+       }},
+      // Narrow groups as bench/ablation_group_locality sets them: four
+      // groups of two workers, and singleton selections allowed, so a
+      // connection stays inside its group.
+      {"hermes_group_locality_case3",
+       [](const Watch& w) {
+         LbDevice::Config cfg = device_config(DispatchMode::HermesMode);
+         cfg.num_ports = 16;
+         cfg.hermes.workers_per_group = 2;
+         cfg.hermes.min_workers_for_dispatch = 1;
+         return run_case(cfg, 3, 2.0, w);
+       }},
+      {"policy_cascade_case1", policy(core::PolicyKind::Cascade)},
+      {"policy_p2c_case1", policy(core::PolicyKind::P2c)},
+      {"policy_weighted_case1", policy(core::PolicyKind::Weighted)},
+      {"policy_queue_est_case1", policy(core::PolicyKind::QueueEst)},
+      // Two 64-bit groups, and a theta that is not a whole number of
+      // permille, so the scheduler's rounding of theta to permille shows
+      // in the outcome.
+      {"hermes_96_workers_case1",
+       [](const Watch& w) {
+         LbDevice::Config cfg = device_config(DispatchMode::HermesMode);
+         cfg.num_workers = 96;
+         cfg.hermes.theta_ratio = 0.3337;
+         return run_case(cfg, 1, 0.5, w);
+       }},
+      {"hang_degradation_sweep", run_hang_degradation},
+      {"fleet_drain_and_pin", run_fleet},
+  };
+  return all;
+}
+
 // ---- golden comparison --------------------------------------------------
 
 std::map<std::string, std::string> load_golden() {
@@ -337,9 +422,8 @@ std::map<std::string, std::string> families_of(const std::string& line) {
   return out;
 }
 
-void check_scenario(const std::string& name,
-                    const std::function<std::string()>& run) {
-  const std::string actual = run();
+void check_scenario(const std::string& name) {
+  const std::string actual = scenarios().at(name)(Watch{});
   std::filesystem::create_directories("scenarios.actual");
   std::ofstream("scenarios.actual/" + name + ".txt")
       << name << ' ' << actual << '\n';
@@ -367,117 +451,155 @@ void check_scenario(const std::string& name,
   }
 }
 
-using netsim::DispatchMode;
-
 TEST(ScenarioGoldenTest, ModeWakeAllCase1) {
-  check_scenario("mode_wakeall_case1",
-                 [] { return run_mode(DispatchMode::EpollWakeAll, 1); });
+  check_scenario("mode_wakeall_case1");
 }
 TEST(ScenarioGoldenTest, ModeExclusiveCase1) {
-  check_scenario("mode_exclusive_case1",
-                 [] { return run_mode(DispatchMode::EpollExclusive, 1); });
+  check_scenario("mode_exclusive_case1");
 }
 TEST(ScenarioGoldenTest, ModeRrCase1) {
-  check_scenario("mode_rr_case1",
-                 [] { return run_mode(DispatchMode::EpollRr, 1); });
+  check_scenario("mode_rr_case1");
 }
 TEST(ScenarioGoldenTest, ModeFifoCase1) {
-  check_scenario("mode_fifo_case1",
-                 [] { return run_mode(DispatchMode::IoUringFifo, 1); });
+  check_scenario("mode_fifo_case1");
 }
 TEST(ScenarioGoldenTest, ModeDispatcherCase1) {
-  check_scenario("mode_dispatcher_case1",
-                 [] { return run_mode(DispatchMode::UserDispatcher, 1); });
+  check_scenario("mode_dispatcher_case1");
 }
 TEST(ScenarioGoldenTest, ModeReuseportCase1) {
-  check_scenario("mode_reuseport_case1",
-                 [] { return run_mode(DispatchMode::Reuseport, 1); });
+  check_scenario("mode_reuseport_case1");
 }
 TEST(ScenarioGoldenTest, ModeHermesCase1) {
-  check_scenario("mode_hermes_case1",
-                 [] { return run_mode(DispatchMode::HermesMode, 1); });
+  check_scenario("mode_hermes_case1");
 }
-
 TEST(ScenarioGoldenTest, ModeWakeAllCase3) {
-  check_scenario("mode_wakeall_case3",
-                 [] { return run_mode(DispatchMode::EpollWakeAll, 3); });
+  check_scenario("mode_wakeall_case3");
 }
 TEST(ScenarioGoldenTest, ModeExclusiveCase3) {
-  check_scenario("mode_exclusive_case3",
-                 [] { return run_mode(DispatchMode::EpollExclusive, 3); });
+  check_scenario("mode_exclusive_case3");
 }
 TEST(ScenarioGoldenTest, ModeRrCase3) {
-  check_scenario("mode_rr_case3",
-                 [] { return run_mode(DispatchMode::EpollRr, 3); });
+  check_scenario("mode_rr_case3");
 }
 TEST(ScenarioGoldenTest, ModeFifoCase3) {
-  check_scenario("mode_fifo_case3",
-                 [] { return run_mode(DispatchMode::IoUringFifo, 3); });
+  check_scenario("mode_fifo_case3");
 }
 TEST(ScenarioGoldenTest, ModeDispatcherCase3) {
-  check_scenario("mode_dispatcher_case3",
-                 [] { return run_mode(DispatchMode::UserDispatcher, 3); });
+  check_scenario("mode_dispatcher_case3");
 }
 TEST(ScenarioGoldenTest, ModeReuseportCase3) {
-  check_scenario("mode_reuseport_case3",
-                 [] { return run_mode(DispatchMode::Reuseport, 3); });
+  check_scenario("mode_reuseport_case3");
 }
-
 TEST(ScenarioGoldenTest, HermesCase3DataPlane) {
-  check_scenario("hermes_case3_data_plane", [] {
-    LbDevice::Config cfg = device_config(DispatchMode::HermesMode);
-    cfg.data_plane.enabled = true;
-    return run_case(cfg, 3, 1.0);
-  });
+  check_scenario("hermes_case3_data_plane");
 }
-
-// Narrow groups as bench/ablation_group_locality sets them: four groups of
-// two workers, and singleton selections allowed, so a connection stays
-// inside its group.
 TEST(ScenarioGoldenTest, HermesGroupLocalityCase3) {
-  check_scenario("hermes_group_locality_case3", [] {
-    LbDevice::Config cfg = device_config(DispatchMode::HermesMode);
-    cfg.num_ports = 16;
-    cfg.hermes.workers_per_group = 2;
-    cfg.hermes.min_workers_for_dispatch = 1;
-    return run_case(cfg, 3, 2.0);
-  });
+  check_scenario("hermes_group_locality_case3");
 }
-
 TEST(ScenarioGoldenTest, PolicyCascadeCase1) {
-  check_scenario("policy_cascade_case1",
-                 [] { return run_policy(core::PolicyKind::Cascade); });
+  check_scenario("policy_cascade_case1");
 }
 TEST(ScenarioGoldenTest, PolicyP2cCase1) {
-  check_scenario("policy_p2c_case1",
-                 [] { return run_policy(core::PolicyKind::P2c); });
+  check_scenario("policy_p2c_case1");
 }
 TEST(ScenarioGoldenTest, PolicyWeightedCase1) {
-  check_scenario("policy_weighted_case1",
-                 [] { return run_policy(core::PolicyKind::Weighted); });
+  check_scenario("policy_weighted_case1");
 }
 TEST(ScenarioGoldenTest, PolicyQueueEstCase1) {
-  check_scenario("policy_queue_est_case1",
-                 [] { return run_policy(core::PolicyKind::QueueEst); });
+  check_scenario("policy_queue_est_case1");
 }
-
-// Two 64-bit groups, and a θ that is not a whole number of permille, so
-// the scheduler's rounding of θ to permille shows in the outcome.
 TEST(ScenarioGoldenTest, Hermes96WorkersCase1) {
-  check_scenario("hermes_96_workers_case1", [] {
-    LbDevice::Config cfg = device_config(DispatchMode::HermesMode);
-    cfg.num_workers = 96;
-    cfg.hermes.theta_ratio = 0.3337;
-    return run_case(cfg, 1, 0.5);
-  });
+  check_scenario("hermes_96_workers_case1");
 }
-
 TEST(ScenarioGoldenTest, HangDegradationSweep) {
-  check_scenario("hang_degradation_sweep", run_hang_degradation);
+  check_scenario("hang_degradation_sweep");
+}
+TEST(ScenarioGoldenTest, FleetDrainAndPin) {
+  check_scenario("fleet_drain_and_pin");
 }
 
-TEST(ScenarioGoldenTest, FleetDrainAndPin) {
-  check_scenario("fleet_drain_and_pin", run_fleet);
+// ---- busy clock -----------------------------------------------------------
+
+// Every millisecond of simulated time, checks that no worker of a watched
+// device grew its busy time by more than the time that passed since the
+// previous check.
+class BusyClockCheck {
+ public:
+  static constexpr SimTime kPeriod = SimTime::millis(1);
+
+  void watch(LbDevice& lb) {
+    Device* d = &devices_.emplace_back();
+    d->lb = &lb;
+    d->last_busy.assign(lb.num_workers(), SimTime::zero());
+    lb.eq().schedule_after(kPeriod, Rearming([this, d](auto& self) {
+      check(*d);
+      d->lb->eq().schedule_after(kPeriod, self);
+    }));
+  }
+
+  uint64_t checks() const { return checks_; }
+  uint64_t overshoots() const { return overshoots_; }
+  SimTime worst() const { return worst_; }
+
+ private:
+  struct Device {
+    LbDevice* lb = nullptr;
+    SimTime last_at{};
+    std::vector<SimTime> last_busy;
+  };
+
+  void check(Device& d) {
+    const SimTime now = d.lb->eq().now();
+    for (WorkerId w = 0; w < d.lb->num_workers(); ++w) {
+      const SimTime busy = d.lb->worker(w).busy_time();
+      const SimTime over = (busy - d.last_busy[w]) - (now - d.last_at);
+      if (over > SimTime::zero()) {
+        ++overshoots_;
+        worst_ = std::max(worst_, over);
+      }
+      d.last_busy[w] = busy;
+    }
+    d.last_at = now;
+    ++checks_;
+  }
+
+  std::deque<Device> devices_;  // stable addresses for the events
+  uint64_t checks_ = 0;
+  uint64_t overshoots_ = 0;
+  SimTime worst_{};
+};
+
+TEST(BusyClockTest, GoldenScenariosNeverExceedElapsedTime) {
+  for (const auto& [name, run] : scenarios()) {
+    BusyClockCheck clock;
+    run([&clock](LbDevice& lb) { clock.watch(lb); });
+    EXPECT_GE(clock.checks(), 500u) << name;
+    EXPECT_EQ(clock.overshoots(), 0u)
+        << name << ": worst overshoot " << clock.worst().ns() << " ns";
+  }
+}
+
+// simctl's `--mode hermes --case 2 --load 3 --workers 8`: poison requests
+// pin a core for 100-500 ms, each of them one span.
+TEST(BusyClockTest, PoisonCase2NeverExceedsElapsedTime) {
+  LbDevice::Config cfg = device_config(DispatchMode::HermesMode);
+  cfg.seed = 1;
+  BusyClockCheck clock;  // outlives the device's queued checks
+  LbDevice lb(cfg);
+  clock.watch(lb);
+  const SimTime end = SimTime::seconds(2);
+  lb.start_pattern(case_pattern(2, kWorkers, 3.0), 0, kPorts, end);
+  lb.eq().run_until(end);
+  SimTime longest{};
+  for (WorkerId w = 0; w < kWorkers; ++w) {
+    longest = std::max(
+        longest, SimTime{static_cast<int64_t>(
+                     lb.worker(w).event_processing_time().max_value())});
+  }
+  EXPECT_GE(longest, SimTime::millis(100));  // a poison request ran
+  EXPECT_EQ(clock.checks(), 2000u);
+  EXPECT_EQ(clock.overshoots(), 0u)
+      << "worst overshoot " << clock.worst().ns() << " ns";
 }
 
 }  // namespace

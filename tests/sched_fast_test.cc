@@ -309,6 +309,7 @@ TEST(SchedFastDifferentialTest, RuntimeFastMatchesReferenceEverySync) {
         const WorkerId base = group * rt.workers_per_group();
         const uint32_t limit =
             std::min(rt.workers_per_group(), workers - base);
+        ASSERT_EQ(rt.group_width(self), limit) << "step=" << step;
         const ScheduleResult a = rt.schedule_and_sync(self, now);
         const ScheduleResult b = sched.schedule_reference_with_order(
             rt.wst(), now, cfg.stage_order, cfg.num_stages, base, limit);
