@@ -1,9 +1,8 @@
 // Cost of static verification: how long the abstract interpreter takes as
 // a function of program size and shape. Two parts:
 //   1. google-benchmark microbenchmarks — the production dispatch program
-//      across pool geometries, seeded generator output at fixed atom
-//      counts, and counted loops (per-iteration replay makes loop analysis
-//      linear in the proven trip count);
+//      across pool geometries, and seeded generator output at fixed atom
+//      counts;
 //   2. a size-vs-steps-vs-time table over generator output, so the
 //      relationship between instruction count, abstract steps, and wall
 //      time is visible at a glance.
@@ -17,7 +16,6 @@
 
 #include "bench/bench_common.h"
 #include "bpf/analysis/interp.h"
-#include "bpf/assembler.h"
 #include "bpf/maps.h"
 #include "core/dispatch_prog.h"
 #include "simcore/rng.h"
@@ -84,26 +82,6 @@ void BM_AnalyzeGeneratedProgram(benchmark::State& state) {
 }
 BENCHMARK(BM_AnalyzeGeneratedProgram)->Arg(2)->Arg(8)->Arg(32);
 
-void BM_AnalyzeBoundedLoop(benchmark::State& state) {
-  // Per-iteration replay: proving an N-trip loop costs N abstract passes
-  // over the body, so analysis time is linear in the trip bound.
-  const auto trips = static_cast<int64_t>(state.range(0));
-  bpf::Assembler a;
-  a.mov(bpf::r0, 0).mov(bpf::r7, 0);
-  a.label("top");
-  a.add(bpf::r0, 3).add(bpf::r7, 1);
-  a.jlt(bpf::r7, trips, "top");
-  a.exit();
-  const bpf::Program prog = a.finish();
-  std::vector<bpf::Map*> maps;
-  for (auto _ : state) {
-    AnalysisResult r = analyze(prog, maps);
-    if (!r.ok) state.SkipWithError(r.error.c_str());
-    benchmark::DoNotOptimize(r);
-  }
-}
-BENCHMARK(BM_AnalyzeBoundedLoop)->Arg(1)->Arg(8)->Arg(32)->Arg(128);
-
 // Part 2: size vs abstract steps vs wall time over generator output.
 void print_cost_table(bench::BenchJson& json) {
   std::printf("\nAnalyzer cost vs generated program size"
@@ -139,11 +117,11 @@ void print_cost_table(bench::BenchJson& json) {
     json.metric(prefix + ".accept_pct", 100.0 * accepted / n);
     json.metric(prefix + ".avg_us", us);  // wall clock: excluded from gate
   }
-  std::printf("\nshape: steps grow linearly with program size except when"
-              " loop atoms\nappear (each proven trip replays the body);"
-              " verification stays in the\nmicrosecond range — negligible"
-              " against program install, which happens\nonce per"
-              " configuration change.\n");
+  std::printf("\nshape: one step per reachable instruction (programs are"
+              " loop-free, and a\nrejected program stops at its first"
+              " error); verification stays in the\nmicrosecond range —"
+              " negligible against program install, which happens\nonce"
+              " per configuration change.\n");
 }
 
 }  // namespace

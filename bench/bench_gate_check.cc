@@ -30,11 +30,11 @@
 //
 // --scale F multiplies every gated current value by F before comparing.
 // It exists so scripts/bench_gate.sh can prove the gate trips: after the
-// real comparison passes, it reruns with --scale 1.2 and requires failure.
+// real comparison passes, it reruns with --scale 1.2 once per gated bench
+// and requires every run to fail.
 //
 // --only <bench> restricts the comparison to one bench from the baseline
-// (the scale CI job compares just fleet_scale against the shared
-// baseline without rerunning the whole gate subset).
+// (the per-bench self-test above).
 #include <cctype>
 #include <cmath>
 #include <cstdio>

@@ -30,6 +30,7 @@
 #include <cstring>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/control.h"
@@ -70,7 +71,9 @@ SharedControl* control_of(void* shm_base) {
 
 // ---------------------------------------------------------------- worker
 
-[[noreturn]] void worker_main(WorkerId id, void* shm_base, int channel_fd) {
+[[noreturn]] void worker_main(WorkerId id, void* shm_base,
+                              shm::FdChannel channel) {
+  const int channel_fd = channel.raw_fd();
   auto wst = core::WorkerStatusTable::attach(shm_base);
   core::EventLoopHooks hooks(wst, id);
   SharedControl* ctl = control_of(shm_base);
@@ -100,30 +103,15 @@ SharedControl* control_of(void* shm_base) {
       const int fd = events[i].data.fd;
       if (fd == channel_fd) {
         // "accept": receive a dispatched connection fd from the kernel.
-        struct msghdr msg {};
-        char data = 0;
-        struct iovec iov {&data, 1};
-        alignas(cmsghdr) char ctrl[CMSG_SPACE(sizeof(int))];
-        msg.msg_iov = &iov;
-        msg.msg_iovlen = 1;
-        msg.msg_control = ctrl;
-        msg.msg_controllen = sizeof(ctrl);
-        const ssize_t r = recvmsg(channel_fd, &msg, 0);
-        if (r <= 0) _exit(0);  // parent gone
-        int conn_fd = -1;
-        for (auto* c = CMSG_FIRSTHDR(&msg); c; c = CMSG_NXTHDR(&msg, c)) {
-          if (c->cmsg_type == SCM_RIGHTS) {
-            std::memcpy(&conn_fd, CMSG_DATA(c), sizeof(int));
-          }
-        }
-        if (conn_fd >= 0) {
-          struct epoll_event cev {};
-          cev.events = EPOLLIN;
-          cev.data.fd = conn_fd;
-          epoll_ctl(ep, EPOLL_CTL_ADD, conn_fd, &cev);
-          parsers.emplace(conn_fd, http::RequestParser{});
-          hooks.on_conn_open();                            // line 25
-        }
+        const auto got = channel.recv_fd();
+        if (!got) _exit(0);  // parent gone
+        const int conn_fd = got->first;
+        struct epoll_event cev {};
+        cev.events = EPOLLIN;
+        cev.data.fd = conn_fd;
+        epoll_ctl(ep, EPOLL_CTL_ADD, conn_fd, &cev);
+        parsers.emplace(conn_fd, http::RequestParser{});
+        hooks.on_conn_open();                              // line 25
       } else {
         // Data on an established connection.
         char buf[4096];
@@ -228,7 +216,7 @@ int main() {
     const pid_t pid = fork();
     if (pid == 0) {
       parent_end.close();
-      worker_main(w, region.data(), child_end.raw_fd());
+      worker_main(w, region.data(), std::move(child_end));
     }
     child_end.close();
     channels.push_back(std::move(parent_end));

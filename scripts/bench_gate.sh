@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Bench-regression gate: run the fast bench subset in --json mode, compare
 # against the checked-in baseline, and fail on regression. Also self-tests
-# that the gate actually trips by re-checking with a 20% injected
-# regression (--scale 1.2) and requiring failure.
+# that the gate actually trips: for every gated bench on its own
+# (--only <bench>), a re-check with a 20% injected regression (--scale 1.2)
+# must fail, so no bench can sit in the gate without a gated metric.
 #
 #   scripts/bench_gate.sh                 # compare vs bench/baseline.json
 #   scripts/bench_gate.sh --refresh       # rewrite bench/baseline.json
@@ -87,10 +88,14 @@ CHECK="$BUILD_DIR/bench/bench_gate_check"
 echo "==> gate: current vs $BASELINE"
 "$CHECK" "$BASELINE" "$current"
 
-echo "==> gate self-test: injected 20% regression must FAIL"
-if "$CHECK" "$BASELINE" "$current" --scale 1.2 >/dev/null; then
-  echo "bench_gate: SELF-TEST FAILED — a 20% regression passed the gate" >&2
-  exit 1
-fi
-echo "==> gate self-test tripped as expected"
+echo "==> gate self-test: injected 20% regression must FAIL per bench"
+for bench in "${GATE_BENCHES[@]}"; do
+  if "$CHECK" "$BASELINE" "$current" --only "$bench" --scale 1.2 \
+      >/dev/null; then
+    echo "bench_gate: SELF-TEST FAILED — a 20% regression in $bench" \
+         "passed the gate" >&2
+    exit 1
+  fi
+done
+echo "==> gate self-test tripped for all ${#GATE_BENCHES[@]} benches"
 echo "==> bench gate passed"

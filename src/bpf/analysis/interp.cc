@@ -1,11 +1,6 @@
 #include "bpf/analysis/interp.h"
 
-#include <algorithm>
-#include <map>
-#include <optional>
 #include <sstream>
-
-#include "util/check.h"
 
 namespace hermes::bpf::analysis {
 
@@ -13,13 +8,6 @@ namespace {
 
 constexpr uint64_t kU32Max = 0xffffffffull;
 
-// Iterations within which a backward edge must become infeasible.
-constexpr uint32_t kMaxTripCount = 128;
-// Global abstract-step budget. Every concrete instruction an accepted
-// program executes is at least one abstract step, so this also bounds its
-// concrete execution.
-constexpr uint64_t kMaxAnalysisSteps = uint64_t{1} << 18;
-static_assert(kMaxAnalysisSteps < kMaxInsnsExecuted);
 // Merges into one pc before the join is widened.
 constexpr uint32_t kWidenAfter = 32;
 
@@ -108,13 +96,12 @@ void normalize_spill_pairs(std::array<Cell, kNumCells>& cells) {
   }
 }
 
-bool merge_into(AbsState& dst, const AbsState& src, bool widen) {
-  if (!src.reachable) return false;
+void merge_into(AbsState& dst, const AbsState& src, bool widen) {
+  if (!src.reachable) return;
   if (!dst.reachable) {
     dst = src;
-    return true;
+    return;
   }
-  const AbsState before = dst;
   for (size_t i = 0; i < dst.regs.size(); ++i) {
     dst.regs[i] = join_reg(dst.regs[i], src.regs[i], widen);
   }
@@ -122,91 +109,26 @@ bool merge_into(AbsState& dst, const AbsState& src, bool widen) {
     dst.cells[i] = join_cell(dst.cells[i], src.cells[i], widen);
   }
   normalize_spill_pairs(dst.cells);
-  return !(dst == before);
-}
-
-bool reg_subsumes(const RegState& a, const RegState& b) {
-  if (b.kind == Kind::Uninit) return true;  // top
-  if (a.kind != b.kind) return false;
-  switch (a.kind) {
-    case Kind::Scalar:
-      return ValueRange::subsumes(a.val, b.val);
-    case Kind::PtrStack:
-    case Kind::PtrCtx:
-    case Kind::PtrMapValue:
-    case Kind::PtrMapValueOrNull:
-      return a.delta == b.delta && a.map_slot == b.map_slot &&
-             ValueRange::subsumes(a.val, b.val);
-    case Kind::MapHandle:
-      return a.map_slot == b.map_slot;
-    case Kind::Uninit:
-      return true;
-  }
-  return false;
-}
-
-bool cell_subsumes(const Cell& a, const Cell& b) {
-  if (b.tag == Cell::Tag::Data && b.v32.umin == 0 && b.v32.umax >= kU32Max) {
-    return true;  // fully unknown data covers anything loadable
-  }
-  if (a.tag != b.tag) return false;
-  switch (a.tag) {
-    case Cell::Tag::Data:
-      return ValueRange::subsumes(a.v32, b.v32);
-    case Cell::Tag::SpillLo:
-      return reg_subsumes(a.spilled, b.spilled);
-    case Cell::Tag::SpillHi:
-      return true;
-  }
-  return false;
-}
-
-// a ⊑ b; used for the loop no-progress (fixpoint) test. Conservative
-// false negatives only cost extra iterations up to the trip bound.
-bool state_subsumes(const AbsState& a, const AbsState& b) {
-  if (!a.reachable) return true;
-  if (!b.reachable) return false;
-  for (size_t i = 0; i < a.regs.size(); ++i) {
-    if (!reg_subsumes(a.regs[i], b.regs[i])) return false;
-  }
-  for (size_t i = 0; i < kNumCells; ++i) {
-    if (!cell_subsumes(a.cells[i], b.cells[i])) return false;
-  }
-  return true;
 }
 
 // ---- helper signatures ----
 
-struct ArgSpec {
-  Kind kind;
-  // PtrStack args: bytes that must be readable behind the pointer;
-  // -1 means the value size of the map passed in r1.
-  int buf_bytes = 0;
-};
-
+// Argument kinds in r1..r4. Each helper takes one map of `map_type` and
+// one PtrStack argument: a 4-byte u32 key buffer.
 struct HelperSig {
   HelperId id;
   int num_args;
-  ArgSpec arg[5];
-  std::optional<MapType> map_arg_type;  // constraint on MapHandle args
-  Kind ret;
+  Kind arg[4];
+  MapType map_type;
 };
 
 const HelperSig* find_sig(int64_t imm) {
   static const HelperSig kSigs[] = {
-      {HelperId::MapLookupElem, 2,
-       {{Kind::MapHandle}, {Kind::PtrStack, 4}},
-       MapType::Array, Kind::PtrMapValueOrNull},
-      {HelperId::MapUpdateElem, 4,
-       {{Kind::MapHandle}, {Kind::PtrStack, 4}, {Kind::PtrStack, -1},
-        {Kind::Scalar}},
-       MapType::Array, Kind::Scalar},
+      {HelperId::MapLookupElem, 2, {Kind::MapHandle, Kind::PtrStack},
+       MapType::Array},
       {HelperId::SkSelectReuseport, 4,
-       {{Kind::PtrCtx}, {Kind::MapHandle}, {Kind::PtrStack, 4},
-        {Kind::Scalar}},
-       MapType::ReuseportSockArray, Kind::Scalar},
-      {HelperId::KtimeGetNs, 0, {}, std::nullopt, Kind::Scalar},
-      {HelperId::GetPrandomU32, 0, {}, std::nullopt, Kind::Scalar},
+       {Kind::PtrCtx, Kind::MapHandle, Kind::PtrStack, Kind::Scalar},
+       MapType::ReuseportSockArray},
   };
   for (const auto& s : kSigs) {
     if (static_cast<int64_t>(s.id) == imm) return &s;
@@ -244,44 +166,29 @@ class Analyzer {
     if (auto e = structural_checks(); !e.empty()) {
       return fail(res, err_pc_, e);
     }
-    if (auto e = discover_loops(); !e.empty()) {
-      return fail(res, err_pc_, e);
-    }
 
     states_.assign(prog_.size(), AbsState{});
     merge_counts_.assign(prog_.size(), 0);
-    visited_.assign(prog_.size(), 0);
     AbsState entry;
     entry.reachable = true;
     entry.regs[1] = RegState::pointer(Kind::PtrCtx, 0, -1);
     entry.regs[kFramePointer] = RegState::pointer(Kind::PtrStack, 0, -1);
     states_[0] = entry;
 
-    if (auto e = scan(0, prog_.size() - 1, SIZE_MAX); !e.empty()) {
-      return fail(res, err_pc_, e);
-    }
+    if (auto e = scan(); !e.empty()) return fail(res, err_pc_, e);
 
     res.ok = true;
     res.analysis_steps = steps_;
     res.dead_edges = dead_edges_;
-    res.max_loop_trips = max_trips_;
-    for (size_t pc = 0; pc < prog_.size(); ++pc) {
-      if (!visited_[pc]) ++res.dead_insns;
-    }
+    res.dead_insns = prog_.size() - steps_;  // each reachable pc: 1 step
     res.ret_reachable = ret_reachable_;
     res.ret = ret_;
-    for (auto& [pc, info] : helpers_) res.helper_calls.push_back(info);
-    for (auto& [pc, info] : mem_facts_) res.mem_accesses.push_back(info);
+    res.helper_calls = std::move(helper_calls_);
+    res.mem_access_pcs = std::move(mem_access_pcs_);
     return res;
   }
 
  private:
-  struct LoopFrame {
-    size_t header;
-    size_t end;
-    AbsState back_state;
-  };
-
   AnalysisResult fail(AnalysisResult& res, size_t pc, const std::string& msg) {
     res.ok = false;
     res.error = msg;
@@ -302,22 +209,6 @@ class Analyzer {
     return os.str();
   }
 
-  // Successors of pc, assuming structural checks passed.
-  void successors(size_t pc, std::vector<size_t>* out) const {
-    out->clear();
-    const Insn& in = prog_[pc];
-    if (in.op == Op::Exit) return;
-    if (in.op == Op::Ja) {
-      out->push_back(pc + 1 + static_cast<size_t>(in.off));
-      return;
-    }
-    out->push_back(pc + 1);
-    if (is_cond_jump(in.op)) {
-      const size_t t = pc + 1 + static_cast<size_t>(in.off);
-      if (t != pc + 1) out->push_back(t);
-    }
-  }
-
   std::string structural_checks() {
     // Register fields must name real registers: the VM indexes regs[] by
     // both fields unconditionally.
@@ -327,14 +218,17 @@ class Analyzer {
         return "bad register field";
       }
     }
-    // Every successor must land inside the program.
+    // Every jump goes forward (the kernel's pre-5.3 check_cfg rule: no
+    // loops), and every successor lands inside the program.
     for (size_t pc = 0; pc < prog_.size(); ++pc) {
       const Insn& in = prog_[pc];
       if (in.op == Op::Exit) continue;
       if (in.op == Op::Ja || is_cond_jump(in.op)) {
-        const int64_t t =
-            static_cast<int64_t>(pc) + 1 + static_cast<int64_t>(in.off);
-        if (t < 0 || t >= static_cast<int64_t>(prog_.size())) {
+        if (in.off < 0) {
+          err_pc_ = pc;
+          return "backward edge (loops are not allowed)";
+        }
+        if (pc + 1 + static_cast<size_t>(in.off) >= prog_.size()) {
           err_pc_ = pc;
           return "jump out of bounds";
         }
@@ -346,152 +240,41 @@ class Analyzer {
     }
     // Structural reachability (kernel check_cfg): dead code is rejected
     // outright; range-pruned branches are handled later by the abstract
-    // pass and are legal.
+    // pass and are legal. Edges go forward, so a pc's predecessors all
+    // come before it.
     std::vector<char> seen(prog_.size(), 0);
-    std::vector<size_t> stack{0};
-    std::vector<size_t> succ;
     seen[0] = 1;
-    while (!stack.empty()) {
-      const size_t pc = stack.back();
-      stack.pop_back();
-      successors(pc, &succ);
-      for (size_t t : succ) {
-        if (!seen[t]) {
-          seen[t] = 1;
-          stack.push_back(t);
-        }
-      }
-    }
     for (size_t pc = 0; pc < prog_.size(); ++pc) {
       if (!seen[pc]) {
         err_pc_ = pc;
         return "unreachable instruction";
       }
+      const Insn& in = prog_[pc];
+      if (in.op == Op::Exit) continue;
+      if (in.op != Op::Ja) seen[pc + 1] = 1;
+      if (in.op == Op::Ja || is_cond_jump(in.op)) {
+        seen[pc + 1 + static_cast<size_t>(in.off)] = 1;
+      }
     }
     return {};
   }
 
-  std::string discover_loops() {
-    is_header_.assign(prog_.size(), 0);
-    header_end_.assign(prog_.size(), 0);
-    std::vector<size_t> succ;
+  // Every edge goes forward, so one in-order pass sees each pc after all
+  // of its predecessors: it is the complete fixpoint, and each reachable
+  // pc is stepped exactly once.
+  std::string scan() {
     for (size_t pc = 0; pc < prog_.size(); ++pc) {
-      successors(pc, &succ);
-      for (size_t t : succ) {
-        if (t <= pc) {  // backward edge: t is a loop header
-          is_header_[t] = 1;
-          header_end_[t] = std::max(header_end_[t], pc);
-        }
-      }
-    }
-    // Regions must properly nest so each loop can be analyzed as a unit.
-    std::vector<std::pair<size_t, size_t>> regions;
-    for (size_t h = 0; h < prog_.size(); ++h) {
-      if (is_header_[h]) regions.emplace_back(h, header_end_[h]);
-    }
-    for (size_t i = 0; i < regions.size(); ++i) {
-      for (size_t j = i + 1; j < regions.size(); ++j) {
-        const auto [h1, e1] = regions[i];
-        const auto [h2, e2] = regions[j];  // h2 > h1
-        if (h2 <= e1 && e2 > e1) {
-          err_pc_ = h2;
-          return "improperly nested loops (overlapping backward-edge "
-                 "regions)";
-        }
-      }
-    }
-    // Loops may only be entered through their header.
-    for (size_t pc = 0; pc < prog_.size(); ++pc) {
-      successors(pc, &succ);
-      for (size_t t : succ) {
-        for (const auto& [h, e] : regions) {
-          if (t > h && t <= e && (pc < h || pc > e)) {
-            err_pc_ = pc;
-            return "jump into the middle of a loop (region entered other "
-                   "than at its header)";
-          }
-        }
+      if (!states_[pc].reachable) continue;
+      ++steps_;
+      if (auto e = step(pc); !e.empty()) {
+        err_pc_ = pc;
+        return e;
       }
     }
     return {};
   }
 
-  // Process pcs [lo, hi] in order. Forward edges always target a higher
-  // pc, so a single in-order pass is a complete fixpoint for the DAG
-  // portion; nested loop headers recurse into analyze_loop.
-  std::string scan(size_t lo, size_t hi, size_t active_header) {
-    for (size_t pc = lo; pc <= hi;) {
-      if (is_header_[pc] && pc != active_header) {
-        if (auto e = analyze_loop(pc); !e.empty()) return e;
-        pc = header_end_[pc] + 1;
-        continue;
-      }
-      if (states_[pc].reachable) {
-        if (++steps_ > kMaxAnalysisSteps) {
-          err_pc_ = pc;
-          return "analysis step budget exceeded";
-        }
-        visited_[pc] = 1;
-        if (auto e = step(pc); !e.empty()) {
-          err_pc_ = pc;
-          return e;
-        }
-      }
-      ++pc;
-    }
-    return {};
-  }
-
-  // Per-iteration loop analysis: the header state of iteration k+1 is the
-  // back-edge state of iteration k (replaced, not merged). Accepted when
-  // the back edge becomes infeasible; rejected on an abstract fixpoint
-  // (no progress) or when the trip bound runs out.
-  std::string analyze_loop(size_t h) {
-    const size_t end = header_end_[h];
-    if (!states_[h].reachable) return {};  // dead loop: body stays dead
-    AbsState header_state = states_[h];
-    LoopFrame frame{h, end, AbsState{}};
-    for (uint32_t trip = 0;; ++trip) {
-      if (trip >= kMaxTripCount) {
-        err_pc_ = h;
-        return "backward edge: cannot prove the loop exits within the "
-               "trip bound (" +
-               std::to_string(kMaxTripCount) + " iterations)";
-      }
-      for (size_t p = h; p <= end; ++p) {
-        states_[p] = AbsState{};
-        merge_counts_[p] = 0;
-      }
-      states_[h] = header_state;
-      frame.back_state = AbsState{};
-      frames_.push_back(&frame);
-      auto err = scan(h, end, h);
-      frames_.pop_back();
-      if (!err.empty()) return err;
-      if (!frame.back_state.reachable) {
-        max_trips_ = std::max(max_trips_, trip + 1);
-        return {};
-      }
-      if (state_subsumes(frame.back_state, header_state)) {
-        err_pc_ = h;
-        return "backward edge: loop makes no abstract progress toward "
-               "exit (fixpoint at the header)";
-      }
-      header_state = frame.back_state;
-    }
-  }
-
-  void propagate(size_t from, size_t target, const AbsState& st) {
-    if (!st.reachable) return;
-    if (target <= from) {  // backward edge: accumulate on the open frame
-      for (auto it = frames_.rbegin(); it != frames_.rend(); ++it) {
-        if ((*it)->header == target) {
-          merge_into((*it)->back_state, st, /*widen=*/false);
-          return;
-        }
-      }
-      HERMES_CHECK_MSG(false, "bpf analysis: back edge without open frame");
-    }
+  void propagate(size_t target, const AbsState& st) {
     const bool widen = ++merge_counts_[target] > kWidenAfter;
     merge_into(states_[target], st, widen);
   }
@@ -650,7 +433,7 @@ class Analyzer {
       return {};
     };
     auto fallthrough = [&]() -> std::string {
-      propagate(pc, pc + 1, out);
+      propagate(pc + 1, out);
       return {};
     };
     const auto imm_u = static_cast<uint64_t>(in.imm);
@@ -800,7 +583,7 @@ class Analyzer {
             !e.empty()) {
           return e;
         }
-        record_mem_fact(pc, regs[in.src].kind);
+        mem_access_pcs_.push_back(pc);
         RegState loaded = RegState::scalar(size_bounded(size));
         if (regs[in.src].kind == Kind::PtrStack && abs_lo == abs_last) {
           loaded = load_stack(out, abs_lo, size);
@@ -834,7 +617,7 @@ class Analyzer {
             !e.empty()) {
           return e;
         }
-        record_mem_fact(pc, regs[in.dst].kind);
+        mem_access_pcs_.push_back(pc);
         if (to_stack) {
           if (abs_lo != abs_last) {
             // Variable-offset store: weak update over the whole span.
@@ -863,7 +646,7 @@ class Analyzer {
             !e.empty()) {
           return e;
         }
-        record_mem_fact(pc, regs[in.dst].kind);
+        mem_access_pcs_.push_back(pc);
         if (regs[in.dst].kind == Kind::PtrStack) {
           if (abs_lo != abs_last) {
             clobber_cells(out, abs_lo, abs_last, size);
@@ -876,7 +659,7 @@ class Analyzer {
 
       // ---- control flow ----
       case Op::Ja:
-        propagate(pc, jump_target, out);
+        propagate(jump_target, out);
         return {};
 
       case Op::JeqImm: case Op::JneImm: {
@@ -892,8 +675,8 @@ class Analyzer {
           const RegState null_scalar = RegState::scalar(ValueRange::konst(0));
           taken.regs[in.dst] = eq_means_null ? null_scalar : nonnull;
           fall.regs[in.dst] = eq_means_null ? nonnull : null_scalar;
-          propagate(pc, jump_target, taken);
-          propagate(pc, pc + 1, fall);
+          propagate(jump_target, taken);
+          propagate(pc + 1, fall);
           return {};
         }
         if (d.kind != Kind::Scalar) {
@@ -925,8 +708,8 @@ class Analyzer {
             in.op, true, taken.regs[in.dst].val, taken.regs[in.src].val);
         const bool f_ok = ValueRange::refine_branch(
             in.op, false, fall.regs[in.dst].val, fall.regs[in.src].val);
-        if (t_ok) propagate(pc, jump_target, taken); else ++dead_edges_;
-        if (f_ok) propagate(pc, pc + 1, fall); else ++dead_edges_;
+        if (t_ok) propagate(jump_target, taken); else ++dead_edges_;
+        if (f_ok) propagate(pc + 1, fall); else ++dead_edges_;
         return {};
       }
 
@@ -957,8 +740,8 @@ class Analyzer {
                                                 fall.regs[in.dst].val,
                                                 imm_f);
     const size_t target = pc + 1 + static_cast<size_t>(in.off);
-    if (t_ok) propagate(pc, target, taken); else ++dead_edges_;
-    if (f_ok) propagate(pc, pc + 1, fall); else ++dead_edges_;
+    if (t_ok) propagate(target, taken); else ++dead_edges_;
+    if (f_ok) propagate(pc + 1, fall); else ++dead_edges_;
     return {};
   }
 
@@ -969,16 +752,14 @@ class Analyzer {
     HelperCallInfo info;
     info.pc = pc;
     info.id = sig->id;
-    info.key_known = true;
-    bool has_key = false;
     for (int a = 0; a < sig->num_args; ++a) {
       const Reg r = static_cast<Reg>(a + 1);
       if (regs[r].kind == Kind::Uninit) {
         return "read of uninitialized r" + std::to_string(r);
       }
-      const ArgSpec& spec = sig->arg[a];
+      const Kind want = sig->arg[a];
       const Kind have = regs[r].kind;
-      if (spec.kind == Kind::PtrStack) {
+      if (want == Kind::PtrStack) {
         if (have != Kind::PtrStack) {
           return "helper arg r" + std::to_string(r) +
                  " must be a stack pointer";
@@ -987,39 +768,27 @@ class Analyzer {
           return "helper arg r" + std::to_string(r) +
                  " must have a constant stack offset";
         }
-        int buf = spec.buf_bytes;
-        if (buf < 0) {  // the value size of the map handle in r1
-          buf = static_cast<int>(
-              maps_[static_cast<size_t>(regs[1].map_slot)]->value_size());
-        }
-        if (auto e = check_mem(regs[r], 0, buf, /*is_write=*/false);
+        if (auto e = check_mem(regs[r], 0, 4, /*is_write=*/false);
             !e.empty()) {
           return e;
         }
-        if (spec.buf_bytes == 4 && !has_key) {
-          // This is the u32 key buffer: read it for proof reporting.
-          has_key = true;
-          const int64_t abs = static_cast<int64_t>(kStackSize) +
-                              regs[r].delta +
-                              static_cast<int64_t>(regs[r].val.umin);
-          const RegState k = load_stack(out, abs, 4);
-          if (k.kind == Kind::Scalar && k.val.umax <= kU32Max) {
-            info.key = k.val;
-          } else {
-            info.key = unknown32();
-            info.key_known = false;
-          }
-        }
-      } else if (spec.kind == Kind::MapHandle) {
+        // The u32 key buffer: read it for proof reporting.
+        const int64_t abs = static_cast<int64_t>(kStackSize) +
+                            regs[r].delta +
+                            static_cast<int64_t>(regs[r].val.umin);
+        const RegState k = load_stack(out, abs, 4);
+        info.key_known = k.kind == Kind::Scalar && k.val.umax <= kU32Max;
+        info.key = info.key_known ? k.val : unknown32();
+      } else if (want == Kind::MapHandle) {
         if (have != Kind::MapHandle) {
           return "helper arg r" + std::to_string(r) + " must be a map";
         }
         Map* m = maps_[static_cast<size_t>(regs[r].map_slot)];
-        if (sig->map_arg_type && m->type() != *sig->map_arg_type) {
+        if (m->type() != sig->map_type) {
           return "helper map argument has wrong map type";
         }
         info.map_slot = regs[r].map_slot;
-      } else if (spec.kind == Kind::PtrCtx) {
+      } else if (want == Kind::PtrCtx) {
         // The VM hands r1 to the helper as a ReuseportCtx*; anything but
         // the context base would misinterpret memory.
         if (have != Kind::PtrCtx || regs[r].delta != 0 ||
@@ -1027,47 +796,25 @@ class Analyzer {
           return "helper arg r" + std::to_string(r) +
                  " must be the context base";
         }
-      } else if (spec.kind != have) {
+      } else if (want != have) {
         return "helper arg r" + std::to_string(r) + " has wrong type";
       }
     }
-    if (!has_key) info.key_known = false;
 
     // Result + clobbers.
-    RegState r0;
-    switch (sig->id) {
-      case HelperId::MapLookupElem:
-        r0 = RegState{Kind::PtrMapValueOrNull, 0, regs[1].map_slot,
-                      ValueRange::konst(0)};
-        break;
-      case HelperId::MapUpdateElem:  // 0 or (u64)-1
-        r0 = RegState::scalar(ValueRange::join(
-            ValueRange::konst(0), ValueRange::konst(~uint64_t{0})));
-        break;
-      case HelperId::SkSelectReuseport:  // 0 or (u64)-ENOENT
-        r0 = RegState::scalar(ValueRange::join(
-            ValueRange::konst(0),
-            ValueRange::konst(static_cast<uint64_t>(-2))));
-        break;
-      case HelperId::KtimeGetNs:
-        r0 = RegState::scalar(ValueRange::unknown());
-        break;
-      case HelperId::GetPrandomU32:
-        r0 = RegState::scalar(unknown32());
-        break;
-    }
+    const RegState r0 =
+        sig->id == HelperId::MapLookupElem
+            ? RegState{Kind::PtrMapValueOrNull, 0, regs[1].map_slot,
+                       ValueRange::konst(0)}
+            // sk_select_reuseport: 0 or (u64)-ENOENT
+            : RegState::scalar(ValueRange::join(
+                  ValueRange::konst(0),
+                  ValueRange::konst(static_cast<uint64_t>(-2))));
     for (Reg r = 1; r <= 5; ++r) regs[r] = RegState{};
     regs[0] = r0;
 
-    // Join per-callsite helper facts across visits (loop iterations).
-    auto [it, inserted] = helpers_.try_emplace(pc, info);
-    if (!inserted) {
-      HelperCallInfo& e = it->second;
-      if (e.map_slot != info.map_slot) e.map_slot = -1;
-      e.key_known = e.key_known && info.key_known;
-      e.key = ValueRange::join(e.key, info.key);
-    }
-    propagate(pc, pc + 1, out);
+    helper_calls_.push_back(info);
+    propagate(pc + 1, out);
     return {};
   }
 
@@ -1076,32 +823,15 @@ class Analyzer {
 
   std::vector<AbsState> states_;
   std::vector<uint32_t> merge_counts_;
-  std::vector<char> visited_;
-  std::vector<char> is_header_;
-  std::vector<size_t> header_end_;
-  std::vector<LoopFrame*> frames_;
-
-  // Join of bounds-check outcomes per visited memory-access pc. Every
-  // recorded visit passed check_mem (failure rejects the program), so a
-  // fact stays `proven` unless later visits see a different base kind —
-  // which join_reg's kind-mismatch collapse makes unreachable in practice,
-  // but the elision consumer must not have to rely on that.
-  void record_mem_fact(size_t pc, Kind base_kind) {
-    auto [it, inserted] =
-        mem_facts_.try_emplace(pc, MemAccessInfo{pc, base_kind, true});
-    if (!inserted && it->second.base_kind != base_kind) {
-      it->second.proven = false;
-    }
-  }
 
   uint64_t steps_ = 0;
   size_t dead_edges_ = 0;
-  uint32_t max_trips_ = 0;
   size_t err_pc_ = 0;
   bool ret_reachable_ = false;
   ValueRange ret_;
-  std::map<size_t, HelperCallInfo> helpers_;
-  std::map<size_t, MemAccessInfo> mem_facts_;
+  // Facts per visited pc, in pc order (scan steps each pc once, in order).
+  std::vector<HelperCallInfo> helper_calls_;
+  std::vector<size_t> mem_access_pcs_;
 };
 
 }  // namespace

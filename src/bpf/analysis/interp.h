@@ -6,17 +6,10 @@
 // tracked as 4-byte cells with kernel-style spill/fill of full register
 // states; states merge (with widening) at join points.
 //
-// Control flow follows post-5.3 kernel semantics: backward edges are
-// accepted iff the abstract state proves the loop exits within a fixed
-// trip bound (kMaxTripCount in interp.cc). Loops are required to be
-// properly nested regions entered only through their header; each region
-// is re-analyzed per abstract iteration — the header state of iteration
-// k+1 is the back-edge state of iteration k (no cross-iteration merge),
-// and the loop is accepted when the back edge becomes infeasible. Because every
-// concrete instruction executed inside a loop corresponds to at least one
-// abstract step, the global step budget (2^18) also bounds the concrete
-// instruction count of accepted programs below the VM's 2^20 execution
-// budget.
+// Control flow follows the kernel's pre-5.3 check_cfg rule: every jump
+// goes forward, so a program is a DAG, one in-order pass over it is the
+// complete analysis (each reachable pc is stepped once), and an accepted
+// program executes at most kMaxProgramLen instructions.
 #pragma once
 
 #include <array>
@@ -91,24 +84,11 @@ struct AbsState {
 struct HelperCallInfo {
   size_t pc = 0;
   HelperId id{};
-  int32_t map_slot = -1;  // the map/sockarray argument, if any
-  // True when the key buffer's contents were tracked precisely at every
-  // visit of this call site; `key` is the join of the key ranges.
+  int32_t map_slot = -1;  // slot of the map/sockarray argument
+  // True when the u32 key buffer's contents were tracked precisely;
+  // `key` is their range.
   bool key_known = false;
   ValueRange key;
-};
-
-// Per-pc fact about a load/store: which region kind the base pointer had,
-// and whether every visit of this pc passed the abstract bounds check with
-// a consistent base kind. In an accepted program every *visited* access is
-// bounds-proven by construction (a failing check rejects the program), so
-// `proven` is the license the execution plan (bpf/plan.h) uses to elide the
-// runtime check at that pc. Range-dead accesses are never visited and get
-// no entry — the plan compiler keeps the checked micro-op there.
-struct MemAccessInfo {
-  size_t pc = 0;
-  Kind base_kind = Kind::Uninit;
-  bool proven = false;
 };
 
 struct AnalysisResult {
@@ -119,13 +99,18 @@ struct AnalysisResult {
 
   size_t dead_insns = 0;   // structurally reachable but range-pruned
   size_t dead_edges = 0;   // branch edges proven infeasible
-  uint64_t analysis_steps = 0;
-  uint32_t max_loop_trips = 0;  // deepest iteration count any proof needed
+  uint64_t analysis_steps = 0;  // pcs stepped: one per reachable pc
 
   bool ret_reachable = false;
   ValueRange ret;  // join of r0 over all reachable exits
   std::vector<HelperCallInfo> helper_calls;  // one entry per visited Call pc
-  std::vector<MemAccessInfo> mem_accesses;   // one entry per visited ld/st pc
+  // The load/store pcs the analysis visited, ascending. In an accepted
+  // program every visited access is bounds-proven by construction (a
+  // failing check rejects the program), so an entry is the license the
+  // execution plan (bpf/plan.h) uses to elide the runtime check at that
+  // pc. Range-dead accesses are never visited and get no entry — the plan
+  // compiler keeps the checked micro-op there.
+  std::vector<size_t> mem_access_pcs;
 
   explicit operator bool() const { return ok; }
 };

@@ -3,8 +3,8 @@
 // Provides named labels with fixup so the Hermes dispatch program can be
 // written readably in core/dispatch_prog.cc. A jump may reference a label
 // bound later (forward fixup) or one already bound (backward edge — the
-// verifier accepts these when its abstract interpreter can prove the loop
-// bounded). Each label may be bound exactly once.
+// verifier rejects these; the fuzzer emits them to exercise that
+// rejection). Each label may be bound exactly once.
 #pragma once
 
 #include <map>

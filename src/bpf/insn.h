@@ -4,12 +4,11 @@
 // the 4.19-era kernels the paper deploys on:
 //   * 11 registers r0..r10; r10 is the read-only frame pointer,
 //   * a 512-byte stack,
-//   * verified control flow: backward edges are accepted only when the
-//     abstract interpreter (bpf/analysis/) proves the loop bounded, as in
-//     post-5.3 kernels — the dispatch program itself remains straight-line
-//     because the paper's 4.19 deployment target rejects all back-edges,
-//     hence its bitwise popcount tricks,
-//   * helper calls with typed signatures,
+//   * forward-only control flow: the verifier rejects every backward edge,
+//     as the paper's 4.19 deployment target does — hence the dispatch
+//     program's branch-free popcount and select-bit tricks,
+//   * two helpers with typed signatures, map_lookup_elem and
+//     sk_select_reuseport (the only ones the dispatch programs call),
 //   * maps bound at load time (LdMapFd pseudo-instruction, as in the real
 //     BPF_LD_IMM64 + BPF_PSEUDO_MAP_FD).
 //
@@ -102,13 +101,11 @@ struct Insn {
 
 using Program = std::vector<Insn>;
 
-// Helper function identifiers (subset used by Hermes, numbered to taste).
+// Helper function identifiers: the two the dispatch programs call. Any
+// other id is rejected by the verifier and traps in bpf::ref_run.
 enum class HelperId : int32_t {
   MapLookupElem = 1,      // r1=map, r2=key ptr -> r0 = value ptr or NULL
-  MapUpdateElem = 2,      // r1=map, r2=key ptr, r3=value ptr, r4=flags -> r0
   SkSelectReuseport = 3,  // r1=ctx, r2=sockarray, r3=key ptr, r4=flags -> r0
-  KtimeGetNs = 4,         // -> r0 = current time (sim clock in tests)
-  GetPrandomU32 = 5,      // -> r0 = pseudo-random u32
 };
 
 // Context passed to reuseport programs; modeled on struct sk_reuseport_md.

@@ -146,10 +146,12 @@ ExecutionPlan compile_plan(const Program& prog, std::span<Map* const> maps,
     // verifier's structural prescan guarantees this for loaded programs.
     HERMES_CHECK_MSG(prog[pc].dst < kNumRegs && prog[pc].src < kNumRegs,
                      "bpf plan: bad register field");
+    // Forward-only jumps are what lets execute() run without a budget.
     if (is_jump_op(prog[pc].op)) {
       const int64_t t = static_cast<int64_t>(pc) + 1 + prog[pc].off;
-      HERMES_CHECK_MSG(t >= 0 && t < static_cast<int64_t>(prog.size()),
-                       "bpf plan: jump target out of range");
+      HERMES_CHECK_MSG(prog[pc].off >= 0 &&
+                           t < static_cast<int64_t>(prog.size()),
+                       "bpf plan: backward or out-of-range jump");
       is_target[static_cast<size_t>(t)] = 1;
     }
   }
@@ -158,8 +160,8 @@ ExecutionPlan compile_plan(const Program& prog, std::span<Map* const> maps,
   // pcs (range-dead) have no entry and keep their runtime checks.
   std::vector<uint8_t> mem_proven(prog.size(), 0);
   std::vector<int32_t> call_slot(prog.size(), -2);  // -2 = call not visited
-  for (const auto& m : facts.mem_accesses) {
-    if (m.pc < prog.size() && m.proven) mem_proven[m.pc] = 1;
+  for (const size_t access_pc : facts.mem_access_pcs) {
+    if (access_pc < prog.size()) mem_proven[access_pc] = 1;
   }
   for (const auto& h : facts.helper_calls) {
     if (h.pc < prog.size()) call_slot[h.pc] = h.map_slot;
@@ -241,17 +243,8 @@ ExecutionPlan compile_plan(const Program& prog, std::span<Map* const> maps,
           case HelperId::MapLookupElem:
             pin(MapType::Array, UCallLookup, UCallLookupNC);
             break;
-          case HelperId::MapUpdateElem:
-            pin(MapType::Array, UCallUpdate, UCallUpdateNC);
-            break;
           case HelperId::SkSelectReuseport:
             pin(MapType::ReuseportSockArray, UCallSelect, UCallSelectNC);
-            break;
-          case HelperId::KtimeGetNs:
-            u.code = UCallTime;
-            break;
-          case HelperId::GetPrandomU32:
-            u.code = UCallRand;
             break;
           default:
             // Unknown id at a range-dead pc: keep the generic Call code,

@@ -2,17 +2,18 @@
 // direct-threaded form of a verified program, compiled once per verified
 // image (bpf/vm.h) and bound to each map set that runs it.
 //
-// compile_plan turns the program into a flat micro-op array: jump offsets
-// resolved to absolute indices, LdMapFd slots and helper calls with a
-// pinned map recorded as map sites, helper calls specialized per helper
-// id, and the popcount / rank-select idioms that
+// compile_plan turns the program into a flat micro-op array: forward
+// jump offsets resolved to absolute indices, LdMapFd slots and helper
+// calls with a pinned map recorded as map sites, helper calls specialized
+// per helper id, and the popcount / rank-select idioms that
 // core/dispatch_prog.cc emits fused into superinstructions (19-insn
 // Hamming weight -> 1 micro-op, 3-insn clear-lowest-bit -> 1, 4-insn
 // isolate-lowest-bit -> 1). Dispatch uses computed goto. Runtime bounds
 // checks are elided at accesses the abstract interpreter (bpf/analysis/)
 // proved in-bounds for every execution — which, for a verified program,
 // is every access it visited; accesses the analysis range-pruned as dead
-// keep the checked micro-op.
+// keep the checked micro-op. A verified program has no backward edge, so
+// a run executes each micro-op at most once: no jump checks a budget.
 //
 // Semantics match the trapping reference interpreter (bpf::ref_run,
 // bpf/ref_interpreter.h) by construction and by test: a fused micro-op
@@ -25,7 +26,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <span>
 #include <vector>
 
@@ -82,12 +82,10 @@ enum UExt : uint16_t {
   UStBNC, UStHNC, UStWNC, UStDWNC,
   // Helper calls, specialized per id; the NC variants' imm carries the
   // pre-downcast map pointer of the slot the analysis pinned, set at bind.
-  // The NC variants skip the key/value buffer bounds checks (the helper
-  // signature check proved those buffers in-bounds).
+  // The NC variants skip the key buffer bounds check (the helper
+  // signature check proved that buffer in-bounds).
   UCallLookup, UCallLookupNC,
-  UCallUpdate, UCallUpdateNC,
   UCallSelect, UCallSelectNC,
-  UCallTime, UCallRand,
   kUopCodeCount,  // dispatch-table size
 };
 
@@ -121,9 +119,7 @@ class ExecutionPlan {
   // Run the plan. Register/stack/helper semantics mirror bpf::ref_run;
   // violations abort (the program was verified — a trip here is a repo
   // bug, where ref_run would report a trap). Only a bound plan runs.
-  ExecResult execute(ReuseportCtx& ctx,
-                     const std::function<uint64_t()>& time_fn,
-                     const std::function<uint32_t()>& rand_fn) const;
+  ExecResult execute(ReuseportCtx& ctx) const;
 
  private:
   friend ExecutionPlan compile_plan(const Program& prog,
@@ -131,8 +127,8 @@ class ExecutionPlan {
                                     const analysis::AnalysisResult& facts);
 
   // A micro-op whose imm is a map pointer (ULdMapPtr, UCallLookupNC,
-  // UCallUpdateNC, UCallSelectNC) and the map slot it names. compile_plan
-  // leaves imm 0 there; bind() fills it in.
+  // UCallSelectNC) and the map slot it names. compile_plan leaves imm 0
+  // there; bind() fills it in.
   struct MapSite {
     uint32_t uop;
     uint32_t slot;

@@ -30,11 +30,9 @@ static_assert(static_cast<uint16_t>(Op::LdxB) == 52);
 static_assert(static_cast<uint16_t>(Op::Ja) == 64);
 static_assert(static_cast<uint16_t>(Op::Exit) == 88);
 static_assert(kOpCount == 89);
-static_assert(kUopCodeCount == kOpCount + 24);
+static_assert(kUopCodeCount == kOpCount + 20);
 
-ExecutionPlan::ExecResult ExecutionPlan::execute(
-    ReuseportCtx& ctx, const std::function<uint64_t()>& time_fn,
-    const std::function<uint32_t()>& rand_fn) const {
+ExecutionPlan::ExecResult ExecutionPlan::execute(ReuseportCtx& ctx) const {
   alignas(8) uint8_t stack[kStackSize] = {};
   uint64_t regs[kNumRegs] = {};
   regs[1] = reinterpret_cast<uint64_t>(&ctx);
@@ -66,9 +64,6 @@ ExecutionPlan::ExecResult ExecutionPlan::execute(
 #define S regs[ip->src]
 #define UIMM static_cast<uint64_t>(ip->imm)
 #define SIMM (ip->imm)
-#define CHECK_BUDGET()                                  \
-  HERMES_CHECK_MSG(insns < kMaxInsnsExecuted,           \
-                   "bpf vm: instruction budget exceeded")
 
 #define OPC(name) lbl_##name:
 #define OPX(name) lbl_##name:
@@ -79,7 +74,6 @@ ExecutionPlan::ExecResult ExecutionPlan::execute(
   } while (0)
 #define JUMP(t)              \
   do {                       \
-    CHECK_BUDGET();          \
     ip = base + (t);         \
     goto *kLabels[ip->code]; \
   } while (0)
@@ -118,9 +112,7 @@ ExecutionPlan::ExecResult ExecutionPlan::execute(
       LBL(UStxBNC) LBL(UStxHNC) LBL(UStxWNC) LBL(UStxDWNC)
       LBL(UStBNC) LBL(UStHNC) LBL(UStWNC) LBL(UStDWNC)
       LBL(UCallLookup) LBL(UCallLookupNC)
-      LBL(UCallUpdate) LBL(UCallUpdateNC)
       LBL(UCallSelect) LBL(UCallSelectNC)
-      LBL(UCallTime) LBL(UCallRand)
   };
 #undef LBL
   static_assert(sizeof(kLabels) / sizeof(kLabels[0]) == kUopCodeCount);
@@ -441,27 +433,6 @@ ExecutionPlan::ExecResult ExecutionPlan::execute(
     ++elided;
     NEXT;
   }
-  OPX(UCallUpdate) {
-    ArrayMap* am = as_array_map(reinterpret_cast<Map*>(regs[1]));
-    HERMES_CHECK(am != nullptr);
-    uint32_t key;
-    std::memcpy(&key, check_access(regs[2], 4), 4);
-    const uint8_t* val = check_access(regs[3], am->value_size());
-    regs[0] = am->update(key, val) ? 0 : static_cast<uint64_t>(-1);
-    ++insns;
-    NEXT;
-  }
-  OPX(UCallUpdateNC) {
-    auto* am = reinterpret_cast<ArrayMap*>(static_cast<uintptr_t>(ip->imm));
-    uint32_t key;
-    std::memcpy(&key, reinterpret_cast<const uint8_t*>(regs[2]), 4);
-    regs[0] = am->update(key, reinterpret_cast<const uint8_t*>(regs[3]))
-                  ? 0
-                  : static_cast<uint64_t>(-1);
-    ++insns;
-    ++elided;
-    NEXT;
-  }
   OPX(UCallSelect) {
     auto* rc = reinterpret_cast<ReuseportCtx*>(regs[1]);
     ReuseportSockArray* sa = as_sock_array(reinterpret_cast<Map*>(regs[2]));
@@ -497,16 +468,6 @@ ExecutionPlan::ExecResult ExecutionPlan::execute(
     ++elided;
     NEXT;
   }
-  OPX(UCallTime) {
-    regs[0] = time_fn ? time_fn() : 0;
-    ++insns;
-    NEXT;
-  }
-  OPX(UCallRand) {
-    regs[0] = rand_fn ? rand_fn() : 0;
-    ++insns;
-    NEXT;
-  }
 
 #undef ALU
 #undef COND_JUMP
@@ -521,7 +482,6 @@ ExecutionPlan::ExecResult ExecutionPlan::execute(
 #undef S
 #undef UIMM
 #undef SIMM
-#undef CHECK_BUDGET
 }
 
 }  // namespace hermes::bpf

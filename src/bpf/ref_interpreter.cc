@@ -104,8 +104,6 @@ struct Interp {
   const Program& prog;
   std::span<Map* const> maps;
   ReuseportCtx& ctx;
-  const Vm::TimeFn& time_fn;
-  const Vm::RandFn& rand_fn;
 
   alignas(8) uint8_t stack[kStackSize] = {};
   uint64_t regs[kNumRegs] = {};
@@ -274,18 +272,6 @@ struct Interp {
               regs[0] = reinterpret_cast<uint64_t>(am->lookup(key));
               break;
             }
-            case HelperId::MapUpdateElem: {
-              auto* am = dynamic_cast<ArrayMap*>(map_at(regs[1]));
-              if (am == nullptr) return trap("update: r1 is not an array map");
-              uint8_t* kp = resolve(regs[2], 4);
-              if (kp == nullptr) return trap("update: bad key pointer");
-              uint8_t* vp = resolve(regs[3], am->value_size());
-              if (vp == nullptr) return trap("update: bad value pointer");
-              uint32_t key;
-              std::memcpy(&key, kp, 4);
-              regs[0] = am->update(key, vp) ? 0 : static_cast<uint64_t>(-1);
-              break;
-            }
             case HelperId::SkSelectReuseport: {
               if (regs[1] != reinterpret_cast<uint64_t>(&ctx)) {
                 return trap("sk_select: r1 is not the context");
@@ -306,12 +292,6 @@ struct Interp {
               }
               break;
             }
-            case HelperId::KtimeGetNs:
-              regs[0] = time_fn ? time_fn() : 0;
-              break;
-            case HelperId::GetPrandomU32:
-              regs[0] = rand_fn ? rand_fn() : 0;
-              break;
             default:
               return trap("unknown helper id");
           }
@@ -336,9 +316,8 @@ struct Interp {
 }  // namespace
 
 RefResult ref_run(const Program& prog, std::span<Map* const> maps,
-                  ReuseportCtx& ctx, const Vm::TimeFn& time_fn,
-                  const Vm::RandFn& rand_fn) {
-  Interp interp{prog, maps, ctx, time_fn, rand_fn};
+                  ReuseportCtx& ctx) {
+  Interp interp{prog, maps, ctx};
   return interp.run();
 }
 

@@ -6,7 +6,10 @@
 //   * it assumes NOTHING about the program — every register index, memory
 //     access, jump target, helper id and instruction budget is checked
 //     dynamically and reported as a *trap* instead of aborting the process
-//     (Vm aborts, because for it a violation means the verifier is broken);
+//     (Vm aborts, because for it a violation means the verifier is broken).
+//     It runs unverified programs too, loops included, so it checks the
+//     kMaxInsnsExecuted budget, which the forward-only verified plan does
+//     not need;
 //   * ALU semantics are routed through two generic evaluators (64-bit and
 //     32-bit) instead of a per-opcode switch body, so an opcode-level slip
 //     in one implementation does not automatically appear in the other.
@@ -24,7 +27,6 @@
 
 #include "bpf/insn.h"
 #include "bpf/maps.h"
-#include "bpf/vm.h"
 
 namespace hermes::bpf {
 
@@ -36,11 +38,10 @@ struct RefResult {
   uint64_t insns_executed = 0;
 };
 
-// Execute `prog` against `ctx` with the given bound maps. Helper calls use
-// `time_fn` / `rand_fn` exactly like Vm (pass deterministic functions when
-// comparing runs). Never aborts on program misbehaviour: traps instead.
+// Execute `prog` against `ctx` with the given bound maps. Never aborts on
+// program misbehaviour: traps instead, also on a helper id other than
+// map_lookup_elem and sk_select_reuseport.
 RefResult ref_run(const Program& prog, std::span<Map* const> maps,
-                  ReuseportCtx& ctx, const Vm::TimeFn& time_fn = {},
-                  const Vm::RandFn& rand_fn = {});
+                  ReuseportCtx& ctx);
 
 }  // namespace hermes::bpf

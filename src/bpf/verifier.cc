@@ -31,7 +31,6 @@ VerifyResult verify(const Program& prog, std::span<Map* const> maps) {
   analysis::AnalysisResult a = analysis::analyze(prog, maps);
   res.dead_insns = a.dead_insns;
   res.dead_edges = a.dead_edges;
-  res.max_loop_trips = a.max_loop_trips;
   if (a) {
     res.ok = true;
     res.analysis = std::move(a);

@@ -12,19 +12,21 @@
 //     readable context prefix, or the map value size — including
 //     variable-offset accesses, which verify when the offset's range
 //     proves them in-bounds;
-//   * bounded loops are accepted (post-5.3 kernel semantics): a backward
-//     edge is legal iff the abstract state proves the loop exits within a
-//     configurable trip bound; loops must be properly nested regions
-//     entered only through their header;
+//   * every jump goes forward (the pre-5.3 kernel's check_cfg rule, and
+//     the 4.19 deployment target the paper names): a backward edge is
+//     rejected at its pc, so accepted programs are loop-free and run at
+//     most kMaxProgramLen instructions;
 //   * branches whose edge is infeasible under the tracked ranges are
 //     pruned (dead-branch detection); structurally unreachable code is
 //     still rejected, as in the kernel's check_cfg;
 //   * map-value pointers are null until proven otherwise by a JEQ/JNE 0
 //     check (PTR_TO_MAP_VALUE_OR_NULL); spill/fill round-trips full
 //     register state, for pointers and ranged scalars alike;
-//   * helper calls are checked against typed signatures (buffer sizes,
-//     map types, a context argument that really is the context base);
-//     r1-r5 are clobbered and r0 gets the helper's documented range;
+//   * the two helpers the dispatch programs call, map_lookup_elem and
+//     sk_select_reuseport, are checked against typed signatures (key
+//     buffer size, map type, a context argument that really is the
+//     context base); any other helper id is rejected; r1-r5 are clobbered
+//     and r0 gets the helper's documented range;
 //   * r10 (frame pointer) is read-only; division by a zero immediate is
 //     rejected; rejections report the offending abstract register state
 //     plus a disassembly window around the failing pc.
@@ -33,10 +35,8 @@
 // DESIGN.md "Static analysis"): no 32-bit sub-register bounds alongside
 // the 64-bit ones (ALU32 results are modeled by truncating the 64-bit
 // domain), no precision back-propagation (the kernel's mark_chain_
-// precision), loops are re-analyzed per abstract iteration instead of
-// using widening to a fixpoint (simpler, and exact for the trip counts
-// Hermes programs need), and reads of individual bytes of a spilled
-// pointer degrade to an unknown scalar instead of tracking pointer bytes.
+// precision), and reads of individual bytes of a spilled pointer degrade
+// to an unknown scalar instead of tracking pointer bytes.
 #pragma once
 
 #include <span>
@@ -58,7 +58,6 @@ struct VerifyResult {
   // Analysis facts, populated on success and failure alike.
   size_t dead_insns = 0;      // structurally reachable but range-pruned
   size_t dead_edges = 0;      // branch edges proven infeasible
-  uint32_t max_loop_trips = 0;  // deepest per-loop iteration proof needed
 
   // The full abstract-interpretation result. On success this carries the
   // per-callsite helper facts and per-pc memory-access proofs that the

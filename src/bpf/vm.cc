@@ -45,9 +45,7 @@ std::unique_ptr<LoadedProgram> Vm::bind(
 }
 
 Vm::RunResult Vm::run(const LoadedProgram& lp, ReuseportCtx& ctx) const {
-  const RunResult res = lp.plan_.execute(ctx, time_fn_, rand_fn_);
-  total_insns_ += res.insns_executed;
-  return res;
+  return lp.plan_.execute(ctx);
 }
 
 }  // namespace hermes::bpf

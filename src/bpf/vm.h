@@ -2,10 +2,13 @@
 // and executes it against a ReuseportCtx (or raw context buffer).
 //
 // Execution model matches the kernel interpreter: 64-bit registers, 512-byte
-// zeroed stack per run, helpers dispatched by id, hard instruction budget.
-// Loads/stores the verifier could not prove in-bounds are additionally
-// bounds-checked at runtime (defense in depth; a violation is a bug in this
-// repo, so it aborts).
+// zeroed stack per run, the two helpers (map_lookup_elem,
+// sk_select_reuseport) dispatched by id. A verified program jumps only
+// forward, so a run executes each instruction at most once and needs no
+// instruction budget. Loads/stores the verifier could not prove in-bounds
+// are additionally bounds-checked at runtime (defense in depth; a
+// violation is a bug in this repo, so it aborts). Vm itself holds no
+// state.
 //
 // Loading is split in two. A VerifiedImage is the part that is the same
 // for every map set of one shape: the program, the verifier's analysis of
@@ -25,7 +28,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <span>
@@ -85,14 +87,6 @@ class LoadedProgram {
 
 class Vm {
  public:
-  // Time source for the KtimeGetNs helper; the simulator wires the sim
-  // clock in, the live demo wires CLOCK_MONOTONIC.
-  using TimeFn = std::function<uint64_t()>;
-  using RandFn = std::function<uint32_t()>;
-
-  void set_time_fn(TimeFn fn) { time_fn_ = std::move(fn); }
-  void set_rand_fn(RandFn fn) { rand_fn_ = std::move(fn); }
-
   // Verify + compile the execution plan + bind maps. Returns nullptr and
   // fills `error` on rejection.
   std::unique_ptr<LoadedProgram> load(Program prog, std::vector<Map*> maps,
@@ -113,15 +107,6 @@ class Vm {
   // Run against a reuseport context. The program may call
   // bpf_sk_select_reuseport, which records its decision into `ctx`.
   RunResult run(const LoadedProgram& prog, ReuseportCtx& ctx) const;
-
-  // Cumulative executed-instruction counter across run() calls (overhead
-  // accounting for Table 5).
-  uint64_t total_insns() const { return total_insns_; }
-
- private:
-  TimeFn time_fn_;
-  RandFn rand_fn_;
-  mutable uint64_t total_insns_ = 0;
 };
 
 }  // namespace hermes::bpf

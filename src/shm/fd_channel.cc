@@ -93,31 +93,4 @@ std::optional<std::pair<int, unsigned char>> FdChannel::recv_fd() {
   return std::nullopt;  // message without an fd
 }
 
-bool FdChannel::send_bytes(std::span<const std::byte> data) {
-  size_t off = 0;
-  while (off < data.size()) {
-    const ssize_t n = ::send(fd_, data.data() + off, data.size() - off, 0);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    off += static_cast<size_t>(n);
-  }
-  return true;
-}
-
-bool FdChannel::recv_exact(std::span<std::byte> data) {
-  size_t off = 0;
-  while (off < data.size()) {
-    const ssize_t n = ::recv(fd_, data.data() + off, data.size() - off, 0);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    if (n == 0) return false;
-    off += static_cast<size_t>(n);
-  }
-  return true;
-}
-
 }  // namespace hermes::shm

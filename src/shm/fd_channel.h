@@ -7,9 +7,7 @@
 // (documented in DESIGN.md §2).
 #pragma once
 
-#include <cstddef>
 #include <optional>
-#include <span>
 #include <utility>
 
 namespace hermes::shm {
@@ -37,10 +35,6 @@ class FdChannel {
 
   // Blocking receive; returns {fd, tag} or nullopt on EOF/error.
   std::optional<std::pair<int, unsigned char>> recv_fd();
-
-  // Plain byte-stream helpers (control messages in the live demo).
-  bool send_bytes(std::span<const std::byte> data);
-  bool recv_exact(std::span<std::byte> data);
 
  private:
   explicit FdChannel(int fd) : fd_(fd) {}

@@ -66,8 +66,6 @@ LbDevice::LbDevice(Config cfg)
       }
     }
     hermes_.emplace(opts);
-    hermes_->vm().set_time_fn(
-        [this] { return static_cast<uint64_t>(eq_.now().ns()); });
     degradation_.emplace(cfg_.hermes);
     // Stage-3 attachment per port.
     for (uint32_t p = 0; p < cfg_.num_ports; ++p) {

@@ -142,24 +142,6 @@ void emit_lookup_atom(Assembler& a, Rng& rng, const GenOptions& opt,
   a.label(skip);
 }
 
-void emit_update_atom(Assembler& a, Rng& rng, const GenOptions& opt) {
-  const auto key = static_cast<int32_t>(rng.next_below(opt.array_entries + 2));
-  a.st_w(r10, -4, key);
-  if (rng.bernoulli(0.5)) {
-    a.st_dw(r10, -16, static_cast<int32_t>(rand_imm(rng)));
-  } else {
-    a.stx_dw(r10, -16, pick_usable(rng));
-  }
-  a.ld_map_fd(r1, 0);
-  a.mov(r2, r10);
-  a.add(r2, -4);
-  a.mov(r3, r10);
-  a.add(r3, -16);
-  a.mov(r4, 0);
-  a.call(HelperId::MapUpdateElem);
-  if (rng.bernoulli(0.5)) a.mov(pick_usable(rng), r0);
-}
-
 void emit_sk_select_atom(Assembler& a, Rng& rng, const GenOptions& opt) {
   // Key sometimes names an empty / out-of-range slot (-ENOENT path).
   const auto key = static_cast<int32_t>(rng.next_below(opt.sock_entries + 2));
@@ -171,11 +153,6 @@ void emit_sk_select_atom(Assembler& a, Rng& rng, const GenOptions& opt) {
   a.mov(r4, 0);
   a.call(HelperId::SkSelectReuseport);
   if (rng.bernoulli(0.5)) a.mov(pick_usable(rng), r0);
-}
-
-void emit_helper_atom(Assembler& a, Rng& rng) {
-  a.call(rng.bernoulli(0.5) ? HelperId::KtimeGetNs : HelperId::GetPrandomU32);
-  a.mov(pick_usable(rng), r0);
 }
 
 // Variable-offset memory access whose bound the range analysis must
@@ -228,26 +205,6 @@ void emit_range_access_atom(Assembler& a, Rng& rng, int& label_n) {
   }
 }
 
-// Counted loop with a provable trip bound: r5 counts up to a small
-// constant, the body does scalar work on the usable registers. The
-// verifier accepts it via per-iteration loop analysis.
-void emit_loop_atom(Assembler& a, Rng& rng, int& label_n) {
-  const std::string top = fresh_label('l', label_n);
-  const auto trips = static_cast<int64_t>(1 + rng.next_below(8));
-  const R d = pick_usable(rng);
-  const R s = pick_usable(rng);
-  a.mov(r5, 0);
-  a.label(top);
-  switch (rng.next_below(4)) {
-    case 0: a.add(d, s); break;
-    case 1: a.xor_(d, s); break;
-    case 2: a.add32(d, static_cast<int32_t>(rand_imm(rng))); break;
-    default: a.add(d, r5); break;
-  }
-  a.add(r5, 1);
-  a.jlt(r5, trips, top);
-}
-
 // Deliberately dubious instructions: most are rejected by the verifier
 // (that's the point), but any that slip through are differential-safe —
 // no pointer is ever copied toward memory or arithmetic.
@@ -270,14 +227,14 @@ void emit_wild_atom(Assembler& a, Rng& rng, int& label_n) {
       a.ldx_b(pick_usable(rng), r5, 0);
       break;
     }
-    case 7: {  // no-progress loop: rejected at the abstract fixpoint
+    case 7: {  // endless loop: rejected as a backward edge
       const std::string top = fresh_label('w', label_n);
       a.label(top);
       a.add(d, 1);
       a.ja(top);
       break;
     }
-    default: {  // terminating loop, but past the analysis trip bound
+    default: {  // counted loop: terminates, but rejected as a backward edge
       const std::string top = fresh_label('w', label_n);
       a.mov(r5, 0);
       a.label(top);
@@ -309,22 +266,16 @@ void emit_atom(Assembler& a, Rng& rng, const GenOptions& opt, int& label_n,
     emit_wild_atom(a, rng, label_n);
     return;
   }
-  switch (rng.next_below(10)) {
+  switch (rng.next_below(7)) {
     case 0: case 1: emit_alu_atom(a, rng); break;
     case 2: emit_stack_atom(a, rng); break;
     case 3: emit_ctx_load_atom(a, rng); break;
     case 4: emit_lookup_atom(a, rng, opt, label_n); break;
-    case 5: emit_update_atom(a, rng, opt); break;
-    case 6: emit_sk_select_atom(a, rng, opt); break;
-    case 7:
+    case 5: emit_sk_select_atom(a, rng, opt); break;
+    default:
       emit_range_access_atom(a, rng, label_n);
       stats.has_range_access = true;
       break;
-    case 8:
-      emit_loop_atom(a, rng, label_n);
-      stats.has_loop = true;
-      break;
-    default: emit_helper_atom(a, rng); break;
   }
 }
 

@@ -1,14 +1,15 @@
 // Seeded random eBPF program generator for differential fuzzing.
 //
 // Programs are built through bpf::Assembler out of small "atoms" — ALU
-// bursts, stack traffic, context loads, whole helper-call gadgets
-// (lookup + null-check, map update, sk_select_reuseport), counted loops
-// with provable trip bounds, variable-offset accesses the range analysis
-// must prove (masked or branch-guarded indices), optional forward
-// conditional jumps over atoms, and a sprinkling of deliberately dubious
-// "wild" instructions that exercise the verifier's rejection paths
+// bursts, stack traffic, context loads, gadgets for the dialect's two
+// helpers (lookup + null-check with a read or write of the value,
+// sk_select_reuseport), variable-offset accesses the range analysis must
+// prove (masked or branch-guarded indices), optional forward conditional
+// jumps over atoms, and a sprinkling of deliberately dubious "wild"
+// instructions that exercise the verifier's rejection paths
 // (uninitialized reads, out-of-bounds offsets, zero divisors, unbounded
-// variable offsets, unprovable loops).
+// variable offsets, and loops: the only backward edges it emits, which
+// the verifier must reject).
 //
 // The generator is typestate-aware — it keeps scalar work in r7-r9, the
 // saved context pointer in r6, and gadget scratch in r0-r5 — so the large
@@ -43,10 +44,9 @@ struct GenOptions {
 };
 
 // What the generator actually emitted, so the torture harness can assert
-// that interesting program classes (bounded loops, range-proven
-// variable-offset accesses) both occur and pass verification.
+// that an interesting program class (range-proven variable-offset
+// accesses) both occurs and passes verification.
 struct GenStats {
-  bool has_loop = false;          // a counted backward-edge loop atom
   bool has_range_access = false;  // a masked/guarded variable-offset access
 };
 

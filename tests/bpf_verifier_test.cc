@@ -5,6 +5,7 @@
 
 #include "bpf/assembler.h"
 #include "bpf/maps.h"
+#include "bpf/ref_interpreter.h"
 #include "bpf/verifier.h"
 
 namespace hermes::bpf {
@@ -53,58 +54,33 @@ TEST_F(VerifierTest, FallThroughOffEndRejected) {
 }
 
 TEST_F(VerifierTest, BackwardJumpRejected) {
-  // An infinite loop: r0 stays 0, so the backward edge never becomes
-  // infeasible and the loop can't be proven to terminate.
+  // An infinite loop: while (r0 == 0) goto top.
   Program p = {
       {Op::MovImm, 0, 0, 0, 0},
-      {Op::JeqImm, 0, 0, -2, 0},  // while (r0 == 0) goto top
+      {Op::JeqImm, 0, 0, -2, 0},
       {Op::Exit},
   };
   const auto res = verify_prog(std::move(p));
   EXPECT_FALSE(res);
-  EXPECT_NE(res.error.find("backward"), std::string::npos);
+  EXPECT_EQ(res.error_pc, 1u);
+  EXPECT_NE(res.error.find("backward edge"), std::string::npos);
 }
 
-TEST_F(VerifierTest, BoundedLoopAccepted) {
+TEST_F(VerifierTest, BoundedLoopRejectedAsBackwardEdge) {
+  // A loop that provably ends after 8 trips is still a backward edge: the
+  // dialect is forward-only, as on the paper's 4.19 kernels.
   Assembler a;
   a.mov(r7, 0);
   a.mov(r0, 0);
   a.label("top");
   a.add(r0, 2);
   a.add(r7, 1);
-  a.jlt(r7, 8, "top");  // backward edge with a provable 8-trip bound
-  a.exit();
-  const auto res = verify_prog(a.finish());
-  EXPECT_TRUE(res) << res.error;
-  EXPECT_EQ(res.max_loop_trips, 8u);
-}
-
-TEST_F(VerifierTest, LoopExceedingTripBoundRejected) {
-  Assembler a;
-  a.mov(r7, 0);
-  a.label("top");
-  a.add(r7, 1);
-  a.jlt(r7, 1000, "top");  // terminates, but past the analysis trip bound
-  a.mov(r0, 0);
+  a.jlt(r7, 8, "top");  // pc 4
   a.exit();
   const auto res = verify_prog(a.finish());
   EXPECT_FALSE(res);
-  EXPECT_NE(res.error.find("trip bound"), std::string::npos);
-}
-
-TEST_F(VerifierTest, JumpIntoLoopBodyRejected) {
-  Program p = {
-      {Op::MovImm, 7, 0, 0, 0},   // 0:
-      {Op::Ja, 0, 0, 2, 0},       // 1: goto 4 — enters the loop mid-body
-      {Op::AddImm, 7, 0, 0, 1},   // 2: loop header
-      {Op::AddImm, 7, 0, 0, 1},   // 3:
-      {Op::JltImm, 7, 0, -3, 8},  // 4: if (r7 < 8) goto 2
-      {Op::MovImm, 0, 0, 0, 0},   // 5:
-      {Op::Exit},                 // 6:
-  };
-  const auto res = verify_prog(std::move(p));
-  EXPECT_FALSE(res);
-  EXPECT_NE(res.error.find("loop"), std::string::npos);
+  EXPECT_EQ(res.error_pc, 4u);
+  EXPECT_NE(res.error.find("backward edge"), std::string::npos);
 }
 
 TEST_F(VerifierTest, JumpOutOfBoundsRejected) {
@@ -302,6 +278,30 @@ TEST_F(VerifierTest, UnknownHelperRejected) {
   EXPECT_FALSE(verify_prog(std::move(p)));
 }
 
+TEST_F(VerifierTest, OnlyLookupAndSkSelectHelpersExist) {
+  // The dialect has helper ids 1 and 3 only: the ids around them are
+  // rejected by the verifier and trap in the reference interpreter.
+  for (const int64_t id : {2, 4, 5}) {
+    const Program p = {
+        {Op::Call, 0, 0, 0, id},
+        {Op::MovImm, 0, 0, 0, 0},
+        {Op::Exit},
+    };
+    const auto res = verify_prog(p);
+    EXPECT_FALSE(res) << "helper " << id;
+    EXPECT_EQ(res.error_pc, 0u) << "helper " << id;
+    EXPECT_NE(res.error.find("unknown helper"), std::string::npos)
+        << "helper " << id;
+
+    ReuseportCtx ctx;
+    const RefResult ref = ref_run(p, maps_, ctx);
+    EXPECT_TRUE(ref.trapped) << "helper " << id;
+    EXPECT_EQ(ref.trap_pc, 0u) << "helper " << id;
+    EXPECT_NE(ref.trap.find("unknown helper"), std::string::npos)
+        << "helper " << id;
+  }
+}
+
 TEST_F(VerifierTest, HelperArgTypeMismatchRejected) {
   // MapLookupElem with a scalar instead of a map handle in r1.
   Assembler a;
@@ -332,8 +332,12 @@ TEST_F(VerifierTest, HelperWrongMapTypeRejected) {
 
 TEST_F(VerifierTest, CallClobbersCallerSavedRegs) {
   Assembler a;
+  a.st_w(r10, -4, 0);
+  a.mov(r2, r10);
+  a.add(r2, -4);
+  a.ld_map_fd(r1, 0);
   a.mov(r3, 5);
-  a.call(HelperId::KtimeGetNs);
+  a.call(HelperId::MapLookupElem);
   a.mov(r0, r3);  // r3 was clobbered by the call
   a.exit();
   const auto res = verify_prog(a.finish());
@@ -343,8 +347,12 @@ TEST_F(VerifierTest, CallClobbersCallerSavedRegs) {
 
 TEST_F(VerifierTest, CalleeSavedRegsSurviveCall) {
   Assembler a;
+  a.st_w(r10, -4, 0);
+  a.mov(r2, r10);
+  a.add(r2, -4);
+  a.ld_map_fd(r1, 0);
   a.mov(r6, 5);
-  a.call(HelperId::KtimeGetNs);
+  a.call(HelperId::MapLookupElem);
   a.mov(r0, r6);  // r6 survives
   a.exit();
   EXPECT_TRUE(verify_prog(a.finish()));
@@ -354,7 +362,7 @@ TEST_F(VerifierTest, PointerArithmeticWithRegisterRejected) {
   // Variable pointer offsets are legal now, but only when the range
   // analysis can bound them: an unknown offset still can't be accessed.
   Assembler a;
-  a.call(HelperId::KtimeGetNs);  // r0: unbounded scalar
+  a.ldx_w(r0, r1, kCtxOffHash);  // r0: any u32
   a.mov(r3, r10);
   a.add(r3, r0);
   a.ldx_w(r2, r3, -8);
@@ -369,7 +377,7 @@ TEST_F(VerifierTest, RangeProvenVariableStackAccessAccepted) {
   // Previously impossible under the constant-offset-only model: the
   // masked index keeps fp[-16 + 4i], i in [0,3], provably in-bounds.
   Assembler a;
-  a.call(HelperId::GetPrandomU32);
+  a.ldx_w(r0, r1, kCtxOffHash);
   a.and_(r0, 3);
   a.lsh(r0, 2);
   a.mov(r3, r10);
@@ -423,10 +431,14 @@ TEST_F(VerifierTest, SpilledScalarRangeRoundTrips) {
   // A bounded scalar keeps its range through a stack spill/fill, so it
   // can still prove a variable access after a helper clobbers r0.
   Assembler a;
-  a.call(HelperId::GetPrandomU32);
+  a.ldx_w(r0, r1, kCtxOffHash);
   a.and_(r0, 7);
   a.stx_dw(r10, -8, r0);
-  a.call(HelperId::KtimeGetNs);
+  a.st_w(r10, -12, 0);
+  a.mov(r2, r10);
+  a.add(r2, -12);
+  a.ld_map_fd(r1, 0);
+  a.call(HelperId::MapLookupElem);
   a.ldx_dw(r3, r10, -8);  // fill: range [0,7] restored
   a.mov(r2, r10);
   a.add(r2, -8);
@@ -454,25 +466,6 @@ TEST_F(VerifierTest, HelperContextArgMustBeContextBase) {
   const auto res = verify_prog(a.finish());
   EXPECT_FALSE(res);
   EXPECT_NE(res.error.find("context base"), std::string::npos);
-}
-
-TEST_F(VerifierTest, HelperUpdateValueMustCoverValueSize) {
-  // map_update_elem reads value_size (8) bytes from r3; a pointer with
-  // only 4 bytes of stack behind it would trap in the VM.
-  Assembler a;
-  a.st_w(r10, -4, 0);
-  a.mov(r2, r10);
-  a.add(r2, -4);
-  a.mov(r3, r10);
-  a.add(r3, -4);
-  a.ld_map_fd(r1, 0);
-  a.mov(r4, 0);
-  a.call(HelperId::MapUpdateElem);
-  a.mov(r0, 0);
-  a.exit();
-  const auto res = verify_prog(a.finish());
-  EXPECT_FALSE(res);
-  EXPECT_NE(res.error.find("stack access out of bounds"), std::string::npos);
 }
 
 TEST_F(VerifierTest, PointerComparisonWithImmediateRejected) {

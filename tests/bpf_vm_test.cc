@@ -301,58 +301,6 @@ TEST_F(VmTest, SkSelectReuseportEmptySlotFails) {
   EXPECT_FALSE(ctx.selection_made);
 }
 
-TEST_F(VmTest, KtimeHelperUsesInjectedClock) {
-  vm_.set_time_fn([] { return 123456789ull; });
-  Assembler a;
-  a.call(HelperId::KtimeGetNs);
-  a.exit();
-  EXPECT_EQ(run(a), 123456789ull);
-}
-
-TEST_F(VmTest, PrandomHelper) {
-  uint32_t next = 7;
-  vm_.set_rand_fn([&] { return next++; });
-  Assembler a;
-  a.call(HelperId::GetPrandomU32);
-  a.exit();
-  EXPECT_EQ(run(a), 7u);
-}
-
-TEST_F(VmTest, InsnCountingAccumulates) {
-  Assembler a;
-  a.mov(r0, 0);
-  a.add(r0, 1);
-  a.exit();
-  std::string err;
-  auto prog = vm_.load(a.finish(), {}, &err);
-  ASSERT_NE(prog, nullptr);
-  ReuseportCtx ctx;
-  const auto r1_ = vm_.run(*prog, ctx);
-  EXPECT_EQ(r1_.insns_executed, 3u);
-  vm_.run(*prog, ctx);
-  EXPECT_EQ(vm_.total_insns(), 6u);
-}
-
-TEST_F(VmTest, MapUpdateHelperWritesArray) {
-  ArrayMap map(2, 8);
-  Assembler a;
-  a.st_w(r10, -4, 1);                  // key = 1
-  a.ld_imm64(r2, 0xfeedfacecafef00dull);
-  a.stx_dw(r10, -16, r2);              // value on stack
-  a.ld_map_fd(r1, 0);
-  a.mov(r2, r10);
-  a.add(r2, -4);
-  a.mov(r3, r10);
-  a.add(r3, -16);
-  a.mov(r4, 0);
-  a.call(HelperId::MapUpdateElem);
-  a.exit();
-  EXPECT_EQ(run(a, {&map}), 0u);
-  uint64_t out = 0;
-  ASSERT_TRUE(map.read(1, &out));
-  EXPECT_EQ(out, 0xfeedfacecafef00dull);
-}
-
 // Parameterized ALU sweep: random operand pairs, each op checked against
 // the host CPU's semantics.
 struct AluCase {

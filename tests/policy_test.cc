@@ -6,9 +6,13 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <memory>
 #include <string>
+#include <vector>
 
 #include "bpf/insn.h"
+#include "bpf/maps.h"
+#include "bpf/verifier.h"
 #include "core/policy.h"
 
 namespace hermes::core {
@@ -216,6 +220,50 @@ TEST(PolicyTest, MinWorkersGateAppliesToEveryPolicy) {
               kInvalidWorker)
         << policy->name();
   }
+}
+
+// The traffic the eBPF dialect is sized to: every program the four
+// policies generate, over group counts and widths from 1 to the 64-bit
+// bitmap's limit, verifies, jumps only forward and calls only
+// map_lookup_elem and sk_select_reuseport.
+TEST(PolicyTest, GeneratedProgramsAreForwardOnlyAndCallTwoHelpers) {
+  size_t programs = 0;
+  for (size_t k = 0; k < kPolicyCount; ++k) {
+    const auto policy = make_policy(static_cast<PolicyKind>(k));
+    for (const uint32_t groups : {1u, 2u, 3u, 16u}) {
+      for (const uint32_t wpg : {1u, 2u, 8u, 17u, 32u, 63u, 64u}) {
+        const bpf::Program prog = policy->build_program(params(groups, wpg));
+        bpf::ArrayMap sel(groups, sizeof(uint64_t));
+        bpf::ReuseportSockArray socks(groups * wpg);
+        std::vector<bpf::Map*> maps = {&sel, &socks};
+        std::unique_ptr<bpf::ArrayMap> aux;
+        if (policy->aux_value_bytes() > 0) {
+          aux = std::make_unique<bpf::ArrayMap>(groups,
+                                                policy->aux_value_bytes());
+          maps.push_back(aux.get());
+        }
+        const std::string where = std::string(policy->name()) + " " +
+                                  std::to_string(groups) + "x" +
+                                  std::to_string(wpg);
+        const bpf::VerifyResult res = bpf::verify(prog, maps);
+        EXPECT_TRUE(res) << where << ": " << res.error;
+        for (size_t pc = 0; pc < prog.size(); ++pc) {
+          const bpf::Insn& in = prog[pc];
+          if (in.op >= bpf::Op::Ja && in.op <= bpf::Op::JsetImm) {
+            EXPECT_GE(in.off, 0) << where << " pc " << pc;
+          }
+          if (in.op == bpf::Op::Call) {
+            const auto id = static_cast<bpf::HelperId>(in.imm);
+            EXPECT_TRUE(id == bpf::HelperId::MapLookupElem ||
+                        id == bpf::HelperId::SkSelectReuseport)
+                << where << " pc " << pc << " calls helper " << in.imm;
+          }
+        }
+        ++programs;
+      }
+    }
+  }
+  EXPECT_EQ(programs, 112u);
 }
 
 }  // namespace

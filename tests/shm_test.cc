@@ -107,27 +107,20 @@ TEST(FdChannelTest, RecvOnClosedPeerReturnsNullopt) {
   EXPECT_FALSE(b.recv_fd().has_value());
 }
 
-TEST(FdChannelTest, ByteStreamHelpers) {
-  auto [a, b] = FdChannel::make_pair();
-  const std::array<std::byte, 5> msg = {std::byte{1}, std::byte{2},
-                                        std::byte{3}, std::byte{4},
-                                        std::byte{5}};
-  ASSERT_TRUE(a.send_bytes(msg));
-  std::array<std::byte, 5> got{};
-  ASSERT_TRUE(b.recv_exact(got));
-  EXPECT_EQ(got, msg);
-}
-
 TEST(FdChannelTest, MoveSemantics) {
   auto [a, b] = FdChannel::make_pair();
   FdChannel c = std::move(a);
   EXPECT_FALSE(a.valid());
   EXPECT_TRUE(c.valid());
-  const std::array<std::byte, 1> one = {std::byte{9}};
-  EXPECT_TRUE(c.send_bytes(one));
-  std::array<std::byte, 1> got{};
-  EXPECT_TRUE(b.recv_exact(got));
-  EXPECT_EQ(got[0], std::byte{9});
+  int pipefd[2];
+  ASSERT_EQ(pipe(pipefd), 0);
+  EXPECT_TRUE(c.send_fd(pipefd[1], /*tag=*/9));
+  const auto got = b.recv_fd();
+  ASSERT_TRUE(got.has_value());
+  EXPECT_EQ(got->second, 9);
+  close(got->first);
+  close(pipefd[0]);
+  close(pipefd[1]);
 }
 
 }  // namespace
